@@ -14,6 +14,7 @@ from .decomp import (
     assemble,
     build_factor_data,
     factor_data_for,
+    factor_degrees,
     project,
 )
 from .dual import (
@@ -33,6 +34,7 @@ from .ideals import (
     case_counts,
     code_size,
     count_codes,
+    count_codes_by_degree,
     count_ideals,
     count_ideals_params,
     count_ideals_sumform,
@@ -46,6 +48,7 @@ from .poly import (
     Factorization,
     Poly,
     factor_squarefree,
+    frobenius,
     is_irreducible,
     poly_gcd,
     poly_modpow,

@@ -8,9 +8,11 @@ workhorse for residue sets and canonical representatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import ConstantInput, RangeError
 from .gf import FieldCtx
-from .poly import Poly
+from .poly import Poly, frobenius
 
 
 def ceil_half(x: int) -> int:
@@ -18,7 +20,71 @@ def ceil_half(x: int) -> int:
     return -((-x) // 2)
 
 
+def f_power(f: Poly, k: int) -> Poly:
+    """f^k from the base-p digits of k, most significant first.
+
+    Each digit step is one Frobenius twist (the p-th power, which costs
+    no multiplication) and one product with f^digit, digit < p; so
+    f^(p^s) is s twists and nothing else.
+    """
+    p = f.ctx.p
+    digits = []
+    while k:
+        k, r = divmod(k, p)
+        digits.append(r)
+    out = Poly.one(f.ctx)
+    for r in reversed(digits):
+        out = frobenius(out)
+        if r:
+            out = out * _small_power(f, r)
+    return out
+
+
+def _small_power(f: Poly, r: int) -> Poly:
+    """f^r by repeated squaring, without reduction."""
+    out, base = None, f
+    while r:
+        if r & 1:
+            out = base if out is None else out * base
+        r >>= 1
+        if r:
+            base = base * base
+    return out
+
+
+class FPowers(Sequence):
+    """f^0 .. f^e as a read-only sequence; f^k is built on first use and kept."""
+
+    __slots__ = ("f", "e", "_built")
+
+    def __init__(self, f: Poly, e: int):
+        self.f = f
+        self.e = e
+        self._built: dict[int, Poly] = {}
+
+    def __len__(self) -> int:
+        return self.e + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        k = range(len(self))[k]  # negative indices and IndexError as for a tuple
+        pw = self._built.get(k)
+        if pw is None:
+            pw = self._built[k] = f_power(self.f, k)
+        return pw
+
+
 class ChainCtx:
+    """The chain ring F_{p^m}[x] / (f^e).
+
+    f_pows is an FPowers sequence: len(f_pows) == e + 1 and f_pows[k] is
+    f^k, built on first use and then kept, so a context that never reads
+    a power pays nothing for it.  modulus = f^e comes from f_power: for
+    e = p^s, the case of every ring in this package, it is s Frobenius
+    twists of f and involves no polynomial product.
+    """
+
     __slots__ = ("field", "f", "d", "e", "modulus", "f_pows")
 
     def __init__(self, f: Poly, e: int):
@@ -32,11 +98,8 @@ class ChainCtx:
         self.f = f
         self.d = f.degree
         self.e = e
-        pows = [Poly.one(f.ctx)]
-        for _ in range(e):
-            pows.append(pows[-1] * f)
-        self.f_pows = tuple(pows)
-        self.modulus = pows[e]
+        self.f_pows = FPowers(f, e)
+        self.modulus = f_power(f, e)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChainCtx) and self.f == other.f and self.e == other.e
@@ -161,29 +224,38 @@ class ChainCtx:
         Order is an odometer over the digit vector, position a moving
         fastest, each digit running through digit_polys() order.  When
         a == b the set is the singleton {0}.
+
+        Lazy: partial[i] holds the sum of the digit terms at positions
+        a+i .. b-1, so a step that moves position a+i costs one product
+        and one sum, and f^(a+i) is read only once its digit is nonzero.
+        The odometer is a loop rather than a recursion because windows
+        can be thousands of positions wide.
         """
         if not (0 <= a <= b <= self.e):
             raise RangeError(f"bad residue window [{a}, {b}) for e={self.e}")
         width = b - a
-        if width == 0:
-            yield Poly.zero(self.field)
-            return
-        fq = self.field.q
-        digit_list = list(self.digit_polys())
-        radix = len(digit_list)
-        total = radix ** width
-        del fq
-        for counter in range(total):
-            digits = []
-            c = counter
-            for _ in range(width):
-                digits.append(digit_list[c % radix])
-                c //= radix
-            out = Poly.zero(self.field)
-            for k, dg in enumerate(digits):
-                if not dg.is_zero():
-                    out = out + dg * self.f_pows[a + k]
-            yield out
+        partial = [Poly.zero(self.field)] * (width + 1)
+        digits = [None] * width
+        i = width
+        while True:
+            # restart every position below i at its first digit
+            while i:
+                i -= 1
+                digits[i] = self.digit_polys()
+                partial[i] = self._place(partial[i + 1], next(digits[i]), a + i)
+            yield partial[0]
+            # advance the lowest position that has digits left
+            while i < width:
+                dg = next(digits[i], None)
+                if dg is not None:
+                    partial[i] = self._place(partial[i + 1], dg, a + i)
+                    break
+                i += 1
+            else:
+                return
+
+    def _place(self, high: Poly, digit: Poly, k: int) -> Poly:
+        return high if digit.is_zero() else high + digit * self.f_pows[k]
 
     def in_residue_window(self, z: Poly, a: int, b: int) -> bool:
         """Is z exactly a sum of digits over positions [a, b)?"""

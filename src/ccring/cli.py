@@ -2,7 +2,8 @@
 
 Commands take the ring parameters as flags and print JSON (single
 documents) or NDJSON (streams).  Counts are printed as decimal strings
-since they overflow 64-bit integers quickly.
+since they overflow 64-bit integers quickly, and may run past the
+interpreter's int-to-str digit limit (see decimal).
 
 Exit codes: 0 on success, 2 when parameters fail validation, 3 when a
 verify run reports a failure.
@@ -13,11 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 
-from .decomp import AmbientParams, FactorData, build_factor_data, factor_data_for
-from .dual import dual_code, count_self_dual, enumerate_self_dual
+from .decomp import (
+    AmbientParams,
+    FactorData,
+    build_factor_data,
+    factor_data_for,
+    factor_degrees,
+)
+from .dual import count_self_dual, dual_code, dual_factor_data, enumerate_self_dual
 from .errors import CcringError
 from .gf import FieldCtx, field_new
 from .ideals import (
@@ -25,6 +33,7 @@ from .ideals import (
     IdealSpec,
     code_size,
     count_codes,
+    count_codes_by_degree,
     count_ideals,
     enumerate_codes,
 )
@@ -33,6 +42,46 @@ from .poly import Poly
 
 
 # -- JSON encoding -------------------------------------------------------------
+
+
+def decimal(n: int) -> str:
+    """str(n) for an int of any size.
+
+    Python 3.11+ refuses str() past sys.get_int_max_str_digits() digits
+    (4300 by default).  Past that limit the number is split by a power
+    of ten into halves that are converted on their own; below it the
+    result is plain str(n).
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return _split_decimal(n, 3 * sys.get_int_max_str_digits())
+
+
+def _split_decimal(n: int, max_bits: int) -> str:
+    # max_bits bits make at most 0.302 * max_bits digits: under the limit
+    if n.bit_length() <= max_bits:
+        return str(n)
+    k = int(n.bit_length() * 0.30103) // 2
+    hi, lo = divmod(n, 10**k)
+    return _split_decimal(hi, max_bits) + _split_decimal(lo, max_bits).rjust(k, "0")
+
+
+def _member(doc, key: str, kind=None, what: str = "document"):
+    """doc[key] with a CcringError, not a KeyError or TypeError, on bad input."""
+    if not isinstance(doc, dict):
+        raise CcringError(f"{what} must be a JSON object")
+    if key not in doc:
+        raise CcringError(f"{what} lacks {key!r}")
+    value = doc[key]
+    if kind is not None and not _is_kind(value, kind):
+        raise CcringError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _is_kind(value, kind) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def fieldelem_json(field: FieldCtx, v: int):
@@ -75,8 +124,15 @@ def params_json(params: AmbientParams):
 
 
 def parse_params(doc) -> AmbientParams:
-    field = field_new(doc["p"], doc["m"], tuple(doc["modulus"]) if "modulus" in doc else None)
-    return AmbientParams(field, doc["s"], doc["n"], parse_fieldelem(field, doc["lambda"]))
+    p, m, s, n = (_member(doc, key, int, "params") for key in ("p", "m", "s", "n"))
+    modulus = None
+    if "modulus" in doc:
+        modulus = _member(doc, "modulus", list, "params")
+        if not all(_is_kind(c, int) for c in modulus):
+            raise CcringError("params field 'modulus' must hold integers")
+        modulus = tuple(modulus)
+    field = field_new(p, m, modulus)
+    return AmbientParams(field, s, n, parse_fieldelem(field, _member(doc, "lambda", what="params")))
 
 
 def ideal_json(field: FieldCtx, spec: IdealSpec):
@@ -91,10 +147,11 @@ def ideal_json(field: FieldCtx, spec: IdealSpec):
 
 
 def parse_ideal(field: FieldCtx, doc) -> IdealSpec:
+    case = _member(doc, "case", str, "component")
     return IdealSpec(
-        doc["case"],
-        k=doc.get("k"),
-        t=doc.get("t"),
+        case,
+        k=_member(doc, "k", int, "component") if "k" in doc else None,
+        t=_member(doc, "t", int, "component") if "t" in doc else None,
         b=parse_poly(field, doc["b"]) if "b" in doc else None,
     )
 
@@ -106,19 +163,31 @@ def code_json(code: CodeSpec):
         "params": params_json(fd.params),
         "factors": [poly_json(field, f) for f in fd.factors],
         "components": [ideal_json(field, c) for c in code.components],
-        "size": str(code_size(code)),
+        "size": decimal(code_size(code)),
     }
 
 
-def parse_code(doc, seed: int | None = None) -> CodeSpec:
-    params = parse_params(doc["params"])
-    if "factors" in doc:
-        factors = [parse_poly(params.field, f) for f in doc["factors"]]
-        fd = factor_data_for(params, factors)
-    else:
-        fd = build_factor_data(params, seed)
-    comps = tuple(parse_ideal(params.field, c) for c in doc["components"])
+def parse_code(doc, seed: int | None = None, cache: dict | None = None) -> CodeSpec:
+    """The code a document describes.
+
+    cache, when given, maps a document's (params, factors) to the
+    FactorData built for it, so documents of one ring share it.
+    """
+    cache = {} if cache is None else cache
+    key = _dumps([_member(doc, "params"), doc.get("factors")])
+    if key not in cache:
+        cache[key] = _parse_factor_data(doc, seed)
+    fd = cache[key]
+    comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
+
+
+def _parse_factor_data(doc, seed: int | None) -> FactorData:
+    params = parse_params(doc["params"])
+    if "factors" not in doc:
+        return build_factor_data(params, seed)
+    factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
+    return factor_data_for(params, factors)
 
 
 def factor_data_json(fd: FactorData):
@@ -130,12 +199,12 @@ def factor_data_json(fd: FactorData):
             {
                 "poly": poly_json(field, f),
                 "degree": f.degree,
-                "count": str(count_ideals(fd.chain(j))),
+                "count": decimal(count_ideals(fd.chain(j))),
             }
             for j, f in enumerate(fd.factors)
         ],
         "idempotents": [poly_json(field, e) for e in fd.idempotents],
-        "total": str(count_codes(fd)),
+        "total": decimal(count_codes(fd)),
     }
     if fd.tau is not None:
         doc["tau"] = [t + 1 for t in fd.tau]
@@ -149,6 +218,22 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _documents(text: str):
+    """The whitespace-separated JSON documents of text: NDJSON, or one
+    pretty-printed document.  A text without any is bad input."""
+    decoder = json.JSONDecoder()
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
+        raise CcringError("no JSON document in the input")
+    while pos < len(text):
+        doc, pos = decoder.raw_decode(text, pos)
+        yield doc
+        pos = _SPACE.match(text, pos).end()
+
+
 # -- argument plumbing ---------------------------------------------------------
 
 
@@ -159,7 +244,7 @@ def _ring_args(sub, need_lambda=True):
     sub.add_argument("--n", type=int, required=True, help="prime-to-p part of the length")
     sub.add_argument(
         "--modulus",
-        type=str,
+        type=_modulus_arg,
         default=None,
         help="field modulus as comma-separated F_p coefficients, little-endian",
     )
@@ -173,6 +258,25 @@ def _ring_args(sub, need_lambda=True):
         )
 
 
+def _modulus_arg(text: str):
+    if not text:
+        return None
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+def _limit_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_lambda(field: FieldCtx, text: str) -> int:
     doc = json.loads(text)
     if isinstance(doc, int) and doc == -1:
@@ -180,12 +284,14 @@ def _parse_lambda(field: FieldCtx, text: str) -> int:
     return parse_fieldelem(field, doc)
 
 
-def _build_fd(args, lam_text=None) -> FactorData:
-    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
-    field = field_new(args.p, args.m, modulus)
+def _params(args, lam_text=None) -> AmbientParams:
+    field = field_new(args.p, args.m, args.modulus)
     lam = _parse_lambda(field, lam_text if lam_text is not None else args.lam)
-    params = AmbientParams(field, args.s, args.n, lam)
-    return build_factor_data(params, _seed(args))
+    return AmbientParams(field, args.s, args.n, lam)
+
+
+def _build_fd(args, lam_text=None) -> FactorData:
+    return build_factor_data(_params(args, lam_text), _seed(args))
 
 
 def _seed(args) -> int | None:
@@ -220,9 +326,11 @@ def cmd_idempotents(args) -> int:
 
 
 def cmd_count(args) -> int:
-    fd = _build_fd(args)
+    # the count depends on the factor degrees only: no factors, no idempotents
+    params = _params(args)
+    total = count_codes_by_degree(params, factor_degrees(params))
     with _out_stream(args) as out:
-        print(count_codes(fd), file=out)
+        print(decimal(total), file=out)
     return 0
 
 
@@ -237,12 +345,19 @@ def cmd_enumerate(args) -> int:
 def cmd_dual(args) -> int:
     if args.input and args.input != "-":
         with open(args.input) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     else:
-        doc = json.load(sys.stdin)
-    code = parse_code(doc, _seed(args))
+        text = sys.stdin.read()
+    # documents of one ring share its FactorData and the dual's, within
+    # this input only
+    fds: dict = {}
+    duals: dict = {}  # FactorData (by identity) -> its dual
     with _out_stream(args) as out:
-        print(_dumps(code_json(dual_code(code))), file=out)
+        for doc in _documents(text):
+            code = parse_code(doc, _seed(args), fds)
+            if code.fd not in duals:
+                duals[code.fd] = dual_factor_data(code.fd)
+            print(_dumps(code_json(dual_code(code, duals[code.fd]))), file=out)
     return 0
 
 
@@ -251,7 +366,7 @@ def cmd_selfdual(args) -> int:
     fd = _build_fd(args, lam_text=lam_text)
     with _out_stream(args) as out:
         if args.count_only:
-            print(count_self_dual(fd, args.nu), file=out)
+            print(decimal(count_self_dual(fd, args.nu)), file=out)
             return 0
         emitted = 0
         for code in enumerate_self_dual(fd, args.nu):
@@ -300,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="stream codes as NDJSON")
     _ring_args(sp)
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_limit_arg, default=None)
     sp.add_argument("--output", default="-")
     sp.set_defaults(fn=cmd_enumerate)
 
@@ -313,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _ring_args(sp, need_lambda=False)
     sp.add_argument("--nu", type=int, choices=(1, -1), default=-1)
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_limit_arg, default=None)
     sp.add_argument("--output", default="-")
     sp.set_defaults(fn=cmd_selfdual)
 

@@ -9,6 +9,17 @@ eps_j = (v_j * F_j)^(p^s) mod (x^N - lambda) where F_j = (x^n - lambda0)/f_j
 and v_j * F_j + w_j * f_j = 1.  These are orthogonal, sum to 1, and cut
 the ambient ring into the chain-ring pieces K_j + u K_j this package
 works in; project/assemble move between the two views.
+
+The p^s-th power is never multiplied out.  With w_j = v_j * F_j reduced
+mod x^n - lambda0, the difference v_j * F_j - w_j is a multiple of
+x^n - lambda0, so its p^s-th power is a multiple of x^N - lambda, and in
+characteristic p the power of w_j is its Frobenius twist: coefficient
+c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
+
+    eps_j = frobenius(w_j, s)
+
+exactly, at O(N) per factor.  A count needs even less: only the factor
+degrees, which distinct-degree factorization gives without splitting.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FieldCtx, field_new, ps_root
-from .poly import Poly, _fold_binomial, factor_squarefree, poly_xgcd
+from .poly import Poly, _ddf, _fold_binomial, factor_squarefree, frobenius, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -173,11 +184,10 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     Callers wanting the fixed-factors-first layout should order via
     _pair_order (build_factor_data does).
     """
-    from .poly import poly_modpow, reciprocal
+    from .poly import reciprocal
 
     field = params.field
-    lam0 = ps_root(field, params.lam, params.s)
-    base = Poly(field, (field.neg(lam0),) + (0,) * (params.n - 1) + (1,))
+    lam0, base = root_binomial(params)
     prod = Poly.one(field)
     for f in factors:
         prod = prod * f
@@ -195,30 +205,44 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     else:
         tau = delta = rho = pair_count = None
 
-    e = params.e
-    modulus = Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
     idempotents = []
     for f in factors:
         cof = base // f
         g, v, _ = poly_xgcd(cof, f)
         assert g.degree == 0 and g.coeffs[0] == 1, "factors are not coprime"
-        eps = poly_modpow(v * cof, e, modulus)
-        idempotents.append(eps)
+        idempotents.append(frobenius((v * cof) % base, params.s))
 
     total = Poly.zero(field)
     for eps in idempotents:
         total = total + eps
     assert total == Poly.one(field), "idempotents do not sum to 1"
 
-    chain_ctxs = [ChainCtx(f, e) for f in factors]
+    chain_ctxs = [ChainCtx(f, params.e) for f in factors]
     return FactorData(params, lam0, list(factors), idempotents, chain_ctxs, tau, delta, rho, pair_count)
+
+
+def root_binomial(params: AmbientParams) -> tuple[int, Poly]:
+    """(lambda0, x^n - lambda0) with lambda0^(p^s) = lambda."""
+    field = params.field
+    lam0 = ps_root(field, params.lam, params.s)
+    return lam0, Poly(field, (field.neg(lam0),) + (0,) * (params.n - 1) + (1,))
+
+
+def factor_degrees(params: AmbientParams) -> list[int]:
+    """Degrees of the f_j, ascending, without finding the f_j themselves.
+
+    Distinct-degree factorization splits x^n - lambda0 into the products
+    of all its factors of each degree d, and such a product has degree
+    d times their number; no equal-degree splitting is needed.
+    """
+    _, base = root_binomial(params)
+    return [d for d, part in _ddf(base) for _ in range(part.degree // d)]
 
 
 def build_factor_data(params: AmbientParams, seed: int | None = None) -> FactorData:
     """Factor x^n - lambda0, order the factors, compute the idempotents."""
     field = params.field
-    lam0 = ps_root(field, params.lam, params.s)
-    base = Poly(field, (field.neg(lam0),) + (0,) * (params.n - 1) + (1,))
+    _, base = root_binomial(params)
     factors = factor_squarefree(base, seed).polys()
     if params.lam_self_paired():
         factors, _, _, _ = _pair_order(factors, field)

@@ -100,10 +100,15 @@ class DualCodeSpec(CodeSpec):
     """
 
 
-def dual_code(code: CodeSpec) -> DualCodeSpec:
-    """Dual of a classified code, over the lambda^(-1) ambient ring."""
+def dual_code(code: CodeSpec, dfd: FactorData | None = None) -> DualCodeSpec:
+    """Dual of a classified code, over the lambda^(-1) ambient ring.
+
+    dfd, when given, must be dual_factor_data(code.fd); callers that
+    dualize many codes of one ring pass it to build it once.
+    """
     fd = code.fd
-    dfd = dual_factor_data(fd)
+    if dfd is None:
+        dfd = dual_factor_data(fd)
     comps = tuple(
         dual_component(spec, j, fd, dfd.chain(j))
         for j, spec in enumerate(code.components)

@@ -20,10 +20,11 @@ such spec per irreducible factor, glued through the idempotents.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .chain import ChainCtx, ceil_half
-from .decomp import FactorData
+from .decomp import AmbientParams, FactorData
 from .errors import InvalidSpec, TooLarge
 from .poly import Poly
 
@@ -240,25 +241,25 @@ def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:
     return total
 
 
+def chain_exponent(ctx: ChainCtx) -> int:
+    """The s with ctx.e = p^s; InvalidSpec when e is not a power of p."""
+    p, e, s = ctx.field.p, ctx.e, 0
+    while e > 1:
+        if e % p:
+            raise InvalidSpec("chain length is not a power of p")
+        e //= p
+        s += 1
+    return s
+
+
 def count_ideals(ctx: ChainCtx) -> int:
     field = ctx.field
-    # ctx carries e = p^s directly; recover s for the closed form
-    e, s = ctx.e, 0
-    while e > 1:
-        if e % field.p:
-            raise InvalidSpec("chain length is not a power of p")
-        e //= field.p
-        s += 1
-    return count_ideals_params(field.p, field.m, ctx.d, s)
+    return count_ideals_params(field.p, field.m, ctx.d, chain_exponent(ctx))
 
 
 def count_ideals_sumform(ctx: ChainCtx) -> int:
     field = ctx.field
-    e, s = ctx.e, 0
-    while e > 1:
-        e //= field.p
-        s += 1
-    return count_ideals_sumform_params(field.p, field.m, ctx.d, s)
+    return count_ideals_sumform_params(field.p, field.m, ctx.d, chain_exponent(ctx))
 
 
 # -- whole-ring codes --------------------------------------------------------
@@ -288,9 +289,14 @@ def code_size(code: CodeSpec) -> int:
 
 
 def count_codes(fd: FactorData) -> int:
+    return count_codes_by_degree(fd.params, [f.degree for f in fd.factors])
+
+
+def count_codes_by_degree(params: AmbientParams, degrees) -> int:
+    """Number of codes of the ambient ring, from its factor degrees alone."""
     out = 1
-    for ctx in fd.chain_ctxs:
-        out *= count_ideals(ctx)
+    for d, mult in Counter(degrees).items():
+        out *= count_ideals_params(params.p, params.m, d, params.s) ** mult
     return out
 
 

@@ -347,6 +347,22 @@ def poly_modpow(base: Poly, e: int, modulus: Poly) -> Poly:
     return result
 
 
+def frobenius(a: Poly, s: int = 1) -> Poly:
+    """a^(p^s) in characteristic p: c_i x^i goes to c_i^(p^s) x^(i*p^s).
+
+    The p^s-th power map is additive, so raising a polynomial to it only
+    spreads the coefficients; O(deg(a) * p^s), no multiplication.
+    """
+    if not a.coeffs:
+        return a
+    ctx = a.ctx
+    step = ctx.p ** s
+    out = [0] * ((len(a.coeffs) - 1) * step + 1)
+    # on F_p itself the power map is the identity (Fermat)
+    out[::step] = a.coeffs if ctx.m == 1 else [ctx.pow(c, step) for c in a.coeffs]
+    return Poly(ctx, out)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
     if a.is_zero() and b.is_zero():

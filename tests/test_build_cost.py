@@ -1,0 +1,163 @@
+"""Set-up that follows the question: twisted idempotents, lazy f^k,
+degree-only counts and lazy residue sets, each against a route that
+does not share its shortcut."""
+
+import random
+
+import pytest
+
+from ccring.chain import ChainCtx
+from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
+from ccring.gf import field_new
+from ccring.ideals import count_codes, count_codes_by_degree
+from ccring.poly import Poly, factor_squarefree, frobenius, poly_modpow, poly_xgcd
+
+TWIST_RINGS = [
+    (5, 1, 1, 6, 4),
+    (5, 1, 2, 6, 4),
+    (3, 2, 1, 8, 1),
+    (2, 3, 2, 7, 1),
+    (7, 1, 1, 48, 6),
+    (2, 2, 3, 5, 2),
+    (3, 2, 2, 4, 5),
+]
+
+
+def power_by_products(f: Poly, k: int) -> Poly:
+    out = Poly.one(f.ctx)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("ring", TWIST_RINGS)
+def test_twisted_idempotents_equal_modpow_definition(ring):
+    """eps_j = (v_j F_j)^(p^s) mod (x^N - lambda), computed by poly_modpow."""
+    params = AmbientParams.of_ints(*ring)
+    fd = build_factor_data(params)
+    field = params.field
+    _, base = root_binomial(params)
+    binomial = Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
+    for j, f in enumerate(fd.factors):
+        cof = base // f
+        _, v, _ = poly_xgcd(cof, f)
+        assert fd.idempotents[j] == poly_modpow(v * cof, params.e, binomial)
+        assert fd.chain(j).modulus == power_by_products(f, params.e)
+
+
+def test_frobenius_is_the_pth_power():
+    rng = random.Random(3)
+    for p, m in ((2, 1), (3, 1), (2, 3), (3, 2), (5, 2)):
+        field = field_new(p, m)
+        for _ in range(5):
+            a = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 7))])
+            assert frobenius(a) == power_by_products(a, p)
+            assert frobenius(a, 2) == power_by_products(a, p * p)
+
+
+def degree_sweep():
+    rng = random.Random(11)
+    rings = []
+    for p, m in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)):
+        field = field_new(p, m)
+        for s in (1, 2):
+            for n in (k for k in range(1, 16) if k % p):
+                lams = sorted({1, field.q - 1, rng.randrange(1, field.q)})
+                rings.extend((p, m, s, n, lam) for lam in lams)
+    return rings
+
+
+def test_ddf_degrees_and_count_match_full_factorization():
+    sweep = degree_sweep()
+    assert any(r[1] == 3 for r in sweep) and any(r[1] == 2 for r in sweep)
+    seen_other_lambda = False
+    for ring in sweep:
+        params = AmbientParams.of_ints(*ring)
+        _, base = root_binomial(params)
+        full = sorted(f.degree for f in factor_squarefree(base).polys())
+        degrees = factor_degrees(params)
+        assert degrees == full, ring
+        if params.lam not in (1, params.field.neg(1)):
+            seen_other_lambda = True
+        if params.e <= 9:
+            fd = build_factor_data(params)
+            assert count_codes_by_degree(params, degrees) == count_codes(fd), ring
+    assert seen_other_lambda
+
+
+def test_f_pows_builds_only_what_is_read():
+    F2 = field_new(2, 1)
+    ctx = ChainCtx(Poly(F2, (1, 1)), 4096)
+    assert len(ctx.f_pows) == 4097
+    assert ctx.f_pows._built == {}
+    assert ctx.f_pows[3] == Poly(F2, (1, 1, 1, 1))
+    # (x + 1)^(2^12 - 1) = (x^4096 + 1) / (x + 1) = 1 + x + ... + x^4095
+    assert ctx.f_pows[4095] == Poly(F2, (1,) * 4096)
+    assert ctx.f_pows[3] is ctx.f_pows[3]
+    assert sorted(ctx.f_pows._built) == [3, 4095]
+    assert ctx.modulus == Poly(F2, (1,) + (0,) * 4095 + (1,))
+    with pytest.raises(IndexError):
+        ctx.f_pows[4097]
+
+
+@pytest.mark.parametrize("p,m,coeffs,e", [(3, 1, (2, 0, 1), 9), (3, 1, (1, 1), 5), (2, 2, (2, 1, 1), 8), (5, 1, (2, 1), 3)])
+def test_f_pows_equal_repeated_products(p, m, coeffs, e):
+    f = Poly(field_new(p, m), coeffs)
+    ctx = ChainCtx(f, e)
+    assert list(ctx.f_pows) == [power_by_products(f, k) for k in range(e + 1)]
+    assert ctx.f_pows[-1] == ctx.modulus == power_by_products(f, e)
+    assert ctx.f_pows[1:3] == (f, f * f)
+
+
+def eager_residue_set(ctx: ChainCtx, a: int, b: int) -> list:
+    """The odometer written out: counter digits, position a fastest."""
+    digits = list(ctx.digit_polys())
+    radix = len(digits)
+    out = []
+    for counter in range(radix ** (b - a)):
+        z = Poly.zero(ctx.field)
+        for k in range(b - a):
+            z = z + power_by_products(ctx.f, a + k) * digits[counter // radix**k % radix]
+        out.append(z)
+    return out
+
+
+def test_residue_set_order_unchanged():
+    cases = [(5, 1, (2, 1), 4), (3, 1, (1, 0, 1), 3), (2, 2, (2, 1), 4)]
+    for p, m, coeffs, e in cases:
+        ctx = ChainCtx(Poly(field_new(p, m), coeffs), e)
+        for a in range(e + 1):
+            for b in range(a, e + 1):
+                if ctx.residue_set_size(a, b) <= 4096:
+                    assert list(ctx.residue_set(a, b)) == eager_residue_set(ctx, a, b)
+
+
+def test_residue_set_first_element_is_cheap(monkeypatch):
+    params = AmbientParams.of_ints(3, 1, 1, 242, 2)
+    _, base = root_binomial(params)
+    f = next(g for g in factor_squarefree(base).polys() if g.degree == 10)
+    ctx = ChainCtx(f, params.e)
+    assert ctx.residue_set_size(1, 2) == 3**10
+    built = []
+    digit_polys = ChainCtx.digit_polys
+
+    def counted(self):
+        for dg in digit_polys(self):
+            built.append(dg)
+            yield dg
+
+    monkeypatch.setattr(ChainCtx, "digit_polys", counted)
+    stream = ctx.residue_set(1, 2)
+    assert next(stream).is_zero()
+    assert next(stream) == f
+    assert len(built) <= 3
+
+
+def test_wide_residue_window_streams():
+    F2 = field_new(2, 1)
+    ctx = ChainCtx(Poly(F2, (1, 1)), 4096)
+    stream = ctx.residue_set(1, 4096)
+    firsts = [next(stream) for _ in range(4)]
+    f = ctx.f
+    assert firsts == [Poly.zero(F2), f, f * f, f + f * f]
+    assert sorted(ctx.f_pows._built) == [1, 2]

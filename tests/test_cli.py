@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from ccring.cli import main, parse_code
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import dual_code_nu
@@ -154,3 +156,105 @@ def test_seed_env_is_accepted(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert doc["tau"] == [3, 4, 1, 2]
+
+
+def run_exit(capsys, *argv):
+    """run(), with argparse's SystemExit turned into its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as ex:
+        code = ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def parse_long_decimal(text):
+    """int(text) in 1000-digit chunks, under any int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_counts_past_4300_digits_print(capsys):
+    from ccring.decomp import factor_degrees
+    from ccring.ideals import count_ideals_params
+
+    for p, s, n in ((2, 12, 7), (41, 2, 4)):
+        code, out, _ = run(capsys, "count", "--p", str(p), "--s", str(s), "--n", str(n), "--lambda", "1")
+        assert code == 0
+        text = out.strip()
+        assert len(text) > 4300 and text.isdigit()
+        params = AmbientParams.of_ints(p, 1, s, n, 1)
+        want = 1
+        for d in factor_degrees(params):
+            want *= count_ideals_params(p, 1, d, s)
+        assert parse_long_decimal(text) == want
+    code, out, _ = run(capsys, "info", "--p", "41", "--s", "2", "--n", "4", "--lambda", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["total"]) > 4300 and all(len(f["count"]) > 1000 for f in doc["factors"])
+
+
+def test_decimal_matches_str_below_the_limit():
+    import random
+
+    from ccring.cli import decimal
+
+    rng = random.Random(5)
+    for bits in (1, 60, 1000, 9000, 14000):
+        n = rng.getrandbits(bits)
+        assert decimal(n) == str(n)
+    big = 7 ** 20000 + 10 ** 5000  # a run of zeros across a split point
+    assert parse_long_decimal(decimal(big)) == big
+
+
+def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
+    ring = ("--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+    code, out, _ = run(capsys, "enumerate", *ring, "--limit", "3")
+    docs = out.splitlines()
+    singles = []
+    for doc in docs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, dual, _ = run(capsys, "dual")
+        assert code == 0
+        singles.append(dual)
+    import ccring.cli
+
+    calls = []
+    real = ccring.cli.dual_factor_data
+    monkeypatch.setattr(ccring.cli, "dual_factor_data", lambda fd: calls.append(fd) or real(fd))
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, stream, _ = run(capsys, "dual")
+    assert code == 0 and stream == "".join(singles)
+    assert len(calls) == 1  # one ring, one dual factor data
+    # one pretty-printed document is a stream of one
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(json.loads(docs[1]), indent=2)))
+    code, pretty, _ = run(capsys, "dual")
+    assert code == 0 and pretty == singles[1]
+
+
+@pytest.mark.parametrize("stdin", ["{}", "[]", ""])
+def test_dual_rejects_non_code_documents(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_bad_modulus_exits_2(capsys):
+    code, out, err = run_exit(
+        capsys, "count", "--p", "3", "--m", "2", "--s", "1", "--n", "2", "--modulus", "a", "--lambda", "[1,0]"
+    )
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_negative_limit_exits_2(capsys):
+    code, out, err = run_exit(
+        capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "-1", "--limit", "-3"
+    )
+    assert code == 2 and out == "" and "error:" in err
+    code, out, _ = run_exit(
+        capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "-1", "--limit", "0"
+    )
+    assert code == 0 and out == ""

@@ -160,3 +160,15 @@ def test_code_spec_checks_components():
     fd = build_factor_data(AmbientParams.of_ints(5, 1, 1, 6, 4))
     with pytest.raises(InvalidSpec):
         CodeSpec(fd, (IdealSpec("III", k=0),))
+
+
+def test_both_count_routes_reject_a_chain_length_not_a_power_of_p():
+    from ccring.ideals import chain_exponent, count_ideals_sumform
+
+    F5 = field_new(5, 1)
+    ctx = ChainCtx(Poly(F5, [2, 1]), 6)
+    for count in (count_ideals, count_ideals_sumform, chain_exponent):
+        with pytest.raises(InvalidSpec):
+            count(ctx)
+    assert chain_exponent(ChainCtx(Poly(F5, [2, 1]), 25)) == 2
+    assert count_ideals_sumform(ChainCtx(Poly(F5, [2, 1]), 25)) == count_ideals_params(5, 1, 1, 2)
