@@ -68,10 +68,12 @@ class FPowers(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self[i] for i in range(len(self))[k])
-        k = range(len(self))[k]  # negative indices and IndexError as for a tuple
         pw = self._built.get(k)
         if pw is None:
-            pw = self._built[k] = f_power(self.f, k)
+            k = range(len(self))[k]  # negative indices and IndexError as for a tuple
+            if k not in self._built:
+                self._built[k] = f_power(self.f, k)
+            pw = self._built[k]
         return pw
 
 
