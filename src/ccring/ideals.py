@@ -217,14 +217,18 @@ def case_counts(p: int, m: int, d: int, s: int) -> dict[str, int]:
 
 def count_ideals_params(p: int, m: int, d: int, s: int) -> int:
     """Closed form for the number of ideals of K + uK."""
-    md = m * d
     if s == 0:
         return 3  # K is a field, so only 0, <u> and <1>
+    # sum over i = 0..h of (c + 4i) * Q^(h-i), Q = p^(md), by Horner's rule
     if p == 2:
-        h = 2 ** (s - 1)
-        return sum((1 + 4 * i) * 2 ** ((h - i) * md) for i in range(h + 1))
-    h = (p ** s - 1) // 2
-    return sum((3 + 4 * i) * p ** ((h - i) * md) for i in range(h + 1))
+        h, c = 2 ** (s - 1), 1
+    else:
+        h, c = (p ** s - 1) // 2, 3
+    Q = p ** (m * d)
+    total = 0
+    for i in range(h + 1):
+        total = total * Q + c + 4 * i
+    return total
 
 
 def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:
