@@ -25,7 +25,7 @@ def f_power(f: Poly, k: int) -> Poly:
 
     Each digit step is one Frobenius twist (the p-th power, which costs
     no multiplication) and one product with f^digit, digit < p; so
-    f^(p^s) is s twists and nothing else.
+    f^(p^s) is f twisted s times.
     """
     p = f.ctx.p
     digits = []
