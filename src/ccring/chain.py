@@ -9,10 +9,11 @@ workhorse for residue sets and canonical representatives.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product
 
 from .errors import ConstantInput, RangeError
 from .gf import FieldCtx
-from .poly import Poly, frobenius
+from .poly import Poly, frobenius, poly_xgcd
 
 
 def ceil_half(x: int) -> int:
@@ -126,12 +127,6 @@ class ChainCtx:
     def reduce(self, a: Poly) -> Poly:
         return a % self.modulus if a.degree >= self.modulus.degree else a
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return a + b
-
-    def sub(self, a: Poly, b: Poly) -> Poly:
-        return a - b
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
 
@@ -151,8 +146,6 @@ class ChainCtx:
 
     def inv_unit(self, a: Poly) -> Poly:
         """Inverse of a unit: lift the mod-f inverse through the filtration."""
-        from .poly import poly_xgcd
-
         g, inv, _ = poly_xgcd(a % self.f, self.f)
         if g.degree != 0:
             raise ZeroDivisionError("not a unit in the chain ring")
@@ -278,11 +271,6 @@ class ChainCtx:
         )
 
     def elements(self):
-        """Every element of K (use only at toy sizes)."""
-        fq = self.field.q
-        for idx in range(fq ** (self.d * self.e)):
-            coeffs = []
-            for _ in range(self.d * self.e):
-                coeffs.append(idx % fq)
-                idx //= fq
-            yield Poly(self.field, coeffs)
+        """Every element of K (use only at toy sizes), constant term fastest."""
+        for coeffs in product(range(self.field.q), repeat=self.d * self.e):
+            yield Poly(self.field, coeffs[::-1])

@@ -187,6 +187,11 @@ def _parse_factor_data(doc, seed: int | None) -> FactorData:
     if "factors" not in doc:
         return build_factor_data(params, seed)
     factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
+    # x^n - lambda0 is squarefree, so monic factors with its product and
+    # its factor degrees are its irreducible factors
+    degrees = sorted(f.degree for f in factors)
+    if degrees != factor_degrees(params) or not all(f.is_monic() for f in factors):
+        raise CcringError("'factors' must be the monic irreducible factors of x^n - lambda0")
     return factor_data_for(params, factors)
 
 
@@ -229,7 +234,10 @@ def _documents(text: str):
     if pos == len(text):
         raise CcringError("no JSON document in the input")
     while pos < len(text):
-        doc, pos = decoder.raw_decode(text, pos)
+        try:
+            doc, pos = decoder.raw_decode(text, pos)
+        except RecursionError:
+            raise CcringError("JSON input nested too deeply") from None
         yield doc
         pos = _SPACE.match(text, pos).end()
 
@@ -298,12 +306,24 @@ def _seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("CCRING_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise CcringError(f"CCRING_SEED must be an integer, got {env!r}") from None
+
+
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as ex:
+        raise CcringError(f"cannot open {path!r}: {ex.strerror}") from None
 
 
 def _out_stream(args):
     if getattr(args, "output", None) and args.output != "-":
-        return open(args.output, "w")
+        return _open(args.output, "w")
     return nullcontext(sys.stdout)
 
 
@@ -344,7 +364,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_dual(args) -> int:
     if args.input and args.input != "-":
-        with open(args.input) as fh:
+        with _open(args.input, "r") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()

@@ -31,13 +31,20 @@ from .chain import ChainCtx
 from .errors import (
     GcdViolation,
     LengthMismatch,
-    NotSelfPairedLambda,
     RangeError,
     SZero,
     ZeroLambda,
 )
 from .gf import FieldCtx, field_new, ps_root
-from .poly import Poly, _ddf, _fold_binomial, factor_squarefree, frobenius, poly_xgcd
+from .poly import (
+    Poly,
+    _ddf,
+    _fold_binomial,
+    factor_squarefree,
+    frobenius,
+    poly_xgcd,
+    reciprocal,
+)
 
 
 @dataclass(frozen=True)
@@ -128,13 +135,7 @@ class FactorData:
 
     def mulmod(self, a: Poly, b: Poly) -> Poly:
         """Product reduced mod x^N - lambda."""
-        w = a * b
-        if w.degree < self.params.N:
-            return w
-        return Poly(
-            self.params.field,
-            _fold_binomial(w.coeffs, self.params.N, self.params.lam, self.params.field),
-        )
+        return self.reduce(a * b)
 
     def reduce(self, a: Poly) -> Poly:
         if a.degree < self.params.N:
@@ -145,14 +146,12 @@ class FactorData:
         )
 
 
-def _pair_order(factors: list[Poly], field: FieldCtx):
+def _pair_order(factors: list[Poly]) -> list[Poly]:
     """Sort so tau-fixed factors come first, then pair halves aligned.
 
-    Returns (ordered_factors, tau, rho, pair_count) with tau 0-based:
-    tau(j) = j for j < rho, tau(rho + i) = rho + pair_count + i.
+    In the returned order tau (0-based) is tau(j) = j for j < rho and
+    tau(rho + i) = rho + pair_count + i.
     """
-    from .poly import reciprocal
-
     recip_of = {}
     for f in factors:
         recip_of[f] = reciprocal(f).monic()
@@ -169,11 +168,7 @@ def _pair_order(factors: list[Poly], field: FieldCtx):
         seen.add(g)
         firsts.append(f)
         seconds.append(g)
-    rho = len(fixed)
-    eps = len(firsts)
-    ordered = fixed + firsts + seconds
-    tau = list(range(rho)) + [rho + eps + i for i in range(eps)] + [rho + i for i in range(eps)]
-    return ordered, tau, rho, eps
+    return fixed + firsts + seconds
 
 
 def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
@@ -184,8 +179,6 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     Callers wanting the fixed-factors-first layout should order via
     _pair_order (build_factor_data does).
     """
-    from .poly import reciprocal
-
     field = params.field
     lam0, base = root_binomial(params)
     prod = Poly.one(field)
@@ -195,10 +188,8 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
         raise RangeError("factor list does not multiply out to x^n - lambda0")
 
     if params.lam_self_paired():
-        tau = []
-        for f in factors:
-            g = reciprocal(f).monic()
-            tau.append(next(l for l, h in enumerate(factors) if h == g))
+        index = {f: j for j, f in enumerate(factors)}
+        tau = [index[reciprocal(f).monic()] for f in factors]
         delta = [field.inv(f(0)) for f in factors]
         rho = sum(1 for j, l in enumerate(tau) if j == l)
         pair_count = (len(factors) - rho) // 2
@@ -241,11 +232,10 @@ def factor_degrees(params: AmbientParams) -> list[int]:
 
 def build_factor_data(params: AmbientParams, seed: int | None = None) -> FactorData:
     """Factor x^n - lambda0, order the factors, compute the idempotents."""
-    field = params.field
     _, base = root_binomial(params)
     factors = factor_squarefree(base, seed).polys()
     if params.lam_self_paired():
-        factors, _, _, _ = _pair_order(factors, field)
+        factors = _pair_order(factors)
     return factor_data_for(params, factors)
 
 

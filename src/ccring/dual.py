@@ -25,6 +25,7 @@ component built from position j landing at tau(j).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, factor_data_for
@@ -160,24 +161,20 @@ def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
     return out
 
 
-def _self_dual_groups(fd: FactorData, nu: int):
+def _fixed_options(fd: FactorData, nu: int) -> list[list[IdealSpec]]:
+    """self_dual_component_options of each tau-fixed factor, in order."""
     if fd.tau is None:
         raise NotSelfPairedLambda("lambda^2 != 1")
     if fd.params.lam != _nu_value(fd.params.field, nu):
         raise NotSelfPairedLambda(
             f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
         )
-    fixed = [self_dual_component_options(j, fd) for j in range(fd.rho)]
-    free = [
-        list(enumerate_ideals(fd.chain(fd.rho + i))) for i in range(fd.pair_count)
-    ]
-    return fixed, free
+    return [self_dual_component_options(j, fd) for j in range(fd.rho)]
 
 
 def count_self_dual(fd: FactorData, nu: int) -> int:
-    fixed, _ = _self_dual_groups(fd, nu)
     total = 1
-    for opts in fixed:
+    for opts in _fixed_options(fd, nu):
         total *= len(opts)
     for i in range(fd.pair_count):
         total *= count_ideals(fd.chain(fd.rho + i))
@@ -188,27 +185,12 @@ def enumerate_self_dual(fd: FactorData, nu: int):
     """All self-dual codes: free choices on one factor of each
     reciprocal pair (the partner is forced), filtered fixed points on
     the tau-fixed factors."""
-    fixed, free = _self_dual_groups(fd, nu)
-    groups = fixed + free
-    if not all(groups):
-        return
-    idx = [0] * len(groups)
-    while True:
-        comps: list[IdealSpec | None] = [None] * fd.r
-        for j in range(fd.rho):
-            comps[j] = groups[j][idx[j]]
-        for i in range(fd.pair_count):
-            a = fd.rho + i
-            spec = groups[fd.rho + i][idx[fd.rho + i]]
-            comps[a] = spec
-            comps[fd.tau[a]] = dual_component(spec, a, fd, fd.chain(fd.tau[a]))
+    fixed = _fixed_options(fd, nu)
+    rho = fd.rho
+    free = [list(enumerate_ideals(fd.chain(rho + i))) for i in range(fd.pair_count)]
+    for choice in product(*fixed, *free):
+        comps: list[IdealSpec | None] = list(choice[:rho]) + [None] * (fd.r - rho)
+        for a in range(rho, rho + fd.pair_count):
+            comps[a] = choice[a]
+            comps[fd.tau[a]] = dual_component(choice[a], a, fd, fd.chain(fd.tau[a]))
         yield CodeSpec(fd, tuple(comps))
-        g = len(groups) - 1
-        while g >= 0:
-            idx[g] += 1
-            if idx[g] < len(groups[g]):
-                break
-            idx[g] = 0
-            g -= 1
-        if g < 0:
-            return

@@ -12,6 +12,8 @@ exp/log tables built on first use.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import BadModulus, NotPrime, RangeError, ReducibleModulus, ZeroLambda
 
 _TABLE_LIMIT = 1 << 16
@@ -46,95 +48,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- tiny F_p[x] helpers, used only to vet the modulus -----------------------
+def _modulus_irreducible(modulus, p: int) -> bool:
+    # poly imports this module, so it is imported here, at first use
+    from .poly import Poly, is_irreducible
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # schoolbook product followed by long division by the monic mod
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    dm = len(mod) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(dm):
-                prod[i - dm + j] = (prod[i - dm + j] - c * mod[j]) % p
-    prod = prod[:dm]
-    while len(prod) < dm:
-        prod.append(0)
-    return prod
-
-
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1] + [0] * (len(mod) - 2)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        e >>= 1
-        base = _poly_mulmod(base, base, mod, p)
-    return result
-
-
-def _poly_gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a = trim([c % p for c in a])
-    b = trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] * inv % p
-            off = len(r) - len(b)
-            for j in range(len(b)):
-                r[off + j] = (r[off + j] - c * b[j]) % p
-            trim(r)
-        a, b = b, r
-    return a
-
-
-def _modulus_irreducible(mod: list[int], p: int) -> bool:
-    # Rabin's test over F_p
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** m, mod, p)
-    diff = [(xq[i] - (1 if i == 1 else 0)) % p for i in range(len(xq))]
-    if any(diff):
-        return False
-    for r in _prime_factors(m):
-        xr = _poly_powmod(x, p ** (m // r), mod, p)
-        diff = [(xr[i] - (1 if i == 1 else 0)) % p for i in range(len(xr))]
-        g = _poly_gcd_fp(diff, mod, p)
-        if len(g) != 1:
-            return False
-    return True
+    return is_irreducible(Poly(FieldCtx(p, 1, (0, 1)), modulus))
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
-    lows = [0] * m
-    while True:
-        cand = lows + [1]
+    # little-endian coefficients in lexicographic order, constant term
+    # slowest; x divides every candidate with constant term 0, so skip those
+    for lows in product(range(1, p), *[range(p)] * (m - 1)):
+        cand = lows + (1,)
         if _modulus_irreducible(cand, p):
-            return tuple(cand)
-        # advance lows in lexicographic order, rightmost digit fastest
-        i = m - 1
-        while i >= 0 and lows[i] == p - 1:
-            lows[i] = 0
-            i -= 1
-        if i < 0:
-            raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")
-        lows[i] += 1
+            return cand
+    raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")
 
 
 class FieldCtx:
@@ -319,7 +249,7 @@ def field_new(p: int, m: int, modulus=None) -> FieldCtx:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise BadModulus(f"modulus must be monic of degree {m}")
-        if not _modulus_irreducible(list(modulus), p):
+        if not _modulus_irreducible(modulus, p):
             raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
     return FieldCtx(p, m, modulus)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .chain import ChainCtx, ceil_half
 from .decomp import AmbientParams, FactorData
@@ -338,26 +339,15 @@ def component_elements(spec: IdealSpec, ctx: ChainCtx):
     if not rows:
         yield Poly.zero(ctx.field), Poly.zero(ctx.field)
         return
-    coeff_iters = [list(ctx.residue_set(0, ctx.e - depth)) for _, _, depth in rows]
-    idx = [0] * len(rows)
-    while True:
+    coeff_sets = [list(ctx.residue_set(0, ctx.e - depth)) for _, _, depth in rows]
+    for coeffs in product(*coeff_sets):
         xi = Poly.zero(ctx.field)
         eta = Poly.zero(ctx.field)
-        for i, (rx, re_, _) in enumerate(rows):
-            c = coeff_iters[i][idx[i]]
+        for c, (rx, re_, _) in zip(coeffs, rows):
             if not c.is_zero():
                 xi = xi + ctx.mul(c, rx)
                 eta = eta + ctx.mul(c, re_)
         yield xi, eta
-        j = len(rows) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(coeff_iters[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
 
 
 def code_codewords(code: CodeSpec, bound: int = CODEWORD_BOUND):
@@ -378,22 +368,12 @@ def code_codewords(code: CodeSpec, bound: int = CODEWORD_BOUND):
         for xi, eta in component_elements(spec, ctx):
             amb.append((fd.mulmod(eps, xi), fd.mulmod(eps, eta)))
         per_factor.append(amb)
-    idx = [0] * fd.r
     out = []
-    while True:
+    for parts in product(*per_factor):
         a0 = Poly.zero(field)
         a1 = Poly.zero(field)
-        for j in range(fd.r):
-            c0, c1 = per_factor[j][idx[j]]
+        for c0, c1 in parts:
             a0 = a0 + c0
             a1 = a1 + c1
         out.append((a0, a1))
-        j = fd.r - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(per_factor[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return out
+    return out

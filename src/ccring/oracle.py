@@ -19,12 +19,27 @@ spaces are equal iff their keys are equal, with no element sets needed.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .chain import ChainCtx
-from .decomp import AmbientParams, FactorData
+from .decomp import AmbientParams, FactorData, build_factor_data
+from .dual import dual_code_nu, enumerate_self_dual, is_self_dual
 from .errors import TooLarge
-from .gf import FieldCtx
-from .ideals import CodeSpec, IdealSpec, enumerate_ideals, generator_rows
-from .poly import Poly
+from .gf import FieldCtx, field_new
+from .ideals import (
+    CodeSpec,
+    IdealSpec,
+    code_size,
+    count_codes,
+    count_ideals,
+    count_ideals_params,
+    count_ideals_sumform_params,
+    enumerate_codes,
+    enumerate_ideals,
+    generator_rows,
+    ideal_size,
+)
+from .poly import Poly, is_irreducible
 
 ORACLE_BUDGET = 1 << 24
 
@@ -344,15 +359,15 @@ def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> tuple[int, ...]
 
 
 def coords_ambient(params: AmbientParams, vec) -> tuple[Poly, Poly]:
-    field = params.field
-    m, N = field.m, params.N
-    half = m * N
-    a0 = Poly(field, [field.encode(vec[m * i : m * (i + 1)]) for i in range(N)])
-    a1 = Poly(
-        field,
-        [field.encode(vec[half + m * i : half + m * (i + 1)]) for i in range(N)],
-    )
-    return a0, a1
+    return _coords_pair(params.field, vec, params.N)
+
+
+def _coords_pair(field: FieldCtx, vec, slots: int) -> tuple[Poly, Poly]:
+    """The pair (A, B) whose coordinates, slots per polynomial, are vec."""
+    m, half = field.m, field.m * slots
+    A = Poly(field, [field.encode(vec[m * i : m * (i + 1)]) for i in range(slots)])
+    B = Poly(field, [field.encode(vec[half + m * i : half + m * (i + 1)]) for i in range(slots)])
+    return A, B
 
 
 def _x_shift(params: AmbientParams, a: Poly) -> Poly:
@@ -366,52 +381,50 @@ def _x_shift(params: AmbientParams, a: Poly) -> Poly:
     return Poly(field, out)
 
 
+def _x_g_rows(params: AmbientParams, a0: Poly, a1: Poly, shifts: int) -> list:
+    """Ambient coordinates of x^i g^l (a0, a1) for i < shifts, l < m.
+
+    g is the field generator, so these rows span the closure of the pair
+    under the x-shift (shifts times) and under multiplication by F_q.
+    """
+    field = params.field
+    g = field.gen()
+    rows = []
+    for _ in range(shifts):
+        s0, s1 = a0, a1
+        for _l in range(field.m):
+            rows.append(ambient_coords(params, s0, s1))
+            if field.m > 1:
+                s0 = Poly(field, [field.mul(g, c) for c in s0.coeffs])
+                s1 = Poly(field, [field.mul(g, c) for c in s1.coeffs])
+        a0, a1 = _x_shift(params, a0), _x_shift(params, a1)
+    return rows
+
+
 def ideal_span(params: AmbientParams, gens) -> FpSpace:
     """F_p-span of the ideal generated by ambient pairs (a0, a1).
 
     Closes under multiplication by x, by the field generator and by u.
     """
-    field = params.field
+    zero = Poly.zero(params.field)
     rows = []
-    g = Poly.const(field, field.gen())
     for a0, a1 in gens:
-        for b0, b1 in ((a0, a1), (Poly.zero(field), a0)):
-            cur0, cur1 = b0, b1
-            for _ in range(params.N):
-                s0, s1 = cur0, cur1
-                for _l in range(field.m):
-                    rows.append(ambient_coords(params, s0, s1))
-                    if field.m > 1:
-                        s0, s1 = (
-                            Poly(field, [field.mul(field.gen(), c) for c in s0.coeffs]),
-                            Poly(field, [field.mul(field.gen(), c) for c in s1.coeffs]),
-                        )
-                cur0, cur1 = _x_shift(params, cur0), _x_shift(params, cur1)
-    return FpSpace.from_rows(field.p, ambient_dim(params), rows)
+        rows += _x_g_rows(params, a0, a1, params.N)
+        rows += _x_g_rows(params, zero, a0, params.N)
+    return FpSpace.from_rows(params.p, ambient_dim(params), rows)
 
 
 def code_space(code: CodeSpec) -> FpSpace:
     """The F_p-span of a classified code in ambient coordinates."""
     fd = code.fd
     params = fd.params
-    field = params.field
     rows = []
     for j, spec in enumerate(code.components):
         ctx = fd.chain(j)
         eps = fd.idempotents[j]
         for A, B, _ in generator_rows(spec, ctx):
-            amb = (fd.mulmod(eps, A), fd.mulmod(eps, B))
-            cur0, cur1 = amb
-            for _ in range(ctx.d * ctx.e):
-                s0, s1 = cur0, cur1
-                for _l in range(field.m):
-                    rows.append(ambient_coords(params, s0, s1))
-                    if field.m > 1:
-                        g = field.gen()
-                        s0 = Poly(field, [field.mul(g, c) for c in s0.coeffs])
-                        s1 = Poly(field, [field.mul(g, c) for c in s1.coeffs])
-                cur0, cur1 = _x_shift(params, cur0), _x_shift(params, cur1)
-    return FpSpace.from_rows(field.p, ambient_dim(params), rows)
+            rows += _x_g_rows(params, fd.mulmod(eps, A), fd.mulmod(eps, B), ctx.d * ctx.e)
+    return FpSpace.from_rows(params.p, ambient_dim(params), rows)
 
 
 def brute_ambient_ideals(fd: FactorData, budget: int = ORACLE_BUDGET):
@@ -435,39 +448,16 @@ def brute_ambient_ideals(fd: FactorData, budget: int = ORACLE_BUDGET):
         for s in spaces:
             rows = []
             for row in s.rows:
-                half = len(row) // 2
-                slots = ctx.d * ctx.e
-                A = Poly(field, [field.encode(row[field.m * i : field.m * (i + 1)]) for i in range(slots)])
-                B = Poly(
-                    field,
-                    [
-                        field.encode(row[half + field.m * i : half + field.m * (i + 1)])
-                        for i in range(slots)
-                    ],
-                )
+                A, B = _coords_pair(field, row, ctx.d * ctx.e)
                 rows.append((fd.mulmod(eps, A), fd.mulmod(eps, B)))
             mapped.append(rows)
         per_factor.append(mapped)
 
     ideals: dict = {}
-    idx = [0] * fd.r
-    while True:
-        rows = []
-        for j in range(fd.r):
-            rows.extend(
-                ambient_coords(params, a0, a1) for a0, a1 in per_factor[j][idx[j]]
-            )
+    for choice in product(*per_factor):
+        rows = [ambient_coords(params, a0, a1) for pieces in choice for a0, a1 in pieces]
         space = FpSpace.from_rows(field.p, ambient_dim(params), rows)
         ideals.setdefault(space.key(), space)
-        j = fd.r - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(per_factor[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
 
     _check_singly_generated_covered(fd, ideals, budget)
     return list(ideals.values())
@@ -481,15 +471,8 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict, budget: int) -
     if params.ring_size() > budget:
         raise TooLarge("single-generator sweep over budget")
     covered: set = set()
-    p = field.p
-    vec = [0] * dim
-    total = p ** dim
-    for counter in range(total):
-        c = counter
-        for i in range(dim):
-            vec[i] = c % p
-            c //= p
-        key = tuple(vec)
+    for digits in product(range(field.p), repeat=dim):
+        key = digits[::-1]  # key[0] moves fastest
         if key in covered:
             continue
         a0, a1 = coords_ambient(params, key)
@@ -566,21 +549,11 @@ def brute_dual_scan(space: FpSpace, params: AmbientParams, budget: int = 1 << 14
     p = field.p
     words = space.elements()
     out = set()
-    vec = [0] * dim
-    for counter in range(p ** dim):
-        c = counter
-        for i in range(dim):
-            vec[i] = c % p
-            c //= p
-        a0, a1 = coords_ambient(params, tuple(vec))
-        ok = True
-        for w in words:
-            b0, b1 = coords_ambient(params, w)
-            if not _pair_orthogonal(params, a0, a1, b0, b1):
-                ok = False
-                break
-        if ok:
-            out.add(tuple(vec))
+    for digits in product(range(p), repeat=dim):
+        vec = digits[::-1]  # vec[0] moves fastest
+        a0, a1 = coords_ambient(params, vec)
+        if all(_pair_orthogonal(params, a0, a1, *coords_ambient(params, w)) for w in words):
+            out.add(vec)
     return out
 
 
@@ -598,29 +571,14 @@ def _pair_orthogonal(params, a0, a1, b0, b1) -> bool:
 
 
 def _chain_check(p, m, d, s):
-    from .gf import field_new
-    from .ideals import count_ideals, enumerate_ideals, ideal_size
-    from .poly import is_irreducible
-
     field = field_new(p, m)
     # smallest monic irreducible of degree d, by coefficient order
     if d == 1:
         f = Poly(field, [1, 1])
     else:
-        f = None
-        tail = [0] * d
-        while f is None:
-            cand = Poly(field, tail + [1])
-            if is_irreducible(cand):
-                f = cand
-                break
-            i = 0
-            while i < d:
-                tail[i] += 1
-                if tail[i] < field.q:
-                    break
-                tail[i] = 0
-                i += 1
+        # constant term fastest
+        cands = (Poly(field, tail[::-1] + (1,)) for tail in product(range(field.q), repeat=d))
+        f = next(c for c in cands if is_irreducible(c))
     ctx = ChainCtx(f, p ** s)
     subs = brute_submodules(ctx)
     if len(subs) != submodule_count_formula(ctx):
@@ -645,12 +603,7 @@ def _chain_check(p, m, d, s):
 
 
 def _dual_check(p, m, s, n, lam):
-    from .dual import dual_code_nu
-    from .ideals import code_size, enumerate_codes
-
     params = AmbientParams.of_ints(p, m, s, n, lam)
-    from .decomp import build_factor_data
-
     fd = build_factor_data(params)
     count = 0
     for code in enumerate_codes(fd):
@@ -667,14 +620,9 @@ def _dual_check(p, m, s, n, lam):
 
 
 def _selfdual_check(p, m, s, n, nu):
-    from .decomp import build_factor_data
-    from .dual import enumerate_self_dual, is_self_dual
-
     field_lam = nu if nu == 1 else p - 1
     params = AmbientParams.of_ints(p, m, s, n, field_lam)
     fd = build_factor_data(params)
-    from .ideals import enumerate_codes
-
     fixed = set()
     for code in enumerate_codes(fd):
         sp = code_space(code)
@@ -690,9 +638,6 @@ def _selfdual_check(p, m, s, n, nu):
 
 
 def _ambient_check(p, m, s, n, lam):
-    from .decomp import build_factor_data
-    from .ideals import count_codes
-
     params = AmbientParams.of_ints(p, m, s, n, lam)
     fd = build_factor_data(params)
     ideals = brute_ambient_ideals(fd)
@@ -703,8 +648,6 @@ def _ambient_check(p, m, s, n, lam):
 
 
 def _count_check():
-    from .ideals import count_ideals_params, count_ideals_sumform_params
-
     anchors = [
         ((5, 1, 1, 1), 121),
         ((5, 1, 2, 1), 2061),

@@ -155,12 +155,6 @@ class Poly:
         ctx = self.ctx
         return Poly(ctx, [ctx.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ctx, (0,) * k + self.coeffs)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -182,14 +176,22 @@ class Poly:
         rem = list(self.coeffs)
         quo = [0] * (len(rem) - db)
         bc = other.coeffs
+        fastpath = ctx.m == 1
+        p = ctx.p
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
             c = ctx.mul(c, inv_lc)
-            quo[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = ctx.sub(rem[i - db + j], ctx.mul(c, bc[j]))
+            off = i - db
+            quo[off] = c
+            if fastpath:
+                for j, b in enumerate(bc):
+                    if b:
+                        rem[off + j] = (rem[off + j] - c * b) % p
+            else:
+                for j, b in enumerate(bc):
+                    rem[off + j] = ctx.sub(rem[off + j], ctx.mul(c, b))
         return Poly(ctx, quo), Poly(ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":

@@ -258,3 +258,49 @@ def test_negative_limit_exits_2(capsys):
         capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "-1", "--limit", "0"
     )
     assert code == 0 and out == ""
+
+
+def test_dual_rejects_a_reducible_factor(capsys, monkeypatch):
+    # x^2 - 1 given as one factor: its product is right, but it is not irreducible
+    doc = {
+        "params": {"p": 5, "m": 1, "s": 1, "n": 2, "lambda": 1},
+        "factors": [[4, 0, 1]],
+        "components": [{"case": "I", "b": []}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_dual_rejects_factors_split_into_quadratics(capsys, monkeypatch):
+    # x^4 - 1 = (x^2 + 2x + 2)(x^2 + 3x + 2) over F_5, but it splits into linears
+    doc = {
+        "params": {"p": 5, "m": 1, "s": 1, "n": 4, "lambda": 1},
+        "factors": [[2, 2, 1], [2, 3, 1]],
+        "components": [{"case": "III", "k": 0}, {"case": "III", "k": 0}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CCRING_SEED", "abc")
+    code, out, err = run(capsys, "info", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_unopenable_paths_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "no" / "such" / "file")
+    code, out, err = run(capsys, "dual", "--input", missing)
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(
+        capsys, "count", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1", "--output", missing
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_deeply_nested_dual_input_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")

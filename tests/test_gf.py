@@ -102,3 +102,29 @@ def test_ps_root_is_inverse_of_powering():
             lam = rng.randrange(1, F.q)
             root = ps_root(F, lam, s)
             assert F.pow(root, p**s) == lam
+
+
+# the lexicographically smallest monic irreducibles, frozen so that a change
+# to the modulus search cannot silently change every field's encoding
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (3, 2): (1, 0, 1),
+    (5, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (3, 3): (1, 0, 2, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (13, 3): (1, 0, 4, 1),
+    (101, 2): (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("pm", sorted(DEFAULT_MODULI))
+def test_default_modulus_frozen(pm):
+    assert field_new(*pm).modulus == DEFAULT_MODULI[pm]
+
+
+def test_reducible_modulus_with_nonzero_constant_rejected():
+    # (x^2 + x + 1)^2: no root over F_2, yet reducible
+    with pytest.raises(ReducibleModulus):
+        field_new(2, 4, (1, 0, 1, 0, 1))
