@@ -86,6 +86,10 @@ class ChainCtx:
     a power pays nothing for it.  modulus = f^e comes from f_power: for
     e = p^s, the case of every ring in this package, it is s Frobenius
     twists of f and involves no polynomial product.
+
+    Digit windows are checked by division, not digit by digit: z has no
+    digits at positions >= b exactly when deg z < d*b, and none below a
+    exactly when f^a divides z (in_residue_window, window_reduce).
     """
 
     __slots__ = ("field", "f", "d", "e", "modulus", "f_pows")
@@ -131,6 +135,8 @@ class ChainCtx:
         return self.reduce(a * b)
 
     def pow(self, a: Poly, k: int) -> Poly:
+        if k < 0:
+            raise RangeError("chain-ring exponent must be >= 0")
         out = Poly.one(self.field)
         a = self.reduce(a)
         while k:
@@ -253,22 +259,27 @@ class ChainCtx:
         return high if digit.is_zero() else high + digit * self.f_pows[k]
 
     def in_residue_window(self, z: Poly, a: int, b: int) -> bool:
-        """Is z exactly a sum of digits over positions [a, b)?"""
-        digits = self.f_adic(z)
-        return all(digits[k].is_zero() for k in range(self.e) if not a <= k < b)
+        """Is z exactly a sum of digits over positions [a, b)?
+
+        The digits at positions >= b vanish exactly when deg z < d*b, and
+        those below a exactly when f^a divides z.
+        """
+        z = self.reduce(z)
+        return z.degree < self.d * b and self._divisible(z, a)
 
     def window_reduce(self, z: Poly, a: int, b: int) -> Poly:
-        """Truncate the digits of z to positions [a, b).
+        """Truncate the digits of z to positions [a, b): z mod f^b.
 
         Used to canonicalize a parameter that is only defined modulo f^b
         and is promised to have valuation >= a; the promise is checked.
         """
-        digits = self.f_adic(z)
-        if any(not digits[k].is_zero() for k in range(a)):
+        z = self.reduce(z)
+        if not self._divisible(z, a):
             raise RangeError("element has digits below the residue window")
-        return self.from_digits(
-            [digits[k] if a <= k < b else Poly.zero(self.field) for k in range(self.e)]
-        )
+        return z % self.f_pows[b]
+
+    def _divisible(self, z: Poly, a: int) -> bool:
+        return a == 0 or (z % self.f_pows[a]).is_zero()
 
     def elements(self):
         """Every element of K (use only at toy sizes), constant term fastest."""

@@ -12,6 +12,7 @@ verify run reports a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -460,8 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() at the first main() call, shared by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CcringError as ex:

@@ -18,8 +18,11 @@ c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
 
     eps_j = frobenius(w_j, s)
 
-exactly, at O(N) per factor.  A count needs even less: only the factor
-degrees, which distinct-degree factorization gives without splitting.
+exactly, at O(N) per factor.  FactorData builds them on first read of
+fd.idempotents, since only gluing (info, idempotents, assemble, the
+oracle) needs them; dual, enumerate and selfdual work componentwise.
+A count needs even less: only the factor degrees, which
+distinct-degree factorization gives without splitting.
 """
 
 from __future__ import annotations
@@ -101,13 +104,18 @@ class AmbientParams:
 
 
 class FactorData:
-    """Factors, idempotents and pairing data for one ambient ring."""
+    """Factors, idempotents and pairing data for one ambient ring.
+
+    The idempotents are built on first read of fd.idempotents and then
+    kept, so work that never glues components (dual, enumerate,
+    selfdual, count) runs no extended gcd.
+    """
 
     __slots__ = (
         "params",
         "lam0",
         "factors",
-        "idempotents",
+        "_idempotents",
         "chain_ctxs",
         "tau",
         "delta",
@@ -115,16 +123,23 @@ class FactorData:
         "pair_count",
     )
 
-    def __init__(self, params, lam0, factors, idempotents, chain_ctxs, tau, delta, rho, pair_count):
+    def __init__(self, params, lam0, factors, chain_ctxs, tau, delta, rho, pair_count):
         self.params = params
         self.lam0 = lam0
         self.factors = factors
-        self.idempotents = idempotents
+        self._idempotents = None
         self.chain_ctxs = chain_ctxs
         self.tau = tau  # 0-based involution on factor indices, None unless lambda^2 = 1
         self.delta = delta  # delta_j = f_j(0)^-1, aligned with tau
         self.rho = rho  # number of tau-fixed factors
         self.pair_count = pair_count
+
+    @property
+    def idempotents(self) -> list[Poly]:
+        """eps_j for each f_j, built on first read."""
+        if self._idempotents is None:
+            self._idempotents = _idempotents(self.params, self.factors)
+        return self._idempotents
 
     @property
     def r(self) -> int:
@@ -196,6 +211,14 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     else:
         tau = delta = rho = pair_count = None
 
+    chain_ctxs = [ChainCtx(f, params.e) for f in factors]
+    return FactorData(params, lam0, list(factors), chain_ctxs, tau, delta, rho, pair_count)
+
+
+def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
+    """eps_j = frobenius(v_j F_j mod (x^n - lambda0), s), one xgcd per factor."""
+    field = params.field
+    _, base = root_binomial(params)
     idempotents = []
     for f in factors:
         cof = base // f
@@ -207,9 +230,7 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     for eps in idempotents:
         total = total + eps
     assert total == Poly.one(field), "idempotents do not sum to 1"
-
-    chain_ctxs = [ChainCtx(f, params.e) for f in factors]
-    return FactorData(params, lam0, list(factors), idempotents, chain_ctxs, tau, delta, rho, pair_count)
+    return idempotents
 
 
 def root_binomial(params: AmbientParams) -> tuple[int, Poly]:
@@ -231,7 +252,7 @@ def factor_degrees(params: AmbientParams) -> list[int]:
 
 
 def build_factor_data(params: AmbientParams, seed: int | None = None) -> FactorData:
-    """Factor x^n - lambda0, order the factors, compute the idempotents."""
+    """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
     _, base = root_binomial(params)
     factors = factor_squarefree(base, seed).polys()
     if params.lam_self_paired():

@@ -17,6 +17,11 @@ The scalar is f_j(0) and not its inverse: the printed dual generator is
 coefficient reversal, and rev(f_j) = f_j(0) * fhat_j once the modulus
 is normalized monic.  Tests pin this against kernel-computed duals.
 
+The transport is written down, not evaluated: a window-valid b has
+deg b < d_j (e - 1) <= N - d_j, so x^(N - d_j) b(x^(-1)) is b's
+coefficient list reversed and shifted, and each component costs one
+reduction mod fhat_j^e and one window cut.
+
 For lambda = +-1 the reciprocal factors are a permutation tau of the
 source factors and the dual lives in the same ambient ring with the
 component built from position j landing at tau(j).
@@ -48,28 +53,45 @@ def dual_factor_data(fd: FactorData) -> FactorData:
 def inv_x_image(a: Poly, target: ChainCtx, params: AmbientParams) -> Poly:
     """a(x^(-1)) in the target chain ring of the dual ambient.
 
-    In R[x]/(x^N - lambda^(-1)) the inverse of x is lambda * x^(N-1);
-    the target modulus divides x^N - lambda^(-1), so evaluating by
-    Horner directly mod the target is the same map.
+    In R[x]/(x^N - lambda^(-1)) the inverse of x^i is lambda * x^(N-i)
+    for 0 < i <= N, and each further N folds in one more lambda; so the
+    image is written coefficient by coefficient into degrees < N and
+    reduced once.  The target modulus divides x^N - lambda^(-1), so that
+    remainder is the image in the target.
     """
-    field = params.field
-    X = target.reduce(Poly.monomial(field, params.N - 1, params.lam))
-    out = Poly.zero(field)
-    for c in reversed(a.coeffs):
-        out = target.mul(out, X)
+    return target.reduce(_reflect(a, 0, params))
+
+
+def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:
+    """x^shift * a(x^(-1)) with degree < N, in the ring where x^N = lambda^(-1).
+
+    For deg a <= shift < N that is a's coefficients reversed, starting
+    at x^(shift - deg a); otherwise x^(qN + r) = lambda^(-q) x^r places
+    each term.
+    """
+    field, N = params.field, params.N
+    cs = a.coeffs
+    if len(cs) - 1 <= shift < N:
+        return Poly(field, (0,) * (shift + 1 - len(cs)) + cs[::-1])
+    out = [0] * N
+    for i, c in enumerate(cs):
         if c:
-            out = out + Poly.const(field, c)
-    return target.reduce(out)
+            q, r = divmod(shift - i, N)
+            out[r] = field.add(out[r], field.mul(c, field.pow(params.lam, -q)))
+    return Poly(field, out)
 
 
 def _transport_b(b: Poly, j: int, fd: FactorData, target: ChainCtx) -> Poly:
+    """-lambda f_j(0) x^(N - d_j) b(x^(-1)) in the target, with one reduction.
+
+    A window-valid b has deg b < d_j (e - 1) <= N - d_j, so the
+    polynomial before reduction is b reversed and shifted.
+    """
     params = fd.params
     field = params.field
     d = fd.factors[j].degree
-    img = inv_x_image(b, target, params)
-    img = target.mul(img, Poly.monomial(field, params.N - d))
     scal = field.neg(field.mul(params.lam, fd.factors[j](0)))
-    return target.reduce(img.scale(scal))
+    return target.reduce(_reflect(b, params.N - d, params).scale(scal))
 
 
 def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) -> IdealSpec:

@@ -175,7 +175,8 @@ class Poly:
         inv_lc = ctx.inv(other.lc())
         rem = list(self.coeffs)
         quo = [0] * (len(rem) - db)
-        bc = other.coeffs
+        # only the divisor's nonzero terms: f^(p^s) has at most deg f + 1
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         fastpath = ctx.m == 1
         p = ctx.p
         for i in range(len(rem) - 1, db - 1, -1):
@@ -186,11 +187,10 @@ class Poly:
             off = i - db
             quo[off] = c
             if fastpath:
-                for j, b in enumerate(bc):
-                    if b:
-                        rem[off + j] = (rem[off + j] - c * b) % p
+                for j, b in nonzero:
+                    rem[off + j] = (rem[off + j] - c * b) % p
             else:
-                for j, b in enumerate(bc):
+                for j, b in nonzero:
                     rem[off + j] = ctx.sub(rem[off + j], ctx.mul(c, b))
         return Poly(ctx, quo), Poly(ctx, rem)
 

@@ -2,15 +2,19 @@
 degree-only counts and lazy residue sets, each against a route that
 does not share its shortcut."""
 
+import hashlib
+import io
 import random
 
 import pytest
 
 from ccring.chain import ChainCtx
+from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
 from ccring.gf import field_new
 from ccring.ideals import count_codes, count_codes_by_degree
 from ccring.poly import Poly, factor_squarefree, frobenius, poly_modpow, poly_xgcd
+from test_acceptance import IDEMPOTENTS_30
 
 TWIST_RINGS = [
     (5, 1, 1, 6, 4),
@@ -161,3 +165,78 @@ def test_wide_residue_window_streams():
     f = ctx.f
     assert firsts == [Poly.zero(F2), f, f * f, f + f * f]
     assert sorted(ctx.f_pows._built) == [1, 2]
+
+
+# -- idempotents on first read -------------------------------------------------
+
+
+@pytest.fixture
+def xgcd_calls(monkeypatch):
+    """Counts poly_xgcd calls through every ccring module that binds it."""
+    import sys
+
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return poly_xgcd(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ccring") and getattr(mod, "poly_xgcd", None) is poly_xgcd:
+            monkeypatch.setattr(mod, "poly_xgcd", counted)
+    return calls
+
+
+def cli_out(capsys, monkeypatch, argv, stdin=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+RING_ARGS = ["--p", "5", "--s", "1", "--n", "6", "--lambda", "-1"]
+
+
+def test_dual_and_enumerate_run_no_xgcd(capsys, monkeypatch, xgcd_calls):
+    docs = cli_out(capsys, monkeypatch, ["enumerate", *RING_ARGS, "--limit", "5"])
+    assert len(docs.splitlines()) == 5
+    assert xgcd_calls == []
+    duals = cli_out(capsys, monkeypatch, ["dual"], docs)
+    assert cli_out(capsys, monkeypatch, ["dual"], duals) == docs
+    assert xgcd_calls == []
+    cli_out(capsys, monkeypatch, ["selfdual", "--p", "5", "--s", "1", "--n", "6", "--limit", "5"])
+    assert xgcd_calls == []
+
+
+def test_idempotents_built_on_first_read(xgcd_calls):
+    fd = build_factor_data(AmbientParams.of_ints(5, 1, 1, 6, 4))
+    assert xgcd_calls == []
+    eps = fd.idempotents
+    assert len(xgcd_calls) == fd.r == 4
+    assert fd.idempotents is eps
+    assert len(xgcd_calls) == 4
+    # criterion 05's frozen vectors, read after the factor data was built
+    for e, table in zip(eps, IDEMPOTENTS_30):
+        coeffs = [0] * 26
+        for i, c in table.items():
+            coeffs[i] = c
+        assert e == Poly(fd.params.field, coeffs)
+
+
+# sha256 prefixes of info and idempotents output, as written when the
+# idempotents were built with the factor data
+FROZEN_OUTPUTS = {
+    ("info", "5,1,1,6,4"): "7aa71fa2ccf1bf6a",
+    ("idempotents", "5,1,1,6,4"): "98fd1d71969cc348",
+    ("info", "3,2,1,8,[0,1]"): "5a36e739df9cb510",
+    ("idempotents", "3,2,1,8,[0,1]"): "d2a6820a05f2daa5",
+    ("info", "2,3,2,7,[1,0,0]"): "a56a4136a9f9f639",
+    ("idempotents", "2,3,2,7,[1,0,0]"): "dce1a5918c5f4370",
+}
+
+
+@pytest.mark.parametrize("cmd,ring", sorted(FROZEN_OUTPUTS))
+def test_info_and_idempotents_unchanged(capsys, monkeypatch, cmd, ring):
+    p, m, s, n, lam = ring.split(",", 4)
+    argv = [cmd, "--p", p, "--m", m, "--s", s, "--n", n, "--lambda", lam]
+    out = cli_out(capsys, monkeypatch, argv)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == FROZEN_OUTPUTS[cmd, ring]

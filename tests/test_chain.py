@@ -132,3 +132,60 @@ def test_rejects_bad_parameters():
         ChainCtx(Poly.const(F5, 2), 3)
     with pytest.raises(RangeError):
         ChainCtx(Poly(F5, [2, 1]), 0)
+
+
+def test_pow_rejects_negative_exponent():
+    ctx = make_ctx(5, 1, (4, 1), 5)  # f = x - 1, a factor of x^2 - 1 over F_5
+    x = Poly(F5, [0, 1])
+    with pytest.raises(RangeError):
+        ctx.pow(x, -1)
+    assert ctx.pow(x, 0) == Poly.one(F5)
+
+
+# -- windows by division against the f-adic digit definition -------------------
+
+WINDOW_CTXS = [
+    (5, 1, (2, 1), 5),
+    (3, 1, (1, 0, 1), 3),
+    (2, 2, (2, 1, 1), 4),
+    (3, 2, (3, 1), 9),
+    (5, 1, (3, 1), 25),
+    (3, 1, (1, 1), 27),
+    (2, 1, (1, 1, 1), 8),
+]
+
+
+def digit_window_elements(ctx, rng, count):
+    """Elements whose nonzero digits fill a random window, an unreduced
+    random polynomial, 0 and 1."""
+    q = ctx.field.q
+    out = [Poly.zero(ctx.field), Poly.one(ctx.field)]
+    out.append(Poly(ctx.field, [rng.randrange(q) for _ in range(ctx.d * ctx.e + 3)]))
+    for _ in range(count):
+        lo = rng.randrange(ctx.e)
+        hi = rng.randrange(lo + 1, ctx.e + 1)
+        digits = [Poly.zero(ctx.field)] * ctx.e
+        for k in range(lo, hi):
+            digits[k] = Poly(ctx.field, [rng.randrange(q) for _ in range(ctx.d)])
+        out.append(ctx.from_digits(digits))
+    return out
+
+
+@pytest.mark.parametrize("p,m,coeffs,e", WINDOW_CTXS)
+def test_windows_agree_with_digits(p, m, coeffs, e):
+    ctx = ChainCtx(Poly(field_new(p, m), coeffs), e)
+    rng = random.Random(e * 100 + p)
+    zero = Poly.zero(ctx.field)
+    for z in digit_window_elements(ctx, rng, 6):
+        digits = ctx.f_adic(z)
+        for a in range(e + 1):
+            below = any(not digits[k].is_zero() for k in range(a))
+            for b in range(a, e + 1):
+                inside = not below and all(digits[k].is_zero() for k in range(b, e))
+                assert ctx.in_residue_window(z, a, b) == inside, (z, a, b)
+                if below:
+                    with pytest.raises(RangeError):
+                        ctx.window_reduce(z, a, b)
+                else:
+                    cut = [dg if k < b else zero for k, dg in enumerate(digits)]
+                    assert ctx.window_reduce(z, a, b) == ctx.from_digits(cut), (z, a, b)

@@ -304,3 +304,24 @@ def test_deeply_nested_dual_input_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
     code, out, err = run(capsys, "dual")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    from ccring import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            code, out, _ = run(capsys, "count", "--p", "5", "--s", "1", "--n", "4", "--lambda", "3")
+            assert code == 0 and out == "1176261\n"
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

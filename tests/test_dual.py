@@ -1,8 +1,12 @@
+import hashlib
+import io
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
+from ccring.cli import main as cli_main
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import (
     DualCodeSpec,
@@ -18,7 +22,14 @@ from ccring.dual import (
 )
 from ccring.errors import NotSelfPairedLambda
 from ccring.gf import field_new
-from ccring.ideals import CodeSpec, IdealSpec, code_size, enumerate_codes, enumerate_ideals
+from ccring.ideals import (
+    CodeSpec,
+    IdealSpec,
+    b_window,
+    code_size,
+    enumerate_codes,
+    enumerate_ideals,
+)
 from ccring.oracle import brute_dual, code_space
 from ccring.poly import Poly, reciprocal
 
@@ -203,3 +214,135 @@ def test_dual_factor_data_layout():
     assert dfd.params.lam == fd.params.lam_inv()
     for f, g in zip(fd.factors, dfd.factors):
         assert g == reciprocal(f).monic()
+
+
+# -- the transport against the Horner route it replaced ------------------------
+
+
+def horner_inv_x_image(a, target, params):
+    """a(x^(-1)) by Horner's rule with X = lambda x^(N-1), reducing every step."""
+    field = params.field
+    X = target.reduce(Poly.monomial(field, params.N - 1, params.lam))
+    out = Poly.zero(field)
+    for c in reversed(a.coeffs):
+        out = target.mul(out, X)
+        if c:
+            out = out + Poly.const(field, c)
+    return target.reduce(out)
+
+
+def horner_dual_component(spec, j, fd, target):
+    """dual_component through horner_inv_x_image, a product by x^(N-d) and
+    an f-adic digit cut."""
+    params = fd.params
+    field = params.field
+    e = params.e
+    shape = {
+        "I": lambda: IdealSpec("I"),
+        "II": lambda: IdealSpec("IV", t=e - spec.k),
+        "IV": lambda: IdealSpec("II", k=e - spec.t),
+        "V": lambda: IdealSpec("V", k=e - spec.k - spec.t, t=spec.t),
+    }[spec.case]()
+    d = fd.factors[j].degree
+    img = horner_inv_x_image(spec.b, target, params)
+    img = target.mul(img, Poly.monomial(field, params.N - d))
+    scal = field.neg(field.mul(params.lam, fd.factors[j](0)))
+    raw = target.reduce(img.scale(scal))
+    lo, hi = b_window(shape, e)
+    digits = target.f_adic(raw)
+    assert all(digits[k].is_zero() for k in range(lo))
+    cut = [dg if lo <= k < hi else Poly.zero(field) for k, dg in enumerate(digits)]
+    return replace(shape, b=target.from_digits(cut))
+
+
+def encoded_fd(p, m, s, n, lam):
+    """fd_of with lambda given as its F_p coefficient list when m > 1."""
+    if isinstance(lam, list):
+        lam = field_new(p, m).encode(lam)
+    return fd_of(p, m, s, n, lam)
+
+
+TRANSPORT_RINGS = [
+    (5, 1, 1, 2, 2),  # lambda^2 != 1
+    (3, 2, 1, 8, [1, 0]),
+    (3, 2, 1, 8, [0, 1]),  # lambda^2 != 1 over F_9
+    (2, 3, 1, 7, [1, 0, 0]),
+    (2, 3, 1, 7, [0, 1, 0]),  # lambda^2 != 1 over F_8
+    (7, 1, 1, 48, 6),
+    (3, 1, 2, 2, 2),  # e = 9, lambda = -1
+]
+
+
+def random_window_b(ctx, lo, hi, rng):
+    digits = [Poly.zero(ctx.field)] * ctx.e
+    for k in range(lo, hi):
+        digits[k] = Poly(ctx.field, [rng.randrange(ctx.field.q) for _ in range(ctx.d)])
+    return ctx.from_digits(digits)
+
+
+@pytest.mark.parametrize("ring", TRANSPORT_RINGS)
+def test_inv_x_image_matches_horner(ring):
+    fd = encoded_fd(*ring)
+    dfd = dual_factor_data(fd)
+    params = fd.params
+    rng = random.Random(41)
+    for j in range(fd.r):
+        target = dfd.chain(j)
+        for length in (0, 1, 2, target.d * target.e, params.N, params.N + 1, 2 * params.N + 3):
+            a = Poly(params.field, [rng.randrange(params.field.q) for _ in range(length)])
+            assert inv_x_image(a, target, params) == horner_inv_x_image(a, target, params)
+
+
+@pytest.mark.parametrize("ring", TRANSPORT_RINGS)
+def test_dual_component_matches_horner(ring):
+    fd = encoded_fd(*ring)
+    dfd = dual_factor_data(fd)
+    e = fd.params.e
+    rng = random.Random(43)
+    shapes = [IdealSpec("I")]
+    shapes += [IdealSpec("II", k=k) for k in range(1, e)]
+    shapes += [IdealSpec("IV", t=t) for t in range(1, e)]
+    shapes += [IdealSpec("V", k=k, t=t) for k in range(1, e - 1) for t in range(1, e - k)]
+    for j in range(fd.r):
+        ctx, target = fd.chain(j), dfd.chain(j)
+        for shape in rng.sample(shapes, min(len(shapes), 12)):
+            b = random_window_b(ctx, *b_window(shape, e), rng)
+            variants = [b]
+            if j == 0:  # the same b plus a multiple of f^e, of degree past N
+                pad = Poly(ctx.field, [rng.randrange(ctx.field.q) for _ in range(fd.params.N)])
+                variants.append(b + pad * ctx.modulus)
+            for b in variants:
+                spec = replace(shape, b=b)
+                got = dual_component(spec, j, fd, target)
+                assert got == horner_dual_component(spec, j, fd, target), (j, spec)
+
+
+def test_transport_rings_cover_both_pairings():
+    paired = [encoded_fd(*ring).params.lam_self_paired() for ring in TRANSPORT_RINGS]
+    assert True in paired and False in paired
+    assert {ring[1] for ring in TRANSPORT_RINGS} == {1, 2, 3}
+
+
+def test_large_e_documents_dualize_quickly(capsys, monkeypatch):
+    """At (41,1,2,4,1), e = 1681: the Horner transport took 16-20 s to
+    dualize each of these documents and 119-134 s to dualize the result."""
+    ring = ["--p", "41", "--s", "2", "--n", "4", "--lambda", "1"]
+    assert cli_main(["enumerate", *ring, "--limit", "30"]) == 0
+    docs = capsys.readouterr().out.splitlines()
+    assert len(docs) == 30
+    start = time.perf_counter()
+    for i in (10, 20, 29):
+        dual_doc = run_dual(capsys, monkeypatch, docs[i])
+        assert hashlib.sha256(dual_doc.encode()).hexdigest()[:16] == LARGE_E_DUALS[i]
+        assert run_dual(capsys, monkeypatch, dual_doc) == docs[i] + "\n"
+    assert time.perf_counter() - start < 10.0
+
+
+# sha256 prefixes of the dual documents, as the Horner transport wrote them
+LARGE_E_DUALS = {10: "518bcefcfdf7df91", 20: "e0146bb2e6d51f6d", 29: "a88fcb0c0f976736"}
+
+
+def run_dual(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli_main(["dual"]) == 0
+    return capsys.readouterr().out
