@@ -5,6 +5,7 @@ does not share its shortcut."""
 import hashlib
 import io
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,6 @@ from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root
 from ccring.gf import field_new
 from ccring.ideals import count_codes, count_codes_by_degree
 from ccring.poly import Poly, factor_squarefree, frobenius, poly_modpow, poly_xgcd
-from test_acceptance import IDEMPOTENTS_30
 
 TWIST_RINGS = [
     (5, 1, 1, 6, 4),
@@ -173,8 +173,6 @@ def test_wide_residue_window_streams():
 @pytest.fixture
 def xgcd_calls(monkeypatch):
     """Counts poly_xgcd calls through every ccring module that binds it."""
-    import sys
-
     calls = []
 
     def counted(a, b):
@@ -205,6 +203,15 @@ def test_dual_and_enumerate_run_no_xgcd(capsys, monkeypatch, xgcd_calls):
     assert xgcd_calls == []
     cli_out(capsys, monkeypatch, ["selfdual", "--p", "5", "--s", "1", "--n", "6", "--limit", "5"])
     assert xgcd_calls == []
+
+
+# criterion 05's frozen idempotents of (5,1,1,6,4), as {degree: coefficient}
+IDEMPOTENTS_30 = [
+    {0: 1, 5: 2, 10: 4, 15: 3, 20: 1, 25: 2},
+    {0: 2, 5: 2, 10: 1, 15: 4, 20: 4, 25: 2},
+    {0: 1, 5: 3, 10: 4, 15: 2, 20: 1, 25: 3},
+    {0: 2, 5: 3, 10: 1, 15: 1, 20: 4, 25: 3},
+]
 
 
 def test_idempotents_built_on_first_read(xgcd_calls):

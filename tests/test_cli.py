@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ccring import cli
 from ccring.cli import main, parse_code
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import dual_code_nu
@@ -307,8 +308,6 @@ def test_deeply_nested_dual_input_exits_2(capsys, monkeypatch):
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    from ccring import cli
-
     built = []
     real = cli.build_parser
 
