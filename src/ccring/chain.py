@@ -53,6 +53,46 @@ def _small_power(f: Poly, r: int) -> Poly:
     return out
 
 
+_END = object()
+
+
+def odometer(streams, place, origin):
+    """Every choice of one item per position, position 0 moving fastest.
+
+    streams[i]() returns a fresh iterator over position i's items.  They
+    are folded right to left, partial[i] = place(partial[i + 1], item, i)
+    from partial[len(streams)] = origin, and each choice yields
+    partial[0].  Only the current iterator of each position is kept, so
+    the first choice costs one item per position and a step costs one
+    place per position that moved.  A loop, not a recursion: digit
+    windows reach thousands of positions.  An empty stream leaves no
+    choice.
+    """
+    width = len(streams)
+    partial = [origin] * (width + 1)
+    items = [None] * width
+    i = width
+    while True:
+        # restart every position below i at its first item
+        while i:
+            i -= 1
+            items[i] = streams[i]()
+            item = next(items[i], _END)
+            if item is _END:
+                return
+            partial[i] = place(partial[i + 1], item, i)
+        yield partial[0]
+        # advance the lowest position that has items left
+        while i < width:
+            item = next(items[i], _END)
+            if item is not _END:
+                partial[i] = place(partial[i + 1], item, i)
+                break
+            i += 1
+        else:
+            return
+
+
 class FPowers(Sequence):
     """f^0 .. f^e as a read-only sequence; f^k is built on first use and kept."""
 
@@ -224,39 +264,17 @@ class ChainCtx:
 
         Order is an odometer over the digit vector, position a moving
         fastest, each digit running through digit_polys() order.  When
-        a == b the set is the singleton {0}.
-
-        Lazy: partial[i] holds the sum of the digit terms at positions
-        a+i .. b-1, so a step that moves position a+i costs one product
+        a == b the set is the singleton {0}.  Each step costs one product
         and one sum, and f^(a+i) is read only once its digit is nonzero.
-        The odometer is a loop rather than a recursion because windows
-        can be thousands of positions wide.
         """
         if not (0 <= a <= b <= self.e):
             raise RangeError(f"bad residue window [{a}, {b}) for e={self.e}")
-        width = b - a
-        partial = [Poly.zero(self.field)] * (width + 1)
-        digits = [None] * width
-        i = width
-        while True:
-            # restart every position below i at its first digit
-            while i:
-                i -= 1
-                digits[i] = self.digit_polys()
-                partial[i] = self._place(partial[i + 1], next(digits[i]), a + i)
-            yield partial[0]
-            # advance the lowest position that has digits left
-            while i < width:
-                dg = next(digits[i], None)
-                if dg is not None:
-                    partial[i] = self._place(partial[i + 1], dg, a + i)
-                    break
-                i += 1
-            else:
-                return
+        fp = self.f_pows
 
-    def _place(self, high: Poly, digit: Poly, k: int) -> Poly:
-        return high if digit.is_zero() else high + digit * self.f_pows[k]
+        def place(high: Poly, digit: Poly, i: int) -> Poly:
+            return high if digit.is_zero() else high + digit * fp[a + i]
+
+        yield from odometer([self.digit_polys] * (b - a), place, Poly.zero(self.field))
 
     def in_residue_window(self, z: Poly, a: int, b: int) -> bool:
         """Is z exactly a sum of digits over positions [a, b)?

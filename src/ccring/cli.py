@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
+from itertools import islice
 
 from .decomp import (
     AmbientParams,
@@ -93,11 +94,11 @@ def fieldelem_json(field: FieldCtx, v: int):
 
 def parse_fieldelem(field: FieldCtx, doc) -> int:
     if field.m == 1:
-        if not isinstance(doc, int):
+        if not _is_kind(doc, int):
             raise CcringError(f"field element must be an integer, got {doc!r}")
         return doc % field.p
-    if not isinstance(doc, list) or len(doc) != field.m:
-        raise CcringError(f"field element must be a list of {field.m} integers")
+    if not isinstance(doc, list) or len(doc) != field.m or not all(_is_kind(c, int) for c in doc):
+        raise CcringError(f"field element must be a list of {field.m} integers, got {doc!r}")
     return field.encode([c % field.p for c in doc])
 
 
@@ -389,12 +390,8 @@ def cmd_selfdual(args) -> int:
         if args.count_only:
             print(decimal(count_self_dual(fd, args.nu)), file=out)
             return 0
-        emitted = 0
-        for code in enumerate_self_dual(fd, args.nu):
-            if args.limit is not None and emitted >= args.limit:
-                break
+        for code in islice(enumerate_self_dual(fd, args.nu), args.limit):
             print(_dumps(code_json(code)), file=out)
-            emitted += 1
     return 0
 
 

@@ -36,18 +36,15 @@ from .errors import (
     LengthMismatch,
     RangeError,
     SZero,
+    TooLarge,
     ZeroLambda,
 )
 from .gf import FieldCtx, field_new, ps_root
-from .poly import (
-    Poly,
-    _ddf,
-    _fold_binomial,
-    factor_squarefree,
-    frobenius,
-    poly_xgcd,
-    reciprocal,
-)
+from .poly import Poly, _ddf, factor_squarefree, frobenius, poly_xgcd, reciprocal
+
+# the longest ambient length N = n*p^s accepted; set-up work grows with N
+# (count at p = 2 takes about 1.5 s at N = 2^18 and 20 s at 2^20)
+MAX_LENGTH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,9 @@ class AmbientParams:
             raise GcdViolation(f"n = {self.n} shares a factor with p = {self.field.p}")
         if not 0 < self.lam < self.field.q:
             raise ZeroLambda(f"lambda = {self.lam} is not a unit")
+        # p^s >= 2^s, so the first test keeps p**s small in the second
+        if self.s >= MAX_LENGTH.bit_length() or self.N > MAX_LENGTH:
+            raise TooLarge(f"length n*p^s = {self.n}*{self.p}^{self.s} exceeds {MAX_LENGTH}")
 
     @classmethod
     def of_ints(cls, p: int, m: int, s: int, n: int, lam: int, modulus=None):
@@ -117,6 +117,7 @@ class FactorData:
         "factors",
         "_idempotents",
         "chain_ctxs",
+        "binomial",
         "tau",
         "delta",
         "rho",
@@ -129,6 +130,8 @@ class FactorData:
         self.factors = factors
         self._idempotents = None
         self.chain_ctxs = chain_ctxs
+        field, N = params.field, params.N
+        self.binomial = Poly(field, (field.neg(params.lam),) + (0,) * (N - 1) + (1,))
         self.tau = tau  # 0-based involution on factor indices, None unless lambda^2 = 1
         self.delta = delta  # delta_j = f_j(0)^-1, aligned with tau
         self.rho = rho  # number of tau-fixed factors
@@ -153,12 +156,8 @@ class FactorData:
         return self.reduce(a * b)
 
     def reduce(self, a: Poly) -> Poly:
-        if a.degree < self.params.N:
-            return a
-        return Poly(
-            self.params.field,
-            _fold_binomial(a.coeffs, self.params.N, self.params.lam, self.params.field),
-        )
+        """a mod x^N - lambda; division visits the binomial's two terms only."""
+        return a % self.binomial
 
 
 def _pair_order(factors: list[Poly]) -> list[Poly]:

@@ -30,12 +30,19 @@ component built from position j landing at tau(j).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import partial
 
 from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, factor_data_for
 from .errors import NotSelfPairedLambda
-from .ideals import CodeSpec, IdealSpec, b_window, count_ideals, enumerate_ideals
+from .ideals import (
+    CodeSpec,
+    IdealSpec,
+    b_window,
+    count_ideals,
+    enumerate_ideals,
+    spec_product,
+)
 from .poly import Poly, reciprocal
 
 
@@ -206,13 +213,16 @@ def count_self_dual(fd: FactorData, nu: int) -> int:
 def enumerate_self_dual(fd: FactorData, nu: int):
     """All self-dual codes: free choices on one factor of each
     reciprocal pair (the partner is forced), filtered fixed points on
-    the tau-fixed factors."""
-    fixed = _fixed_options(fd, nu)
+    the tau-fixed factors.
+
+    The free choices stream through enumerate_ideals, so the first code
+    costs the fixed-point filter and one spec per factor.
+    """
     rho = fd.rho
-    free = [list(enumerate_ideals(fd.chain(rho + i))) for i in range(fd.pair_count)]
-    for choice in product(*fixed, *free):
-        comps: list[IdealSpec | None] = list(choice[:rho]) + [None] * (fd.r - rho)
+    streams = [partial(iter, opts) for opts in _fixed_options(fd, nu)]
+    streams += [partial(enumerate_ideals, fd.chain(a)) for a in range(rho, rho + fd.pair_count)]
+    for choice in spec_product(streams):
+        comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))
         for a in range(rho, rho + fd.pair_count):
-            comps[a] = choice[a]
             comps[fd.tau[a]] = dual_component(choice[a], a, fd, fd.chain(fd.tau[a]))
         yield CodeSpec(fd, tuple(comps))

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import islice, product
 
-from .chain import ChainCtx, ceil_half
+from .chain import ChainCtx, ceil_half, odometer
 from .decomp import AmbientParams, FactorData
 from .errors import InvalidSpec, TooLarge
 from .poly import Poly
@@ -311,26 +312,18 @@ def enumerate_codes(fd: FactorData, limit: int | None = None):
     Odometer order with the last factor moving fastest; `limit` caps the
     number of codes yielded.
     """
-    r = fd.r
-    iters = [enumerate_ideals(fd.chain(j)) for j in range(r)]
-    current = [next(it) for it in iters]
-    emitted = 0
-    while True:
-        if limit is not None and emitted >= limit:
-            return
-        yield CodeSpec(fd, tuple(current))
-        emitted += 1
-        j = r - 1
-        while j >= 0:
-            nxt = next(iters[j], None)
-            if nxt is not None:
-                current[j] = nxt
-                break
-            iters[j] = enumerate_ideals(fd.chain(j))
-            current[j] = next(iters[j])
-            j -= 1
-        if j < 0:
-            return
+    streams = [partial(enumerate_ideals, fd.chain(j)) for j in range(fd.r)]
+    for comps in islice(spec_product(streams), limit):
+        yield CodeSpec(fd, comps)
+
+
+def spec_product(streams):
+    """itertools.product over restartable streams, built lazily.
+
+    streams[i]() starts stream i afresh.  Tuples come in product order,
+    the last stream moving fastest, and no stream is ever stored whole.
+    """
+    return odometer(streams[::-1], lambda head, item, _: head + (item,), ())
 
 
 def component_elements(spec: IdealSpec, ctx: ChainCtx):

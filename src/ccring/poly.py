@@ -285,36 +285,6 @@ def _mul_conv(a, b, ctx: FieldCtx):
 # -- modular arithmetic ----------------------------------------------------
 
 
-def _binomial_parts(modulus: Poly):
-    """(D, c) when modulus = x^D - c, else None."""
-    cs = modulus.coeffs
-    D = len(cs) - 1
-    if D < 1 or cs[-1] != 1:
-        return None
-    if any(cs[i] for i in range(1, D)):
-        return None
-    return D, modulus.ctx.neg(cs[0])
-
-
-def _fold_binomial(coeffs, D, c, ctx: FieldCtx):
-    """Reduce mod x^D - c: fold x^(D+i) down to c*x^i until deg < D."""
-    out = list(coeffs)
-    fastpath = ctx.m == 1
-    p = ctx.p
-    while len(out) > D:
-        tail = out[D:]
-        del out[D:]
-        if len(tail) > len(out):
-            out.extend([0] * (len(tail) - len(out)))
-        for i, t in enumerate(tail):
-            if t:
-                if fastpath:
-                    out[i] = (out[i] + c * t) % p
-                else:
-                    out[i] = ctx.add(out[i], ctx.mul(c, t))
-    return out
-
-
 def poly_modpow(base: Poly, e: int, modulus: Poly) -> Poly:
     """base**e mod modulus, exponent as an arbitrary-size nonneg int."""
     if e < 0:
@@ -322,30 +292,14 @@ def poly_modpow(base: Poly, e: int, modulus: Poly) -> Poly:
     if modulus.degree < 1:
         raise ConstantInput("modulus must have degree >= 1")
     base._check(modulus)
-    ctx = base.ctx
-    bparts = _binomial_parts(modulus)
-
-    if bparts is not None:
-        D, c = bparts
-
-        def mulmod(u: Poly, v: Poly) -> Poly:
-            w = u * v
-            if w.degree < D:
-                return w
-            return Poly(ctx, _fold_binomial(w.coeffs, D, c, ctx))
-    else:
-
-        def mulmod(u: Poly, v: Poly) -> Poly:
-            return (u * v) % modulus
-
-    result = Poly.one(ctx) % modulus
+    result = Poly.one(base.ctx) % modulus
     acc = base % modulus
     while e:
         if e & 1:
-            result = mulmod(result, acc)
+            result = (result * acc) % modulus
         e >>= 1
         if e:
-            acc = mulmod(acc, acc)
+            acc = (acc * acc) % modulus
     return result
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -324,3 +325,70 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+# -- rings too long to build and unchecked field coordinates --------------------
+
+
+LONG_RING = ("--p", "13", "--s", "21", "--n", "4", "--lambda", "2")
+
+
+@pytest.mark.parametrize("command", ["count", "info"])
+def test_too_long_ring_exits_2_at_once(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *LONG_RING)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exceeds" in err
+
+
+def test_too_long_dual_document_exits_2_at_once(capsys, monkeypatch):
+    code, out, _ = run(capsys, "enumerate", "--p", "13", "--s", "1", "--n", "4", "--lambda", "2", "--limit", "1")
+    doc = json.loads(out)
+    doc["params"]["s"] = 21
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dual")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exceeds" in err
+
+
+def test_length_bound_admits_every_tested_ring(capsys):
+    from ccring.decomp import MAX_LENGTH
+
+    assert MAX_LENGTH >= 7 * 2**12  # (2,1,12,7,1), the longest ring in tests and bench
+    code, _, err = run(capsys, "count", "--p", "2", "--s", str(MAX_LENGTH.bit_length()), "--n", "1", "--lambda", "1")
+    assert code == 2 and "exceeds" in err
+
+
+def f4_document(capsys):
+    ring = ("--p", "2", "--m", "2", "--s", "1", "--n", "3", "--lambda", "[0,1]")
+    code, out, _ = run(capsys, "enumerate", *ring, "--limit", "1")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_non_integer_lambda_coordinate_exits_2(capsys, monkeypatch):
+    doc = f4_document(capsys)
+    doc["params"]["lambda"] = [0.5, 1]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_text_b_coordinate_exits_2(capsys, monkeypatch):
+    doc = f4_document(capsys)
+    assert "b" in doc["components"][0]
+    doc["components"][0]["b"] = [[1, "a"]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_text_lambda_coordinate_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--p", "2", "--m", "2", "--s", "1", "--n", "1", "--lambda", '[1,"a"]')
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_boolean_lambda_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--p", "5", "--s", "1", "--n", "1", "--lambda", "true")
+    assert code == 2 and out == "" and err.startswith("error:")

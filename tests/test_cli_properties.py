@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccring.cli import main
@@ -77,9 +77,8 @@ def argv(draw):
 
 
 def fieldelem():
-    return st.one_of(
-        st.integers(-3, 30), st.lists(st.integers(-3, 14), max_size=4), st.text(max_size=3), st.none()
-    )
+    coordinate = st.one_of(st.integers(-3, 14), st.floats(allow_nan=False), st.text(max_size=2), st.booleans())
+    return st.one_of(st.integers(-3, 30), st.lists(coordinate, max_size=4), st.text(max_size=3), st.none())
 
 
 def poly_doc():
@@ -174,8 +173,19 @@ def test_malformed_argv_exits_cleanly(args):
     assert exit_code(args) in EXIT_CODES, args
 
 
+# a (13,1,1,4,2) document with s raised to 21: N = 4*13^21 used to run
+# frobenius out of memory
+LONG_RING_DOCUMENT = {
+    "params": {"p": 13, "m": 1, "s": 21, "n": 4, "lambda": 2},
+    "factors": [[11, 0, 0, 0, 1]],
+    "components": [{"case": "I", "b": []}],
+    "size": "8415003868347247618489696679505181495471801448798649088081",
+}
+
+
 @SETTINGS
 @given(docs=st.lists(st.one_of(dual_document(), mutated_document()), min_size=1, max_size=3))
+@example(docs=[LONG_RING_DOCUMENT])
 def test_malformed_dual_documents_exit_cleanly(docs):
     text = "\n".join(json.dumps(d) for d in docs)
     assert exit_code(["dual"], text) in EXIT_CODES, text
