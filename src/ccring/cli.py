@@ -27,7 +27,13 @@ from .decomp import (
     factor_data_for,
     factor_degrees,
 )
-from .dual import count_self_dual, dual_code, dual_factor_data, enumerate_self_dual
+from .dual import (
+    count_self_dual,
+    dual_code,
+    dual_factor_data,
+    enumerate_self_dual,
+    nu_value,
+)
 from .errors import CcringError
 from .gf import FieldCtx, field_new
 from .ideals import (
@@ -294,14 +300,15 @@ def _parse_lambda(field: FieldCtx, text: str) -> int:
     return parse_fieldelem(field, doc)
 
 
-def _params(args, lam_text=None) -> AmbientParams:
+def _params(args, nu=None) -> AmbientParams:
+    """The ring of the flags; lambda = nu when nu is given, else --lambda."""
     field = field_new(args.p, args.m, args.modulus)
-    lam = _parse_lambda(field, lam_text if lam_text is not None else args.lam)
+    lam = _parse_lambda(field, args.lam) if nu is None else nu_value(field, nu)
     return AmbientParams(field, args.s, args.n, lam)
 
 
-def _build_fd(args, lam_text=None) -> FactorData:
-    return build_factor_data(_params(args, lam_text), _seed(args))
+def _build_fd(args, nu=None) -> FactorData:
+    return build_factor_data(_params(args, nu), _seed(args))
 
 
 def _seed(args) -> int | None:
@@ -384,8 +391,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    lam_text = "1" if args.nu == 1 else "-1"
-    fd = _build_fd(args, lam_text=lam_text)
+    fd = _build_fd(args, args.nu)
     with _out_stream(args) as out:
         if args.count_only:
             print(decimal(count_self_dual(fd, args.nu)), file=out)

@@ -25,6 +25,13 @@ reduction mod fhat_j^e and one window cut.
 For lambda = +-1 the reciprocal factors are a permutation tau of the
 source factors and the dual lives in the same ambient ring with the
 component built from position j landing at tau(j).
+
+A self-dual code picks any spec on one factor of each reciprocal pair
+(its partner is forced) and a spec that is its own dual component on
+each tau-fixed factor.  Only case I, III(e/2) and V(k, e - 2k) can be;
+on their digit windows the transport is F_p-linear, so the fixed b are
+the kernel of T - I.  Counting takes p^dim of each kernel, and the
+codes stream from the kernel bases; no spec is scanned.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .chain import ChainCtx
+from .chain import ChainCtx, odometer
 from .decomp import AmbientParams, FactorData, factor_data_for
 from .errors import NotSelfPairedLambda
 from .ideals import (
@@ -43,6 +50,7 @@ from .ideals import (
     enumerate_ideals,
     spec_product,
 )
+from .linalg import kernel
 from .poly import Poly, reciprocal
 
 
@@ -167,7 +175,8 @@ def is_self_dual(code: CodeSpec) -> bool:
     return dual_code_nu(code).components == code.components
 
 
-def _nu_value(field, nu: int) -> int:
+def nu_value(field, nu: int) -> int:
+    """The field element nu = +1 or -1."""
     if nu == 1:
         return 1
     if nu == -1:
@@ -175,36 +184,130 @@ def _nu_value(field, nu: int) -> int:
     raise NotSelfPairedLambda(f"nu must be +1 or -1, got {nu}")
 
 
-def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
-    """Specs over a tau-fixed factor that are their own dual component.
+def _fixed_shapes(e: int):
+    """The shapes that map to themselves, in enumerate_ideals order.
 
-    Filtering all specs (rather than just the three shapes that can be
-    fixed) keeps this an honest fixed-point computation; only case I,
-    case III with 2k = e and case V with 2k + t = e ever survive.
+    I -> I, III(k) -> III(e - k) and V(k, t) -> V(e - k - t, t): so case
+    I, case III with 2k = e, and case V with t = e - 2k >= 1.  Every
+    other shape lands in another case.
+    """
+    yield IdealSpec("I")
+    if e % 2 == 0:
+        yield IdealSpec("III", k=e // 2)
+    for k in range(1, (e + 1) // 2):
+        yield IdealSpec("V", k=k, t=e - 2 * k)
+
+
+def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] | None]]:
+    """Each fixed shape of tau-fixed factor j with an F_p basis of the b
+    its dual component maps to themselves, least significant pivot
+    first (None for case III, which carries no b).
+
+    On a window [lo, hi) the map T(b) = window_reduce(_transport_b(b),
+    lo, hi) is F_p-linear, so the fixed b are ker(T - I).  The transport
+    keeps f-valuations and window_reduce keeps digits below hi, so T's
+    matrix is a diagonal block of the transport's matrix on the digit
+    basis g^r x^i f^pos, which is built once for all windows.
+    Coordinates follow residue_set order: digit position, then x^i,
+    then the F_p coordinate of g^r.  Taken most significant first,
+    reduced echelon form puts each kernel row's pivot at its most
+    significant nonzero coordinate; then stepping through the pivot
+    coefficients, most significant pivot slowest, lists the fixed b in
+    residue_set order.
     """
     ctx = fd.chain(j)
+    field = ctx.field
+    p, m, d, e = field.p, field.m, ctx.d, ctx.e
+    # g^r x^i f^pos sits at index m (d pos + i) + r; every window ends by e - 1
+    basis = [
+        Poly.monomial(field, i, p ** r) * ctx.f_pows[pos]
+        for pos in range(e - 1)
+        for i in range(d)
+        for r in range(m)
+    ]
+    images = [_digit_coords(_transport_b(b, j, fd, ctx), ctx) for b in basis]
     out = []
-    for spec in enumerate_ideals(ctx):
-        if dual_component(spec, j, fd, ctx) == spec:
-            out.append(spec)
+    for shape in _fixed_shapes(e):
+        if shape.case == "III":
+            out.append((shape, None))
+            continue
+        lo, hi = b_window(shape, e)
+        window = range(m * d * hi - 1, m * d * lo - 1, -1)
+        minus_id = [[(images[c][a] - (a == c)) % p for c in window] for a in window]
+        rows = kernel(minus_id, len(window), p).rows
+        fixed = [
+            sum((basis[c].scale(x) for c, x in zip(window, row) if x), Poly.zero(field))
+            for row in reversed(rows)
+        ]
+        out.append((shape, fixed))
     return out
+
+
+def _digit_coords(z: Poly, ctx: ChainCtx) -> list[int]:
+    """F_p coordinates of z's e digits, least significant first."""
+    out: list[int] = []
+    for digit in ctx.f_adic(z):
+        for i in range(ctx.d):
+            out += ctx.field.decode(digit[i])
+    return out
+
+
+def _span(basis: list[Poly], field):
+    """Every F_p combination of basis, basis[0]'s coefficient moving fastest."""
+
+    def place(high: Poly, c: int, i: int) -> Poly:
+        return high if c == 0 else high + basis[i].scale(c)
+
+    return odometer([partial(iter, range(field.p))] * len(basis), place, Poly.zero(field))
+
+
+def _fixed_specs(windows, field):
+    """The specs the windows' kernels give, in enumerate_ideals order."""
+    for shape, basis in windows:
+        if basis is None:
+            yield shape
+        else:
+            for b in _span(basis, field):
+                yield replace(shape, b=b)
+
+
+def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
+    """Specs over tau-fixed factor j that are their own dual component,
+    in enumerate_ideals order.
+
+    Built from the kernel of T - I on each fixed shape's window, with
+    no scan of the other specs; oracle.brute_self_dual_options is the
+    filter over all specs that checks it.
+    """
+    return list(_fixed_specs(_fixed_windows(j, fd), fd.params.field))
+
+
+def _fixed_factor_windows(fd: FactorData, nu: int):
+    """_fixed_windows of each tau-fixed factor, once fd is known to be
+    built for lambda = nu."""
+    if fd.tau is None:
+        raise NotSelfPairedLambda("lambda^2 != 1")
+    if fd.params.lam != nu_value(fd.params.field, nu):
+        raise NotSelfPairedLambda(
+            f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
+        )
+    return [_fixed_windows(j, fd) for j in range(fd.rho)]
 
 
 def _fixed_options(fd: FactorData, nu: int) -> list[list[IdealSpec]]:
     """self_dual_component_options of each tau-fixed factor, in order."""
-    if fd.tau is None:
-        raise NotSelfPairedLambda("lambda^2 != 1")
-    if fd.params.lam != _nu_value(fd.params.field, nu):
-        raise NotSelfPairedLambda(
-            f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
-        )
-    return [self_dual_component_options(j, fd) for j in range(fd.rho)]
+    field = fd.params.field
+    return [list(_fixed_specs(w, field)) for w in _fixed_factor_windows(fd, nu)]
 
 
 def count_self_dual(fd: FactorData, nu: int) -> int:
+    """Number of self-dual codes: on each tau-fixed factor [e even] plus
+    p^dim ker(T - I) per window, times the ideals of one factor of
+    each reciprocal pair.  No spec is built."""
+    p = fd.params.p
     total = 1
-    for opts in _fixed_options(fd, nu):
-        total *= len(opts)
+    for windows in _fixed_factor_windows(fd, nu):
+        total *= sum(1 if basis is None else p ** len(basis) for _, basis in windows)
     for i in range(fd.pair_count):
         total *= count_ideals(fd.chain(fd.rho + i))
     return total
@@ -212,14 +315,14 @@ def count_self_dual(fd: FactorData, nu: int) -> int:
 
 def enumerate_self_dual(fd: FactorData, nu: int):
     """All self-dual codes: free choices on one factor of each
-    reciprocal pair (the partner is forced), filtered fixed points on
-    the tau-fixed factors.
+    reciprocal pair (the partner is forced), kernel-spanned fixed
+    points on the tau-fixed factors.
 
-    The free choices stream through enumerate_ideals, so the first code
-    costs the fixed-point filter and one spec per factor.
+    Every factor streams, so the first code costs the kernels and one
+    spec per factor.
     """
-    rho = fd.rho
-    streams = [partial(iter, opts) for opts in _fixed_options(fd, nu)]
+    rho, field = fd.rho, fd.params.field
+    streams = [partial(_fixed_specs, w, field) for w in _fixed_factor_windows(fd, nu)]
     streams += [partial(enumerate_ideals, fd.chain(a)) for a in range(rho, rho + fd.pair_count)]
     for choice in spec_product(streams):
         comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))

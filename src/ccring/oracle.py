@@ -11,7 +11,10 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
   closed under the shift (A, B) -> (0, A), which is what multiplication
   by u looks like on the xi + u*eta coordinates;
 * duals are computed as literal kernels of the inner-product pairing
-  (a full scan of the ambient space at toy sizes agrees by a test).
+  (a full scan of the ambient space at toy sizes agrees by a test);
+* the self-dual components of a tau-fixed factor are found by running
+  every spec through the dual transport, with no elimination, which
+  checks the kernel route of the dual module.
 
 Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
@@ -23,7 +26,14 @@ from itertools import product
 
 from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, build_factor_data
-from .dual import dual_code_nu, enumerate_self_dual, is_self_dual
+from .dual import (
+    dual_code_nu,
+    dual_component,
+    enumerate_self_dual,
+    is_self_dual,
+    nu_value,
+    self_dual_component_options,
+)
 from .errors import TooLarge
 from .gf import FieldCtx, field_new
 from .ideals import (
@@ -39,126 +49,10 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
+from .linalg import FpSpace, kernel
 from .poly import Poly, is_irreducible
 
 ORACLE_BUDGET = 1 << 24
-
-
-# -- F_p linear algebra -------------------------------------------------------
-
-
-class FpSpace:
-    """A subspace of F_p^dim held as a reduced row echelon basis."""
-
-    __slots__ = ("p", "dim", "rows", "pivots")
-
-    def __init__(self, p: int, dim: int, rows=(), pivots=()):
-        self.p = p
-        self.dim = dim
-        self.rows: tuple[tuple[int, ...], ...] = tuple(rows)
-        self.pivots: tuple[int, ...] = tuple(pivots)
-
-    @classmethod
-    def from_rows(cls, p: int, dim: int, raw_rows) -> "FpSpace":
-        rows: list[list[int]] = []
-        pivots: list[int] = []
-        for vec in raw_rows:
-            _rref_insert(rows, pivots, list(vec), p)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        return cls(
-            p,
-            dim,
-            tuple(tuple(rows[i]) for i in order),
-            tuple(pivots[i] for i in order),
-        )
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @property
-    def size(self) -> int:
-        return self.p ** len(self.rows)
-
-    def key(self):
-        return self.rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpSpace) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def contains(self, vec) -> bool:
-        p = self.p
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                for i in range(piv, self.dim):
-                    v[i] = (v[i] - c * row[i]) % p
-        return not any(v)
-
-    def extended(self, raw_rows) -> "FpSpace":
-        return FpSpace.from_rows(self.p, self.dim, list(self.rows) + list(raw_rows))
-
-    def elements(self):
-        """All p^rank vectors (keep to toy sizes)."""
-        out = [tuple([0] * self.dim)]
-        p = self.p
-        for row in self.rows:
-            grown = []
-            for vec in out:
-                for c in range(p):
-                    grown.append(
-                        tuple((vec[i] + c * row[i]) % p for i in range(self.dim))
-                    )
-            out = grown
-        return out
-
-
-def _rref_insert(rows: list, pivots: list, vec: list, p: int) -> bool:
-    """Reduce vec against rows; add it if independent.  Keeps RREF."""
-    dim = len(vec)
-    for row, piv in zip(rows, pivots):
-        c = vec[piv]
-        if c:
-            for i in range(piv, dim):
-                vec[i] = (vec[i] - c * row[i]) % p
-    piv = next((i for i in range(dim) if vec[i]), None)
-    if piv is None:
-        return False
-    inv = pow(vec[piv], p - 2, p)
-    if inv != 1:
-        for i in range(piv, dim):
-            vec[i] = vec[i] * inv % p
-    # clear the new pivot column from the old rows
-    for idx, row in enumerate(rows):
-        c = row[piv]
-        if c:
-            rows[idx] = [(row[i] - c * vec[i]) % p for i in range(dim)]
-    rows.append(vec)
-    pivots.append(piv)
-    return True
-
-
-def _kernel(mat: list[list[int]], dim: int, p: int) -> FpSpace:
-    """Kernel of the linear map with the given rows, as an FpSpace."""
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for vec in mat:
-        _rref_insert(rows, pivots, list(vec), p)
-    pivset = set(pivots)
-    free = [i for i in range(dim) if i not in pivset]
-    basis = []
-    for fcol in free:
-        vec = [0] * dim
-        vec[fcol] = 1
-        for row, piv in zip(rows, pivots):
-            if row[fcol]:
-                vec[piv] = (-row[fcol]) % p
-        basis.append(vec)
-    return FpSpace.from_rows(p, dim, basis)
 
 
 # -- coordinates for K^2 pairs -----------------------------------------------
@@ -537,7 +431,7 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
                         sum(b0[i][s] * S[r][s][l] for s in range(m)) % field.p
                     )
             mat.append(func)
-    return _kernel(mat, dim, field.p)
+    return kernel(mat, dim, field.p)
 
 
 def brute_dual_scan(space: FpSpace, params: AmbientParams, budget: int = 1 << 14) -> set:
@@ -555,6 +449,13 @@ def brute_dual_scan(space: FpSpace, params: AmbientParams, budget: int = 1 << 14
         if all(_pair_orthogonal(params, a0, a1, *coords_ambient(params, w)) for w in words):
             out.add(vec)
     return out
+
+
+def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:
+    """Specs over tau-fixed factor j that are their own dual component,
+    by running every spec through dual_component; no elimination."""
+    ctx = fd.chain(j)
+    return [spec for spec in enumerate_ideals(ctx) if dual_component(spec, j, fd, ctx) == spec]
 
 
 def _pair_orthogonal(params, a0, a1, b0, b1) -> bool:
@@ -620,8 +521,8 @@ def _dual_check(p, m, s, n, lam):
 
 
 def _selfdual_check(p, m, s, n, nu):
-    field_lam = nu if nu == 1 else p - 1
-    params = AmbientParams.of_ints(p, m, s, n, field_lam)
+    field = field_new(p, m)
+    params = AmbientParams(field, s, n, nu_value(field, nu))
     fd = build_factor_data(params)
     fixed = set()
     for code in enumerate_codes(fd):
@@ -635,6 +536,19 @@ def _selfdual_check(p, m, s, n, nu):
     if not all(is_self_dual(c) for c in emitted):
         return False, "an emitted code fails is_self_dual"
     return True, f"{len(emitted)} self-dual codes"
+
+
+def _fixed_point_check(rings):
+    """The kernel route to the self-dual components against the filter."""
+    factors = 0
+    for p, m, s, n, nu in rings:
+        field = field_new(p, m)
+        fd = build_factor_data(AmbientParams(field, s, n, nu_value(field, nu)))
+        for j in range(fd.rho):
+            if self_dual_component_options(j, fd) != brute_self_dual_options(j, fd):
+                return False, f"kernel route differs from the filter at {(p, m, s, n, nu)}, factor {j}"
+            factors += 1
+    return True, f"kernel route == filter on {factors} tau-fixed factors"
 
 
 def _ambient_check(p, m, s, n, lam):
@@ -686,6 +600,15 @@ FULL_SUITE = QUICK_SUITE + [
     ("dual 3,1,1,2 nu=-1", lambda: _dual_check(3, 1, 1, 2, 2)),
     ("ambient 3,1,1,1", lambda: _ambient_check(3, 1, 1, 1, 1)),
     ("ambient 3,1,1,2 lam=-1", lambda: _ambient_check(3, 1, 1, 2, 2)),
+    ("selfdual 2,2,1,3 nu=+1", lambda: _selfdual_check(2, 2, 1, 3, 1)),
+    ("selfdual 3,2,1,2 nu=+1", lambda: _selfdual_check(3, 2, 1, 2, 1)),
+    ("selfdual 2,3,1,3 nu=+1", lambda: _selfdual_check(2, 3, 1, 3, 1)),
+    (
+        "selfdual fixed points, kernel vs filter",
+        lambda: _fixed_point_check(
+            [(3, 2, 1, 8, 1), (2, 2, 1, 5, 1), (2, 3, 1, 7, 1), (5, 2, 1, 2, 1), (2, 2, 2, 3, 1)]
+        ),
+    ),
 ]
 
 

@@ -111,6 +111,21 @@ def test_selfdual_nu_plus_one(capsys):
     assert int(out) > 0
 
 
+def test_selfdual_nu_plus_one_over_an_extension_field(capsys):
+    """lambda = +1 is the field's one, not the text "1", so m > 1 works."""
+    ring = ["--p", "3", "--m", "2", "--s", "1", "--n", "8", "--nu", "1"]
+    code, out, _ = run(capsys, "selfdual", *ring, "--count-only")
+    assert code == 0 and out == "157216\n"
+    code, out, _ = run(capsys, "selfdual", *ring, "--limit", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        parsed = parse_code(json.loads(line))
+        assert parsed.fd.params.lam == 1
+        assert dual_code_nu(parsed).components == parsed.components
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0

@@ -7,9 +7,9 @@ from ccring.decomp import AmbientParams, build_factor_data
 from ccring.errors import TooLarge
 from ccring.gf import field_new
 from ccring.ideals import IdealSpec, component_elements, enumerate_ideals, ideal_size
+from ccring.linalg import kernel
 from ccring.oracle import (
     FpSpace,
-    _kernel,
     ambient_coords,
     brute_ambient_ideals,
     brute_dual,
@@ -54,7 +54,7 @@ def test_kernel_rank_nullity_and_orthogonality():
     for _ in range(10):
         dim = rng.randrange(2, 7)
         mat = [[rng.randrange(p) for _ in range(dim)] for _ in range(rng.randrange(1, 5))]
-        ker = _kernel(mat, dim, p)
+        ker = kernel(mat, dim, p)
         rowspace = FpSpace.from_rows(p, dim, mat)
         assert ker.rank + rowspace.rank == dim
         for krow in ker.rows:
