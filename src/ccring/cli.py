@@ -6,7 +6,9 @@ since they overflow 64-bit integers quickly, and may run past the
 interpreter's int-to-str digit limit (see decimal).
 
 Exit codes: 0 on success, 2 when parameters fail validation, 3 when a
-verify run reports a failure.
+verify run reports a failure.  A reader that closes the pipe early
+(`ccring enumerate ... | head`) chose to stop: the run ends with exit
+code 0 and writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -473,7 +475,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        # a closed pipe shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader stopped reading: end quietly, and point stdout at
+        # devnull so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except CcringError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -151,7 +151,7 @@ def dual_code(code: CodeSpec, dfd: FactorData | None = None) -> DualCodeSpec:
         dual_component(spec, j, fd, dfd.chain(j))
         for j, spec in enumerate(code.components)
     )
-    return DualCodeSpec(dfd, comps)
+    return DualCodeSpec.trusted(dfd, comps)
 
 
 def dual_code_nu(code: CodeSpec) -> CodeSpec:
@@ -167,7 +167,7 @@ def dual_code_nu(code: CodeSpec) -> CodeSpec:
     for j, spec in enumerate(code.components):
         tj = fd.tau[j]
         comps[tj] = dual_component(spec, j, fd, fd.chain(tj))
-    return CodeSpec(fd, tuple(comps))
+    return CodeSpec.trusted(fd, tuple(comps))
 
 
 def is_self_dual(code: CodeSpec) -> bool:
@@ -328,4 +328,4 @@ def enumerate_self_dual(fd: FactorData, nu: int):
         comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))
         for a in range(rho, rho + fd.pair_count):
             comps[fd.tau[a]] = dual_component(choice[a], a, fd, fd.chain(fd.tau[a]))
-        yield CodeSpec(fd, tuple(comps))
+        yield CodeSpec.trusted(fd, tuple(comps))

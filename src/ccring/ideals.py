@@ -286,6 +286,15 @@ class CodeSpec:
         for j, spec in enumerate(self.components):
             validate_spec(spec, self.fd.chain(j))
 
+    @classmethod
+    def trusted(cls, fd: FactorData, components: tuple[IdealSpec, ...]):
+        """A code from components the package itself built valid, such
+        as enumerate_ideals and dual_component output: not validated."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "fd", fd)
+        object.__setattr__(code, "components", components)
+        return code
+
 
 def code_size(code: CodeSpec) -> int:
     out = 1
@@ -314,7 +323,7 @@ def enumerate_codes(fd: FactorData, limit: int | None = None):
     """
     streams = [partial(enumerate_ideals, fd.chain(j)) for j in range(fd.r)]
     for comps in islice(spec_product(streams), limit):
-        yield CodeSpec(fd, comps)
+        yield CodeSpec.trusted(fd, comps)
 
 
 def spec_product(streams):

@@ -22,6 +22,7 @@ spaces are equal iff their keys are equal, with no element sets needed.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 from .chain import ChainCtx
@@ -58,11 +59,26 @@ ORACLE_BUDGET = 1 << 24
 # -- coordinates for K^2 pairs -----------------------------------------------
 
 
+@functools.cache
+def _field_tables(field: FieldCtx):
+    """(coords, rows): coords[b] is the coordinate tuple of b, and
+    rows[l][b] is the tuple r -> coordinate l of g^r * b."""
+    m, g = field.m, field.gen()
+    coords = [field.decode(b) for b in field.elements()]
+    rows = [[] for _ in range(m)]
+    for b in field.elements():
+        images = [b]
+        for _ in range(m - 1):
+            images.append(field.mul(g, images[-1]))
+        for l in range(m):
+            rows[l].append(tuple(coords[c][l] for c in images))
+    return tuple(coords), tuple(map(tuple, rows))
+
+
 def _poly_coords(a: Poly, slots: int, field: FieldCtx) -> list[int]:
-    out = []
-    for i in range(slots):
-        out.extend(field.decode(a[i]))
-    return out
+    coords = _field_tables(field)[0]
+    cs = a.coeffs[:slots]
+    return [x for c in cs for x in coords[c]] + [0] * (field.m * (slots - len(cs)))
 
 
 def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> tuple[int, ...]:
@@ -382,55 +398,36 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict, budget: int) -
 # -- duals ---------------------------------------------------------------------
 
 
-def _mul_coord_tensor(field: FieldCtx):
-    """S[r][s] = coordinates of (g^r * g^s) for the F_p basis g^0..g^(m-1)."""
-    m = field.m
-    out = []
-    for r in range(m):
-        row = []
-        for s in range(m):
-            row.append(field.decode(field.mul(field.p ** r, field.p ** s)))
-        out.append(row)
-    return out
-
-
 def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     """All ambient vectors orthogonal to a code, as a kernel.
 
     The form is [a, b] = sum_i a_i b_i in R; writing it out on the
     (a0, a1) coordinate blocks gives, per basis codeword b, the 2m
-    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.
-    The answer is exactly the set a full scan would return (the scan
-    variant below is kept for toy-size cross-checks).
+    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.  On the
+    block of a_i the l-th coordinate of a_i * b_i is r -> coordinate l
+    of g^r * b_i, a row of the field's table.  The answer is exactly the
+    set a full scan would return (the scan variant below is kept for
+    toy-size cross-checks).
     """
     field = params.field
     m, N = field.m, params.N
     dim = ambient_dim(params)
-    S = _mul_coord_tensor(field)
+    rows = _field_tables(field)[1]
+    zeros = [0] * (m * N)
     mat = []
     for row in space.rows:
-        b0 = [row[m * i : m * (i + 1)] for i in range(N)]
-        b1 = [row[m * N + m * i : m * N + m * (i + 1)] for i in range(N)]
+        # the field elements b0_i and b1_i of the codeword's two blocks
+        b0, b1 = [0] * N, [0] * N
+        for r in range(m):
+            w = field.p ** r
+            b0 = [b + c * w for b, c in zip(b0, row[r : m * N : m])]
+            b1 = [b + c * w for b, c in zip(b1, row[m * N + r :: m])]
         for l in range(m):
             # [a, b]_0 = sum_i a0_i * b0_i
-            func = [0] * dim
-            for i in range(N):
-                for r in range(m):
-                    func[m * i + r] = (
-                        sum(b0[i][s] * S[r][s][l] for s in range(m)) % field.p
-                    )
-            mat.append(func)
+            by_b0 = [x for b in b0 for x in rows[l][b]]
+            mat.append(by_b0 + zeros)
             # [a, b]_1 = sum_i a0_i * b1_i + a1_i * b0_i
-            func = [0] * dim
-            for i in range(N):
-                for r in range(m):
-                    func[m * i + r] = (
-                        sum(b1[i][s] * S[r][s][l] for s in range(m)) % field.p
-                    )
-                    func[m * N + m * i + r] = (
-                        sum(b0[i][s] * S[r][s][l] for s in range(m)) % field.p
-                    )
-            mat.append(func)
+            mat.append([x for b in b1 for x in rows[l][b]] + by_b0)
     return kernel(mat, dim, field.p)
 
 

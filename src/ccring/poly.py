@@ -4,16 +4,16 @@ Coefficients are encoded field ints (see gf), stored little endian in a
 normalized tuple (no trailing zeros, zero polynomial = empty tuple).
 Degree of the zero polynomial is reported as -1.
 
-Products switch between schoolbook and int64 convolutions depending on
-size; for m > 1 a product is assembled from m*m convolutions of the
-coordinate arrays followed by reduction with the field modulus.
+Products switch between schoolbook and a Kronecker substitution
+depending on size: coefficients (F_p coordinates for m > 1) are packed
+into one int, two such ints are multiplied once and the product is
+unpacked, then reduced with the field modulus for m > 1.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
+from array import array
 
 from .errors import (
     BothZero,
@@ -26,6 +26,9 @@ from .errors import (
 from .gf import FieldCtx, _prime_factors
 
 _SCHOOL_CUTOFF = 2048  # schoolbook below this many coefficient products
+
+# array typecode per Kronecker slot width in bytes
+_SLOT_CODES = {array(c).itemsize: c for c in "QIHB"}
 
 DEFAULT_FACTOR_SEED = 0xC0DEC
 
@@ -248,38 +251,59 @@ def _mul_school(a, b, ctx: FieldCtx):
 
 
 def _mul_conv(a, b, ctx: FieldCtx):
+    """a * b by Kronecker substitution: one product of two packed ints.
+
+    Each coefficient takes one fixed-width slot; for m > 1 its m F_p
+    coordinates take m of 2m - 1 sub-slots, so the powers of the field
+    generator in a product land in distinct sub-slots.  The slot holds
+    the largest sum of coordinate products, so no carry crosses slots.
+    """
     p, m = ctx.p, ctx.m
+    stride = 2 * m - 1
+    bits = 2 * (p - 1).bit_length() + (min(len(a), len(b)) * m).bit_length()
+    width = 1 << ((bits + 7) // 8 - 1).bit_length()  # bytes: 1, 2, 4, 8, ...
+    # q <= 2^16 and MAX_LENGTH keep bits far below 64
+    assert width in _SLOT_CODES, "Kronecker slot wider than 8 bytes"
+    code = _SLOT_CODES[width]
+    if m > 1:
+        a, b = _sub_slots(a, ctx), _sub_slots(b, ctx)
+    prod = _pack(a, width, code, p) * _pack(b, width, code, p)
+    n = len(a) + len(b) - stride
+    vals = memoryview(prod.to_bytes(n * width, "little")).cast(code)
     if m == 1:
-        prod = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return (prod % p).tolist()
-    # split into coordinate arrays over F_p
-    av = np.array([ctx.decode(c) for c in a], dtype=np.int64)
-    bv = np.array([ctx.decode(c) for c in b], dtype=np.int64)
-    n = len(a) + len(b) - 1
-    comp = [np.zeros(n, dtype=np.int64) for _ in range(2 * m - 1)]
-    for i in range(m):
-        ai = av[:, i]
-        if not ai.any():
-            continue
-        for j in range(m):
-            bj = bv[:, j]
-            if bj.any():
-                comp[i + j] += np.convolve(ai, bj)
+        return [v % p for v in vals]
+    comp = [vals[k::stride].tolist() for k in range(stride)]
     # fold powers of the field generator down with the modulus relation
-    lows = ctx.modulus[:m]
-    for k in range(2 * m - 2, m - 1, -1):
-        ck = comp[k] % p
-        if ck.any():
-            for j in range(m):
-                if lows[j]:
-                    comp[k - m + j] -= lows[j] * ck
-        comp[k] = None
-    enc = np.zeros(n, dtype=np.int64)
-    scale = 1
-    for i in range(m):
-        enc += (comp[i] % p) * scale
-        scale *= p
-    return enc.tolist()
+    for k in range(stride - 1, m - 1, -1):
+        top = [c % p for c in comp[k]]
+        for j, low in enumerate(ctx.modulus[:m]):
+            if low:
+                comp[k - m + j] = [c - low * t for c, t in zip(comp[k - m + j], top)]
+    out = [c % p for c in comp[0]]
+    for i in range(1, m):
+        w = p ** i
+        out = [o + c % p * w for o, c in zip(out, comp[i])]
+    return out
+
+
+def _sub_slots(a, ctx: FieldCtx) -> list[int]:
+    """Coordinate i of coefficient k at index k*(2m-1) + i, zeros between."""
+    p, stride = ctx.p, 2 * ctx.m - 1
+    out = [0] * (len(a) * stride)
+    for i in range(ctx.m):
+        w = p ** i
+        out[i::stride] = [c // w % p for c in a]
+    return out
+
+
+def _pack(values, width: int, code: str, p: int) -> int:
+    """The F_p values as one int, width bytes each, first value lowest."""
+    if p > 256:
+        return int.from_bytes(array(code, values), "little")
+    # bytes() takes values below 256 at C speed; spread them width apart
+    buf = bytearray(len(values) * width)
+    buf[::width] = bytes(values)
+    return int.from_bytes(buf, "little")
 
 
 # -- modular arithmetic ----------------------------------------------------

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ccring
 from ccring import cli
 from ccring.cli import main, parse_code
 from ccring.decomp import AmbientParams, build_factor_data
@@ -407,3 +412,36 @@ def test_text_lambda_coordinate_exits_2(capsys):
 def test_boolean_lambda_exits_2(capsys):
     code, out, err = run(capsys, "count", "--p", "5", "--s", "1", "--n", "1", "--lambda", "true")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def _cli_process(*argv):
+    """`python -m ccring.cli argv` with its stdout and stderr on pipes."""
+    src = str(Path(ccring.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "ccring.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_reader_closing_the_pipe_ends_the_run_quietly():
+    # far more output than a pipe buffer holds, so the writer meets EPIPE
+    proc = _cli_process("enumerate", "--p", "3", "--s", "2", "--n", "4", "--lambda", "1", "--limit", "100000")
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert json.loads(first)["params"]["p"] == 3
+    assert err == b""
+
+
+def test_reader_closing_before_a_count_prints_exits_0():
+    proc = _cli_process("count", "--p", "3", "--s", "2", "--n", "4", "--lambda", "1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -162,6 +162,59 @@ def test_code_spec_checks_components():
         CodeSpec(fd, (IdealSpec("III", k=0),))
 
 
+# (p, m, s, n, lambda, nu): chain lengths 3 to 8, m = 1 and 2
+GENERATED_RINGS = [
+    (2, 1, 2, 3, 1, 1),
+    (3, 1, 1, 4, 1, 1),
+    (2, 2, 2, 1, 1, 1),
+    (3, 2, 1, 2, 1, 1),
+    (5, 1, 1, 4, 4, -1),
+    (2, 1, 3, 1, 1, 1),
+    (7, 1, 1, 2, 6, -1),
+]
+
+
+def _assert_valid(code):
+    assert len(code.components) == code.fd.r
+    for j, spec in enumerate(code.components):
+        validate_spec(spec, code.fd.chain(j))
+
+
+@pytest.mark.parametrize("ring", GENERATED_RINGS)
+def test_generated_codes_pass_validate_spec(ring):
+    # the package builds these without validating: the check lives here
+    from ccring.dual import dual_code, dual_code_nu, dual_factor_data, enumerate_self_dual
+
+    *params, nu = ring
+    fd = build_factor_data(AmbientParams.of_ints(*params))
+    dfd = dual_factor_data(fd)
+    for code in enumerate_codes(fd, 400):
+        _assert_valid(code)
+        _assert_valid(dual_code(code, dfd))
+        _assert_valid(dual_code_nu(code))
+    for code in itertools.islice(enumerate_self_dual(fd, nu), 400):
+        _assert_valid(code)
+
+
+def test_generated_codes_skip_validation(monkeypatch):
+    from ccring import ideals
+    from ccring.dual import dual_code, enumerate_self_dual
+
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 4, 1))
+    monkeypatch.setattr(ideals, "validate_spec", None)  # a call would raise
+    for code in enumerate_codes(fd, 50):
+        dual_code(code)
+    assert len(list(itertools.islice(enumerate_self_dual(fd, 1), 10))) == 10
+
+
+def test_hand_built_code_with_b_outside_its_window_raises():
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 1, 1))  # e = 3
+    one = Poly.one(fd.params.field)  # f-adic digit 0, window [1, 2)
+    with pytest.raises(InvalidSpec):
+        CodeSpec(fd, (IdealSpec("I", b=one),))
+    CodeSpec(fd, (IdealSpec("I", b=fd.factors[0]),))  # digit 1: in the window
+
+
 def test_both_count_routes_reject_a_chain_length_not_a_power_of_p():
     from ccring.ideals import chain_exponent, count_ideals_sumform
 

@@ -1,11 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccring
+from ccring import poly
 from ccring.errors import ConstantInput, NotSquarefree
 from ccring.gf import field_new
 from ccring.poly import (
     Poly,
+    _mul_conv,
+    _mul_school,
     factor_squarefree,
     is_irreducible,
     poly_gcd,
@@ -63,6 +71,54 @@ def test_large_product_matches_schoolbook():
                 if i <= a.degree and k - i <= b.degree:
                     acc = F.add(acc, F.mul(a[i], b[k - i]))
             assert prod[k] == acc
+
+
+# slot widths step up at 2^k coefficients; 1 x n and n x 1 are the edges
+KRONECKER_LENGTHS = [1, 2, 3, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 300]
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (65521, 1), (2, 2), (3, 2), (251, 2), (2, 3), (5, 3)]
+)
+def test_kronecker_product_equals_schoolbook(p, m):
+    F = field_new(p, m)
+    rng = random.Random(p * 10 + m)
+    shapes = [(1, n) for n in KRONECKER_LENGTHS] + [(n, 1) for n in KRONECKER_LENGTHS]
+    shapes += [(n, rng.choice(KRONECKER_LENGTHS)) for n in KRONECKER_LENGTHS]
+    shapes += [(rng.randint(1, 300), rng.randint(1, 300)) for _ in range(10)]
+    for la, lb in shapes:
+        a = [rng.randrange(F.q) for _ in range(la - 1)] + [rng.randrange(1, F.q)]
+        b = [rng.randrange(F.q) for _ in range(lb - 1)] + [rng.randrange(1, F.q)]
+        assert _mul_conv(a, b, F) == _mul_school(a, b, F), (la, lb)
+        # every F_p coordinate p - 1: the largest sums a slot must hold
+        top = [F.q - 1]
+        assert _mul_conv(top * la, top * lb, F) == _mul_school(top * la, top * lb, F), (la, lb)
+
+
+def test_product_above_the_cutoff_uses_the_kronecker_route(monkeypatch):
+    rng = random.Random(43)
+    for p, m in [(7, 1), (2, 3)]:
+        F = field_new(p, m)
+        a, b = rand_poly(F, 70, rng), rand_poly(F, 60, rng)
+        assert len(a.coeffs) * len(b.coeffs) > poly._SCHOOL_CUTOFF
+        want = Poly(F, _mul_school(a.coeffs, b.coeffs, F))
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "_mul_school", None)  # a call would raise
+            assert a * b == want
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(ccring.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ccring.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_eval_and_derivative():
