@@ -8,7 +8,8 @@ interpreter's int-to-str digit limit (see decimal).
 Exit codes: 0 on success, 2 when parameters fail validation, 3 when a
 verify run reports a failure.  A reader that closes the pipe early
 (`ccring enumerate ... | head`) chose to stop: the run ends with exit
-code 0 and writes nothing to stderr.
+code 0 and writes nothing to stderr.  verify still exits 3 then, unless
+the whole suite ran and passed, since a cut-off run proves nothing.
 """
 
 from __future__ import annotations
@@ -474,6 +475,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    status = None
     try:
         status = args.fn(args)
         # a closed pipe shows up here, not at interpreter exit
@@ -484,7 +486,9 @@ def main(argv=None) -> int:
         # devnull so the flush at interpreter exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 0
+        if status is None and args.command == "verify":
+            return 3  # a suite cut off before its end did not pass
+        return status or 0
     except CcringError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ from functools import partial
 
 from .chain import ChainCtx, odometer
 from .decomp import AmbientParams, FactorData, factor_data_for
-from .errors import NotSelfPairedLambda
+from .errors import ContextMismatch, NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -61,8 +61,11 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     over the reciprocal of the factor it came from; note this order is
     generally not the one build_factor_data would pick.
     """
-    recips = [reciprocal(f).monic() for f in fd.factors]
-    return factor_data_for(fd.params.dual_params(), recips)
+    return factor_data_for(fd.params.dual_params(), _reciprocals(fd))
+
+
+def _reciprocals(fd: FactorData) -> list[Poly]:
+    return [reciprocal(f).monic() for f in fd.factors]
 
 
 def inv_x_image(a: Poly, target: ChainCtx, params: AmbientParams) -> Poly:
@@ -142,11 +145,14 @@ def dual_code(code: CodeSpec, dfd: FactorData | None = None) -> DualCodeSpec:
     """Dual of a classified code, over the lambda^(-1) ambient ring.
 
     dfd, when given, must be dual_factor_data(code.fd); callers that
-    dualize many codes of one ring pass it to build it once.
+    dualize many codes of one ring pass it to build it once.  The dual
+    is not re-validated, so a dfd of another ring raises ContextMismatch.
     """
     fd = code.fd
     if dfd is None:
         dfd = dual_factor_data(fd)
+    elif dfd.params != fd.params.dual_params() or list(dfd.factors) != _reciprocals(fd):
+        raise ContextMismatch("dfd is not dual_factor_data(code.fd)")
     comps = tuple(
         dual_component(spec, j, fd, dfd.chain(j))
         for j, spec in enumerate(code.components)

@@ -13,6 +13,7 @@ unpacked, then reduced with the field modulus for m > 1.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 
 from .errors import (
@@ -29,6 +30,8 @@ _SCHOOL_CUTOFF = 2048  # schoolbook below this many coefficient products
 
 # array typecode per Kronecker slot width in bytes
 _SLOT_CODES = {array(c).itemsize: c for c in "QIHB"}
+# byte order of array items, and of the packed ints built from them
+_BYTE_ORDER = sys.byteorder
 
 DEFAULT_FACTOR_SEED = 0xC0DEC
 
@@ -267,9 +270,13 @@ def _mul_conv(a, b, ctx: FieldCtx):
     code = _SLOT_CODES[width]
     if m > 1:
         a, b = _sub_slots(a, ctx), _sub_slots(b, ctx)
-    prod = _pack(a, width, code, p) * _pack(b, width, code, p)
-    n = len(a) + len(b) - stride
-    vals = memoryview(prod.to_bytes(n * width, "little")).cast(code)
+    # Read in the host's byte order every slot stays intact; a big-endian
+    # host puts the slots, and so the product's, in reverse order.  The
+    # last 2m - 2 of the product's n slots are empty.
+    order = _BYTE_ORDER
+    prod = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
+    n = len(a) + len(b) - 1
+    vals = memoryview(prod.to_bytes(n * width, order)).cast(code)[: n - stride + 1]
     if m == 1:
         return [v % p for v in vals]
     comp = [vals[k::stride].tolist() for k in range(stride)]
@@ -294,16 +301,6 @@ def _sub_slots(a, ctx: FieldCtx) -> list[int]:
         w = p ** i
         out[i::stride] = [c // w % p for c in a]
     return out
-
-
-def _pack(values, width: int, code: str, p: int) -> int:
-    """The F_p values as one int, width bytes each, first value lowest."""
-    if p > 256:
-        return int.from_bytes(array(code, values), "little")
-    # bytes() takes values below 256 at C speed; spread them width apart
-    buf = bytearray(len(values) * width)
-    buf[::width] = bytes(values)
-    return int.from_bytes(buf, "little")
 
 
 # -- modular arithmetic ----------------------------------------------------

@@ -445,3 +445,30 @@ def test_reader_closing_before_a_count_prints_exits_0():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _verify_into_a_closed_pipe(monkeypatch, suite, buffering):
+    """main(["verify"]) on a fake suite, stdout a pipe whose reader left."""
+    monkeypatch.setattr(cli, "verify_suite", lambda level: iter(suite))
+    r, w = os.pipe()
+    os.close(r)
+    out = open(w, "w", buffering=buffering)
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        return main(["verify"])
+    finally:
+        out.close()
+
+
+PASSING = [("a", True, "ok"), ("b", True, "ok")]
+
+
+def test_verify_cut_off_by_the_reader_exits_3(monkeypatch):
+    # line buffered: the first line meets the closed pipe, mid-suite
+    assert _verify_into_a_closed_pipe(monkeypatch, PASSING, buffering=1) == 3
+
+
+@pytest.mark.parametrize("suite,status", [(PASSING, 0), (PASSING + [("c", False, "no")], 3)])
+def test_verify_that_ran_to_its_end_keeps_its_status(monkeypatch, suite, status):
+    # the whole report fits the buffer: the pipe shows up at the last flush
+    assert _verify_into_a_closed_pipe(monkeypatch, suite, buffering=1 << 16) == status

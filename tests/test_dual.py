@@ -20,7 +20,8 @@ from ccring.dual import (
     is_self_dual,
     self_dual_component_options,
 )
-from ccring.errors import NotSelfPairedLambda
+from ccring.decomp import factor_data_for
+from ccring.errors import ContextMismatch, NotSelfPairedLambda
 from ccring.gf import field_new
 from ccring.ideals import (
     CodeSpec,
@@ -89,6 +90,18 @@ def test_scalar_is_constant_term_not_its_inverse():
     )
     assert code_size(variant) == code_size(dc)
     assert code_space(variant).key() != kernel.key()
+
+
+def test_dual_code_refuses_the_factor_data_of_another_ring():
+    fd = fd_of(3, 1, 1, 8, 2)  # x^8 + 1: two quartic factors
+    code = next(iter(enumerate_codes(fd, 1)))
+    dfd = dual_factor_data(fd)
+    assert dual_code(code, dfd).components == dual_code(code).components
+    assert fd.r == 2  # so the reversed order is other factor data
+    reordered = factor_data_for(dfd.params, dfd.factors[::-1])
+    for wrong in (dual_factor_data(fd_of(3, 1, 2, 8, 2)), fd_of(3, 1, 1, 8, 1), reordered):
+        with pytest.raises(ContextMismatch):
+            dual_code(code, wrong)
 
 
 def test_inv_x_image_roundtrip():

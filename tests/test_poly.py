@@ -95,6 +95,21 @@ def test_kronecker_product_equals_schoolbook(p, m):
         assert _mul_conv(top * la, top * lb, F) == _mul_school(top * la, top * lb, F), (la, lb)
 
 
+def test_kronecker_product_in_big_endian_order(monkeypatch):
+    # one-byte slots read the same in either byte order, so the reversed
+    # slot layout a big-endian host packs can be run on any host
+    monkeypatch.setattr(poly, "_BYTE_ORDER", "big")
+    rng = random.Random(44)
+    for (p, m), shortest in [((2, 1), 63), ((2, 2), 31), ((2, 3), 21), ((3, 1), 15), ((3, 2), 7)]:
+        F = field_new(p, m)
+        for la, lb in [(1, 1), (1, 300), (shortest, 1), (shortest, 300), (shortest, shortest)]:
+            for a, b in [
+                ([rng.randrange(F.q) for _ in range(la)], [rng.randrange(F.q) for _ in range(lb)]),
+                ([F.q - 1] * la, [F.q - 1] * lb),
+            ]:
+                assert _mul_conv(a, b, F) == _mul_school(a, b, F), (p, m, la, lb)
+
+
 def test_product_above_the_cutoff_uses_the_kronecker_route(monkeypatch):
     rng = random.Random(43)
     for p, m in [(7, 1), (2, 3)]:
