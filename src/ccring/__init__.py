@@ -18,7 +18,6 @@ from .decomp import (
     project,
 )
 from .dual import (
-    DualCodeSpec,
     count_self_dual,
     dual_code,
     dual_code_nu,

@@ -30,13 +30,7 @@ from .decomp import (
     factor_data_for,
     factor_degrees,
 )
-from .dual import (
-    count_self_dual,
-    dual_code,
-    dual_factor_data,
-    enumerate_self_dual,
-    nu_value,
-)
+from .dual import count_self_dual, dual_code, enumerate_self_dual, nu_value
 from .errors import CcringError
 from .gf import FieldCtx, field_new
 from .ideals import (
@@ -178,7 +172,7 @@ def code_json(code: CodeSpec):
     }
 
 
-def parse_code(doc, seed: int | None = None, cache: dict | None = None) -> CodeSpec:
+def parse_code(doc, cache: dict | None = None) -> CodeSpec:
     """The code a document describes.
 
     cache, when given, maps a document's (params, factors) to the
@@ -187,16 +181,16 @@ def parse_code(doc, seed: int | None = None, cache: dict | None = None) -> CodeS
     cache = {} if cache is None else cache
     key = _dumps([_member(doc, "params"), doc.get("factors")])
     if key not in cache:
-        cache[key] = _parse_factor_data(doc, seed)
+        cache[key] = _parse_factor_data(doc)
     fd = cache[key]
     comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
 
 
-def _parse_factor_data(doc, seed: int | None) -> FactorData:
+def _parse_factor_data(doc) -> FactorData:
     params = parse_params(doc["params"])
     if "factors" not in doc:
-        return build_factor_data(params, seed)
+        return build_factor_data(params)
     factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
     # x^n - lambda0 is squarefree, so monic factors with its product and
     # its factor degrees are its irreducible factors
@@ -311,19 +305,7 @@ def _params(args, nu=None) -> AmbientParams:
 
 
 def _build_fd(args, nu=None) -> FactorData:
-    return build_factor_data(_params(args, nu), _seed(args))
-
-
-def _seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("CCRING_SEED")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise CcringError(f"CCRING_SEED must be an integer, got {env!r}") from None
+    return build_factor_data(_params(args, nu))
 
 
 def _open(path: str, mode: str):
@@ -331,6 +313,18 @@ def _open(path: str, mode: str):
         return open(path, mode)
     except OSError as ex:
         raise CcringError(f"cannot open {path!r}: {ex.strerror}") from None
+
+
+def _read_text(path: str) -> str:
+    """The text of path, or of stdin for "-"; bytes that do not decode
+    are bad input."""
+    try:
+        if path != "-":
+            with _open(path, "r") as fh:
+                return fh.read()
+        return sys.stdin.read()
+    except UnicodeDecodeError as ex:
+        raise CcringError(f"input is not {ex.encoding} text: {ex.reason} at byte {ex.start}") from None
 
 
 def _out_stream(args):
@@ -375,21 +369,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    if args.input and args.input != "-":
-        with _open(args.input, "r") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    # documents of one ring share its FactorData and the dual's, within
-    # this input only
+    text = _read_text(args.input or "-")
+    # documents of one ring share its FactorData, and so the dual's,
+    # within this input only
     fds: dict = {}
-    duals: dict = {}  # FactorData (by identity) -> its dual
     with _out_stream(args) as out:
         for doc in _documents(text):
-            code = parse_code(doc, _seed(args), fds)
-            if code.fd not in duals:
-                duals[code.fd] = dual_factor_data(code.fd)
-            print(_dumps(code_json(dual_code(code, duals[code.fd]))), file=out)
+            print(_dumps(code_json(dual_code(parse_code(doc, fds)))), file=out)
     return 0
 
 
@@ -422,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="classify, count, enumerate and dualize constacyclic codes "
         "over F_{p^m} + u F_{p^m}",
     )
-    ap.add_argument("--seed", type=int, default=None, help="factorization RNG seed")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("info", help="factors, idempotents, pairing and counts")

@@ -23,6 +23,11 @@ fd.idempotents, since only gluing (info, idempotents, assemble, the
 oracle) needs them; dual, enumerate and selfdual work componentwise.
 A count needs even less: only the factor degrees, which
 distinct-degree factorization gives without splitting.
+
+The parameters alone fix a ring's FactorData: the factors come out of
+factor_squarefree sorted, whatever its random splitting did.  The
+factor data of the dual ring is fixed by the source's, so
+dual.dual_factor_data builds it once and keeps it on the source.
 """
 
 from __future__ import annotations
@@ -108,7 +113,9 @@ class FactorData:
 
     The idempotents are built on first read of fd.idempotents and then
     kept, so work that never glues components (dual, enumerate,
-    selfdual, count) runs no extended gcd.
+    selfdual, count) runs no extended gcd.  _dual holds the lambda^(-1)
+    ring's FactorData once dual.dual_factor_data has built it; the dual
+    keeps no link back, so no reference cycle forms.
     """
 
     __slots__ = (
@@ -116,6 +123,7 @@ class FactorData:
         "lam0",
         "factors",
         "_idempotents",
+        "_dual",
         "chain_ctxs",
         "binomial",
         "tau",
@@ -129,6 +137,7 @@ class FactorData:
         self.lam0 = lam0
         self.factors = factors
         self._idempotents = None
+        self._dual = None
         self.chain_ctxs = chain_ctxs
         field, N = params.field, params.N
         self.binomial = Poly(field, (field.neg(params.lam),) + (0,) * (N - 1) + (1,))
@@ -250,10 +259,10 @@ def factor_degrees(params: AmbientParams) -> list[int]:
     return [d for d, part in _ddf(base) for _ in range(part.degree // d)]
 
 
-def build_factor_data(params: AmbientParams, seed: int | None = None) -> FactorData:
+def build_factor_data(params: AmbientParams) -> FactorData:
     """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
     _, base = root_binomial(params)
-    factors = factor_squarefree(base, seed).polys()
+    factors = factor_squarefree(base).polys()
     if params.lam_self_paired():
         factors = _pair_order(factors)
     return factor_data_for(params, factors)

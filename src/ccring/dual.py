@@ -1,9 +1,13 @@
 """Dual codes and the self-dual classification.
 
 The dual of a lambda-constacyclic code is lambda^(-1)-constacyclic, so
-it decomposes over the reciprocals of the f_j.  On spec level the whole
-construction is a parameter transport: writing d_j = deg f_j and
-N = n*p^s, every case that carries a b maps through
+it decomposes over the reciprocals of the f_j.  That ring is fixed by
+the source ring: dual_factor_data builds its FactorData on first use
+and keeps it on the source's, so every code of one FactorData dualizes
+over the same object.
+
+On spec level the whole construction is a parameter transport: writing
+d_j = deg f_j and N = n*p^s, every case that carries a b maps through
 
     b_hat = -lambda * f_j(0) * x^(N - d_j) * b(x^(-1))
 
@@ -36,12 +40,12 @@ codes stream from the kernel bases; no spec is scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 from .chain import ChainCtx, odometer
 from .decomp import AmbientParams, FactorData, factor_data_for
-from .errors import ContextMismatch, NotSelfPairedLambda
+from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -57,15 +61,15 @@ from .poly import Poly, reciprocal
 def dual_factor_data(fd: FactorData) -> FactorData:
     """Factor data of the lambda^(-1) ring, factor j = recip of f_j.
 
-    Keeping source order means component j of a dual code always sits
-    over the reciprocal of the factor it came from; note this order is
-    generally not the one build_factor_data would pick.
+    Built on the first call and kept on fd, so later calls return the
+    same object.  Keeping source order means component j of a dual code
+    always sits over the reciprocal of the factor it came from; note
+    this order is generally not the one build_factor_data would pick.
     """
-    return factor_data_for(fd.params.dual_params(), _reciprocals(fd))
-
-
-def _reciprocals(fd: FactorData) -> list[Poly]:
-    return [reciprocal(f).monic() for f in fd.factors]
+    if fd._dual is None:
+        recips = [reciprocal(f).monic() for f in fd.factors]
+        fd._dual = factor_data_for(fd.params.dual_params(), recips)
+    return fd._dual
 
 
 def inv_x_image(a: Poly, target: ChainCtx, params: AmbientParams) -> Poly:
@@ -132,32 +136,16 @@ def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) ->
     return replace(shape, b=target.window_reduce(raw, lo, hi))
 
 
-@dataclass(frozen=True)
-class DualCodeSpec(CodeSpec):
-    """A classified code of the lambda^(-1) ambient ring.
-
-    Structurally a CodeSpec; the distinct type records that its factor
-    data is the reciprocal-ordered one from dual_factor_data.
-    """
-
-
-def dual_code(code: CodeSpec, dfd: FactorData | None = None) -> DualCodeSpec:
-    """Dual of a classified code, over the lambda^(-1) ambient ring.
-
-    dfd, when given, must be dual_factor_data(code.fd); callers that
-    dualize many codes of one ring pass it to build it once.  The dual
-    is not re-validated, so a dfd of another ring raises ContextMismatch.
-    """
+def dual_code(code: CodeSpec) -> CodeSpec:
+    """Dual of a classified code, over the lambda^(-1) ambient ring
+    whose factor data is dual_factor_data(code.fd)."""
     fd = code.fd
-    if dfd is None:
-        dfd = dual_factor_data(fd)
-    elif dfd.params != fd.params.dual_params() or list(dfd.factors) != _reciprocals(fd):
-        raise ContextMismatch("dfd is not dual_factor_data(code.fd)")
+    dfd = dual_factor_data(fd)
     comps = tuple(
         dual_component(spec, j, fd, dfd.chain(j))
         for j, spec in enumerate(code.components)
     )
-    return DualCodeSpec.trusted(dfd, comps)
+    return CodeSpec.trusted(dfd, comps)
 
 
 def dual_code_nu(code: CodeSpec) -> CodeSpec:
@@ -298,12 +286,6 @@ def _fixed_factor_windows(fd: FactorData, nu: int):
             f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
         )
     return [_fixed_windows(j, fd) for j in range(fd.rho)]
-
-
-def _fixed_options(fd: FactorData, nu: int) -> list[list[IdealSpec]]:
-    """self_dual_component_options of each tau-fixed factor, in order."""
-    field = fd.params.field
-    return [list(_fixed_specs(w, field)) for w in _fixed_factor_windows(fd, nu)]
 
 
 def count_self_dual(fd: FactorData, nu: int) -> int:

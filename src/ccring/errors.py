@@ -25,10 +25,6 @@ class ContextMismatch(CcringError, ValueError):
     """Operands belong to different coefficient contexts."""
 
 
-class DegreeMismatch(CcringError, ValueError):
-    """Polynomial argument has a forbidden degree."""
-
-
 class ZeroPolynomial(CcringError, ValueError):
     """Zero polynomial where a nonzero one is required."""
 

@@ -33,7 +33,9 @@ _SLOT_CODES = {array(c).itemsize: c for c in "QIHB"}
 # byte order of array items, and of the packed ints built from them
 _BYTE_ORDER = sys.byteorder
 
-DEFAULT_FACTOR_SEED = 0xC0DEC
+# state of the equal-degree splitting's PRNG at the start of every
+# factorization; the sorted factor list does not depend on it
+FACTOR_SEED = 0xC0DEC
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -484,13 +486,11 @@ def _split_equal_degree(part: Poly, d: int, rng: random.Random) -> list[Poly]:
             return left + right
 
 
-def factor_squarefree(f: Poly, seed: int | None = None) -> Factorization:
+def factor_squarefree(f: Poly) -> Factorization:
     """Factor a squarefree polynomial into monic irreducibles.
 
-    The splitting step draws random elements from a PRNG seeded with
-    `seed` (a fixed default otherwise), so results are reproducible; the
-    factor list is sorted by degree, then by coefficient tuple, which
-    makes the output independent of the random choices anyway.
+    The factor list is sorted by degree, then by coefficient tuple, so
+    it does not depend on the random choices of the splitting step.
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant")
@@ -499,7 +499,7 @@ def factor_squarefree(f: Poly, seed: int | None = None) -> Factorization:
     df = f.derivative()
     if df.is_zero() or poly_gcd(f, df).degree != 0:
         raise NotSquarefree("input has a repeated factor")
-    rng = random.Random(DEFAULT_FACTOR_SEED if seed is None else seed)
+    rng = random.Random(FACTOR_SEED)
     out: list[Poly] = []
     for d, part in _ddf(f):
         out.extend(_split_equal_degree(part, d, rng))

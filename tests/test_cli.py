@@ -242,11 +242,11 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         code, dual, _ = run(capsys, "dual")
         assert code == 0
         singles.append(dual)
-    import ccring.cli
+    import ccring.dual
 
     calls = []
-    real = ccring.cli.dual_factor_data
-    monkeypatch.setattr(ccring.cli, "dual_factor_data", lambda fd: calls.append(fd) or real(fd))
+    real = ccring.dual.factor_data_for
+    monkeypatch.setattr(ccring.dual, "factor_data_for", lambda *a: calls.append(a) or real(*a))
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, stream, _ = run(capsys, "dual")
     assert code == 0 and stream == "".join(singles)
@@ -306,9 +306,16 @@ def test_dual_rejects_factors_split_into_quadratics(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_bad_seed_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CCRING_SEED", "abc")
-    code, out, err = run(capsys, "info", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+def test_seed_flag_is_refused(capsys):
+    # the factors come out sorted, so there is no factorization seed to set
+    code, out, err = run_exit(capsys, "--seed", "1", "count", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_dual_of_a_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "dual", "--input", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
 
 
@@ -414,16 +421,24 @@ def test_boolean_lambda_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def _cli_process(*argv):
-    """`python -m ccring.cli argv` with its stdout and stderr on pipes."""
+def _cli_process(*argv, stdin=None, **env):
+    """`python -m ccring.cli argv` with its stdout and stderr on pipes,
+    and env added to the environment."""
     src = str(Path(ccring.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "ccring.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
+        stdin=stdin,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
+
+
+def test_dual_of_non_utf8_stdin_exits_2():
+    proc = _cli_process("dual", stdin=subprocess.PIPE, PYTHONIOENCODING="utf-8:strict")
+    out, err = proc.communicate(b"\xff\xfe{}", timeout=60)
+    assert proc.returncode == 2 and out == b"" and err.startswith(b"error:")
 
 
 def test_reader_closing_the_pipe_ends_the_run_quietly():

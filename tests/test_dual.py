@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import io
 import random
 import time
+import types
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from ccring.cli import main as cli_main
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import (
-    DualCodeSpec,
     count_self_dual,
     dual_code,
     dual_code_nu,
@@ -20,8 +21,7 @@ from ccring.dual import (
     is_self_dual,
     self_dual_component_options,
 )
-from ccring.decomp import factor_data_for
-from ccring.errors import ContextMismatch, NotSelfPairedLambda
+from ccring.errors import NotSelfPairedLambda
 from ccring.gf import field_new
 from ccring.ideals import (
     CodeSpec,
@@ -64,7 +64,7 @@ def test_dual_is_kernel_dual_sampled():
     codes = list(enumerate_codes(fd))
     for code in rng.sample(codes, 40):
         dc = dual_code(code)
-        assert isinstance(dc, DualCodeSpec)
+        assert isinstance(dc, CodeSpec)
         assert code_space(dc).key() == brute_dual(code_space(code), params).key()
 
 
@@ -85,23 +85,49 @@ def test_scalar_is_constant_term_not_its_inverse():
     bhat = dc.components[0].b
     variant_b = target.reduce(bhat.scale(ratio))
     assert variant_b != bhat
-    variant = DualCodeSpec(
+    variant = CodeSpec(
         dc.fd, (replace(dc.components[0], b=variant_b),) + dc.components[1:]
     )
     assert code_size(variant) == code_size(dc)
     assert code_space(variant).key() != kernel.key()
 
 
-def test_dual_code_refuses_the_factor_data_of_another_ring():
+def test_dual_factor_data_is_built_once_per_factor_data():
     fd = fd_of(3, 1, 1, 8, 2)  # x^8 + 1: two quartic factors
-    code = next(iter(enumerate_codes(fd, 1)))
     dfd = dual_factor_data(fd)
-    assert dual_code(code, dfd).components == dual_code(code).components
-    assert fd.r == 2  # so the reversed order is other factor data
-    reordered = factor_data_for(dfd.params, dfd.factors[::-1])
-    for wrong in (dual_factor_data(fd_of(3, 1, 2, 8, 2)), fd_of(3, 1, 1, 8, 1), reordered):
-        with pytest.raises(ContextMismatch):
-            dual_code(code, wrong)
+    assert dual_factor_data(fd) is dfd
+    assert all(dual_code(code).fd is dfd for code in enumerate_codes(fd, 5))
+    # another FactorData of the same ring gets its own, equal dual
+    other = dual_factor_data(fd_of(3, 1, 1, 8, 2))
+    assert other is not dfd and other.factors == dfd.factors
+
+
+def _reaches(src, target) -> bool:
+    """Whether target is reachable from src through object references
+    (types, modules and functions not followed)."""
+    seen, todo = set(), [src]
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType)
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return False
+
+
+@pytest.mark.parametrize("ring", [(3, 1, 1, 8, 2), (5, 1, 1, 6, 4)])
+def test_the_dual_ring_holds_no_link_to_its_source(ring):
+    fd = fd_of(*ring)
+    code = next(iter(enumerate_codes(fd, 1)))
+    dual = dual_code(code)
+    assert _reaches(fd, dual.fd)  # the source keeps its dual ...
+    assert not _reaches(dual, fd)  # ... but not the other way round
+    # dualizing again builds the lambda ring afresh, with the source's factors
+    assert dual_factor_data(dual.fd) is not fd
+    assert dual_code(dual).components == code.components
 
 
 def test_inv_x_image_roundtrip():

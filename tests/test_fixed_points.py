@@ -90,7 +90,7 @@ def test_count_and_stream_scan_no_spec(monkeypatch):
     def refuse(*args):
         raise AssertionError("the fixed specs were scanned or listed")
 
-    for name in ("dual_component", "self_dual_component_options", "_fixed_options"):
+    for name in ("dual_component", "self_dual_component_options"):
         monkeypatch.setattr(dual, name, refuse)
     assert count_self_dual(fd, 1) == 51156894126910567279814209
     assert next(enumerate_self_dual(fd, 1)).fd is fd

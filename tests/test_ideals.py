@@ -183,14 +183,13 @@ def _assert_valid(code):
 @pytest.mark.parametrize("ring", GENERATED_RINGS)
 def test_generated_codes_pass_validate_spec(ring):
     # the package builds these without validating: the check lives here
-    from ccring.dual import dual_code, dual_code_nu, dual_factor_data, enumerate_self_dual
+    from ccring.dual import dual_code, dual_code_nu, enumerate_self_dual
 
     *params, nu = ring
     fd = build_factor_data(AmbientParams.of_ints(*params))
-    dfd = dual_factor_data(fd)
     for code in enumerate_codes(fd, 400):
         _assert_valid(code)
-        _assert_valid(dual_code(code, dfd))
+        _assert_valid(dual_code(code))
         _assert_valid(dual_code_nu(code))
     for code in itertools.islice(enumerate_self_dual(fd, nu), 400):
         _assert_valid(code)

@@ -14,7 +14,12 @@ import pytest
 from ccring.chain import ChainCtx, odometer
 from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data
-from ccring.dual import _fixed_options, dual_component, enumerate_self_dual, is_self_dual
+from ccring.dual import (
+    dual_component,
+    enumerate_self_dual,
+    is_self_dual,
+    self_dual_component_options,
+)
 from ccring.gf import field_new
 from ccring.ideals import CodeSpec, enumerate_codes, enumerate_ideals, spec_product
 from ccring.poly import Poly
@@ -77,10 +82,10 @@ def test_enumerate_codes_is_product_of_spec_lists(ring):
 # -- enumerate_self_dual against the list-based product --------------------------
 
 
-def listed_self_dual(fd, nu):
+def listed_self_dual(fd):
     """The free pair factors as built lists, product over everything."""
-    fixed = _fixed_options(fd, nu)
     rho = fd.rho
+    fixed = [self_dual_component_options(j, fd) for j in range(rho)]
     free = [list(enumerate_ideals(fd.chain(rho + i))) for i in range(fd.pair_count)]
     for choice in product(*fixed, *free):
         comps = list(choice[:rho]) + [None] * (fd.r - rho)
@@ -119,7 +124,7 @@ def test_self_dual_rings_cover_fixed_and_paired_factors():
 def test_enumerate_self_dual_matches_listed_product(ring):
     fd = nu_fd(*ring)
     nu = ring[4]
-    want = [code.components for code in islice(listed_self_dual(fd, nu), 5000)]
+    want = [code.components for code in islice(listed_self_dual(fd), 5000)]
     got = [code.components for code in islice(enumerate_self_dual(fd, nu), 5000)]
     assert got == want and want
     assert all(is_self_dual(CodeSpec(fd, comps)) for comps in got[:50])
