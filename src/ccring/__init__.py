@@ -44,7 +44,6 @@ from .ideals import (
     ideal_size,
 )
 from .poly import (
-    Factorization,
     Poly,
     factor_squarefree,
     frobenius,

@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import ConstantInput, RangeError
 from .gf import FieldCtx
-from .poly import Poly, frobenius, poly_xgcd
+from .poly import Poly, frobenius, poly_modpow, poly_xgcd
 
 
 def ceil_half(x: int) -> int:
@@ -175,17 +175,7 @@ class ChainCtx:
         return self.reduce(a * b)
 
     def pow(self, a: Poly, k: int) -> Poly:
-        if k < 0:
-            raise RangeError("chain-ring exponent must be >= 0")
-        out = Poly.one(self.field)
-        a = self.reduce(a)
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            k >>= 1
-            if k:
-                a = self.mul(a, a)
-        return out
+        return poly_modpow(a, k, self.modulus)
 
     def is_unit(self, a: Poly) -> bool:
         return not (a % self.f).is_zero()
@@ -247,14 +237,9 @@ class ChainCtx:
     # -- residue sets ---------------------------------------------------------
 
     def digit_polys(self):
-        """All q^d polynomials of degree < d, canonically ordered."""
-        fq = self.field.q
-        for idx in range(fq ** self.d):
-            coeffs = []
-            for _ in range(self.d):
-                coeffs.append(idx % fq)
-                idx //= fq
-            yield Poly(self.field, coeffs)
+        """All q^d polynomials of degree < d, constant term fastest."""
+        for coeffs in product(range(self.field.q), repeat=self.d):
+            yield Poly(self.field, coeffs[::-1])
 
     def residue_set_size(self, a: int, b: int) -> int:
         return self.field.q ** (self.d * (b - a))

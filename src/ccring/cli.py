@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 
 from .decomp import (
     AmbientParams,
@@ -229,22 +229,48 @@ def _dumps(doc) -> str:
 
 
 _SPACE = re.compile(r"[ \t\n\r]*")
+# a JSON string, or the rest of the line after an unclosed quote
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"?')
 
 
-def _documents(text: str):
-    """The whitespace-separated JSON documents of text: NDJSON, or one
-    pretty-printed document.  A text without any is bad input."""
+def _documents(lines):
+    """The whitespace-separated JSON documents of a text read line by
+    line: NDJSON, pretty-printed documents, or several on one line.
+
+    Lines are decoded once they close every bracket they open (a JSON
+    string holds no newline), so each document is yielded as soon as its
+    last line is read.  A text without any document is bad input.
+    """
     decoder = json.JSONDecoder()
-    pos = _SPACE.match(text).end()
-    if pos == len(text):
+    buf, depth = "", 0  # the lines not decoded yet, and their bracket depth
+    base_chars = base_lines = 0  # the text before buf, for error positions
+    found = False
+    for line in chain(lines, [None]):  # None: the end of the text
+        if line is not None:
+            buf += line
+            bare = _STRING.sub("", line)  # brackets inside strings do not count
+            depth += bare.count("[") + bare.count("{") - bare.count("]") - bare.count("}")
+            if depth > 0:
+                continue
+        pos = _SPACE.match(buf).end()
+        while pos < len(buf):
+            try:
+                doc, pos = decoder.raw_decode(buf, pos)
+            except RecursionError:
+                raise CcringError("JSON input nested too deeply") from None
+            except json.JSONDecodeError as ex:
+                raise CcringError(
+                    f"bad JSON input: {ex.msg}: line {base_lines + ex.lineno} "
+                    f"column {ex.colno} (char {base_chars + ex.pos})"
+                ) from None
+            found = True
+            yield doc
+            pos = _SPACE.match(buf, pos).end()
+        base_chars += len(buf)
+        base_lines += buf.count("\n")
+        buf, depth = "", 0
+    if not found:
         raise CcringError("no JSON document in the input")
-    while pos < len(text):
-        try:
-            doc, pos = decoder.raw_decode(text, pos)
-        except RecursionError:
-            raise CcringError("JSON input nested too deeply") from None
-        yield doc
-        pos = _SPACE.match(text, pos).end()
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -291,7 +317,10 @@ def _limit_arg(text: str) -> int:
 
 
 def _parse_lambda(field: FieldCtx, text: str) -> int:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise CcringError("--lambda nested too deeply") from None
     if isinstance(doc, int) and doc == -1:
         return field.neg(1)
     return parse_fieldelem(field, doc)
@@ -308,29 +337,22 @@ def _build_fd(args, nu=None) -> FactorData:
     return build_factor_data(_params(args, nu))
 
 
-def _open(path: str, mode: str):
+def _stream(path: str, mode: str):
+    """The file at path, or stdin or stdout (by mode) for "-"."""
+    if not path or path == "-":
+        return nullcontext(sys.stdin if mode == "r" else sys.stdout)
     try:
         return open(path, mode)
     except OSError as ex:
         raise CcringError(f"cannot open {path!r}: {ex.strerror}") from None
 
 
-def _read_text(path: str) -> str:
-    """The text of path, or of stdin for "-"; bytes that do not decode
-    are bad input."""
+def _text_lines(fh):
+    """The lines of fh as they arrive; bytes that do not decode are bad input."""
     try:
-        if path != "-":
-            with _open(path, "r") as fh:
-                return fh.read()
-        return sys.stdin.read()
+        yield from fh
     except UnicodeDecodeError as ex:
         raise CcringError(f"input is not {ex.encoding} text: {ex.reason} at byte {ex.start}") from None
-
-
-def _out_stream(args):
-    if getattr(args, "output", None) and args.output != "-":
-        return _open(args.output, "w")
-    return nullcontext(sys.stdout)
 
 
 # -- commands ------------------------------------------------------------------
@@ -338,7 +360,7 @@ def _out_stream(args):
 
 def cmd_info(args) -> int:
     fd = _build_fd(args)
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         print(_dumps(factor_data_json(fd)), file=out)
     return 0
 
@@ -346,7 +368,7 @@ def cmd_info(args) -> int:
 def cmd_idempotents(args) -> int:
     fd = _build_fd(args)
     field = fd.params.field
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         print(_dumps([poly_json(field, e) for e in fd.idempotents]), file=out)
     return 0
 
@@ -355,33 +377,33 @@ def cmd_count(args) -> int:
     # the count depends on the factor degrees only: no factors, no idempotents
     params = _params(args)
     total = count_codes_by_degree(params, factor_degrees(params))
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         print(decimal(total), file=out)
     return 0
 
 
 def cmd_enumerate(args) -> int:
     fd = _build_fd(args)
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         for code in enumerate_codes(fd, args.limit):
             print(_dumps(code_json(code)), file=out)
     return 0
 
 
 def cmd_dual(args) -> int:
-    text = _read_text(args.input or "-")
     # documents of one ring share its FactorData, and so the dual's,
     # within this input only
     fds: dict = {}
-    with _out_stream(args) as out:
-        for doc in _documents(text):
-            print(_dumps(code_json(dual_code(parse_code(doc, fds)))), file=out)
+    with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
+        for doc in _documents(_text_lines(src)):
+            # flushed per document, so a pipe gets each answer at once
+            print(_dumps(code_json(dual_code(parse_code(doc, fds)))), file=out, flush=True)
     return 0
 
 
 def cmd_selfdual(args) -> int:
     fd = _build_fd(args, args.nu)
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         if args.count_only:
             print(decimal(count_self_dual(fd, args.nu)), file=out)
             return 0
@@ -392,7 +414,7 @@ def cmd_selfdual(args) -> int:
 
 def cmd_verify(args) -> int:
     failures = 0
-    with _out_stream(args) as out:
+    with _stream(args.output, "w") as out:
         for name, ok, detail in verify_suite(args.level):
             tag = "PASS" if ok else "FAIL"
             print(f"{tag}  {name}: {detail}", file=out)

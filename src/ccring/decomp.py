@@ -262,7 +262,7 @@ def factor_degrees(params: AmbientParams) -> list[int]:
 def build_factor_data(params: AmbientParams) -> FactorData:
     """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
     _, base = root_binomial(params)
-    factors = factor_squarefree(base).polys()
+    factors = factor_squarefree(base)
     if params.lam_self_paired():
         factors = _pair_order(factors)
     return factor_data_for(params, factors)

@@ -20,18 +20,7 @@ _TABLE_LIMIT = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:

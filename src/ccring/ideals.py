@@ -153,7 +153,6 @@ def ideal_member(a, spec: IdealSpec, ctx: ChainCtx) -> bool:
     """Membership of the pair a = (A, B) meaning A + u*B."""
     validate_spec(spec, ctx)
     A, B = ctx.reduce(a[0]), ctx.reduce(a[1])
-    e = ctx.e
     case = spec.case
     if case == "III":
         k = spec.k
@@ -172,28 +171,32 @@ def ideal_member(a, spec: IdealSpec, ctx: ChainCtx) -> bool:
     )
 
 
+def _shapes(e: int):
+    """Every case with its k and t, b left out, in enumerate_ideals order."""
+    yield IdealSpec("I")
+    for k in range(1, e):
+        yield IdealSpec("II", k=k)
+    for k in range(0, e + 1):
+        yield IdealSpec("III", k=k)
+    for t in range(1, e):
+        yield IdealSpec("IV", t=t)
+    for k in range(1, e - 1):
+        for t in range(1, e - k):
+            yield IdealSpec("V", k=k, t=t)
+
+
 def enumerate_ideals(ctx: ChainCtx):
     """All ideal specs, in the fixed documented order.
 
     Case I (b ascending), II (k then b), III (k), IV (t then b),
-    V (k, then t, then b); b runs in residue_set order.
+    V (k, then t, then b); b runs in residue_set order over b_window.
     """
-    e = ctx.e
-    for b in ctx.residue_set(ceil_half(e) - 1, e - 1):
-        yield IdealSpec("I", b=b)
-    for k in range(1, e):
-        w = e - k
-        for b in ctx.residue_set(ceil_half(w) - 1, w - 1):
-            yield IdealSpec("II", k=k, b=b)
-    for k in range(0, e + 1):
-        yield IdealSpec("III", k=k)
-    for t in range(1, e):
-        for b in ctx.residue_set(ceil_half(t) - 1, t - 1):
-            yield IdealSpec("IV", t=t, b=b)
-    for k in range(1, e - 1):
-        for t in range(1, e - k):
-            for b in ctx.residue_set(ceil_half(t) - 1, t - 1):
-                yield IdealSpec("V", k=k, t=t, b=b)
+    for shape in _shapes(ctx.e):
+        if shape.case == "III":
+            yield shape
+            continue
+        for b in ctx.residue_set(*b_window(shape, ctx.e)):
+            yield IdealSpec(shape.case, shape.k, shape.t, b)
 
 
 # -- counting ----------------------------------------------------------------
@@ -201,19 +204,11 @@ def enumerate_ideals(ctx: ChainCtx):
 
 def case_counts(p: int, m: int, d: int, s: int) -> dict[str, int]:
     """How many ideals each case contributes, from the window sizes."""
-    e = p ** s
-    q = p ** (m * d)
-    counts = {
-        "I": q ** (e - ceil_half(e)),
-        "II": sum(q ** ((e - k) - ceil_half(e - k)) for k in range(1, e)),
-        "III": e + 1,
-        "IV": sum(q ** (t - ceil_half(t)) for t in range(1, e)),
-        "V": sum(
-            q ** (t - ceil_half(t))
-            for k in range(1, e - 1)
-            for t in range(1, e - k)
-        ),
-    }
+    e, q = p ** s, p ** (m * d)
+    counts = dict.fromkeys(CASES, 0)
+    for shape in _shapes(e):
+        lo, hi = (0, 0) if shape.case == "III" else b_window(shape, e)
+        counts[shape.case] += q ** (hi - lo)
     return counts
 
 
@@ -234,17 +229,8 @@ def count_ideals_params(p: int, m: int, d: int, s: int) -> int:
 
 
 def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:
-    """The same count as a sum over the five cases (independent route)."""
-    e = p ** s
-    md = m * d
-    total = 1 + e
-    total += sum(p ** ((e - k - ceil_half(e - k)) * md) for k in range(e))
-    total += sum(
-        p ** ((t - ceil_half(t)) * md)
-        for k in range(e - 1)
-        for t in range(1, e - k)
-    )
-    return total
+    """The same count as the sum of case_counts (independent route)."""
+    return sum(case_counts(p, m, d, s).values())
 
 
 def chain_exponent(ctx: ChainCtx) -> int:
@@ -352,14 +338,14 @@ def component_elements(spec: IdealSpec, ctx: ChainCtx):
         yield xi, eta
 
 
-def code_codewords(code: CodeSpec, bound: int = CODEWORD_BOUND):
+def code_codewords(code: CodeSpec):
     """Materialize every codeword as an ambient pair (a0, a1).
 
-    Refuses when the code has more than `bound` words.
+    Refuses when the code has more than CODEWORD_BOUND words.
     """
     size = code_size(code)
-    if size > bound:
-        raise TooLarge(f"code has {size} words, bound is {bound}")
+    if size > CODEWORD_BOUND:
+        raise TooLarge(f"code has {size} words, bound is {CODEWORD_BOUND}")
     fd = code.fd
     field = fd.params.field
     per_factor = []

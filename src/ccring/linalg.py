@@ -3,6 +3,7 @@
 A vector is a sequence of ints in [0, p).  Row reduction puts each
 row's pivot at its first nonzero coordinate and clears every pivot
 column in the other rows, so two spaces are equal iff their bases are.
+Insertion, membership and kernels share one reduction routine.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ class FpSpace:
         return hash(self.rows)
 
     def contains(self, vec) -> bool:
-        p = self.p
         v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                for i in range(piv, self.dim):
-                    v[i] = (v[i] - c * row[i]) % p
+        _reduce(self.rows, self.pivots, v, self.p)
         return not any(v)
 
     def extended(self, raw_rows) -> "FpSpace":
@@ -78,14 +74,20 @@ class FpSpace:
         return out
 
 
-def rref_insert(rows: list, pivots: list, vec: list, p: int) -> bool:
-    """Reduce vec against rows; add it if independent.  Keeps RREF."""
+def _reduce(rows, pivots, vec: list, p: int) -> None:
+    """Clear every pivot column of vec, in place, against the RREF rows."""
     dim = len(vec)
     for row, piv in zip(rows, pivots):
         c = vec[piv]
         if c:
             for i in range(piv, dim):
                 vec[i] = (vec[i] - c * row[i]) % p
+
+
+def rref_insert(rows: list, pivots: list, vec: list, p: int) -> bool:
+    """Reduce vec against rows; add it if independent.  Keeps RREF."""
+    _reduce(rows, pivots, vec, p)
+    dim = len(vec)
     piv = next((i for i in range(dim) if vec[i]), None)
     if piv is None:
         return False
@@ -105,17 +107,14 @@ def rref_insert(rows: list, pivots: list, vec: list, p: int) -> bool:
 
 def kernel(mat: list[list[int]], dim: int, p: int) -> FpSpace:
     """Kernel of the linear map with the given rows, as an FpSpace."""
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for vec in mat:
-        rref_insert(rows, pivots, list(vec), p)
-    pivset = set(pivots)
+    rref = FpSpace.from_rows(p, dim, mat)
+    pivset = set(rref.pivots)
     free = [i for i in range(dim) if i not in pivset]
     basis = []
     for fcol in free:
         vec = [0] * dim
         vec[fcol] = 1
-        for row, piv in zip(rows, pivots):
+        for row, piv in zip(rref.rows, rref.pivots):
             if row[fcol]:
                 vec[piv] = (-row[fcol]) % p
         basis.append(vec)

@@ -18,6 +18,9 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
 
 Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
+In K^2 and in the ambient ring alike, pairs get coordinates from one
+map and are closed under x and F_q by one routine, given the ring's
+x-step.  Size limits (ORACLE_BUDGET and the others) are module constants.
 """
 
 from __future__ import annotations
@@ -53,7 +56,10 @@ from .ideals import (
 from .linalg import FpSpace, kernel
 from .poly import Poly, is_irreducible
 
+# past these sizes a brute-force route raises TooLarge (see each check)
 ORACLE_BUDGET = 1 << 24
+ALLPAIRS_BUDGET = 1 << 21
+SCAN_BUDGET = 1 << 14
 
 
 # -- coordinates for K^2 pairs -----------------------------------------------
@@ -75,18 +81,33 @@ def _field_tables(field: FieldCtx):
     return tuple(coords), tuple(map(tuple, rows))
 
 
-def _poly_coords(a: Poly, slots: int, field: FieldCtx) -> list[int]:
+def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> tuple[int, ...]:
+    """F_p coordinates of the pair (A, B), slots coefficients per polynomial."""
     coords = _field_tables(field)[0]
-    cs = a.coeffs[:slots]
-    return [x for c in cs for x in coords[c]] + [0] * (field.m * (slots - len(cs)))
+    pad = (0,) * slots
+    return tuple([x for a in (A, B) for c in (a.coeffs + pad)[:slots] for x in coords[c]])
+
+
+def _closure_rows(slots: int, shifts: int, x_step, pairs) -> list:
+    """Coordinates of x^i g^l (A, B) for every pair, i < shifts, l < m:
+    the closure of the pairs under F_q (g generates it; g = 1 when m = 1)
+    and under x, which x_step applies to one polynomial in the ring at hand.
+    """
+    rows = []
+    for A, B in pairs:
+        field = A.ctx
+        g = field.gen()
+        for _ in range(shifts):
+            s0, s1 = A, B
+            for _l in range(field.m):
+                rows.append(_pair_vec(field, slots, s0, s1))
+                s0, s1 = s0.scale(g), s1.scale(g)
+            A, B = x_step(A), x_step(B)
+    return rows
 
 
 def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> tuple[int, ...]:
-    slots = ctx.d * ctx.e
-    return tuple(
-        _poly_coords(ctx.reduce(A), slots, ctx.field)
-        + _poly_coords(ctx.reduce(B), slots, ctx.field)
-    )
+    return _pair_vec(ctx.field, ctx.d * ctx.e, ctx.reduce(A), ctx.reduce(B))
 
 
 def pair_dim(ctx: ChainCtx) -> int:
@@ -100,17 +121,9 @@ def k_span(ctx: ChainCtx, pairs) -> FpSpace:
     is exactly closing under multiplication by K.
     """
     field = ctx.field
-    rows = []
-    for A, B in pairs:
-        A, B = ctx.reduce(A), ctx.reduce(B)
-        for _ in range(ctx.d * ctx.e):
-            cur0, cur1 = A, B
-            for _l in range(field.m):
-                rows.append(pair_coords(ctx, cur0, cur1))
-                if field.m > 1:
-                    g = Poly.const(field, field.gen())
-                    cur0, cur1 = ctx.mul(cur0, g), ctx.mul(cur1, g)
-            A, B = ctx.mul(A, Poly.x(field)), ctx.mul(B, Poly.x(field))
+    slots = ctx.d * ctx.e
+    pairs = [(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs]
+    rows = _closure_rows(slots, slots, lambda a: ctx.reduce(Poly(field, (0,) + a.coeffs)), pairs)
     return FpSpace.from_rows(field.p, pair_dim(ctx), rows)
 
 
@@ -129,7 +142,7 @@ def submodule_count_formula(ctx: ChainCtx) -> int:
     return sum((2 * j + 1) * q ** (ctx.e - j) for j in range(ctx.e + 1))
 
 
-def brute_submodules(ctx: ChainCtx, budget: int = ORACLE_BUDGET) -> list[FpSpace]:
+def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     """Every K-submodule of K^2, by spanning normalized generator pairs.
 
     Any submodule is spanned by two elements; scaling a generator by a
@@ -140,8 +153,8 @@ def brute_submodules(ctx: ChainCtx, budget: int = ORACLE_BUDGET) -> list[FpSpace
     by comparing the total against submodule_count_formula (tested), and
     against the literal all-pairs scan at toy sizes.
     """
-    if ctx.size ** 2 > budget:
-        raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {budget}")
+    if ctx.size ** 2 > ORACLE_BUDGET:
+        raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {ORACLE_BUDGET}")
     e = ctx.e
     zero = Poly.zero(ctx.field)
     found: dict = {}
@@ -165,15 +178,15 @@ def brute_submodules(ctx: ChainCtx, budget: int = ORACLE_BUDGET) -> list[FpSpace
     return list(found.values())
 
 
-def brute_submodules_allpairs(ctx: ChainCtx, budget: int = 1 << 21) -> set:
+def brute_submodules_allpairs(ctx: ChainCtx) -> set:
     """Literal spans of all ordered generator pairs; toy sizes only.
 
     Exists to validate the normalization in brute_submodules without
     assuming anything beyond closure under the ring action.
     """
     n2 = ctx.size ** 2
-    if n2 * n2 > budget:
-        raise TooLarge(f"|K^2|^2 = {n2 * n2} over budget {budget}")
+    if n2 * n2 > ALLPAIRS_BUDGET:
+        raise TooLarge(f"|K^2|^2 = {n2 * n2} over budget {ALLPAIRS_BUDGET}")
     vecs = [
         (A, B)
         for A in ctx.residue_set(0, ctx.e)
@@ -204,8 +217,8 @@ def u_shift_closed(space: FpSpace, ctx: ChainCtx) -> bool:
     return True
 
 
-def brute_u_closed_submodules(ctx: ChainCtx, budget: int = ORACLE_BUDGET) -> list[FpSpace]:
-    return [s for s in brute_submodules(ctx, budget) if u_shift_closed(s, ctx)]
+def brute_u_closed_submodules(ctx: ChainCtx) -> list[FpSpace]:
+    return [s for s in brute_submodules(ctx) if u_shift_closed(s, ctx)]
 
 
 def generator_matrix_spans(ctx: ChainCtx) -> list[FpSpace]:
@@ -262,10 +275,7 @@ def ambient_dim(params: AmbientParams) -> int:
 
 
 def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> tuple[int, ...]:
-    return tuple(
-        _poly_coords(a0, params.N, params.field)
-        + _poly_coords(a1, params.N, params.field)
-    )
+    return _pair_vec(params.field, params.N, a0, a1)
 
 
 def coords_ambient(params: AmbientParams, vec) -> tuple[Poly, Poly]:
@@ -291,36 +301,14 @@ def _x_shift(params: AmbientParams, a: Poly) -> Poly:
     return Poly(field, out)
 
 
-def _x_g_rows(params: AmbientParams, a0: Poly, a1: Poly, shifts: int) -> list:
-    """Ambient coordinates of x^i g^l (a0, a1) for i < shifts, l < m.
-
-    g is the field generator, so these rows span the closure of the pair
-    under the x-shift (shifts times) and under multiplication by F_q.
-    """
-    field = params.field
-    g = field.gen()
-    rows = []
-    for _ in range(shifts):
-        s0, s1 = a0, a1
-        for _l in range(field.m):
-            rows.append(ambient_coords(params, s0, s1))
-            if field.m > 1:
-                s0 = Poly(field, [field.mul(g, c) for c in s0.coeffs])
-                s1 = Poly(field, [field.mul(g, c) for c in s1.coeffs])
-        a0, a1 = _x_shift(params, a0), _x_shift(params, a1)
-    return rows
-
-
 def ideal_span(params: AmbientParams, gens) -> FpSpace:
     """F_p-span of the ideal generated by ambient pairs (a0, a1).
 
     Closes under multiplication by x, by the field generator and by u.
     """
     zero = Poly.zero(params.field)
-    rows = []
-    for a0, a1 in gens:
-        rows += _x_g_rows(params, a0, a1, params.N)
-        rows += _x_g_rows(params, zero, a0, params.N)
+    pairs = [pair for a0, a1 in gens for pair in ((a0, a1), (zero, a0))]
+    rows = _closure_rows(params.N, params.N, functools.partial(_x_shift, params), pairs)
     return FpSpace.from_rows(params.p, ambient_dim(params), rows)
 
 
@@ -328,16 +316,17 @@ def code_space(code: CodeSpec) -> FpSpace:
     """The F_p-span of a classified code in ambient coordinates."""
     fd = code.fd
     params = fd.params
+    x_step = functools.partial(_x_shift, params)
     rows = []
     for j, spec in enumerate(code.components):
         ctx = fd.chain(j)
         eps = fd.idempotents[j]
-        for A, B, _ in generator_rows(spec, ctx):
-            rows += _x_g_rows(params, fd.mulmod(eps, A), fd.mulmod(eps, B), ctx.d * ctx.e)
+        pairs = [(fd.mulmod(eps, A), fd.mulmod(eps, B)) for A, B, _ in generator_rows(spec, ctx)]
+        rows += _closure_rows(params.N, ctx.d * ctx.e, x_step, pairs)
     return FpSpace.from_rows(params.p, ambient_dim(params), rows)
 
 
-def brute_ambient_ideals(fd: FactorData, budget: int = ORACLE_BUDGET):
+def brute_ambient_ideals(fd: FactorData):
     """All ideals of the ambient ring, assembled factor by factor.
 
     Takes the u-closed submodules of each K_j^2, maps them through the
@@ -346,13 +335,13 @@ def brute_ambient_ideals(fd: FactorData, budget: int = ORACLE_BUDGET):
     missed; callers compare the total against the counting formula.
     """
     params = fd.params
-    if params.ring_size() > budget:
-        raise TooLarge(f"|R|^N = {params.ring_size()} over budget {budget}")
+    if params.ring_size() > ORACLE_BUDGET:
+        raise TooLarge(f"|R|^N = {params.ring_size()} over budget {ORACLE_BUDGET}")
     field = params.field
     per_factor = []
     for j in range(fd.r):
         ctx = fd.chain(j)
-        spaces = brute_u_closed_submodules(ctx, budget)
+        spaces = brute_u_closed_submodules(ctx)
         eps = fd.idempotents[j]
         mapped = []
         for s in spaces:
@@ -369,16 +358,16 @@ def brute_ambient_ideals(fd: FactorData, budget: int = ORACLE_BUDGET):
         space = FpSpace.from_rows(field.p, ambient_dim(params), rows)
         ideals.setdefault(space.key(), space)
 
-    _check_singly_generated_covered(fd, ideals, budget)
+    _check_singly_generated_covered(fd, ideals)
     return list(ideals.values())
 
 
-def _check_singly_generated_covered(fd: FactorData, ideals: dict, budget: int) -> None:
+def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     """Every <one element> ideal must be among the assembled ones."""
     params = fd.params
     field = params.field
     dim = ambient_dim(params)
-    if params.ring_size() > budget:
+    if params.ring_size() > ORACLE_BUDGET:
         raise TooLarge("single-generator sweep over budget")
     covered: set = set()
     for digits in product(range(field.p), repeat=dim):
@@ -431,10 +420,10 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     return kernel(mat, dim, field.p)
 
 
-def brute_dual_scan(space: FpSpace, params: AmbientParams, budget: int = 1 << 14) -> set:
+def brute_dual_scan(space: FpSpace, params: AmbientParams) -> set:
     """Full-scan dual: every ambient vector tested against every codeword."""
     field = params.field
-    if params.ring_size() > budget:
+    if params.ring_size() > SCAN_BUDGET:
         raise TooLarge("scan over budget")
     dim = ambient_dim(params)
     p = field.p

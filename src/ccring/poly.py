@@ -399,34 +399,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-class Factorization:
-    """Monic irreducible factors with multiplicities, canonically sorted."""
-
-    __slots__ = ("unit", "factors")
-
-    def __init__(self, unit: int, factors):
-        self.unit = unit
-        self.factors = list(factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-    def polys(self) -> list[Poly]:
-        return [f for f, _ in self.factors]
-
-    def product(self) -> Poly:
-        out = None
-        for f, e in self.factors:
-            for _ in range(e):
-                out = f if out is None else out * f
-        if out is None:
-            out = Poly.one(self.factors[0][0].ctx) if self.factors else None
-        return out.scale(self.unit) if out is not None else None
-
-
 def _ddf(f: Poly) -> list[tuple[int, Poly]]:
     """Distinct-degree decomposition of a monic squarefree f."""
     ctx = f.ctx
@@ -486,15 +458,14 @@ def _split_equal_degree(part: Poly, d: int, rng: random.Random) -> list[Poly]:
             return left + right
 
 
-def factor_squarefree(f: Poly) -> Factorization:
-    """Factor a squarefree polynomial into monic irreducibles.
+def factor_squarefree(f: Poly) -> list[Poly]:
+    """The monic irreducible factors of a squarefree polynomial.
 
-    The factor list is sorted by degree, then by coefficient tuple, so
-    it does not depend on the random choices of the splitting step.
+    The list is sorted by degree, then by coefficient tuple, so it does
+    not depend on the random choices of the splitting step.
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant")
-    unit = f.lc()
     f = f.monic()
     df = f.derivative()
     if df.is_zero() or poly_gcd(f, df).degree != 0:
@@ -504,4 +475,4 @@ def factor_squarefree(f: Poly) -> Factorization:
     for d, part in _ddf(f):
         out.extend(_split_equal_degree(part, d, rng))
     out.sort(key=Poly.sort_key)
-    return Factorization(unit, [(g, 1) for g in out])
+    return out

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -255,6 +256,12 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(json.loads(docs[1]), indent=2)))
     code, pretty, _ = run(capsys, "dual")
     assert code == 0 and pretty == singles[1]
+    # indented documents, and documents sharing a line, read as their NDJSON form
+    indented = "\n".join(json.dumps(json.loads(doc), indent=2) for doc in docs)
+    for text in (indented, " ".join(docs), docs[0] + "\n" + docs[1] + " " + docs[2]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, again, _ = run(capsys, "dual")
+        assert code == 0 and again == stream
 
 
 @pytest.mark.parametrize("stdin", ["{}", "[]", ""])
@@ -421,6 +428,11 @@ def test_boolean_lambda_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_deeply_nested_lambda_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--p", "3", "--s", "1", "--n", "4", "--lambda", "[" * 3000)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def _cli_process(*argv, stdin=None, **env):
     """`python -m ccring.cli argv` with its stdout and stderr on pipes,
     and env added to the environment."""
@@ -439,6 +451,22 @@ def test_dual_of_non_utf8_stdin_exits_2():
     proc = _cli_process("dual", stdin=subprocess.PIPE, PYTHONIOENCODING="utf-8:strict")
     out, err = proc.communicate(b"\xff\xfe{}", timeout=60)
     assert proc.returncode == 2 and out == b"" and err.startswith(b"error:")
+
+
+def test_dual_answers_each_document_while_the_pipe_stays_open(capsys, monkeypatch):
+    _, doc, _ = run(capsys, "enumerate", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1", "--limit", "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    _, want, _ = run(capsys, "dual")
+    # leaving the block closes stdin, so a failed check still ends the process
+    with _cli_process("dual", stdin=subprocess.PIPE) as proc:
+        proc.stdin.write(doc.encode())
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no dual within 10 s of its document"
+        line = proc.stdout.readline()
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    assert line.decode() == want
 
 
 def test_reader_closing_the_pipe_ends_the_run_quietly():

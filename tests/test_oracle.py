@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ccring import oracle
 from ccring.chain import ChainCtx
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.errors import TooLarge
@@ -138,12 +139,14 @@ def test_dual_routes_agree_tiny():
         assert dual.size * space.size == params.ring_size()
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
     big = chain_of(5, 1, (2, 1), 5)
+    monkeypatch.setattr(oracle, "ORACLE_BUDGET", 100)
+    monkeypatch.setattr(oracle, "ALLPAIRS_BUDGET", 100)
     with pytest.raises(TooLarge):
-        brute_submodules(big, budget=100)
+        brute_submodules(big)
     with pytest.raises(TooLarge):
-        brute_submodules_allpairs(big, budget=100)
+        brute_submodules_allpairs(big)
 
 
 def test_quick_suite_passes():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -211,15 +212,14 @@ def test_irreducibility_anchors():
 def test_factor_x6_plus_1_over_f5():
     f = Poly(F5, [1, 0, 0, 0, 0, 0, 1])
     fac = factor_squarefree(f)
-    assert fac.unit == 1
-    got = [p.coeffs for p in fac.polys()]
+    got = [p.coeffs for p in fac]
     assert got == [
         (2, 1),  # x + 2
         (3, 1),  # x + 3
         (4, 2, 1),  # x^2 + 2x + 4
         (4, 3, 1),  # x^2 + 3x + 4
     ]
-    assert fac.product() == f
+    assert math.prod(fac, start=Poly.one(F5)) == f
 
 
 def test_factor_quartics_f19_nonsquares():
@@ -243,7 +243,7 @@ def test_factor_quartics_f19_nonsquares():
     for a, (f1, f2) in pairs.items():
         quartic = Poly(F, [F.neg(a), 0, 0, 0, 1])
         assert Poly(F, f1) * Poly(F, f2) == quartic
-        got = {p.coeffs for p in factor_squarefree(quartic).polys()}
+        got = {p.coeffs for p in factor_squarefree(quartic)}
         assert got == {f1, f2}, f"x^4 - {a}"
 
 
@@ -258,7 +258,7 @@ def test_factor_quartics_f13_fourth_power_classes():
     for a, (f1, f2) in table.items():
         quartic = Poly(F, [F.neg(a), 0, 0, 0, 1])
         assert Poly(F, f1) * Poly(F, f2) == quartic
-        got = {p.coeffs for p in factor_squarefree(quartic).polys()}
+        got = {p.coeffs for p in factor_squarefree(quartic)}
         assert got == {f1, f2}, f"x^4 - {a}"
 
 
@@ -266,9 +266,9 @@ def test_factorization_is_seed_independent(monkeypatch):
     F = field_new(13, 1)
     f = Poly(F, [12, 0, 0, 0, 1])
     monkeypatch.setattr(poly, "FACTOR_SEED", 1)
-    a = [p.coeffs for p in factor_squarefree(f).polys()]
+    a = [p.coeffs for p in factor_squarefree(f)]
     monkeypatch.setattr(poly, "FACTOR_SEED", 9999)
-    b = [p.coeffs for p in factor_squarefree(f).polys()]
+    b = [p.coeffs for p in factor_squarefree(f)]
     assert a == b
 
 
@@ -298,5 +298,5 @@ def test_factor_random_products_roundtrip():
         prod = Poly.one(F)
         for f in chosen:
             prod = prod * f
-        got = factor_squarefree(prod).polys()
+        got = factor_squarefree(prod)
         assert sorted(got, key=Poly.sort_key) == sorted(chosen, key=Poly.sort_key)
