@@ -123,9 +123,9 @@ class ChainCtx:
 
     f_pows is an FPowers sequence: len(f_pows) == e + 1 and f_pows[k] is
     f^k, built on first use and then kept, so a context that never reads
-    a power pays nothing for it.  modulus = f^e comes from f_power: for
-    e = p^s, the case of every ring in this package, it is s Frobenius
-    twists of f and involves no polynomial product.
+    a power pays nothing for it, except modulus = f_pows[e]: for e = p^s,
+    the case of every ring in this package, it is s Frobenius twists of
+    f and involves no polynomial product.
 
     Digit windows are checked by division, not digit by digit: z has no
     digits at positions >= b exactly when deg z < d*b, and none below a
@@ -146,7 +146,7 @@ class ChainCtx:
         self.d = f.degree
         self.e = e
         self.f_pows = FPowers(f, e)
-        self.modulus = f_power(f, e)
+        self.modulus = self.f_pows[e]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChainCtx) and self.f == other.f and self.e == other.e

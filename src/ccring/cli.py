@@ -15,7 +15,9 @@ the whole suite ran and passed, since a cut-off run proves nothing.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import os
 import re
@@ -347,12 +349,33 @@ def _stream(path: str, mode: str):
         raise CcringError(f"cannot open {path!r}: {ex.strerror}") from None
 
 
-def _text_lines(fh):
-    """The lines of fh as they arrive; bytes that do not decode are bad input."""
-    try:
+def _text_lines(fh, universal: bool):
+    """The lines of fh as they arrive; bytes that do not decode are bad input.
+
+    A stream with a binary buffer is read from the buffer a line at a
+    time and decoded here, so such a byte is placed from the start of
+    the input, not from the start of a text layer's read-ahead chunk.
+    universal translates \\r\\n and \\r to \\n, as a file opened in
+    text mode does; stdin does not.
+    """
+    raw = getattr(fh, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO
         yield from fh
-    except UnicodeDecodeError as ex:
-        raise CcringError(f"input is not {ex.encoding} text: {ex.reason} at byte {ex.start}") from None
+        return
+    inner = codecs.getincrementaldecoder(fh.encoding)(fh.errors)
+    decoder = io.IncrementalNewlineDecoder(inner, universal)
+    read = 0  # bytes read so far; the decoder may hold the last few back
+    for line in chain(raw, [b""]):  # b"": the end of the input
+        start = read - len(decoder.getstate()[0])  # offset of the bytes it decodes next
+        try:
+            text = decoder.decode(line, final=not line)
+        except UnicodeDecodeError as ex:
+            raise CcringError(
+                f"input is not {ex.encoding} text: {ex.reason} at byte {start + ex.start}"
+            ) from None
+        read += len(line)
+        if text:
+            yield text
 
 
 # -- commands ------------------------------------------------------------------
@@ -395,7 +418,7 @@ def cmd_dual(args) -> int:
     # within this input only
     fds: dict = {}
     with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
-        for doc in _documents(_text_lines(src)):
+        for doc in _documents(_text_lines(src, universal=src is not sys.stdin)):
             # flushed per document, so a pipe gets each answer at once
             print(_dumps(code_json(dual_code(parse_code(doc, fds)))), file=out, flush=True)
     return 0

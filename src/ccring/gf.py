@@ -152,13 +152,7 @@ class FieldCtx:
     def _build_tables(self) -> None:
         # exp/log w.r.t. some multiplicative generator
         q = self.q
-        order_factors = _prime_factors(q - 1) if q > 2 else []
-        g = None
-        for cand in range(1, q):
-            if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in order_factors):
-                g = cand
-                break
-        assert g is not None
+        g = next(cand for cand in range(1, q) if self.order(cand) == q - 1)
         exp = [1] * (2 * (q - 1))
         log = [0] * q
         acc = 1
@@ -169,6 +163,28 @@ class FieldCtx:
         for i in range(q - 1, 2 * (q - 1)):
             exp[i] = exp[i - (q - 1)]
         self._exp, self._log = exp, log
+
+    def order(self, a: int, primes: list[int] | None = None) -> int:
+        """Multiplicative order of the unit a, without tables: from
+        t = q - 1, divide out each prime r while a^(t/r) is still 1.
+
+        Given primes, only the part of the order made of those primes:
+        with w the largest divisor of q - 1 prime to all of them, a^w has
+        that part as its order, so q - 1 is never factored (trial division
+        of q - 1 takes ~1e9 steps when q = 2^61).
+        """
+        t = self.q - 1
+        if primes is None:
+            primes = _prime_factors(t)
+        else:
+            for r in primes:
+                while t % r == 0:
+                    t //= r
+            a, t = self._pow_raw(a, t), (self.q - 1) // t
+        for r in primes:
+            while t % r == 0 and self._pow_raw(a, t // r) == 1:
+                t //= r
+        return t
 
     def _pow_raw(self, a: int, e: int) -> int:
         r = 1

@@ -399,63 +399,82 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _ddf(f: Poly) -> list[tuple[int, Poly]]:
-    """Distinct-degree decomposition of a monic squarefree f."""
+def _power_map(f: Poly):
+    """The map (a, k, mod) -> a^(p^k) mod mod, for mod dividing f and
+    a of degree < deg f.
+
+    It is chosen by the shape of f.  For a monic binomial f = x^n - c
+    with n prime to p (as when f is squarefree), x^n = c mod f turns the
+    power into a move of coefficients, with no product:
+
+        a^(p^k) = sum_i a_i^(p^k) c^floor(i p^k / n) x^(i p^k mod n).
+
+    The exponent of c only matters mod q - 1, and floor(i p^k / n) mod
+    q - 1 comes from i p^k mod n (q - 1).  That map works mod f and
+    leaves its O(n) result there: congruent mod mod, of degree < n.  Any
+    other f gets poly_modpow mod mod, whose cost falls as mod shrinks.
+    """
     ctx = f.ctx
-    q = ctx.q
+    n = f.degree
+    if not (f.is_monic() and n % ctx.p and f.coeffs[0]) or any(f.coeffs[1:-1]):
+        return lambda a, k, mod: poly_modpow(a, ctx.p ** k, mod)
+    p, m = ctx.p, ctx.m
+    c = ctx.neg(f.coeffs[0])
+    period = n * (ctx.q - 1)
+
+    def power(a: Poly, k: int, mod: Poly) -> Poly:
+        step = pow(p, k, period)
+        frob = p ** (k % m)  # the field's own Frobenius has order m
+        out = [0] * n
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                t = i * step % period
+                out[t % n] = ctx.mul(ctx.pow(ai, frob), ctx.pow(c, t // n))
+        return Poly(ctx, out)
+
+    return power
+
+
+def _orbit_fold(a: Poly, count: int, step: int, power, join) -> Poly:
+    """join over a, a^(p^step), ..., a^(p^(step*(count-1))) by doubling.
+
+    power(b, k) is b^(p^k), a ring map, so the fold S_k of the first k
+    terms gives S_2k = join(S_k, S_k^(p^(step*k))) and
+    S_(k+1) = join(a, S_k^(p^step)): about 2*log2(count) maps and joins
+    instead of count.
+    """
+    acc, k = a, 1
+    for bit in bin(count)[3:]:
+        acc, k = join(acc, power(acc, step * k)), 2 * k
+        if bit == "1":
+            acc, k = join(a, power(acc, step)), k + 1
+    return acc
+
+
+def _ddf(f: Poly, power) -> list[tuple[int, Poly]]:
+    """Distinct-degree decomposition of a monic squarefree f.
+
+    x^(q^d) is kept mod what is left of f, where power takes it one
+    degree on; its gcd with that remainder collects the factors of
+    degree d.
+    """
+    ctx = f.ctx
     x = Poly.x(ctx)
     parts = []
     rem = f
-    h = x % rem
+    h = x
     d = 0
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
             parts.append((rem.degree, rem))
             break
-        h = poly_modpow(h, q, rem)
-        g = poly_gcd(h - (x % rem), rem) if not (h - x % rem).is_zero() else rem
+        h = power(h, ctx.m, rem)
+        g = poly_gcd(h - x, rem)
         if g.degree > 0:
             parts.append((d, g))
             rem = rem // g
-            if rem.degree == 0:
-                break
-            h = h % rem
     return parts
-
-
-def _split_equal_degree(part: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a product of distinct irreducibles, all of degree d."""
-    if part.degree == d:
-        return [part]
-    ctx = part.ctx
-    q = ctx.q
-    while True:
-        h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
-        if h.degree < 1:
-            continue
-        g = poly_gcd(h, part)
-        if 0 < g.degree < part.degree:
-            pass
-        elif ctx.p == 2:
-            # additive splitting via the trace to F_2
-            t = Poly.zero(ctx)
-            acc = h % part
-            for _ in range(ctx.m * d):
-                t = t + acc
-                acc = poly_modpow(acc, 2, part)
-            if t.is_zero():
-                continue
-            g = poly_gcd(t, part)
-        else:
-            t = poly_modpow(h, (q ** d - 1) // 2, part) - Poly.one(ctx)
-            if t.is_zero():
-                continue
-            g = poly_gcd(t, part)
-        if 0 < g.degree < part.degree:
-            left = _split_equal_degree(g, d, rng)
-            right = _split_equal_degree(part // g, d, rng)
-            return left + right
 
 
 def factor_squarefree(f: Poly) -> list[Poly]:
@@ -470,9 +489,44 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     df = f.derivative()
     if df.is_zero() or poly_gcd(f, df).degree != 0:
         raise NotSquarefree("input has a repeated factor")
+    ctx = f.ctx
+    q = ctx.q
     rng = random.Random(FACTOR_SEED)
+    power = _power_map(f)
+
+    def split(part: Poly, d: int) -> list[Poly]:
+        """Split a product of distinct irreducibles, all of degree d."""
+        if part.degree == d:
+            return [part]
+
+        def power_mod(a: Poly, k: int) -> Poly:
+            return power(a, k, part)
+
+        while True:
+            h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
+            if h.degree < 1:
+                continue
+            g = poly_gcd(h, part)
+            if 0 < g.degree < part.degree:
+                pass
+            elif ctx.p == 2:
+                # additive splitting via the trace to F_2: the sum of h^(2^i), i < m d
+                t = _orbit_fold(h, ctx.m * d, 1, power_mod, Poly.__add__) % part
+                if t.is_zero():
+                    continue
+                g = poly_gcd(t, part)
+            else:
+                # h^((q^d - 1)/2) is the norm h^(1 + q + ... + q^(d-1)) to the (q - 1)/2
+                norm = _orbit_fold(h, d, ctx.m, power_mod, lambda a, b: (a * b) % part)
+                t = poly_modpow(norm, (q - 1) // 2, part) - Poly.one(ctx)
+                if t.is_zero():
+                    continue
+                g = poly_gcd(t, part)
+            if 0 < g.degree < part.degree:
+                return split(g, d) + split(part // g, d)
+
     out: list[Poly] = []
-    for d, part in _ddf(f):
-        out.extend(_split_equal_degree(part, d, rng))
+    for d, part in _ddf(f, power):
+        out.extend(split(part, d))
     out.sort(key=Poly.sort_key)
     return out

@@ -1,20 +1,35 @@
 """Set-up that follows the question: twisted idempotents, lazy f^k,
-degree-only counts and lazy residue sets, each against a route that
-does not share its shortcut."""
+degree-only counts from cyclotomic cosets, the binomial power map and
+lazy residue sets, each against a route that does not share its
+shortcut."""
 
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ccring.chain import ChainCtx
 from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
 from ccring.gf import field_new
 from ccring.ideals import count_codes, count_codes_by_degree
-from ccring.poly import Poly, factor_squarefree, frobenius, poly_modpow, poly_xgcd
+from ccring.poly import (
+    Poly,
+    _power_map,
+    factor_squarefree,
+    frobenius,
+    is_irreducible,
+    poly_modpow,
+    poly_xgcd,
+)
 
 TWIST_RINGS = [
     (5, 1, 1, 6, 4),
@@ -89,16 +104,110 @@ def test_ddf_degrees_and_count_match_full_factorization():
     assert seen_other_lambda
 
 
+@st.composite
+def binomial_rings(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 60).filter(lambda k: k % p))
+    lam = draw(st.integers(1, p**m - 1))
+    return p, m, s, n, lam
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring=binomial_rings())
+def test_coset_degrees_match_the_factors(ring):
+    """The integer-only coset sizes against the polynomial factorization,
+    which never reads them: same degrees, irreducible factors, and their
+    product is x^n - lambda0."""
+    params = AmbientParams.of_ints(*ring)
+    _, base = root_binomial(params)
+    factors = factor_squarefree(base)
+    assert factor_degrees(params) == [f.degree for f in factors]
+    prod = Poly.one(params.field)
+    for f in factors:
+        assert f.is_monic() and is_irreducible(f)
+        prod = prod * f
+    assert prod == base
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (13, 1), (2, 3), (3, 2), (5, 2)])
+def test_binomial_power_map_is_modpow(p, m):
+    rng = random.Random(p * 10 + m)
+    field = field_new(p, m)
+    for _ in range(6):
+        n = rng.choice([k for k in range(2, 40) if k % p])
+        c = rng.randrange(1, field.q)
+        f = Poly(field, (field.neg(c),) + (0,) * (n - 1) + (1,))
+        power = _power_map(f)
+        for k in range(2 * m + 2):
+            a = Poly(field, [rng.randrange(field.q) for _ in range(n)])
+            assert power(a, k, f) == poly_modpow(a, p**k, f), (n, c, k)
+
+
+# lambda = x in F_(2^m); its order, and so that of lambda0, can reach
+# q - 1, and 2^61 - 1 is prime.  The counts are as printed when the
+# degrees came from distinct-degree factorization.
+LARGE_FIELD_COUNTS = [
+    (24, 3, "4722366482869645213701"),
+    (32, 7, "26959946698536148471600418909601401462846269263399312657526036627581"),
+    (61, 3, "12259964326927110893451336132900790938555269229144178713"),
+]
+
+
+@pytest.mark.parametrize("m,n,want", LARGE_FIELD_COUNTS)
+def test_factor_degrees_cost_does_not_grow_with_the_field(m, n, want):
+    lam = "[" + ",".join(["0", "1"] + ["0"] * (m - 2)) + "]"
+    argv = ["count", "--p", "2", "--m", str(m), "--s", "1", "--n", str(n), "--lambda", lam]
+    # a subprocess, so factoring q - 1 by trial division fails by the timeout, not by a hang
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "ccring.cli", *argv], env=env, capture_output=True, timeout=30)
+    assert (done.returncode, done.stdout.decode().strip(), done.stderr) == (0, want, b"")
+    params = AmbientParams.of_ints(2, m, 1, n, 2)
+    tracemalloc.start()
+    try:
+        degrees = factor_degrees(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table over Z/(n t) would take n * ord(lambda0) bytes
+    assert peak < 1 << 16
+    assert degrees == [f.degree for f in factor_squarefree(root_binomial(params)[1])]
+
+
+def test_count_makes_no_polynomial_product_or_division(capsys, monkeypatch):
+    calls = []
+    mul, divmod_ = Poly.__mul__, Poly.__divmod__
+
+    def counted_mul(a, b):
+        calls.append("mul")
+        return mul(a, b)
+
+    def counted_divmod(a, b):
+        calls.append("divmod")
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    out = cli_out(capsys, monkeypatch, ["count", "--p", "3", "--s", "1", "--n", "87380", "--lambda", "2"])
+    assert calls == []
+    # as printed when the degrees came from distinct-degree factorization
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "cb2aed866ed6e531"
+
+
 def test_f_pows_builds_only_what_is_read():
     F2 = field_new(2, 1)
     ctx = ChainCtx(Poly(F2, (1, 1)), 4096)
     assert len(ctx.f_pows) == 4097
-    assert ctx.f_pows._built == {}
+    # the modulus f^4096 is the one power every context builds
+    assert sorted(ctx.f_pows._built) == [4096]
+    assert ctx.f_pows[4096] is ctx.modulus
     assert ctx.f_pows[3] == Poly(F2, (1, 1, 1, 1))
     # (x + 1)^(2^12 - 1) = (x^4096 + 1) / (x + 1) = 1 + x + ... + x^4095
     assert ctx.f_pows[4095] == Poly(F2, (1,) * 4096)
     assert ctx.f_pows[3] is ctx.f_pows[3]
-    assert sorted(ctx.f_pows._built) == [3, 4095]
+    assert sorted(ctx.f_pows._built) == [3, 4095, 4096]
     assert ctx.modulus == Poly(F2, (1,) + (0,) * 4095 + (1,))
     with pytest.raises(IndexError):
         ctx.f_pows[4097]
@@ -164,7 +273,7 @@ def test_wide_residue_window_streams():
     firsts = [next(stream) for _ in range(4)]
     f = ctx.f
     assert firsts == [Poly.zero(F2), f, f * f, f + f * f]
-    assert sorted(ctx.f_pows._built) == [1, 2]
+    assert sorted(ctx.f_pows._built) == [1, 2, 4096]
 
 
 # -- idempotents on first read -------------------------------------------------

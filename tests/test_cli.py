@@ -515,3 +515,43 @@ def test_verify_cut_off_by_the_reader_exits_3(monkeypatch):
 def test_verify_that_ran_to_its_end_keeps_its_status(monkeypatch, suite, status):
     # the whole report fits the buffer: the pipe shows up at the last flush
     assert _verify_into_a_closed_pipe(monkeypatch, suite, buffering=1 << 16) == status
+
+
+def padded_stream(capsys):
+    """Three enumerate documents, each padded with spaces to 219 bytes
+    plus its newline: 660 bytes."""
+    _, out, _ = run(capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "1", "--limit", "3")
+    return "".join(line.ljust(219) + "\n" for line in out.splitlines()).encode()
+
+
+def byte_stdin(data: bytes):
+    """A text stdin with a binary buffer under it, as the interpreter's is."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict", newline="\n")
+
+
+def test_non_utf8_offset_counts_from_the_start_of_the_input(capsys, monkeypatch, tmp_path):
+    block = padded_stream(capsys)
+    assert len(block) == 660
+    data = block * 40 + b"\xff"
+    path = tmp_path / "stream.ndjson"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", byte_stdin(data))
+    for argv in (["dual"], ["dual", "--input", str(path)]):
+        code, out, err = run(capsys, *argv)
+        # every document before the bad byte is answered, then the run stops
+        assert code == 2 and len(out.splitlines()) == 120
+        assert err == "error: input is not utf-8 text: invalid start byte at byte 26400\n"
+
+
+def test_crlf_input_keeps_its_error_positions(capsys, monkeypatch, tmp_path):
+    data = padded_stream(capsys).replace(b"\n", b"\r\n") + b'{"params": [1,\r\n 2,, 3]}\r\n'
+    path = tmp_path / "stream.ndjson"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", byte_stdin(data))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and len(out.splitlines()) == 3
+    assert err == "error: bad JSON input: Expecting value: line 5 column 4 (char 682)\n"
+    # a file is read in text mode, which turns \r\n into \n
+    code, out, err = run(capsys, "dual", "--input", str(path))
+    assert code == 2 and len(out.splitlines()) == 3
+    assert err == "error: bad JSON input: Expecting value: line 5 column 4 (char 678)\n"
