@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+import time
 from contextlib import nullcontext
 from itertools import chain, islice
 
@@ -436,13 +437,16 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """One line per check, ending with the check's wall time."""
     failures = 0
     with _stream(args.output, "w") as out:
+        start = time.perf_counter()
         for name, ok, detail in verify_suite(args.level):
             tag = "PASS" if ok else "FAIL"
-            print(f"{tag}  {name}: {detail}", file=out)
+            print(f"{tag}  {name}: {detail} ({time.perf_counter() - start:.2f} s)", file=out)
             if not ok:
                 failures += 1
+            start = time.perf_counter()
         print(f"{'OK' if not failures else 'FAILED'} ({failures} failures)", file=out)
     return 3 if failures else 0
 

@@ -54,7 +54,7 @@ from .ideals import (
     enumerate_ideals,
     spec_product,
 )
-from .linalg import kernel
+from .linalg import kernel, pack, unpack
 from .poly import Poly, reciprocal
 
 
@@ -227,11 +227,12 @@ def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] |
             continue
         lo, hi = b_window(shape, e)
         window = range(m * d * hi - 1, m * d * lo - 1, -1)
-        minus_id = [[(images[c][a] - (a == c)) % p for c in window] for a in window]
-        rows = kernel(minus_id, len(window), p).rows
+        size = len(window)
+        minus_id = [pack(p, size, [images[c][a] - (a == c) for c in window]) for a in window]
+        rows = kernel(minus_id, size, p).rows
         fixed = [
-            sum((basis[c].scale(x) for c, x in zip(window, row) if x), Poly.zero(field))
-            for row in reversed(rows)
+            sum((basis[c].scale(x) for c, x in zip(window, unpack(p, size, v)) if x), Poly.zero(field))
+            for v in reversed(rows)
         ]
         out.append((shape, fixed))
     return out

@@ -263,12 +263,13 @@ def ps_root(ctx: FieldCtx, lam: int, s: int) -> int:
     """The unique lam0 with lam0**(p**s) == lam.
 
     Raising to the p^s-th power permutes the units, so the root exists
-    and equals lam**t where t inverts p^s modulo q - 1.
+    and equals lam**t where t inverts p^s modulo q - 1.  For m > 1 the
+    one power is taken by square-and-multiply, with no field table.
     """
     if lam == 0 or lam >= ctx.q:
         raise ZeroLambda(f"lambda must be a unit, got {lam}")
     m1 = ctx.q - 1
     if m1 == 1:
         return lam
-    t = pow(ctx.p, s, m1)
-    return ctx.pow(lam, pow(t, -1, m1))
+    t = pow(pow(ctx.p, s, m1), -1, m1)
+    return pow(lam, t, ctx.p) if ctx.m == 1 else ctx._pow_raw(lam, t)

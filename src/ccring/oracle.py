@@ -18,15 +18,20 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
 
 Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
-In K^2 and in the ambient ring alike, pairs get coordinates from one
-map and are closed under x and F_q by one routine, given the ring's
-x-step.  Size limits (ORACLE_BUDGET and the others) are module constants.
+In K^2 and in the ambient ring alike, pairs get packed F_p coordinates
+(see linalg) from one map and are closed under x and F_q by one
+routine, given the ring's x-step.  That routine inserts the rows
+x^i g^l (A, B) into the span one at a time and stops a pair's chain at
+the first i whose x^i (A, B) is already in the span: the span is then
+closed under x and F_q, so the rest of the chain adds nothing (a Krylov
+closure).  The size limit ORACLE_BUDGET is a module constant.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import chain, product
+from operator import lshift
 
 from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, build_factor_data
@@ -53,60 +58,77 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
-from .linalg import FpSpace, kernel
+from .linalg import FpSpace, kernel, slot_bits, unpack
 from .poly import Poly, is_irreducible
 
-# past these sizes a brute-force route raises TooLarge (see each check)
+# past this size a brute-force route raises TooLarge (see each check)
 ORACLE_BUDGET = 1 << 24
-ALLPAIRS_BUDGET = 1 << 21
-SCAN_BUDGET = 1 << 14
 
 
 # -- coordinates for K^2 pairs -----------------------------------------------
 
 
 @functools.cache
-def _field_tables(field: FieldCtx):
-    """(coords, rows): coords[b] is the coordinate tuple of b, and
-    rows[l][b] is the tuple r -> coordinate l of g^r * b."""
+def _field_tables(field: FieldCtx, bits: int):
+    """(spread, gather, funcs) in slots of the given width: spread[b]
+    holds the m F_p coordinates of b, gather inverts spread, and
+    funcs[l][b] holds r -> coordinate l of g^r * b, each in m slots."""
     m, g = field.m, field.gen()
     coords = [field.decode(b) for b in field.elements()]
-    rows = [[] for _ in range(m)]
-    for b in field.elements():
-        images = [b]
-        for _ in range(m - 1):
-            images.append(field.mul(g, images[-1]))
-        for l in range(m):
-            rows[l].append(tuple(coords[c][l] for c in images))
-    return tuple(coords), tuple(map(tuple, rows))
+    spread = [sum(map(lshift, c, range(0, bits * m, bits))) for c in coords]
+    gather = {v: b for b, v in enumerate(spread)}
+    g_pows = [field.pow(g, r) for r in range(m)]
+    images = [[field.mul(x, b) for x in g_pows] for b in field.elements()]
+    funcs = [[sum(coords[c][l] << bits * r for r, c in enumerate(im)) for im in images] for l in range(m)]
+    return spread, gather, funcs
 
 
-def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> tuple[int, ...]:
-    """F_p coordinates of the pair (A, B), slots coefficients per polynomial."""
-    coords = _field_tables(field)[0]
-    pad = (0,) * slots
-    return tuple([x for a in (A, B) for c in (a.coeffs + pad)[:slots] for x in coords[c]])
+def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> int:
+    """Packed F_p coordinates of the pair (A, B), slots coefficients per
+    polynomial."""
+    step = slot_bits(field.p, 2 * field.m * slots) * field.m
+    spread = _field_tables(field, step // field.m)[0]
+    at = range(0, 2 * step * slots, step)
+    a = sum(map(lshift, map(spread.__getitem__, A.coeffs), at[:slots]))
+    return a + sum(map(lshift, map(spread.__getitem__, B.coeffs), at[slots:]))
 
 
-def _closure_rows(slots: int, shifts: int, x_step, pairs) -> list:
-    """Coordinates of x^i g^l (A, B) for every pair, i < shifts, l < m:
-    the closure of the pairs under F_q (g generates it; g = 1 when m = 1)
-    and under x, which x_step applies to one polynomial in the ring at hand.
+def _closure(modulus: Poly, pairs) -> FpSpace:
+    """The F_p-span of x^i g^l (A, B) for every pair, i >= 0, l < m, in
+    the ring mod the monic modulus: the closure of the pairs under F_q
+    (g generates it; g = 1 when m = 1) and under x.
+
+    The rows go into the span one at a time, and a pair's chain stops
+    at the first i with x^i (A, B) in the span.  The span is then closed
+    under x and F_q: earlier pairs' chains are, and x maps the span of
+    the x^j g^l (A, B), j < i, into that span plus F_q x^i (A, B).  So
+    the rest of the chain adds nothing.
     """
-    rows = []
+    field, slots = modulus.ctx, modulus.degree
+    space = FpSpace(field.p, 2 * field.m * slots)
+    g = field.gen()
     for A, B in pairs:
-        field = A.ctx
-        g = field.gen()
-        for _ in range(shifts):
+        while space.insert(_pair_vec(field, slots, A, B)):
             s0, s1 = A, B
-            for _l in range(field.m):
-                rows.append(_pair_vec(field, slots, s0, s1))
+            for _ in range(1, field.m):
                 s0, s1 = s0.scale(g), s1.scale(g)
-            A, B = x_step(A), x_step(B)
-    return rows
+                space.insert(_pair_vec(field, slots, s0, s1))
+            A, B = _x_step(modulus, A), _x_step(modulus, B)
+    return space
 
 
-def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> tuple[int, ...]:
+def _x_step(modulus: Poly, a: Poly) -> Poly:
+    """x * a mod the monic modulus, for a of lower degree."""
+    field = a.ctx
+    out = [0, *a.coeffs]
+    if len(out) <= modulus.degree:
+        return Poly(field, out)
+    top = out.pop()
+    low = modulus.coeffs
+    return Poly(field, [field.sub(c, field.mul(top, r)) if r else c for c, r in zip(out, low)])
+
+
+def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
     return _pair_vec(ctx.field, ctx.d * ctx.e, ctx.reduce(A), ctx.reduce(B))
 
 
@@ -120,17 +142,12 @@ def k_span(ctx: ChainCtx, pairs) -> FpSpace:
     K is spanned over F_p by x^i g^l, so closing under those two actions
     is exactly closing under multiplication by K.
     """
-    field = ctx.field
-    slots = ctx.d * ctx.e
-    pairs = [(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs]
-    rows = _closure_rows(slots, slots, lambda a: ctx.reduce(Poly(field, (0,) + a.coeffs)), pairs)
-    return FpSpace.from_rows(field.p, pair_dim(ctx), rows)
+    return _closure(ctx.modulus, [(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs])
 
 
 def spec_span(spec: IdealSpec, ctx: ChainCtx) -> FpSpace:
     """The submodule of K^2 a classified spec describes, as an FpSpace."""
-    rows = [(A, B) for A, B, _ in generator_rows(spec, ctx)]
-    return k_span(ctx, rows)
+    return k_span(ctx, [(A, B) for A, B, _ in generator_rows(spec, ctx)])
 
 
 # -- submodule enumeration ----------------------------------------------------
@@ -162,7 +179,7 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     def record(space: FpSpace) -> None:
         found.setdefault(space.key(), space)
 
-    record(FpSpace.from_rows(ctx.field.p, pair_dim(ctx), []))
+    record(FpSpace(ctx.field.p, pair_dim(ctx)))
     for k in range(e):
         fk = ctx.f_pows[k]
         for c in ctx.residue_set(0, e - k):
@@ -178,43 +195,11 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     return list(found.values())
 
 
-def brute_submodules_allpairs(ctx: ChainCtx) -> set:
-    """Literal spans of all ordered generator pairs; toy sizes only.
-
-    Exists to validate the normalization in brute_submodules without
-    assuming anything beyond closure under the ring action.
-    """
-    n2 = ctx.size ** 2
-    if n2 * n2 > ALLPAIRS_BUDGET:
-        raise TooLarge(f"|K^2|^2 = {n2 * n2} over budget {ALLPAIRS_BUDGET}")
-    vecs = [
-        (A, B)
-        for A in ctx.residue_set(0, ctx.e)
-        for B in ctx.residue_set(0, ctx.e)
-    ]
-    keys = set()
-    singles = []
-    for v in vecs:
-        s = k_span(ctx, [v])
-        singles.append(s)
-        keys.add(s.key())
-    for i, v in enumerate(vecs):
-        base = singles[i]
-        for w in vecs[i + 1 :]:
-            if base.contains(pair_coords(ctx, *w)):
-                continue
-            keys.add(k_span(ctx, [v, w]).key())
-    return keys
-
-
 def u_shift_closed(space: FpSpace, ctx: ChainCtx) -> bool:
     """Closure under (A, B) -> (0, A), i.e. under multiplication by u."""
-    half = space.dim // 2
-    for row in space.rows:
-        shifted = (0,) * half + row[:half]
-        if not space.contains(shifted):
-            return False
-    return True
+    shift = slot_bits(space.p, space.dim) * (space.dim // 2)
+    low = (1 << shift) - 1
+    return all(space.contains((row & low) << shift) for row in space.rows)
 
 
 def brute_u_closed_submodules(ctx: ChainCtx) -> list[FpSpace]:
@@ -274,56 +259,40 @@ def ambient_dim(params: AmbientParams) -> int:
     return 2 * params.m * params.N
 
 
-def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> tuple[int, ...]:
+def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> int:
     return _pair_vec(params.field, params.N, a0, a1)
 
 
-def coords_ambient(params: AmbientParams, vec) -> tuple[Poly, Poly]:
+def coords_ambient(params: AmbientParams, vec: int) -> tuple[Poly, Poly]:
     return _coords_pair(params.field, vec, params.N)
 
 
-def _coords_pair(field: FieldCtx, vec, slots: int) -> tuple[Poly, Poly]:
-    """The pair (A, B) whose coordinates, slots per polynomial, are vec."""
-    m, half = field.m, field.m * slots
-    A = Poly(field, [field.encode(vec[m * i : m * (i + 1)]) for i in range(slots)])
-    B = Poly(field, [field.encode(vec[half + m * i : half + m * (i + 1)]) for i in range(slots)])
-    return A, B
+def _coords_pair(field: FieldCtx, vec: int, slots: int) -> tuple[Poly, Poly]:
+    """The pair (A, B) whose packed coordinates, slots per polynomial, are vec."""
+    step = slot_bits(field.p, 2 * field.m * slots) * field.m
+    gather = _field_tables(field, step // field.m)[1]
+    cs = [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
+    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
 
 
-def _x_shift(params: AmbientParams, a: Poly) -> Poly:
-    """Multiply by x mod (x^N - lambda)."""
-    field = params.field
-    cs = a.coeffs
-    if len(cs) < params.N:
-        return Poly(field, (0,) + cs)
-    top = cs[params.N - 1]
-    out = [field.mul(params.lam, top)] + list(cs[: params.N - 1])
-    return Poly(field, out)
-
-
-def ideal_span(params: AmbientParams, gens) -> FpSpace:
+def ideal_span(fd: FactorData, gens) -> FpSpace:
     """F_p-span of the ideal generated by ambient pairs (a0, a1).
 
     Closes under multiplication by x, by the field generator and by u.
     """
-    zero = Poly.zero(params.field)
-    pairs = [pair for a0, a1 in gens for pair in ((a0, a1), (zero, a0))]
-    rows = _closure_rows(params.N, params.N, functools.partial(_x_shift, params), pairs)
-    return FpSpace.from_rows(params.p, ambient_dim(params), rows)
+    zero = Poly.zero(fd.params.field)
+    return _closure(fd.binomial, [pair for a0, a1 in gens for pair in ((a0, a1), (zero, a0))])
 
 
 def code_space(code: CodeSpec) -> FpSpace:
     """The F_p-span of a classified code in ambient coordinates."""
     fd = code.fd
-    params = fd.params
-    x_step = functools.partial(_x_shift, params)
-    rows = []
-    for j, spec in enumerate(code.components):
-        ctx = fd.chain(j)
-        eps = fd.idempotents[j]
-        pairs = [(fd.mulmod(eps, A), fd.mulmod(eps, B)) for A, B, _ in generator_rows(spec, ctx)]
-        rows += _closure_rows(params.N, ctx.d * ctx.e, x_step, pairs)
-    return FpSpace.from_rows(params.p, ambient_dim(params), rows)
+    pairs = [
+        (fd.mulmod(eps, A), fd.mulmod(eps, B))
+        for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
+        for A, B, _ in generator_rows(spec, fd.chain(j))
+    ]
+    return _closure(fd.binomial, pairs)
 
 
 def brute_ambient_ideals(fd: FactorData):
@@ -338,24 +307,17 @@ def brute_ambient_ideals(fd: FactorData):
     if params.ring_size() > ORACLE_BUDGET:
         raise TooLarge(f"|R|^N = {params.ring_size()} over budget {ORACLE_BUDGET}")
     field = params.field
-    per_factor = []
-    for j in range(fd.r):
-        ctx = fd.chain(j)
-        spaces = brute_u_closed_submodules(ctx)
-        eps = fd.idempotents[j]
-        mapped = []
-        for s in spaces:
-            rows = []
-            for row in s.rows:
-                A, B = _coords_pair(field, row, ctx.d * ctx.e)
-                rows.append((fd.mulmod(eps, A), fd.mulmod(eps, B)))
-            mapped.append(rows)
-        per_factor.append(mapped)
+
+    def lifted(j: int, space: FpSpace) -> list[int]:
+        ctx, eps = fd.chain(j), fd.idempotents[j]
+        pairs = (_coords_pair(field, row, ctx.d * ctx.e) for row in space.rows)
+        return [ambient_coords(params, fd.mulmod(eps, A), fd.mulmod(eps, B)) for A, B in pairs]
+
+    per_factor = [[lifted(j, s) for s in brute_u_closed_submodules(fd.chain(j))] for j in range(fd.r)]
 
     ideals: dict = {}
     for choice in product(*per_factor):
-        rows = [ambient_coords(params, a0, a1) for pieces in choice for a0, a1 in pieces]
-        space = FpSpace.from_rows(field.p, ambient_dim(params), rows)
+        space = FpSpace.from_rows(field.p, ambient_dim(params), chain.from_iterable(choice))
         ideals.setdefault(space.key(), space)
 
     _check_singly_generated_covered(fd, ideals)
@@ -367,21 +329,18 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     params = fd.params
     field = params.field
     dim = ambient_dim(params)
-    if params.ring_size() > ORACLE_BUDGET:
-        raise TooLarge("single-generator sweep over budget")
+    bits = slot_bits(field.p, dim)
+    # every vector, coordinate 0 moving fastest
+    whole = FpSpace(field.p, dim, [1 << bits * i for i in range(dim)], range(dim))
     covered: set = set()
-    for digits in product(range(field.p), repeat=dim):
-        key = digits[::-1]  # key[0] moves fastest
-        if key in covered:
+    for vec in whole.elements():
+        if vec in covered:
             continue
-        a0, a1 = coords_ambient(params, key)
-        span = ideal_span(params, [(a0, a1)])
+        span = ideal_span(fd, [coords_ambient(params, vec)])
         if span.key() not in ideals:
-            raise AssertionError(
-                f"singly generated ideal missed by the assembly: gen={key}"
-            )
-        for el in span.elements():
-            covered.add(el)
+            gen = unpack(field.p, dim, vec)
+            raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
+        covered.update(span.elements())
 
 
 # -- duals ---------------------------------------------------------------------
@@ -395,46 +354,23 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.  On the
     block of a_i the l-th coordinate of a_i * b_i is r -> coordinate l
     of g^r * b_i, a row of the field's table.  The answer is exactly the
-    set a full scan would return (the scan variant below is kept for
-    toy-size cross-checks).
+    set a full scan would return (a test runs that scan at toy sizes).
     """
     field = params.field
-    m, N = field.m, params.N
+    p, m, N = field.p, field.m, params.N
     dim = ambient_dim(params)
-    rows = _field_tables(field)[1]
-    zeros = [0] * (m * N)
+    step = slot_bits(p, dim) * m
+    at = range(0, step * N, step)
     mat = []
     for row in space.rows:
-        # the field elements b0_i and b1_i of the codeword's two blocks
-        b0, b1 = [0] * N, [0] * N
-        for r in range(m):
-            w = field.p ** r
-            b0 = [b + c * w for b, c in zip(b0, row[r : m * N : m])]
-            b1 = [b + c * w for b, c in zip(b1, row[m * N + r :: m])]
-        for l in range(m):
+        b0, b1 = coords_ambient(params, row)
+        for func in _field_tables(field, step // m)[2]:
             # [a, b]_0 = sum_i a0_i * b0_i
-            by_b0 = [x for b in b0 for x in rows[l][b]]
-            mat.append(by_b0 + zeros)
+            by_b0 = sum(map(lshift, map(func.__getitem__, b0.coeffs), at))
             # [a, b]_1 = sum_i a0_i * b1_i + a1_i * b0_i
-            mat.append([x for b in b1 for x in rows[l][b]] + by_b0)
-    return kernel(mat, dim, field.p)
-
-
-def brute_dual_scan(space: FpSpace, params: AmbientParams) -> set:
-    """Full-scan dual: every ambient vector tested against every codeword."""
-    field = params.field
-    if params.ring_size() > SCAN_BUDGET:
-        raise TooLarge("scan over budget")
-    dim = ambient_dim(params)
-    p = field.p
-    words = space.elements()
-    out = set()
-    for digits in product(range(p), repeat=dim):
-        vec = digits[::-1]  # vec[0] moves fastest
-        a0, a1 = coords_ambient(params, vec)
-        if all(_pair_orthogonal(params, a0, a1, *coords_ambient(params, w)) for w in words):
-            out.add(vec)
-    return out
+            by_b1 = sum(map(lshift, map(func.__getitem__, b1.coeffs), at))
+            mat += [by_b0, by_b1 + (by_b0 << step * N)]
+    return kernel(mat, dim, p)
 
 
 def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:
@@ -442,16 +378,6 @@ def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:
     by running every spec through dual_component; no elimination."""
     ctx = fd.chain(j)
     return [spec for spec in enumerate_ideals(ctx) if dual_component(spec, j, fd, ctx) == spec]
-
-
-def _pair_orthogonal(params, a0, a1, b0, b1) -> bool:
-    field = params.field
-    z0 = 0
-    z1 = 0
-    for i in range(params.N):
-        z0 = field.add(z0, field.mul(a0[i], b0[i]))
-        z1 = field.add(z1, field.add(field.mul(a0[i], b1[i]), field.mul(a1[i], b0[i])))
-    return z0 == 0 and z1 == 0
 
 
 # -- verification suites -------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from ccring.cli import main as cli_main
 from ccring.errors import BadModulus, NotPrime, ReducibleModulus
-from ccring.gf import field_new, ps_root
+from ccring.gf import FieldCtx, field_new, ps_root
 
 
 def test_prime_field_arithmetic():
@@ -102,6 +103,19 @@ def test_ps_root_is_inverse_of_powering():
             lam = rng.randrange(1, F.q)
             root = ps_root(F, lam, s)
             assert F.pow(root, p**s) == lam
+
+
+def test_count_builds_no_field_table(monkeypatch, capsys):
+    """ps_root takes its one power without the q-entry exp/log table,
+    which at q = 2^16 costs seconds; count needs nothing else from it."""
+
+    def refuse(self):
+        raise AssertionError("count built a field table")
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", refuse)
+    lam = "[" + ",".join(["1"] + ["0"] * 15) + "]"
+    code = cli_main(["count", "--p", "2", "--m", "16", "--s", "1", "--n", "3", "--lambda", lam])
+    assert code == 0 and capsys.readouterr().out == "281539406135421\n"
 
 
 # the lexicographically smallest monic irreducibles, frozen so that a change

@@ -1,22 +1,24 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
 from ccring import oracle
 from ccring.chain import ChainCtx
 from ccring.decomp import AmbientParams, build_factor_data
+from ccring.dual import dual_code
 from ccring.errors import TooLarge
 from ccring.gf import field_new
-from ccring.ideals import IdealSpec, component_elements, enumerate_ideals, ideal_size
-from ccring.linalg import kernel
+from ccring.ideals import IdealSpec, component_elements, enumerate_codes, enumerate_ideals, ideal_size
+from ccring.linalg import kernel, pack, unpack
 from ccring.oracle import (
     FpSpace,
     ambient_coords,
+    ambient_dim,
     brute_ambient_ideals,
     brute_dual,
-    brute_dual_scan,
     brute_submodules,
-    brute_submodules_allpairs,
     brute_u_closed_submodules,
     code_space,
     coords_ambient,
@@ -30,23 +32,88 @@ from ccring.oracle import (
 )
 from ccring.poly import Poly
 
+# past these sizes the tests' own brute-force routes raise TooLarge
+ALLPAIRS_BUDGET = 1 << 21
+SCAN_BUDGET = 1 << 14
+
+
+def brute_submodules_allpairs(ctx: ChainCtx) -> set:
+    """Literal spans of all ordered generator pairs; toy sizes only.
+
+    Exists to validate the normalization in brute_submodules without
+    assuming anything beyond closure under the ring action.
+    """
+    n2 = ctx.size ** 2
+    if n2 * n2 > ALLPAIRS_BUDGET:
+        raise TooLarge(f"|K^2|^2 = {n2 * n2} over budget {ALLPAIRS_BUDGET}")
+    vecs = [
+        (A, B)
+        for A in ctx.residue_set(0, ctx.e)
+        for B in ctx.residue_set(0, ctx.e)
+    ]
+    keys = set()
+    singles = []
+    for v in vecs:
+        s = k_span(ctx, [v])
+        singles.append(s)
+        keys.add(s.key())
+    for i, v in enumerate(vecs):
+        base = singles[i]
+        for w in vecs[i + 1 :]:
+            if base.contains(pair_coords(ctx, *w)):
+                continue
+            keys.add(k_span(ctx, [v, w]).key())
+    return keys
+
+
+def brute_dual_scan(space: FpSpace, params: AmbientParams) -> set:
+    """Full-scan dual: every ambient vector tested against every codeword."""
+    field = params.field
+    if params.ring_size() > SCAN_BUDGET:
+        raise TooLarge("scan over budget")
+    dim = ambient_dim(params)
+    words = space.elements()
+    out = set()
+    for digits in product(range(field.p), repeat=dim):
+        vec = pack(field.p, dim, digits)
+        a0, a1 = coords_ambient(params, vec)
+        if all(_pair_orthogonal(params, a0, a1, *coords_ambient(params, w)) for w in words):
+            out.add(vec)
+    return out
+
+
+def _pair_orthogonal(params, a0, a1, b0, b1) -> bool:
+    field = params.field
+    z0 = 0
+    z1 = 0
+    for i in range(params.N):
+        z0 = field.add(z0, field.mul(a0[i], b0[i]))
+        z1 = field.add(z1, field.add(field.mul(a0[i], b1[i]), field.mul(a1[i], b0[i])))
+    return z0 == 0 and z1 == 0
+
 
 def chain_of(p, m, f_coeffs, e):
     F = field_new(p, m)
     return ChainCtx(Poly(F, list(f_coeffs)), e)
 
 
+def rows_of(p, dim, rows):
+    return [pack(p, dim, row) for row in rows]
+
+
 def test_fpspace_canonical_form():
-    a = FpSpace.from_rows(3, 3, [[1, 2, 0], [0, 1, 1]])
+    a = FpSpace.from_rows(3, 3, rows_of(3, 3, [[1, 2, 0], [0, 1, 1]]))
     # same span presented through different combinations
-    b = FpSpace.from_rows(3, 3, [[2, 2, 1], [1, 0, 1], [1, 1, 2]])
+    b = FpSpace.from_rows(3, 3, rows_of(3, 3, [[2, 2, 1], [1, 0, 1], [1, 1, 2]]))
     assert a.key() == b.key() and a == b
+    assert [unpack(3, 3, row) for row in a.rows] == [[1, 0, 1], [0, 1, 1]]
+    assert a.pivots == [0, 1]
     assert a.rank == 2 and a.size == 9
-    assert a.contains([1, 0, 1])
-    assert not a.contains([0, 0, 1])
-    bigger = a.extended([[0, 0, 1]])
-    assert bigger.rank == 3
-    assert len(a.elements()) == 9
+    assert a.contains(pack(3, 3, [1, 0, 1]))
+    assert not a.contains(pack(3, 3, [0, 0, 1]))
+    assert a.insert(pack(3, 3, [0, 0, 1])) and a.rank == 3
+    assert not a.insert(pack(3, 3, [2, 2, 2]))
+    assert len(a.elements()) == 27
 
 
 def test_kernel_rank_nullity_and_orthogonality():
@@ -55,12 +122,12 @@ def test_kernel_rank_nullity_and_orthogonality():
     for _ in range(10):
         dim = rng.randrange(2, 7)
         mat = [[rng.randrange(p) for _ in range(dim)] for _ in range(rng.randrange(1, 5))]
-        ker = kernel(mat, dim, p)
-        rowspace = FpSpace.from_rows(p, dim, mat)
+        ker = kernel(rows_of(p, dim, mat), dim, p)
+        rowspace = FpSpace.from_rows(p, dim, rows_of(p, dim, mat))
         assert ker.rank + rowspace.rank == dim
         for krow in ker.rows:
             for mrow in mat:
-                assert sum(a * b for a, b in zip(krow, mrow)) % p == 0
+                assert sum(a * b for a, b in zip(unpack(p, dim, krow), mrow)) % p == 0
 
 
 def test_pair_coords_roundtrip():
@@ -68,11 +135,11 @@ def test_pair_coords_roundtrip():
     A = Poly(ctx.field, (2, 1, 0))
     B = Poly(ctx.field, (1, 0, 2))
     vec = pair_coords(ctx, A, B)
-    assert len(vec) == 6
+    assert unpack(3, 6, vec) == [2, 1, 0, 1, 0, 2]
     # span of a single pair under multiplication is the cyclic module it generates
     sp = k_span(ctx, [(A, B)])
-    assert sp.contains(list(vec))
-    assert sp.contains(list(pair_coords(ctx, ctx.mul(ctx.f, A), ctx.mul(ctx.f, B))))
+    assert sp.contains(vec)
+    assert sp.contains(pair_coords(ctx, ctx.mul(ctx.f, A), ctx.mul(ctx.f, B)))
 
 
 def test_submodule_enumeration_routes_agree():
@@ -107,7 +174,7 @@ def test_spec_span_matches_element_stream():
     for spec in enumerate_ideals(ctx):
         sp = spec_span(spec, ctx)
         elems = {pair_coords(ctx, xi, eta) for xi, eta in component_elements(spec, ctx)}
-        assert {tuple(v) for v in sp.elements()} == elems
+        assert set(sp.elements()) == elems
 
 
 def test_ambient_ideal_assembly():
@@ -125,9 +192,9 @@ def test_code_space_roundtrips_coords():
 
     code = CodeSpec(fd, (IdealSpec("III", k=1), IdealSpec("I", b=Poly.zero(params.field))))
     sp = code_space(code)
-    for vec in list(sp.elements())[:10]:
+    for vec in sp.elements()[:10]:
         a0, a1 = coords_ambient(params, vec)
-        assert ambient_coords(params, a0, a1) == tuple(vec)
+        assert ambient_coords(params, a0, a1) == vec
 
 
 def test_dual_routes_agree_tiny():
@@ -135,14 +202,14 @@ def test_dual_routes_agree_tiny():
     fd = build_factor_data(params)
     for space in brute_ambient_ideals(fd):
         dual = brute_dual(space, params)
-        assert {tuple(v) for v in dual.elements()} == brute_dual_scan(space, params)
+        assert set(dual.elements()) == brute_dual_scan(space, params)
         assert dual.size * space.size == params.ring_size()
 
 
 def test_budget_guards(monkeypatch):
     big = chain_of(5, 1, (2, 1), 5)
     monkeypatch.setattr(oracle, "ORACLE_BUDGET", 100)
-    monkeypatch.setattr(oracle, "ALLPAIRS_BUDGET", 100)
+    monkeypatch.setitem(globals(), "ALLPAIRS_BUDGET", 100)
     with pytest.raises(TooLarge):
         brute_submodules(big)
     with pytest.raises(TooLarge):
@@ -154,3 +221,45 @@ def test_quick_suite_passes():
     assert results, "suite must not be empty"
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def _digest(spaces) -> str:
+    """Hash of the spaces' bases as coordinate lists, in sorted order."""
+    bases = sorted(tuple(tuple(unpack(s.p, s.dim, row)) for row in s.rows) for s in spaces)
+    return hashlib.sha256(repr(bases).encode()).hexdigest()[:16]
+
+
+# Every ring of the benchmark's oracle workload, with the results the
+# coordinate-list RREF gave: code count, digests of the code spaces and
+# of their kernel duals, submodule counts per factor with their digest,
+# and the ambient ideal count (the ideals' digest is the codes').
+ORACLE_RESULTS = [
+    ((2, 2, 1, 3, 1), 729, "8365961c452e4029", "8365961c452e4029", None, None),
+    ((3, 2, 1, 2, 5), 250, "103783e0c86b3cf4", "6a9387edc675bf52", None, None),
+    ((2, 1, 1, 3, 1), 63, "a2e788c0ee810f06", "a2e788c0ee810f06", ([15, 33], "231feef4789e9db1"), 63),
+    ((2, 1, 2, 1, 1), 23, "51ff8db74c767ab7", "51ff8db74c767ab7", ([83], "306362a6636c39ab"), 23),
+    ((2, 2, 1, 1, 1), 9, "d0ccc57b8fec14c0", "d0ccc57b8fec14c0", ([33], "267dd0527188f213"), 9),
+    ((2, 3, 1, 1, 1), 13, "1b1c49a866ef69c2", "1b1c49a866ef69c2", ([93], "25d75ff75fe50437"), 13),
+    ((3, 1, 1, 1, 1), 16, "1fc0435bc5425b32", "1fc0435bc5425b32", ([76], "80b4483934922f1d"), 16),
+    ((2, 1, 1, 5, 1), 147, "3a4ce869aabe4f65", "3a4ce869aabe4f65", ([15, 309], "a3cc28c1d3352326"), None),
+    ((5, 1, 1, 1, 1), 121, "80dbd1509a07c469", "80dbd1509a07c469", None, None),
+]
+
+
+@pytest.mark.parametrize("ring, ncodes, codes_hash, duals_hash, subs, nambient", ORACLE_RESULTS)
+def test_oracle_results_are_frozen(ring, ncodes, codes_hash, duals_hash, subs, nambient):
+    fd = build_factor_data(AmbientParams.of_ints(*ring))
+    codes = list(enumerate_codes(fd))
+    spaces = [code_space(code) for code in codes]
+    duals = [brute_dual(space, fd.params) for space in spaces]
+    assert len(codes) == ncodes
+    assert _digest(spaces) == codes_hash and _digest(duals) == duals_hash
+    for code, dual in zip(codes, duals):
+        assert dual == code_space(dual_code(code))
+    if subs is not None:
+        found = [brute_submodules(fd.chain(j)) for j in range(fd.r)]
+        assert [len(x) for x in found] == subs[0]
+        assert _digest([s for x in found for s in x]) == subs[1]
+    if nambient is not None:
+        ideals = brute_ambient_ideals(fd)
+        assert len(ideals) == nambient and _digest(ideals) == codes_hash
