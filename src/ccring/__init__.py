@@ -13,6 +13,8 @@ from .decomp import (
     FactorData,
     assemble,
     build_factor_data,
+    clear_memo,
+    factor_data,
     factor_data_for,
     factor_degrees,
     project,

@@ -30,7 +30,7 @@ from .decomp import (
     AmbientParams,
     FactorData,
     build_factor_data,
-    factor_data_for,
+    factor_data,
     factor_degrees,
 )
 from .dual import count_self_dual, dual_code, enumerate_self_dual, nu_value
@@ -176,10 +176,12 @@ def code_json(code: CodeSpec):
 
 
 def parse_code(doc, cache: dict | None = None) -> CodeSpec:
-    """The code a document describes.
+    """The code a document describes, its ring set up through the decomp
+    memo.
 
     cache, when given, maps a document's (params, factors) to the
-    FactorData built for it, so documents of one ring share it.
+    FactorData built for it, so documents of one ring share it however
+    many rings come between them.
     """
     cache = {} if cache is None else cache
     key = _dumps([_member(doc, "params"), doc.get("factors")])
@@ -191,16 +193,16 @@ def parse_code(doc, cache: dict | None = None) -> CodeSpec:
 
 
 def _parse_factor_data(doc) -> FactorData:
-    params = parse_params(doc["params"])
+    params = parse_params(_member(doc, "params"))
     if "factors" not in doc:
-        return build_factor_data(params)
+        return factor_data(params)
     factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
     # x^n - lambda0 is squarefree, so monic factors with its product and
     # its factor degrees are its irreducible factors
     degrees = sorted(f.degree for f in factors)
     if degrees != factor_degrees(params) or not all(f.is_monic() for f in factors):
         raise CcringError("'factors' must be the monic irreducible factors of x^n - lambda0")
-    return factor_data_for(params, factors)
+    return factor_data(params, factors)
 
 
 def factor_data_json(fd: FactorData):
@@ -336,8 +338,11 @@ def _params(args, nu=None) -> AmbientParams:
     return AmbientParams(field, args.s, args.n, lam)
 
 
-def _build_fd(args, nu=None) -> FactorData:
-    return build_factor_data(_params(args, nu))
+def _kept_fd(args, nu=None) -> FactorData:
+    """The ring of the flags through the decomp memo, for the commands
+    whose ring comes back: enumerate, then dual on its output, and a
+    self-dual count, then its codes."""
+    return factor_data(_params(args, nu))
 
 
 def _stream(path: str, mode: str):
@@ -383,14 +388,16 @@ def _text_lines(fh, universal: bool):
 
 
 def cmd_info(args) -> int:
-    fd = _build_fd(args)
+    # built afresh: the idempotents it reads are r polynomials of length
+    # N, which the memo would keep for the rest of the process
+    fd = build_factor_data(_params(args))
     with _stream(args.output, "w") as out:
         print(_dumps(factor_data_json(fd)), file=out)
     return 0
 
 
 def cmd_idempotents(args) -> int:
-    fd = _build_fd(args)
+    fd = build_factor_data(_params(args))  # afresh, as for info
     field = fd.params.field
     with _stream(args.output, "w") as out:
         print(_dumps([poly_json(field, e) for e in fd.idempotents]), file=out)
@@ -407,7 +414,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    fd = _build_fd(args)
+    fd = _kept_fd(args)
     with _stream(args.output, "w") as out:
         for code in enumerate_codes(fd, args.limit):
             print(_dumps(code_json(code)), file=out)
@@ -415,8 +422,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    # documents of one ring share its FactorData, and so the dual's,
-    # within this input only
+    # documents of one ring share its FactorData, and so the dual's:
+    # within this input through fds, which the memo's bound does not
+    # limit, and across calls through the memo
     fds: dict = {}
     with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
         for doc in _documents(_text_lines(src, universal=src is not sys.stdin)):
@@ -426,7 +434,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    fd = _build_fd(args, args.nu)
+    fd = _kept_fd(args, args.nu)
     with _stream(args.output, "w") as out:
         if args.count_only:
             print(decimal(count_self_dual(fd, args.nu)), file=out)

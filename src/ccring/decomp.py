@@ -26,14 +26,22 @@ sizes of the q-cyclotomic cosets of the roots' exponents (see
 factor_degrees), so it does no polynomial arithmetic.
 
 The parameters alone fix a ring's FactorData: the factors come out of
-factor_squarefree sorted, whatever its random splitting did.  The
-factor data of the dual ring is fixed by the source's, so
-dual.dual_factor_data builds it once and keeps it on the source.
+factor_squarefree sorted, whatever its random splitting did.
+build_factor_data and factor_data_for build a new one on every call;
+factor_data hands out the ones the process keeps, the last MEMO_SIZE
+it asked for, so a ring that comes back (a stream of documents, the
+dual of a dual, a self-dual count and then its codes) is set up once,
+together with whatever it has built lazily since (the dual ring,
+self-dual kernels).  A failed build is not kept.  The factor data of
+the dual ring is fixed by the source's, so dual.dual_factor_data
+builds it once and keeps it on the source; through the memo, the dual
+of that dual is the source again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .chain import ChainCtx
@@ -46,7 +54,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FieldCtx, _prime_factors, field_new, ps_root
-from .poly import Poly, factor_squarefree, frobenius, poly_xgcd, reciprocal
+from .poly import Poly, factor_squarefree, frobenius, reciprocal
 
 # the longest ambient length N = n*p^s accepted; set-up work grows with N
 # (on a 2-vCPU Xeon with Python 3.11, count takes about 0.06 s at
@@ -54,6 +62,19 @@ from .poly import Poly, factor_squarefree, frobenius, poly_xgcd, reciprocal
 # so q = 2^61 at n = 3 takes 0.5 s for the whole process; but factoring
 # x^8191 - 1 over F_2 for info, N = 16382, takes about 40 s)
 MAX_LENGTH = 1 << 18
+
+# keys the ring set-up memo of factor_data holds, sized from the
+# traffic: `enumerate` and then `dual` twice on its documents use three
+# per ring (params and (params, factors) for the ring, (params,
+# factors) for its dual), a `dual` call two per ring, `selfdual
+# --count-only` and then `--limit` two.  Replaying the seed-9001
+# benchmark ops in one process, code_stream's 12 rings build 24
+# FactorData with any size from 2 up, and selfdual's 152, 141, 128 and
+# 89 with 2, 8, 16 and 32 keys, where past 2 only the op list's
+# returning to rings it used many ops before gains.  Documents of one
+# `dual` input share their ring through its own cache, whatever the
+# bound.
+MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -117,9 +138,11 @@ class FactorData:
 
     The idempotents are built on first read of fd.idempotents and then
     kept, so work that never glues components (dual, enumerate,
-    selfdual, count) runs no extended gcd.  _dual holds the lambda^(-1)
-    ring's FactorData once dual.dual_factor_data has built it; the dual
-    keeps no link back, so no reference cycle forms.
+    selfdual, count) builds none.  _dual holds the lambda^(-1) ring's
+    FactorData once dual.dual_factor_data has built it; the dual links
+    back only once it is dualized itself.  _fixed holds the self-dual
+    kernels of the tau-fixed factors once dual has built them, so a
+    count and a stream on one ring share them.
     """
 
     __slots__ = (
@@ -128,6 +151,7 @@ class FactorData:
         "factors",
         "_idempotents",
         "_dual",
+        "_fixed",
         "chain_ctxs",
         "binomial",
         "tau",
@@ -142,6 +166,7 @@ class FactorData:
         self.factors = factors
         self._idempotents = None
         self._dual = None
+        self._fixed = None
         self.chain_ctxs = chain_ctxs
         field, N = params.field, params.N
         self.binomial = Poly(field, (field.neg(params.lam),) + (0,) * (N - 1) + (1,))
@@ -228,19 +253,24 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
 
 
 def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
-    """eps_j = frobenius(v_j F_j mod (x^n - lambda0), s), one xgcd per factor."""
+    """eps_j = frobenius(v_j F_j mod (x^n - lambda0), s), with no gcd.
+
+    Differentiating x^n - lambda0 = f F gives n x^(n-1) = f' F at each
+    root of f, and x^n = lambda0 there, so the inverse of F mod f is
+    v = x f'(x) / (n lambda0) mod f.  The twist is additive and
+    one-to-one, so the eps_j sum to 1 exactly when the untwisted
+    w_j = v_j F_j mod (x^n - lambda0) do, which is checked at length n.
+    """
     field = params.field
-    _, base = root_binomial(params)
+    lam0, base = root_binomial(params)
+    scale = field.inv(field.mul(params.n % params.p, lam0))
+    total = Poly.zero(field)
     idempotents = []
     for f in factors:
-        cof = base // f
-        g, v, _ = poly_xgcd(cof, f)
-        assert g.degree == 0 and g.coeffs[0] == 1, "factors are not coprime"
-        idempotents.append(frobenius((v * cof) % base, params.s))
-
-    total = Poly.zero(field)
-    for eps in idempotents:
-        total = total + eps
+        v = (Poly.x(field) * f.derivative()).scale(scale) % f
+        w = (v * (base // f)) % base
+        total = total + w
+        idempotents.append(frobenius(w, params.s))
     assert total == Poly.one(field), "idempotents do not sum to 1"
     return idempotents
 
@@ -288,11 +318,33 @@ def factor_degrees(params: AmbientParams) -> list[int]:
 
 def build_factor_data(params: AmbientParams) -> FactorData:
     """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
+    return factor_data_for(params, _ordered_factors(params))
+
+
+def _ordered_factors(params: AmbientParams) -> list[Poly]:
     _, base = root_binomial(params)
     factors = factor_squarefree(base)
-    if params.lam_self_paired():
-        factors = _pair_order(factors)
-    return factor_data_for(params, factors)
+    return _pair_order(factors) if params.lam_self_paired() else factors
+
+
+def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> FactorData:
+    """The ring's FactorData, as build_factor_data (no factors) or
+    factor_data_for gives it, but set up once while the process keeps
+    it: a call with equal arguments returns the same object."""
+    return _kept(params, None if factors is None else tuple(factors))
+
+
+@lru_cache(MEMO_SIZE)
+def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData:
+    if factors is None:
+        # also kept under its factors, so the dual of its dual is this one
+        return _kept(params, tuple(_ordered_factors(params)))
+    return factor_data_for(params, list(factors))
+
+
+def clear_memo() -> None:
+    """Forget every kept FactorData; factor_data builds each ring again."""
+    _kept.cache_clear()
 
 
 def project(a, j: int, fd: FactorData):

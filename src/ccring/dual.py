@@ -4,7 +4,8 @@ The dual of a lambda-constacyclic code is lambda^(-1)-constacyclic, so
 it decomposes over the reciprocals of the f_j.  That ring is fixed by
 the source ring: dual_factor_data builds its FactorData on first use
 and keeps it on the source's, so every code of one FactorData dualizes
-over the same object.
+over the same object, and the decomp memo makes the dual of that dual
+the source again.
 
 On spec level the whole construction is a parameter transport: writing
 d_j = deg f_j and N = n*p^s, every case that carries a b maps through
@@ -44,7 +45,7 @@ from dataclasses import replace
 from functools import partial
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, FactorData, factor_data_for
+from .decomp import AmbientParams, FactorData, factor_data
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -68,7 +69,7 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     """
     if fd._dual is None:
         recips = [reciprocal(f).monic() for f in fd.factors]
-        fd._dual = factor_data_for(fd.params.dual_params(), recips)
+        fd._dual = factor_data(fd.params.dual_params(), recips)
     return fd._dual
 
 
@@ -279,14 +280,16 @@ def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
 
 def _fixed_factor_windows(fd: FactorData, nu: int):
     """_fixed_windows of each tau-fixed factor, once fd is known to be
-    built for lambda = nu."""
+    built for lambda = nu; built on the first call and kept on fd."""
     if fd.tau is None:
         raise NotSelfPairedLambda("lambda^2 != 1")
     if fd.params.lam != nu_value(fd.params.field, nu):
         raise NotSelfPairedLambda(
             f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
         )
-    return [_fixed_windows(j, fd) for j in range(fd.rho)]
+    if fd._fixed is None:
+        fd._fixed = [_fixed_windows(j, fd) for j in range(fd.rho)]
+    return fd._fixed
 
 
 def count_self_dual(fd: FactorData, nu: int) -> int:

@@ -150,18 +150,35 @@ class FieldCtx:
         return self.encode(prod[:m])
 
     def _build_tables(self) -> None:
-        # exp/log w.r.t. some multiplicative generator
-        q = self.q
+        """exp/log w.r.t. the least generator, walked with no product.
+
+        a -> a*g is F_p-linear, so it is the sum of the images of a's low
+        and high halves of coordinates, each read from a table of p^(m/2)
+        entries.  The tables come from the images x^i g, each a shift of
+        the last with the top coordinate reduced by the modulus; for
+        p = 2 the sum is an XOR.
+        """
+        p, m, q = self.p, self.m, self.q
         g = next(cand for cand in range(1, q) if self.order(cand) == q - 1)
+        add = int.__xor__ if p == 2 else self.add
+        top = self._pp[m - 1]
+        # c x^m = -c (modulus - x^m) for each top coordinate c
+        wrap = [self.encode([-c * a for a in self.modulus[:m]]) for c in range(p)]
+        images = [g]
+        for _ in range(m - 1):
+            hi, lo = divmod(images[-1], top)
+            images.append(add(lo * p, wrap[hi]))
+        half = self._pp[m // 2]
+        low, high = _span_table(images[: m // 2], p, add), _span_table(images[m // 2 :], p, add)
         exp = [1] * (2 * (q - 1))
         log = [0] * q
         acc = 1
         for i in range(q - 1):
             exp[i] = acc
             log[acc] = i
-            acc = self._mul_raw(acc, g)
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
+            hi, lo = divmod(acc, half)
+            acc = add(low[lo], high[hi])
+        exp[q - 1 :] = exp[: q - 1]
         self._exp, self._log = exp, log
 
     def order(self, a: int, primes: list[int] | None = None) -> int:
@@ -235,6 +252,18 @@ class FieldCtx:
     def gen(self) -> int:
         """Image of x in the power basis (only meaningful for m > 1)."""
         return self.p if self.m > 1 else 1
+
+
+def _span_table(images: list[int], p: int, add) -> list[int]:
+    """The image of each a < p^len(images) under the F_p-linear map taking
+    coordinate i to images[i]."""
+    table = [0]
+    for image in images:
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add(multiples[-1], image))
+        table = [add(t, c) for c in multiples for t in table]
+    return table
 
 
 def field_new(p: int, m: int, modulus=None) -> FieldCtx:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ccring import decomp
 from ccring.chain import ChainCtx
 from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
@@ -323,13 +324,28 @@ IDEMPOTENTS_30 = [
 ]
 
 
-def test_idempotents_built_on_first_read(xgcd_calls):
+@pytest.fixture
+def idempotent_builds(monkeypatch):
+    """Counts builds of a ring's idempotents."""
+    builds = []
+    real = decomp._idempotents
+
+    def counted(params, factors):
+        builds.append(params)
+        return real(params, factors)
+
+    monkeypatch.setattr(decomp, "_idempotents", counted)
+    return builds
+
+
+def test_idempotents_built_on_first_read(idempotent_builds, xgcd_calls):
     fd = build_factor_data(AmbientParams.of_ints(5, 1, 1, 6, 4))
-    assert xgcd_calls == []
+    assert idempotent_builds == []
     eps = fd.idempotents
-    assert len(xgcd_calls) == fd.r == 4
+    assert len(idempotent_builds) == 1 and len(eps) == fd.r == 4
     assert fd.idempotents is eps
-    assert len(xgcd_calls) == 4
+    assert len(idempotent_builds) == 1
+    assert xgcd_calls == []  # inverses from x f'(x), not from a gcd
     # criterion 05's frozen vectors, read after the factor data was built
     for e, table in zip(eps, IDEMPOTENTS_30):
         coeffs = [0] * 26

@@ -243,15 +243,20 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         code, dual, _ = run(capsys, "dual")
         assert code == 0
         singles.append(dual)
-    import ccring.dual
+    import ccring.decomp
 
     calls = []
-    real = ccring.dual.factor_data_for
-    monkeypatch.setattr(ccring.dual, "factor_data_for", lambda *a: calls.append(a) or real(*a))
+    real = ccring.decomp.factor_data_for
+    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, stream, _ = run(capsys, "dual")
     assert code == 0 and stream == "".join(singles)
-    assert len(calls) == 1  # one ring, one dual factor data
+    assert calls == []  # the single-document runs left both rings in the memo
+    ccring.decomp.clear_memo()
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, again, _ = run(capsys, "dual")
+    assert code == 0 and again == stream
+    assert len(calls) == 2  # one ring: its factor data and its dual's
     # one pretty-printed document is a stream of one
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(json.loads(docs[1]), indent=2)))
     code, pretty, _ = run(capsys, "dual")
@@ -262,6 +267,47 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, again, _ = run(capsys, "dual")
         assert code == 0 and again == stream
+
+
+def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch):
+    """Documents of one input share their ring even when the input
+    interleaves more rings than the memo holds."""
+    import ccring.decomp
+
+    rings = [(n, lam) for n in (1, 2, 3, 4, 6, 7, 8) for lam in (1, 2, 3, 4)][: ccring.decomp.MEMO_SIZE + 2]
+    streams = []
+    for n, lam in rings:
+        _, out, _ = run(capsys, "enumerate", "--p", "5", "--s", "1", "--n", str(n), "--lambda", str(lam), "--limit", "2")
+        streams.append(out.splitlines(keepends=True))
+    assert all(len(docs) == 2 for docs in streams)
+    ccring.decomp.clear_memo()
+    calls = []
+    real = ccring.decomp.factor_data_for
+    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(doc for docs in zip(*streams) for doc in docs)))
+    code, out, _ = run(capsys, "dual")
+    assert code == 0 and len(out.splitlines()) == 2 * len(rings)
+    # each ring and each dual ring built once (some of the rings are
+    # each other's duals)
+    assert len(rings) <= len(calls) == len({(params, tuple(factors)) for params, factors in calls})
+
+
+def test_rejected_factors_exit_2_each_time(capsys, monkeypatch):
+    """A failed set-up is not memoized: a bad factor list is refused on
+    every call, and a good document of the same ring still works."""
+    _, out, _ = run(capsys, "enumerate", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1", "--limit", "1")
+    doc = json.loads(out)
+    # x + 1 does not divide x^6 + 1 over F_5, but the degrees still match
+    bad = json.dumps(dict(doc, factors=[[1, 1]] + doc["factors"][1:]))
+    for _ in range(2):
+        monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+        code, dual, err = run(capsys, "dual")
+        assert code == 2 and dual == "" and err == "error: factor list does not multiply out to x^n - lambda0\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, dual, _ = run(capsys, "dual")
+    monkeypatch.setattr("sys.stdin", io.StringIO(dual))
+    code2, back, _ = run(capsys, "dual")
+    assert code == code2 == 0 and back == out
 
 
 @pytest.mark.parametrize("stdin", ["{}", "[]", ""])

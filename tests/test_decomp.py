@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from ccring import poly
-from ccring.decomp import AmbientParams, assemble, build_factor_data, factor_data_for, project
+from ccring import decomp, poly
+from ccring.decomp import (
+    AmbientParams,
+    assemble,
+    build_factor_data,
+    factor_data,
+    factor_data_for,
+    project,
+)
 from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
 from ccring.gf import field_new
 from ccring.poly import Poly, reciprocal
@@ -137,3 +144,48 @@ def test_seed_independence(monkeypatch):
     b = build_factor_data(params)
     assert a.factors == b.factors
     assert a.idempotents == b.idempotents
+
+
+def test_memo_keeps_at_most_its_bound():
+    rings = [AmbientParams.of_ints(5, 1, 1, n, lam) for n in (1, 2, 3, 4, 6) for lam in (1, 2, 3, 4)]
+    first = factor_data(rings[0])
+    assert factor_data(rings[0], first.factors) is first  # kept under both keys
+    for params in rings[1:]:
+        factor_data(params)
+        assert decomp._kept.cache_info().currsize <= decomp.MEMO_SIZE
+        # a ring in use stays among the most recently used, so it is never dropped
+        assert factor_data(rings[0]) is first
+    assert decomp._kept.cache_info().currsize == decomp.MEMO_SIZE
+    # the least recently used rings were dropped and are built again
+    fd = factor_data(rings[1])
+    assert fd is not build_factor_data(rings[1]) and fd.factors == build_factor_data(rings[1]).factors
+    assert factor_data(rings[1]) is fd
+
+
+def test_build_factor_data_builds_afresh():
+    params = AmbientParams.of_ints(5, 1, 1, 6, 4)
+    kept = factor_data(params)
+    a, b = build_factor_data(params), build_factor_data(params)
+    assert a is not b and a is not kept
+    assert a.factors == b.factors == kept.factors
+    assert factor_data_for(params, a.factors) is not a
+    assert decomp._kept.cache_info().currsize == 2  # the builders add nothing
+
+
+def test_memo_tells_field_moduli_apart():
+    # F_9 as F_3[x]/(x^2 + 1) and as F_3[x]/(x^2 + x + 2): equal (p, m, s, n, lambda)
+    a = AmbientParams(field_new(3, 2, (1, 0, 1)), 1, 4, 1)
+    b = AmbientParams(field_new(3, 2, (2, 1, 1)), 1, 4, 1)
+    fa, fb = factor_data(a), factor_data(b)
+    assert fa is not fb
+    assert fa.params.field.modulus == (1, 0, 1) and fb.params.field.modulus == (2, 1, 1)
+    assert factor_data(a) is fa and factor_data(b) is fb
+
+
+def test_memo_keeps_no_failed_build():
+    params = AmbientParams.of_ints(5, 1, 1, 6, 4)
+    wrong = [Poly(params.field, (1, 1))] * 6
+    for _ in range(2):
+        with pytest.raises(RangeError):
+            factor_data(params, wrong)
+    assert decomp._kept.cache_info().currsize == 0

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import pytest
 
+from ccring import decomp
 from ccring.cli import main as cli_main
-from ccring.decomp import AmbientParams, build_factor_data
+from ccring.decomp import AmbientParams, build_factor_data, factor_data
 from ccring.dual import (
     count_self_dual,
     dual_code,
@@ -97,7 +98,10 @@ def test_dual_factor_data_is_built_once_per_factor_data():
     dfd = dual_factor_data(fd)
     assert dual_factor_data(fd) is dfd
     assert all(dual_code(code).fd is dfd for code in enumerate_codes(fd, 5))
-    # another FactorData of the same ring gets its own, equal dual
+    # another FactorData of the same ring finds the same dual in the memo
+    assert dual_factor_data(fd_of(3, 1, 1, 8, 2)) is dfd
+    # with the memo cleared, it gets its own, equal dual
+    decomp.clear_memo()
     other = dual_factor_data(fd_of(3, 1, 1, 8, 2))
     assert other is not dfd and other.factors == dfd.factors
 
@@ -125,9 +129,16 @@ def test_the_dual_ring_holds_no_link_to_its_source(ring):
     dual = dual_code(code)
     assert _reaches(fd, dual.fd)  # the source keeps its dual ...
     assert not _reaches(dual, fd)  # ... but not the other way round
-    # dualizing again builds the lambda ring afresh, with the source's factors
-    assert dual_factor_data(dual.fd) is not fd
+    # dualizing again builds the lambda ring through the memo: not fd,
+    # which build_factor_data built afresh, but the memo's, with fd's factors
+    back = dual_factor_data(dual.fd)
+    assert back is not fd and back.factors == fd.factors
     assert dual_code(dual).components == code.components
+    # so a source from the memo is the dual of its dual
+    assert factor_data(fd.params) is back and dual_factor_data(back) is dual.fd
+    # with the memo cleared, the ring is built afresh
+    decomp.clear_memo()
+    assert factor_data(fd.params) is not back
 
 
 def test_inv_x_image_roundtrip():

@@ -16,7 +16,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from ccring import dual
+from ccring import decomp, dual
 from ccring.cli import main, parse_code
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import (
@@ -126,6 +126,7 @@ def test_former_timeout_rings(ring, count):
     code, out, elapsed = timed_cli(argv + ["--count-only"])
     assert code == 0 and out == count + "\n"
     assert elapsed < 1
+    decomp.clear_memo()  # the stream is timed from a cold start too
     code, out, elapsed = timed_cli(argv + ["--limit", "30"])
     assert code == 0 and elapsed < 1
     lines = out.splitlines()
@@ -143,3 +144,20 @@ def test_fixed_specs_per_factor_frozen():
         for j in range(fd.rho)
     ]
     assert sizes == [23437, 23437, 305175781, 305175781]
+
+
+def test_stream_after_count_reuses_the_kernels(monkeypatch):
+    """selfdual --limit after --count-only on one ring finds the ring,
+    and the kernels its count built, in the memo."""
+    argv = ["selfdual", "--p", "5", "--s", "1", "--n", "6", "--nu", "1"]
+    code, count, _ = timed_cli(argv + ["--count-only"])
+    assert code == 0 and int(count) > 20
+    calls = []
+    real = dual.kernel
+    monkeypatch.setattr(dual, "kernel", lambda *a: calls.append(1) or real(*a))
+    code, stream, _ = timed_cli(argv + ["--limit", "20"])
+    assert code == 0 and len(stream.splitlines()) == 20
+    assert calls == []
+    decomp.clear_memo()
+    code, again, _ = timed_cli(argv + ["--limit", "20"])
+    assert code == 0 and again == stream and calls

@@ -142,3 +142,33 @@ def test_reducible_modulus_with_nonzero_constant_rejected():
     # (x^2 + x + 1)^2: no root over F_2, yet reducible
     with pytest.raises(ReducibleModulus):
         field_new(2, 4, (1, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in range(1, 5)])
+def test_tables_equal_the_product_walk(p, m):
+    """exp/log, walked with no product, are the powers of the least
+    generator that repeated _mul_raw gives."""
+    F = field_new(p, m)
+    F._build_tables()
+    q, g = F.q, F._exp[1 % (F.q - 1)]
+    assert next(c for c in range(1, q) if F.order(c) == q - 1) == g
+    acc = 1
+    for i in range(q - 1):
+        assert F._exp[i] == F._exp[i + q - 1] == acc and F._log[acc] == i
+        acc = F._mul_raw(acc, g)
+    assert acc == 1
+
+
+def test_tables_at_q_2_16_make_no_product_per_element(monkeypatch):
+    """The walk used one _mul_raw per element, 65535 at q = 2^16; only
+    the generator search multiplies now."""
+    F = field_new(2, 16)
+    calls = []
+    real = FieldCtx._mul_raw
+    monkeypatch.setattr(FieldCtx, "_mul_raw", lambda self, a, b: calls.append(1) or real(self, a, b))
+    F._build_tables()
+    assert len(calls) < 1000
+    rng = random.Random(16)
+    for _ in range(200):
+        a, b = rng.randrange(1, F.q), rng.randrange(1, F.q)
+        assert F.mul(a, b) == real(F, a, b)
