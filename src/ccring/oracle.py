@@ -6,10 +6,16 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
 * submodules of K^2 are found by spanning normalized generator pairs
   and deduplicating reduced-echelon bases; the total is compared with
   an independent counting formula, which certifies that two generators
-  always suffice;
+  always suffice.  The spans of one generator v with each of its
+  partners are nested, so k_span([v]) is built once and extended in
+  place, partner by partner;
 * the ideal classification is checked against the submodules that are
   closed under the shift (A, B) -> (0, A), which is what multiplication
-  by u looks like on the xi + u*eta coordinates;
+  by u looks like on the xi + u*eta coordinates; the ambient ideals
+  assembled from them are checked to hold every singly generated
+  ideal, spanning each vector that is not a unit multiple of one
+  already spanned (a unit multiple generates the same ideal, a mere
+  member of the span may not);
 * duals are computed as literal kernels of the inner-product pairing
   (a full scan of the ambient space at toy sizes agrees by a test);
 * the self-dual components of a tau-fixed factor are found by running
@@ -20,11 +26,16 @@ Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
 In K^2 and in the ambient ring alike, pairs get packed F_p coordinates
 (see linalg) from one map and are closed under x and F_q by one
-routine, given the ring's x-step.  That routine inserts the rows
-x^i g^l (A, B) into the span one at a time and stops a pair's chain at
-the first i whose x^i (A, B) is already in the span: the span is then
-closed under x and F_q, so the rest of the chain adds nothing (a Krylov
-closure).  The size limit ORACLE_BUDGET is a module constant.
+routine, given the ring's monic modulus.  Each pair is packed once;
+then x and g = field.gen() act on the packed row itself, each as one
+shift of the whole int and one fold of what overflows (the top block
+of each half through the modulus, the top coordinate of each block
+through the field modulus), with one reduction mod p for odd p.  The
+routine inserts the rows x^i g^l (A, B) into the span one at a time
+and stops a pair's chain at the first i whose x^i (A, B) is already in
+the span: the span is then closed under x and F_q, so the rest of the
+chain adds nothing (a Krylov closure).  The size limit ORACLE_BUDGET is
+a module constant.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
-from .linalg import FpSpace, kernel, slot_bits, unpack
+from .linalg import FpSpace, _mod, kernel, slot_bits, unpack
 from .poly import Poly, is_irreducible
 
 # past this size a brute-force route raises TooLarge (see each check)
@@ -93,39 +104,92 @@ def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> int:
     return a + sum(map(lshift, map(spread.__getitem__, B.coeffs), at[slots:]))
 
 
-def _closure(modulus: Poly, pairs) -> FpSpace:
-    """The F_p-span of x^i g^l (A, B) for every pair, i >= 0, l < m, in
-    the ring mod the monic modulus: the closure of the pairs under F_q
-    (g generates it; g = 1 when m = 1) and under x.
+@functools.cache
+def _packed_steps(modulus: Poly):
+    """(x_step, g_step): multiplication by x and by g = field.gen() on
+    packed pairs mod the monic modulus, each one shift and fold of the
+    whole int.
 
-    The rows go into the span one at a time, and a pair's chain stops
-    at the first i with x^i (A, B) in the span.  The span is then closed
-    under x and F_q: earlier pairs' chains are, and x maps the span of
-    the x^j g^l (A, B), j < i, into that span plus F_q x^i (A, B).  So
-    the rest of the chain adds nothing.
+    x shifts every coefficient block up by one and folds the top block
+    of each half back in: its coordinate l times the packed -g^l * (the
+    modulus's low coefficients), for both halves in one product.  g
+    shifts every coordinate up by one inside its block and folds each
+    block's top coordinate in through the field modulus, for all blocks
+    in one product.  No slot passes the width slot_bits leaves for an
+    elimination, so for odd p one _mod reduces the result.
     """
     field, slots = modulus.ctx, modulus.degree
-    space = FpSpace(field.p, 2 * field.m * slots)
-    g = field.gen()
+    p, m = field.p, field.m
+    dim = 2 * m * slots
+    bits = slot_bits(p, dim)
+    step, half = bits * m, bits * m * slots
+    spread = _field_tables(field, bits)[0]
+    slot, full = (1 << bits) - 1, (1 << 2 * half) - 1
+    top_block = ((1 << step) - 1) << step * (slots - 1)
+    low = modulus.coeffs[:-1]
+    x_terms = []
+    for l in range(m):
+        gl = field.pow(field.gen(), l)
+        fold = sum(spread[field.mul(gl, field.neg(r))] << step * i for i, r in enumerate(low))
+        # coordinate l of the top block, one slot from each half
+        x_terms.append((step * (slots - 1) + bits * l, slot | slot << half, fold))
+    x_step = _shift_fold(p, dim, full ^ (top_block | top_block << half), step, x_terms)
+    if m == 1:  # g = 1
+        return x_step, None
+    firsts = sum(slot << step * i for i in range(2 * slots))  # coordinate 0 of every block
+    g_fold = sum((-c % p) << bits * k for k, c in enumerate(field.modulus[:-1]))
+    g_term = (bits * (m - 1), firsts, g_fold)
+    return x_step, _shift_fold(p, dim, full ^ firsts << bits * (m - 1), bits, [g_term])
+
+
+def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
+    """vec -> (vec & keep) << shift plus (vec >> at & pick) * fold for
+    each term, reduced mod p."""
+    if p == 2:
+
+        def shift_fold(vec: int) -> int:
+            out = (vec & keep) << shift
+            for at, pick, fold in terms:
+                out ^= (vec >> at & pick) * fold
+            return out
+
+    else:
+
+        def shift_fold(vec: int) -> int:
+            out = (vec & keep) << shift
+            for at, pick, fold in terms:
+                out += (vec >> at & pick) * fold
+            return _mod(out, p, dim)
+
+    return shift_fold
+
+
+def _closure(modulus: Poly, pairs, space: FpSpace | None = None) -> FpSpace:
+    """The F_p-span of x^i g^l (A, B) for every pair, i >= 0, l < m, in
+    the ring mod the monic modulus: the closure of the pairs under F_q
+    (g generates it; g = 1 when m = 1) and under x.  Given a space
+    already closed under both, it grows that space in place.
+
+    Each pair is packed once; x and g then act on the packed row (see
+    _packed_steps).  The rows go into the span one at a time, and a
+    pair's chain stops at the first i with x^i (A, B) in the span.  The
+    span is then closed under x and F_q: earlier pairs' chains are, and
+    x maps the span of the x^j g^l (A, B), j < i, into that span plus
+    F_q x^i (A, B).  So the rest of the chain adds nothing.
+    """
+    field, slots = modulus.ctx, modulus.degree
+    if space is None:
+        space = FpSpace(field.p, 2 * field.m * slots)
+    x_step, g_step = _packed_steps(modulus)
     for A, B in pairs:
-        while space.insert(_pair_vec(field, slots, A, B)):
-            s0, s1 = A, B
+        vec = _pair_vec(field, slots, A, B)
+        while space.insert(vec):
+            scaled = vec
             for _ in range(1, field.m):
-                s0, s1 = s0.scale(g), s1.scale(g)
-                space.insert(_pair_vec(field, slots, s0, s1))
-            A, B = _x_step(modulus, A), _x_step(modulus, B)
+                scaled = g_step(scaled)
+                space.insert(scaled)
+            vec = x_step(vec)
     return space
-
-
-def _x_step(modulus: Poly, a: Poly) -> Poly:
-    """x * a mod the monic modulus, for a of lower degree."""
-    field = a.ctx
-    out = [0, *a.coeffs]
-    if len(out) <= modulus.degree:
-        return Poly(field, out)
-    top = out.pop()
-    low = modulus.coeffs
-    return Poly(field, [field.sub(c, field.mul(top, r)) if r else c for c, r in zip(out, low)])
 
 
 def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
@@ -169,29 +233,37 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     c of valuation >= 1 in the second family.  Completeness is certified
     by comparing the total against submodule_count_formula (tested), and
     against the literal all-pairs scan at toy sizes.
+
+    The spans of v with (f^l, 0) (or (0, f^l)), and with 0 for l = e,
+    are nested, growing as l falls.  So k_span([v]) is built once per v
+    and extended in place by f^l for l = e - 1, ..., 0, with a copy of
+    the space kept after each step.
     """
     if ctx.size ** 2 > ORACLE_BUDGET:
         raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {ORACLE_BUDGET}")
-    e = ctx.e
+    e, p, dim = ctx.e, ctx.field.p, pair_dim(ctx)
     zero = Poly.zero(ctx.field)
-    found: dict = {}
+    nothing = FpSpace(p, dim)
+    found: dict = {nothing.key(): nothing}
 
-    def record(space: FpSpace) -> None:
-        found.setdefault(space.key(), space)
+    def record(v, side: int) -> None:
+        """Record the spans of v with w = f^l in side 0 or 1 of the pair,
+        for l = 0, ..., e (w = 0 at l = e)."""
+        span = k_span(ctx, [v])
+        steps = [FpSpace(p, dim, span.rows, span.pivots)]
+        for l in range(e - 1, -1, -1):  # f^l, l < e, is reduced mod f^e
+            w = (ctx.f_pows[l], zero) if side == 0 else (zero, ctx.f_pows[l])
+            _closure(ctx.modulus, [w], span)
+            steps.append(FpSpace(p, dim, span.rows, span.pivots))
+        for space in reversed(steps):  # l = 0, ..., e
+            found.setdefault(space.key(), space)
 
-    record(FpSpace(ctx.field.p, pair_dim(ctx)))
     for k in range(e):
         fk = ctx.f_pows[k]
         for c in ctx.residue_set(0, e - k):
-            v = (ctx.mul(fk, c), fk)
-            for l in range(e + 1):
-                w = (ctx.f_pows[l] if l < e else zero, zero)
-                record(k_span(ctx, [v, w]))
+            record((ctx.mul(fk, c), fk), 0)
         for c in ctx.residue_set(1, e - k) if e - k >= 1 else ():
-            v = (fk, ctx.mul(fk, c))
-            for l in range(e + 1):
-                w = (zero, ctx.f_pows[l] if l < e else zero)
-                record(k_span(ctx, [v, w]))
+            record((fk, ctx.mul(fk, c)), 1)
     return list(found.values())
 
 
@@ -269,10 +341,15 @@ def coords_ambient(params: AmbientParams, vec: int) -> tuple[Poly, Poly]:
 
 def _coords_pair(field: FieldCtx, vec: int, slots: int) -> tuple[Poly, Poly]:
     """The pair (A, B) whose packed coordinates, slots per polynomial, are vec."""
+    cs = _pair_coeffs(field, vec, slots)
+    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
+
+
+def _pair_coeffs(field: FieldCtx, vec: int, slots: int) -> list[int]:
+    """The 2 * slots coefficients of A then B, read off the packed pair."""
     step = slot_bits(field.p, 2 * field.m * slots) * field.m
     gather = _field_tables(field, step // field.m)[1]
-    cs = [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
-    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
+    return [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
 
 
 def ideal_span(fd: FactorData, gens) -> FpSpace:
@@ -325,22 +402,38 @@ def brute_ambient_ideals(fd: FactorData):
 
 
 def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
-    """Every <one element> ideal must be among the assembled ones."""
+    """Every <one element> ideal must be among the assembled ones.
+
+    Each vector v gets its own span unless it is covered: a unit
+    multiple x^i c v + t u v (c in F_q^*, t in F_q[x]/(x^N - lambda)) of
+    an earlier vector, which generates the same ideal.  A mere member
+    of an earlier span may generate a smaller ideal, so it is spanned.
+    """
     params = fd.params
-    field = params.field
-    dim = ambient_dim(params)
-    bits = slot_bits(field.p, dim)
+    field, N = params.field, params.N
+    p, dim = field.p, ambient_dim(params)
+    bits = slot_bits(p, dim)
+    x_step = _packed_steps(fd.binomial)[0]
+    zero = Poly.zero(field)
     # every vector, coordinate 0 moving fastest
-    whole = FpSpace(field.p, dim, [1 << bits * i for i in range(dim)], range(dim))
+    whole = FpSpace(p, dim, [1 << bits * i for i in range(dim)], range(dim))
     covered: set = set()
     for vec in whole.elements():
         if vec in covered:
             continue
-        span = ideal_span(fd, [coords_ambient(params, vec)])
+        a0, a1 = coords_ambient(params, vec)
+        span = ideal_span(fd, [(a0, a1)])
         if span.key() not in ideals:
-            gen = unpack(field.p, dim, vec)
+            gen = unpack(p, dim, vec)
             raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
-        covered.update(span.elements())
+        # t u v = (0, t a0) runs over the F_p-span of the x^i g^l (0, a0)
+        by_u = _closure(fd.binomial, [(zero, a0)]).elements()
+        scaled = [ambient_coords(params, a0.scale(c), a1.scale(c)) for c in range(1, field.q)]
+        for _ in range(N):
+            for w in scaled:
+                coset = [w ^ t for t in by_u] if p == 2 else [_mod(w + t, p, dim) for t in by_u]
+                covered.update(coset)
+            scaled = list(map(x_step, scaled))
 
 
 # -- duals ---------------------------------------------------------------------
@@ -363,12 +456,13 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     at = range(0, step * N, step)
     mat = []
     for row in space.rows:
-        b0, b1 = coords_ambient(params, row)
+        cs = _pair_coeffs(field, row, N)
+        b0, b1 = cs[:N], cs[N:]
         for func in _field_tables(field, step // m)[2]:
             # [a, b]_0 = sum_i a0_i * b0_i
-            by_b0 = sum(map(lshift, map(func.__getitem__, b0.coeffs), at))
+            by_b0 = sum(map(lshift, map(func.__getitem__, b0), at))
             # [a, b]_1 = sum_i a0_i * b1_i + a1_i * b0_i
-            by_b1 = sum(map(lshift, map(func.__getitem__, b1.coeffs), at))
+            by_b1 = sum(map(lshift, map(func.__getitem__, b1), at))
             mat += [by_b0, by_b1 + (by_b0 << step * N)]
     return kernel(mat, dim, p)
 

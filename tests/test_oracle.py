@@ -11,7 +11,7 @@ from ccring.dual import dual_code
 from ccring.errors import TooLarge
 from ccring.gf import field_new
 from ccring.ideals import IdealSpec, component_elements, enumerate_codes, enumerate_ideals, ideal_size
-from ccring.linalg import kernel, pack, unpack
+from ccring.linalg import kernel, pack, slot_bits, unpack
 from ccring.oracle import (
     FpSpace,
     ambient_coords,
@@ -92,6 +92,17 @@ def _pair_orthogonal(params, a0, a1, b0, b1) -> bool:
     return z0 == 0 and z1 == 0
 
 
+def x_step_ref(modulus: Poly, a: Poly) -> Poly:
+    """x * a mod the monic modulus, for a of lower degree."""
+    field = a.ctx
+    out = [0, *a.coeffs]
+    if len(out) <= modulus.degree:
+        return Poly(field, out)
+    top = out.pop()
+    low = modulus.coeffs
+    return Poly(field, [field.sub(c, field.mul(top, r)) if r else c for c, r in zip(out, low)])
+
+
 def chain_of(p, m, f_coeffs, e):
     F = field_new(p, m)
     return ChainCtx(Poly(F, list(f_coeffs)), e)
@@ -142,6 +153,41 @@ def test_pair_coords_roundtrip():
     assert sp.contains(pair_coords(ctx, ctx.mul(ctx.f, A), ctx.mul(ctx.f, B)))
 
 
+# (p, m) with q <= 2^16: slots of 1 bit (p = 2), 8 bits, 16 bits (p = 5,
+# m > 1, mod the binomial) and 32 bits (p = 257), so _mod's non-byte
+# path runs
+STEP_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (257, 1)]
+
+
+@pytest.mark.parametrize("p, m", STEP_FIELDS)
+def test_packed_steps_match_the_poly_route(p, m):
+    """x and g on the packed row against x_step_ref and Poly.scale(g),
+    mod a dense chain modulus f^e and mod a binomial x^N - lambda."""
+    rng = random.Random(p * 10 + m)
+    F = field_new(p, m)
+    g = F.gen()
+    # f = x + 1; e = 3 for p = 2 and e = 2 otherwise, so no coefficient of f^e is 0
+    dense = ChainCtx(Poly(F, [1, 1]), 3 if p == 2 else 2).modulus
+    lam = rng.randrange(2, F.q) if F.q > 2 else 1
+    binomial = Poly(F, [F.neg(lam), 0, 0, 0, 0, 1])
+    assert all(dense.coeffs) and (lam != 1 or F.q == 2)
+    for modulus in (dense, binomial):
+        slots = modulus.degree
+        x_step, g_step = oracle._packed_steps(modulus)
+        assert (g_step is None) == (m == 1)
+        for _ in range(20):
+            A, B = (Poly(F, [rng.randrange(F.q) for _ in range(slots)]) for _ in range(2))
+            vec = oracle._pair_vec(F, slots, A, B)
+            for _ in range(2 * slots):  # a chain, so tops of every value fold
+                if g_step is not None:
+                    want = oracle._pair_vec(F, slots, A.scale(g), B.scale(g))
+                    assert g_step(vec) == want
+                A, B = x_step_ref(modulus, A), x_step_ref(modulus, B)
+                vec = x_step(vec)
+                assert vec == oracle._pair_vec(F, slots, A, B)
+    assert slot_bits(p, 2 * m * 5) == {2: 1, 3: 8, 5: 8 if m < 2 else 16, 257: 32}[p]
+
+
 def test_submodule_enumeration_routes_agree():
     for ctx in [chain_of(2, 1, (1, 1), 2), chain_of(3, 1, (1, 1), 2), chain_of(2, 1, (1, 1, 1), 2)]:
         subs = brute_submodules(ctx)
@@ -175,6 +221,37 @@ def test_spec_span_matches_element_stream():
         sp = spec_span(spec, ctx)
         elems = {pair_coords(ctx, xi, eta) for xi, eta in component_elements(spec, ctx)}
         assert set(sp.elements()) == elems
+
+
+def test_submodules_extend_one_span_per_generator(monkeypatch):
+    calls = 0
+    insert = FpSpace.insert
+
+    def counting(self, vec):
+        nonlocal calls
+        calls += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(FpSpace, "insert", counting)
+    ctx = chain_of(5, 1, (1, 1), 5)  # verify's chain 5,1,1,1
+    assert len(brute_submodules(ctx)) == submodule_count_formula(ctx) == 5856
+    # spanning every pair (v, w) from scratch made 260118 insertions
+    assert calls < 260118 // 2
+
+
+@pytest.mark.parametrize("ring, other", [((2, 1, 1, 3, 1), (1, 1)), ((3, 1, 1, 1, 1), (2, 1))])
+def test_covered_check_finds_a_missing_principal_ideal(ring, other):
+    """Dropping <u>, or <x - 1> (a proper nonzero principal ideal), from
+    the assembled ideals must fail the singly-generated check."""
+    fd = build_factor_data(AmbientParams.of_ints(*ring))
+    F = fd.params.field
+    ideals = {s.key(): s for s in brute_ambient_ideals(fd)}
+    oracle._check_singly_generated_covered(fd, ideals)
+    for gen in [(Poly.zero(F), Poly.one(F)), (Poly(F, list(other)), Poly.zero(F))]:
+        span = oracle.ideal_span(fd, [gen])
+        assert 1 < span.size < fd.params.ring_size()
+        with pytest.raises(AssertionError, match="singly generated ideal missed"):
+            oracle._check_singly_generated_covered(fd, {k: s for k, s in ideals.items() if k != span.key()})
 
 
 def test_ambient_ideal_assembly():
