@@ -11,13 +11,11 @@ from .chain import ChainCtx, ceil_half
 from .decomp import (
     AmbientParams,
     FactorData,
-    assemble,
     build_factor_data,
     clear_memo,
     factor_data,
     factor_data_for,
     factor_degrees,
-    project,
 )
 from .dual import (
     count_self_dual,
@@ -25,7 +23,6 @@ from .dual import (
     dual_code_nu,
     dual_factor_data,
     enumerate_self_dual,
-    inv_x_image,
     is_self_dual,
 )
 from .gf import FieldCtx, field_new, ps_root
@@ -38,11 +35,9 @@ from .ideals import (
     count_codes_by_degree,
     count_ideals,
     count_ideals_params,
-    count_ideals_sumform,
     count_ideals_sumform_params,
     enumerate_codes,
     enumerate_ideals,
-    ideal_member,
     ideal_size,
 )
 from .poly import (

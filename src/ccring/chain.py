@@ -1,9 +1,10 @@
 """The chain ring K = F_{p^m}[x] / (f^e) for a monic irreducible f.
 
-Elements are reduced Polys (degree < d*e).  The powers of f filter K:
-every nonzero element is (unit) * f^v for a unique valuation v < e, and
-the f-adic digit expansion a = sum_k b_k(x) f^k with deg b_k < d is the
-workhorse for residue sets and canonical representatives.
+Elements are reduced Polys (degree < d*e).  The powers of f filter K,
+and the f-adic digit expansion a = sum_k b_k(x) f^k with deg b_k < d
+is the workhorse for residue sets and canonical representatives: the
+ideal parameters b range over digit windows (residue_set), and a b
+defined only modulo f^hi is cut back into its window (window_reduce).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import product
 
 from .errors import ConstantInput, RangeError
 from .gf import FieldCtx
-from .poly import Poly, frobenius, poly_modpow, poly_xgcd
+from .poly import Poly, frobenius
 
 
 def ceil_half(x: int) -> int:
@@ -106,9 +107,7 @@ class FPowers(Sequence):
     def __len__(self) -> int:
         return self.e + 1
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(len(self))[k])
+    def __getitem__(self, k: int) -> Poly:
         pw = self._built.get(k)
         if pw is None:
             k = range(len(self))[k]  # negative indices and IndexError as for a tuple
@@ -148,12 +147,6 @@ class ChainCtx:
         self.f_pows = FPowers(f, e)
         self.modulus = self.f_pows[e]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChainCtx) and self.f == other.f and self.e == other.e
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.e))
-
     def __repr__(self) -> str:
         return f"ChainCtx(f={self.f.term_string()}, e={self.e})"
 
@@ -174,26 +167,6 @@ class ChainCtx:
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
 
-    def pow(self, a: Poly, k: int) -> Poly:
-        return poly_modpow(a, k, self.modulus)
-
-    def is_unit(self, a: Poly) -> bool:
-        return not (a % self.f).is_zero()
-
-    def inv_unit(self, a: Poly) -> Poly:
-        """Inverse of a unit: lift the mod-f inverse through the filtration."""
-        g, inv, _ = poly_xgcd(a % self.f, self.f)
-        if g.degree != 0:
-            raise ZeroDivisionError("not a unit in the chain ring")
-        inv = inv.scale(self.field.inv(g.coeffs[0]))
-        # Newton lifting: x -> x(2 - ax) doubles the precision each step
-        two = Poly.const(self.field, self.field.add(1, 1))
-        prec = 1
-        while prec < self.e:
-            inv = self.reduce(inv * (two - self.reduce(a * inv)))
-            prec *= 2
-        return self.reduce(inv)
-
     # -- f-adic structure ----------------------------------------------------
 
     def f_adic(self, a: Poly) -> tuple[Poly, ...]:
@@ -205,44 +178,12 @@ class ChainCtx:
             digits.append(r)
         return tuple(digits)
 
-    def from_digits(self, digits) -> Poly:
-        out = Poly.zero(self.field)
-        for k, b in enumerate(digits):
-            if not b.is_zero():
-                out = out + b * self.f_pows[k]
-        return out
-
-    def valuation(self, a: Poly) -> int:
-        """Largest v with f^v dividing a; the convention for 0 is e."""
-        a = self.reduce(a)
-        if a.is_zero():
-            return self.e
-        v = 0
-        while True:
-            q, r = divmod(a, self.f)
-            if not r.is_zero():
-                return v
-            v += 1
-            a = q
-
-    def unit_of(self, a: Poly) -> Poly:
-        """The unit u with a = u * f^valuation(a); undefined for 0."""
-        a = self.reduce(a)
-        while True:
-            q, r = divmod(a, self.f)
-            if not r.is_zero():
-                return a
-            a = q
-
     # -- residue sets ---------------------------------------------------------
 
     def digit_polys(self):
         """All q^d polynomials of degree < d, constant term fastest."""
         for coeffs in product(range(self.field.q), repeat=self.d):
             yield Poly(self.field, coeffs[::-1])
-
-    def residue_set_size(self, a: int, b: int) -> int:
-        return self.field.q ** (self.d * (b - a))
 
     def residue_set(self, a: int, b: int):
         """Iterate f^a * (K / (f^b)): all sums of digits at positions [a, b).
@@ -274,7 +215,7 @@ class ChainCtx:
         """Truncate the digits of z to positions [a, b): z mod f^b.
 
         Used to canonicalize a parameter that is only defined modulo f^b
-        and is promised to have valuation >= a; the promise is checked.
+        and is promised to be divisible by f^a; the promise is checked.
         """
         z = self.reduce(z)
         if not self._divisible(z, a):
@@ -283,8 +224,3 @@ class ChainCtx:
 
     def _divisible(self, z: Poly, a: int) -> bool:
         return a == 0 or (z % self.f_pows[a]).is_zero()
-
-    def elements(self):
-        """Every element of K (use only at toy sizes), constant term fastest."""
-        for coeffs in product(range(self.field.q), repeat=self.d * self.e):
-            yield Poly(self.field, coeffs[::-1])

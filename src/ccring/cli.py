@@ -5,11 +5,12 @@ documents) or NDJSON (streams).  Counts are printed as decimal strings
 since they overflow 64-bit integers quickly, and may run past the
 interpreter's int-to-str digit limit (see decimal).
 
-Exit codes: 0 on success, 2 when parameters fail validation, 3 when a
-verify run reports a failure.  A reader that closes the pipe early
-(`ccring enumerate ... | head`) chose to stop: the run ends with exit
-code 0 and writes nothing to stderr.  verify still exits 3 then, unless
-the whole suite ran and passed, since a cut-off run proves nothing.
+Exit codes: 0 on success, 2 when parameters fail validation or the
+output cannot be written, 3 when a verify run reports a failure.  A
+reader that closes the pipe early (`ccring enumerate ... | head`) chose
+to stop: the run ends with exit code 0 and writes nothing to stderr.
+verify still exits 3 then, unless the whole suite ran and passed, since
+a cut-off run proves nothing.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .decomp import (
     build_factor_data,
     factor_data,
     factor_degrees,
+    ring_field,
 )
 from .dual import count_self_dual, dual_code, enumerate_self_dual, nu_value
 from .errors import CcringError
-from .gf import FieldCtx, field_new
+from .gf import FieldCtx
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -139,7 +141,7 @@ def parse_params(doc) -> AmbientParams:
         if not all(_is_kind(c, int) for c in modulus):
             raise CcringError("params field 'modulus' must hold integers")
         modulus = tuple(modulus)
-    field = field_new(p, m, modulus)
+    field = ring_field(p, m, s, n, modulus)
     return AmbientParams(field, s, n, parse_fieldelem(field, _member(doc, "lambda", what="params")))
 
 
@@ -333,7 +335,7 @@ def _parse_lambda(field: FieldCtx, text: str) -> int:
 
 def _params(args, nu=None) -> AmbientParams:
     """The ring of the flags; lambda = nu when nu is given, else --lambda."""
-    field = field_new(args.p, args.m, args.modulus)
+    field = ring_field(args.p, args.m, args.s, args.n, args.modulus)
     lam = _parse_lambda(field, args.lam) if nu is None else nu_value(field, nu)
     return AmbientParams(field, args.s, args.n, lam)
 
@@ -515,6 +517,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the flush of what it still buffers at
+    interpreter exit cannot raise again; an in-memory stdout is left."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     status = None
@@ -524,13 +536,16 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # the reader stopped reading: end quietly, and point stdout at
-        # devnull so the flush at interpreter exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # the reader stopped reading: end quietly
+        _drop_stdout()
         if status is None and args.command == "verify":
             return 3  # a suite cut off before its end did not pass
         return status or 0
+    except OSError as ex:
+        # a full disk or a failing device: the output is lost, so say so once
+        _drop_stdout()
+        print(f"error: cannot write output: {ex.strerror or ex}", file=sys.stderr)
+        return 2
     except CcringError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

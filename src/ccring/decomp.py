@@ -8,7 +8,7 @@ for distinct monic irreducibles f_j.  The idempotent attached to f_j is
 eps_j = (v_j * F_j)^(p^s) mod (x^N - lambda) where F_j = (x^n - lambda0)/f_j
 and v_j * F_j + w_j * f_j = 1.  These are orthogonal, sum to 1, and cut
 the ambient ring into the chain-ring pieces K_j + u K_j this package
-works in; project/assemble move between the two views.
+works in; oracle.code_space glues a code's components back through them.
 
 The p^s-th power is never multiplied out.  With w_j = v_j * F_j reduced
 mod x^n - lambda0, the difference v_j * F_j - w_j is a multiple of
@@ -19,8 +19,8 @@ c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
     eps_j = frobenius(w_j, s)
 
 exactly, at O(N) per factor.  FactorData builds them on first read of
-fd.idempotents, since only gluing (info, idempotents, assemble, the
-oracle) needs them; dual, enumerate and selfdual work componentwise.
+fd.idempotents, since only gluing (info, idempotents and the oracle)
+needs them; dual, enumerate and selfdual work componentwise.
 A count needs even less: only the factor degrees, which are the
 sizes of the q-cyclotomic cosets of the roots' exponents (see
 factor_degrees), so it does no polynomial arithmetic.
@@ -45,14 +45,7 @@ from functools import lru_cache
 from math import gcd
 
 from .chain import ChainCtx
-from .errors import (
-    GcdViolation,
-    LengthMismatch,
-    RangeError,
-    SZero,
-    TooLarge,
-    ZeroLambda,
-)
+from .errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
 from .gf import FieldCtx, _prime_factors, field_new, ps_root
 from .poly import Poly, factor_squarefree, frobenius, reciprocal
 
@@ -97,11 +90,11 @@ class AmbientParams:
             raise ZeroLambda(f"lambda = {self.lam} is not a unit")
         # p^s >= 2^s, so the first test keeps p**s small in the second
         if self.s >= MAX_LENGTH.bit_length() or self.N > MAX_LENGTH:
-            raise TooLarge(f"length n*p^s = {self.n}*{self.p}^{self.s} exceeds {MAX_LENGTH}")
+            raise _too_long(self.p, self.s, self.n)
 
     @classmethod
     def of_ints(cls, p: int, m: int, s: int, n: int, lam: int, modulus=None):
-        return cls(field_new(p, m, modulus), s, n, lam)
+        return cls(ring_field(p, m, s, n, modulus), s, n, lam)
 
     @property
     def p(self) -> int:
@@ -131,6 +124,22 @@ class AmbientParams:
     def ring_size(self) -> int:
         """|R|^N with R = F_{p^m} + u F_{p^m}."""
         return self.field.q ** (2 * self.N)
+
+
+def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
+    """field_new(p, m, modulus) for the ring (p, m, s, n).
+
+    With s, n >= 1 the length N = n p^s is at least p, so a p past
+    MAX_LENGTH is refused here: field_new would first trial-divide p,
+    which takes O(sqrt p) steps.
+    """
+    if p > MAX_LENGTH and s >= 1 and n >= 1:
+        raise _too_long(p, s, n)
+    return field_new(p, m, modulus)
+
+
+def _too_long(p: int, s: int, n: int) -> TooLarge:
+    return TooLarge(f"length n*p^s = {n}*{p}^{s} exceeds {MAX_LENGTH}")
 
 
 class FactorData:
@@ -345,31 +354,3 @@ def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData
 def clear_memo() -> None:
     """Forget every kept FactorData; factor_data builds each ring again."""
     _kept.cache_clear()
-
-
-def project(a, j: int, fd: FactorData):
-    """Component of an ambient pair a = (a0, a1) in K_j + u K_j.
-
-    Both coordinate polynomials are reduced mod f_j^(p^s); j is 0-based.
-    """
-    if not 0 <= j < fd.r:
-        raise IndexError(f"factor index {j} out of range 0..{fd.r - 1}")
-    a0, a1 = a
-    ctx = fd.chain(j)
-    return ctx.reduce(fd.reduce(a0)), ctx.reduce(fd.reduce(a1))
-
-
-def assemble(parts, fd: FactorData):
-    """Glue components back together: sum of eps_j * (xi_j + u eta_j)."""
-    if len(parts) != fd.r:
-        raise LengthMismatch(f"need {fd.r} components, got {len(parts)}")
-    field = fd.params.field
-    a0 = Poly.zero(field)
-    a1 = Poly.zero(field)
-    for j, (xi, eta) in enumerate(parts):
-        eps = fd.idempotents[j]
-        if not xi.is_zero():
-            a0 = a0 + fd.mulmod(eps, xi)
-        if not eta.is_zero():
-            a1 = a1 + fd.mulmod(eps, eta)
-    return a0, a1

@@ -22,10 +22,10 @@ The scalar is f_j(0) and not its inverse: the printed dual generator is
 coefficient reversal, and rev(f_j) = f_j(0) * fhat_j once the modulus
 is normalized monic.  Tests pin this against kernel-computed duals.
 
-The transport is written down, not evaluated: a window-valid b has
-deg b < d_j (e - 1) <= N - d_j, so x^(N - d_j) b(x^(-1)) is b's
-coefficient list reversed and shifted, and each component costs one
-reduction mod fhat_j^e and one window cut.
+The transport is written down, not evaluated: a b reduced into its
+window has deg b < d_j (e - 1) <= N - d_j, so x^(N - d_j) b(x^(-1))
+is b's coefficient list reversed and shifted, and each component costs
+one reduction mod fhat_j^e and one window cut.
 
 For lambda = +-1 the reciprocal factors are a permutation tau of the
 source factors and the dual lives in the same ambient ring with the
@@ -73,18 +73,6 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     return fd._dual
 
 
-def inv_x_image(a: Poly, target: ChainCtx, params: AmbientParams) -> Poly:
-    """a(x^(-1)) in the target chain ring of the dual ambient.
-
-    In R[x]/(x^N - lambda^(-1)) the inverse of x^i is lambda * x^(N-i)
-    for 0 < i <= N, and each further N folds in one more lambda; so the
-    image is written coefficient by coefficient into degrees < N and
-    reduced once.  The target modulus divides x^N - lambda^(-1), so that
-    remainder is the image in the target.
-    """
-    return target.reduce(_reflect(a, 0, params))
-
-
 def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:
     """x^shift * a(x^(-1)) with degree < N, in the ring where x^N = lambda^(-1).
 
@@ -107,8 +95,11 @@ def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:
 def _transport_b(b: Poly, j: int, fd: FactorData, target: ChainCtx) -> Poly:
     """-lambda f_j(0) x^(N - d_j) b(x^(-1)) in the target, with one reduction.
 
-    A window-valid b has deg b < d_j (e - 1) <= N - d_j, so the
-    polynomial before reduction is b reversed and shifted.
+    A b reduced into its window has deg b < d_j (e - 1) <= N - d_j, so
+    the polynomial before reduction is b reversed and shifted.  A parsed
+    b need only reduce into its window mod f_j^e; then _reflect places
+    its terms past N - d_j through x^N = lambda^(-1), and the image is
+    the same, since f_j(x^(-1))^e is a unit times fhat_j^e.
     """
     params = fd.params
     field = params.field
@@ -132,8 +123,8 @@ def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) ->
         shape = IdealSpec("V", k=e - spec.k - spec.t, t=spec.t)
     raw = _transport_b(spec.b, j, fd, target)
     lo, hi = b_window(shape, e)
-    # the transport preserves f-valuation, so raw never has digits
-    # below the window; window_reduce checks that as a side effect
+    # the transport preserves divisibility by each f^k, so raw never
+    # has digits below the window; window_reduce checks that as a side effect
     return replace(shape, b=target.window_reduce(raw, lo, hi))
 
 

@@ -53,10 +53,6 @@ class GcdViolation(CcringError, ValueError):
     """n and p must be coprime."""
 
 
-class LengthMismatch(CcringError, ValueError):
-    """Vector length disagrees with the ambient length."""
-
-
 class InvalidSpec(CcringError, ValueError):
     """Ideal or code description fails its case constraints."""
 

@@ -23,16 +23,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product
+from itertools import islice
 
 from .chain import ChainCtx, ceil_half, odometer
 from .decomp import AmbientParams, FactorData
-from .errors import InvalidSpec, TooLarge
+from .errors import InvalidSpec
 from .poly import Poly
 
 CASES = ("I", "II", "III", "IV", "V")
-
-CODEWORD_BOUND = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -149,28 +147,6 @@ def generator_rows(spec: IdealSpec, ctx: ChainCtx) -> list[tuple[Poly, Poly, int
     return [(ctx.mul(fp[k + 1], spec.b), fp[k], k), (fp[k + t], zero, k + t)]
 
 
-def ideal_member(a, spec: IdealSpec, ctx: ChainCtx) -> bool:
-    """Membership of the pair a = (A, B) meaning A + u*B."""
-    validate_spec(spec, ctx)
-    A, B = ctx.reduce(a[0]), ctx.reduce(a[1])
-    case = spec.case
-    if case == "III":
-        k = spec.k
-        return ctx.valuation(A) >= k and ctx.valuation(B) >= k
-    fb = ctx.mul(ctx.f, spec.b)
-    if case == "I":
-        return A == ctx.mul(fb, B)
-    if case == "II":
-        return ctx.valuation(B) >= spec.k and A == ctx.mul(fb, B)
-    if case == "IV":
-        return ctx.valuation(A - ctx.mul(fb, B)) >= spec.t
-    # case V
-    return (
-        ctx.valuation(B) >= spec.k
-        and ctx.valuation(A - ctx.mul(fb, B)) >= spec.k + spec.t
-    )
-
-
 def _shapes(e: int):
     """Every case with its k and t, b left out, in enumerate_ideals order."""
     yield IdealSpec("I")
@@ -249,11 +225,6 @@ def count_ideals(ctx: ChainCtx) -> int:
     return count_ideals_params(field.p, field.m, ctx.d, chain_exponent(ctx))
 
 
-def count_ideals_sumform(ctx: ChainCtx) -> int:
-    field = ctx.field
-    return count_ideals_sumform_params(field.p, field.m, ctx.d, chain_exponent(ctx))
-
-
 # -- whole-ring codes --------------------------------------------------------
 
 
@@ -319,49 +290,3 @@ def spec_product(streams):
     the last stream moving fastest, and no stream is ever stored whole.
     """
     return odometer(streams[::-1], lambda head, item, _: head + (item,), ())
-
-
-def component_elements(spec: IdealSpec, ctx: ChainCtx):
-    """All (xi, eta) pairs of one component ideal, without duplicates."""
-    rows = generator_rows(spec, ctx)
-    if not rows:
-        yield Poly.zero(ctx.field), Poly.zero(ctx.field)
-        return
-    coeff_sets = [list(ctx.residue_set(0, ctx.e - depth)) for _, _, depth in rows]
-    for coeffs in product(*coeff_sets):
-        xi = Poly.zero(ctx.field)
-        eta = Poly.zero(ctx.field)
-        for c, (rx, re_, _) in zip(coeffs, rows):
-            if not c.is_zero():
-                xi = xi + ctx.mul(c, rx)
-                eta = eta + ctx.mul(c, re_)
-        yield xi, eta
-
-
-def code_codewords(code: CodeSpec):
-    """Materialize every codeword as an ambient pair (a0, a1).
-
-    Refuses when the code has more than CODEWORD_BOUND words.
-    """
-    size = code_size(code)
-    if size > CODEWORD_BOUND:
-        raise TooLarge(f"code has {size} words, bound is {CODEWORD_BOUND}")
-    fd = code.fd
-    field = fd.params.field
-    per_factor = []
-    for j, spec in enumerate(code.components):
-        ctx = fd.chain(j)
-        eps = fd.idempotents[j]
-        amb = []
-        for xi, eta in component_elements(spec, ctx):
-            amb.append((fd.mulmod(eps, xi), fd.mulmod(eps, eta)))
-        per_factor.append(amb)
-    out = []
-    for parts in product(*per_factor):
-        a0 = Poly.zero(field)
-        a1 = Poly.zero(field)
-        for c0, c1 in parts:
-            a0 = a0 + c0
-            a1 = a1 + c1
-        out.append((a0, a1))
-    return out

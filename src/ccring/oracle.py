@@ -192,10 +192,6 @@ def _closure(modulus: Poly, pairs, space: FpSpace | None = None) -> FpSpace:
     return space
 
 
-def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
-    return _pair_vec(ctx.field, ctx.d * ctx.e, ctx.reduce(A), ctx.reduce(B))
-
-
 def pair_dim(ctx: ChainCtx) -> int:
     return 2 * ctx.field.m * ctx.d * ctx.e
 
@@ -230,7 +226,7 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     unit and subtracting a multiple of one generator from the other do
     not change the span, which cuts the pairs down to
         (f^k * c, f^k) with (f^l, 0)   and   (f^k, f^k * c) with (0, f^l),
-    c of valuation >= 1 in the second family.  Completeness is certified
+    c divisible by f in the second family.  Completeness is certified
     by comparing the total against submodule_count_formula (tested), and
     against the literal all-pairs scan at toy sizes.
 

@@ -351,6 +351,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+# No package route calls poly_xgcd (idempotents invert by a derivative).
+# It stays public: bench/tracer.py wraps it by name, so without it
+# `--trace 1` fails at install, and tests use it as a reference.
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, u, v) with g = gcd monic and u*a + v*b = g."""
     a._check(b)

@@ -220,7 +220,6 @@ def test_f_pows_equal_repeated_products(p, m, coeffs, e):
     ctx = ChainCtx(f, e)
     assert list(ctx.f_pows) == [power_by_products(f, k) for k in range(e + 1)]
     assert ctx.f_pows[-1] == ctx.modulus == power_by_products(f, e)
-    assert ctx.f_pows[1:3] == (f, f * f)
 
 
 def eager_residue_set(ctx: ChainCtx, a: int, b: int) -> list:
@@ -242,7 +241,7 @@ def test_residue_set_order_unchanged():
         ctx = ChainCtx(Poly(field_new(p, m), coeffs), e)
         for a in range(e + 1):
             for b in range(a, e + 1):
-                if ctx.residue_set_size(a, b) <= 4096:
+                if ctx.field.q ** (ctx.d * (b - a)) <= 4096:
                     assert list(ctx.residue_set(a, b)) == eager_residue_set(ctx, a, b)
 
 
@@ -251,7 +250,7 @@ def test_residue_set_first_element_is_cheap(monkeypatch):
     _, base = root_binomial(params)
     f = next(g for g in factor_squarefree(base) if g.degree == 10)
     ctx = ChainCtx(f, params.e)
-    assert ctx.residue_set_size(1, 2) == 3**10
+    assert ctx.field.q ** (ctx.d * (2 - 1)) == 3**10  # the size of window [1, 2)
     built = []
     digit_polys = ChainCtx.digit_polys
 

@@ -5,9 +5,22 @@ import pytest
 from ccring.chain import ChainCtx, ceil_half
 from ccring.errors import ConstantInput, RangeError
 from ccring.gf import field_new
-from ccring.poly import Poly
+from ccring.poly import Poly, poly_modpow
 
 F5 = field_new(5, 1)
+
+
+def from_digits(ctx, digits):
+    """sum_k digits[k] * f^k: the element of K with these f-adic digits.
+
+    The reference the window cuts (ChainCtx.window_reduce, and through
+    it dual_component) are checked against, here and in test_dual.
+    """
+    out = Poly.zero(ctx.field)
+    for k, b in enumerate(digits):
+        if not b.is_zero():
+            out = out + b * ctx.f_pows[k]
+    return out
 
 
 def make_ctx(p=5, m=1, f_coeffs=(2, 1), e=5):
@@ -52,43 +65,18 @@ def test_f_adic_roundtrip_random():
             digits = ctx.f_adic(a)
             assert len(digits) == ctx.e
             assert all(d.degree < ctx.d for d in digits)
-            assert ctx.from_digits(digits) == ctx.reduce(a)
-
-
-def test_valuation_and_unit():
-    ctx = make_ctx()
-    f = ctx.f
-    assert ctx.valuation(Poly.zero(F5)) == ctx.e
-    assert ctx.valuation(Poly.one(F5)) == 0
-    for k in range(ctx.e):
-        z = ctx.mul(ctx.f_pows[k], Poly(F5, [3, 1]))  # unit times f^k
-        assert ctx.valuation(z) == k
-        u = ctx.unit_of(z)
-        assert ctx.is_unit(u)
-        assert ctx.mul(u, ctx.f_pows[k]) == z
-    assert ctx.valuation(f) == 1
-
-
-def test_inverse_of_unit():
-    rng = random.Random(13)
-    for ctx in [make_ctx(), make_ctx(3, 1, (1, 0, 1), 3)]:
-        for _ in range(30):
-            a = Poly(ctx.field, [rng.randrange(ctx.field.q) for _ in range(ctx.d * ctx.e)])
-            a = ctx.reduce(a)
-            if not ctx.is_unit(a):
-                continue
-            assert ctx.mul(a, ctx.inv_unit(a)) == Poly.one(ctx.field)
+            assert from_digits(ctx, digits) == ctx.reduce(a)
 
 
 def test_residue_set_windows():
     ctx = make_ctx(e=3)
     # window [a, b): digits below a forced to zero, digits above b cut
     full = list(ctx.residue_set(0, 3))
-    assert len(full) == 5**3 == ctx.residue_set_size(0, 3)
+    assert len(full) == 5**3
     assert len(set(full)) == len(full)
     shifted = list(ctx.residue_set(1, 3))
     assert len(shifted) == 25
-    assert all(ctx.valuation(z) >= 1 for z in shifted)
+    assert all(ctx.f_adic(z)[0].is_zero() for z in shifted)
     assert list(ctx.residue_set(2, 2)) == [Poly.zero(F5)]
     with pytest.raises(RangeError):
         list(ctx.residue_set(2, 1))
@@ -111,12 +99,12 @@ def test_window_membership_and_reduce():
 def test_arithmetic_mod_f_power():
     ctx = make_ctx(e=3)
     # (f + 1)^3 = f^3 + 3f^2 + 3f + 1 = 3f^2 + 3f + 1 in K
-    lhs = ctx.pow(ctx.f + Poly.one(F5), 3)
+    lhs = poly_modpow(ctx.f + Poly.one(F5), 3, ctx.modulus)
     rhs = (
         ctx.mul(Poly.const(F5, 3), ctx.f_pows[2]) + ctx.mul(Poly.const(F5, 3), ctx.f)
     ) + Poly.one(F5)
     assert lhs == rhs
-    assert ctx.pow(ctx.f, 3) == Poly.zero(F5)
+    assert poly_modpow(ctx.f, 3, ctx.modulus) == Poly.zero(F5)
 
 
 def test_digit_polys_cover_residue_field():
@@ -138,8 +126,8 @@ def test_pow_rejects_negative_exponent():
     ctx = make_ctx(5, 1, (4, 1), 5)  # f = x - 1, a factor of x^2 - 1 over F_5
     x = Poly(F5, [0, 1])
     with pytest.raises(RangeError):
-        ctx.pow(x, -1)
-    assert ctx.pow(x, 0) == Poly.one(F5)
+        poly_modpow(x, -1, ctx.modulus)
+    assert poly_modpow(x, 0, ctx.modulus) == Poly.one(F5)
 
 
 # -- windows by division against the f-adic digit definition -------------------
@@ -167,7 +155,7 @@ def digit_window_elements(ctx, rng, count):
         digits = [Poly.zero(ctx.field)] * ctx.e
         for k in range(lo, hi):
             digits[k] = Poly(ctx.field, [rng.randrange(q) for _ in range(ctx.d)])
-        out.append(ctx.from_digits(digits))
+        out.append(from_digits(ctx, digits))
     return out
 
 
@@ -188,4 +176,4 @@ def test_windows_agree_with_digits(p, m, coeffs, e):
                         ctx.window_reduce(z, a, b)
                 else:
                     cut = [dg if k < b else zero for k, dg in enumerate(digits)]
-                    assert ctx.window_reduce(z, a, b) == ctx.from_digits(cut), (z, a, b)
+                    assert ctx.window_reduce(z, a, b) == from_digits(ctx, cut), (z, a, b)

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import ccring
-from ccring import cli
+from ccring import cli, gf
 from ccring.cli import main, parse_code
-from ccring.decomp import AmbientParams, build_factor_data
+from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data
 from ccring.dual import dual_code_nu
+from ccring.errors import TooLarge
 
 
 def run(capsys, *argv):
@@ -433,11 +434,50 @@ def test_too_long_dual_document_exits_2_at_once(capsys, monkeypatch):
 
 
 def test_length_bound_admits_every_tested_ring(capsys):
-    from ccring.decomp import MAX_LENGTH
-
     assert MAX_LENGTH >= 7 * 2**12  # (2,1,12,7,1), the longest ring in tests and bench
     code, _, err = run(capsys, "count", "--p", "2", "--s", str(MAX_LENGTH.bit_length()), "--n", "1", "--lambda", "1")
     assert code == 2 and "exceeds" in err
+
+
+HUGE_P = 1000000000000000003  # prime: trial division takes 5 * 10^8 steps
+
+
+def test_huge_p_exits_2_before_the_field_is_built(capsys, monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"primality test of p = {p}")
+
+    monkeypatch.setattr(gf, "_is_prime", refuse)
+    message = f"error: length n*p^s = 1*{HUGE_P}^1 exceeds {MAX_LENGTH}\n"
+    code, out, err = run(capsys, "count", "--p", str(HUGE_P), "--s", "1", "--n", "1", "--lambda", "1")
+    assert (code, out, err) == (2, "", message)
+    doc = {"params": {"p": HUGE_P, "m": 1, "s": 1, "n": 1, "lambda": 1}, "components": [{"case": "III", "k": 0}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert (code, out, err) == (2, "", message)
+    with pytest.raises(TooLarge):
+        AmbientParams.of_ints(HUGE_P, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "lam,unreduced,reduced,dual_b",
+    [(1, [1, 1, 0, 1], [2, 1], [1, 2]), (2, [2, 1, 0, 1], [1, 1], [2, 2])],
+)
+def test_dual_of_an_unreduced_b(capsys, monkeypatch, lam, unreduced, reduced, dual_b):
+    """At (3,1,1,1) the factor is f = x - lambda, e = 3 and N = 3, so
+    unreduced = f^3 + f reduces to reduced = f in the case I window; its
+    degree 3 passes N - deg f = 2, and the transport wraps its top term
+    through x^N = lambda^(-1)."""
+
+    def dual_of(b):
+        doc = {"params": {"p": 3, "m": 1, "s": 1, "n": 1, "lambda": lam}, "components": [{"case": "I", "b": b}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "dual")
+        assert code == 0 and err == ""
+        return out
+
+    out = dual_of(unreduced)
+    assert out == dual_of(reduced)
+    assert json.loads(out)["components"] == [{"case": "I", "b": dual_b}]
 
 
 def f4_document(capsys):
@@ -479,16 +519,16 @@ def test_deeply_nested_lambda_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def _cli_process(*argv, stdin=None, **env):
-    """`python -m ccring.cli argv` with its stdout and stderr on pipes,
-    and env added to the environment."""
+def _cli_process(*argv, stdin=None, stdout=subprocess.PIPE, **env):
+    """`python -m ccring.cli argv` with its stdout (unless given) and
+    stderr on pipes, and env added to the environment."""
     src = str(Path(ccring.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "ccring.cli", *argv],
         env={**os.environ, "PYTHONPATH": path, **env},
         stdin=stdin,
-        stdout=subprocess.PIPE,
+        stdout=stdout,
         stderr=subprocess.PIPE,
     )
 
@@ -534,6 +574,32 @@ def test_reader_closing_before_a_count_prints_exits_0():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+SMALL_RING = ("--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv,to_stdout",
+    [
+        (("count", *SMALL_RING, "--output", "/dev/full"), False),
+        (("count", *SMALL_RING), True),
+        (("enumerate", *SMALL_RING, "--limit", "3"), True),
+    ],
+)
+def test_output_write_error_exits_2_with_one_line(argv, to_stdout):
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(*argv, stdout=full if to_stdout else subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_error_in_process_exits_2(capsys):
+    code, out, err = run(capsys, "count", *SMALL_RING, "--output", "/dev/full")
+    assert (code, out, err) == (2, "", "error: cannot write output: No space left on device\n")
 
 
 def _verify_into_a_closed_pipe(monkeypatch, suite, buffering):

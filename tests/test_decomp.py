@@ -3,14 +3,7 @@ import random
 import pytest
 
 from ccring import decomp, poly
-from ccring.decomp import (
-    AmbientParams,
-    assemble,
-    build_factor_data,
-    factor_data,
-    factor_data_for,
-    project,
-)
+from ccring.decomp import AmbientParams, build_factor_data, factor_data, factor_data_for
 from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
 from ccring.gf import field_new
 from ccring.poly import Poly, reciprocal
@@ -92,23 +85,6 @@ def test_idempotent_identities_random(monkeypatch):
             for l in range(j):
                 assert fd.mulmod(eps, fd.idempotents[l]).is_zero()
         assert total == Poly.one(field)
-
-
-def test_project_assemble_roundtrip():
-    rng = random.Random(19)
-    params = AmbientParams.of_ints(5, 1, 1, 6, 4)
-    fd = build_factor_data(params)
-    F = params.field
-    for _ in range(10):
-        a = (
-            Poly(F, [rng.randrange(5) for _ in range(params.N)]),
-            Poly(F, [rng.randrange(5) for _ in range(params.N)]),
-        )
-        parts = [project(a, j, fd) for j in range(fd.r)]
-        assert assemble(parts, fd) == a
-        rebuilt = assemble(parts, fd)
-        for j in range(fd.r):
-            assert project(rebuilt, j, fd) == parts[j]
 
 
 def test_tau_absent_without_self_paired_lambda():

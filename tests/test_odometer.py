@@ -54,7 +54,8 @@ def test_residue_set_follows_the_digit_counter(p, m, coeffs, e):
     radix = len(index)
     for a in range(e + 1):
         for b in range(a, e + 1):
-            if ctx.residue_set_size(a, b) > 2048:
+            size = ctx.field.q ** (ctx.d * (b - a))
+            if size > 2048:
                 continue
             count = 0
             for k, z in enumerate(ctx.residue_set(a, b)):
@@ -62,7 +63,7 @@ def test_residue_set_follows_the_digit_counter(p, m, coeffs, e):
                 assert all(dg.is_zero() for i, dg in enumerate(digits) if not a <= i < b)
                 assert sum(index[digits[i]] * radix ** (i - a) for i in range(a, b)) == k
                 count += 1
-            assert count == ctx.residue_set_size(a, b)
+            assert count == size
 
 
 # -- enumerate_codes against itertools.product ---------------------------------

@@ -10,7 +10,7 @@ from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import dual_code
 from ccring.errors import TooLarge
 from ccring.gf import field_new
-from ccring.ideals import IdealSpec, component_elements, enumerate_codes, enumerate_ideals, ideal_size
+from ccring.ideals import IdealSpec, enumerate_codes, enumerate_ideals, ideal_size
 from ccring.linalg import kernel, pack, slot_bits, unpack
 from ccring.oracle import (
     FpSpace,
@@ -24,17 +24,22 @@ from ccring.oracle import (
     coords_ambient,
     generator_matrix_spans,
     k_span,
-    pair_coords,
     spec_span,
     submodule_count_formula,
     u_shift_closed,
     verify_suite,
 )
 from ccring.poly import Poly
+from test_ideals import component_elements
 
 # past these sizes the tests' own brute-force routes raise TooLarge
 ALLPAIRS_BUDGET = 1 << 21
 SCAN_BUDGET = 1 << 14
+
+
+def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
+    """The packed F_p row of (A, B) in K^2, as the oracle's spaces hold it."""
+    return oracle._pair_vec(ctx.field, ctx.d * ctx.e, ctx.reduce(A), ctx.reduce(B))
 
 
 def brute_submodules_allpairs(ctx: ChainCtx) -> set:
