@@ -33,6 +33,7 @@ from .decomp import (
     build_factor_data,
     factor_data,
     factor_degrees,
+    memoized,
     ring_field,
 )
 from .dual import count_self_dual, dual_code, enumerate_self_dual, nu_value
@@ -178,24 +179,35 @@ def code_json(code: CodeSpec):
 
 
 def parse_code(doc, cache: dict | None = None) -> CodeSpec:
-    """The code a document describes, its ring set up through the decomp
-    memo.
+    """The code a document describes.
 
-    cache, when given, maps a document's (params, factors) to the
-    FactorData built for it, so documents of one ring share it however
-    many rings come between them.
+    Its ring is keyed on the compact text of its params and factors, and
+    set up once while the process keeps that text (decomp.MEMO_SIZE
+    texts, cleared with decomp.clear_memo), so a later document of the
+    ring, in this input or another, does no parsing or checking of the
+    ring.  cache, when given, also maps each text to its FactorData, so
+    documents of one input share their ring however many rings come
+    between them.
     """
+    params = _member(doc, "params")
+    key = _dumps([params, doc["factors"]] if "factors" in doc else [params])
     cache = {} if cache is None else cache
-    key = _dumps([_member(doc, "params"), doc.get("factors")])
     if key not in cache:
-        cache[key] = _parse_factor_data(doc)
+        cache[key] = _ring(key)
     fd = cache[key]
     comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
 
 
+@memoized
+def _ring(key: str) -> FactorData:
+    """The FactorData of the params and factors in key, set up through
+    the decomp memo; key holds the whole ring, so it fixes the result."""
+    return _parse_factor_data(dict(zip(("params", "factors"), json.loads(key))))
+
+
 def _parse_factor_data(doc) -> FactorData:
-    params = parse_params(_member(doc, "params"))
+    params = parse_params(doc["params"])
     if "factors" not in doc:
         return factor_data(params)
     factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
@@ -426,7 +438,7 @@ def cmd_enumerate(args) -> int:
 def cmd_dual(args) -> int:
     # documents of one ring share its FactorData, and so the dual's:
     # within this input through fds, which the memo's bound does not
-    # limit, and across calls through the memo
+    # limit, and across calls through parse_code's memo of ring texts
     fds: dict = {}
     with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
         for doc in _documents(_text_lines(src, universal=src is not sys.stdin)):

@@ -35,7 +35,9 @@ together with whatever it has built lazily since (the dual ring,
 self-dual kernels).  A failed build is not kept.  The factor data of
 the dual ring is fixed by the source's, so dual.dual_factor_data
 builds it once and keeps it on the source; through the memo, the dual
-of that dual is the source again.
+of that dual is the source again.  Other memos of set-up work are
+made with memoized(), so clear_memo empties them as well (cli keeps a
+code document's ring by the document's text).
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ from .poly import Poly, factor_squarefree, frobenius, reciprocal
 # x^8191 - 1 over F_2 for info, N = 16382, takes about 40 s)
 MAX_LENGTH = 1 << 18
 
-# keys the ring set-up memo of factor_data holds, sized from the
-# traffic: `enumerate` and then `dual` twice on its documents use three
-# per ring (params and (params, factors) for the ring, (params,
-# factors) for its dual), a `dual` call two per ring, `selfdual
-# --count-only` and then `--limit` two.  Replaying the seed-9001
+# keys each ring set-up memo holds, sized from the traffic: factor_data
+# takes three per ring for `enumerate` and then `dual` twice on its
+# documents (params and (params, factors) for the ring, (params,
+# factors) for its dual), two for a `dual` call, and two for `selfdual
+# --count-only` and then `--limit`; cli's document memo takes one per
+# ring text, so two for a ring and its dual.  Replaying the seed-9001
 # benchmark ops in one process, code_stream's 12 rings build 24
 # FactorData with any size from 2 up, and selfdual's 152, 141, 128 and
 # 89 with 2, 8, 16 and 32 keys, where past 2 only the op list's
@@ -80,10 +83,7 @@ class AmbientParams:
     lam: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise SZero(f"s = {self.s} must be >= 1")
-        if self.n < 1:
-            raise RangeError(f"n = {self.n} must be >= 1")
+        _check_s_n(self.s, self.n)
         if gcd(self.n, self.field.p) != 1:
             raise GcdViolation(f"n = {self.n} shares a factor with p = {self.field.p}")
         if not 0 < self.lam < self.field.q:
@@ -129,13 +129,21 @@ class AmbientParams:
 def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
     """field_new(p, m, modulus) for the ring (p, m, s, n).
 
-    With s, n >= 1 the length N = n p^s is at least p, so a p past
-    MAX_LENGTH is refused here: field_new would first trial-divide p,
-    which takes O(sqrt p) steps.
+    A p past MAX_LENGTH is refused here, with the error AmbientParams
+    would give (s or n below 1, else a length N = n p^s >= p too long):
+    field_new would first trial-divide p, which takes O(sqrt p) steps.
     """
-    if p > MAX_LENGTH and s >= 1 and n >= 1:
+    if p > MAX_LENGTH:
+        _check_s_n(s, n)
         raise _too_long(p, s, n)
     return field_new(p, m, modulus)
+
+
+def _check_s_n(s: int, n: int) -> None:
+    if s < 1:
+        raise SZero(f"s = {s} must be >= 1")
+    if n < 1:
+        raise RangeError(f"n = {n} must be >= 1")
 
 
 def _too_long(p: int, s: int, n: int) -> TooLarge:
@@ -343,7 +351,17 @@ def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> Fac
     return _kept(params, None if factors is None else tuple(factors))
 
 
-@lru_cache(MEMO_SIZE)
+_MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
+
+
+def memoized(fn):
+    """fn behind an lru_cache of MEMO_SIZE entries that clear_memo empties."""
+    cached = lru_cache(MEMO_SIZE)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+@memoized
 def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData:
     if factors is None:
         # also kept under its factors, so the dual of its dual is this one
@@ -352,5 +370,7 @@ def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData
 
 
 def clear_memo() -> None:
-    """Forget every kept FactorData; factor_data builds each ring again."""
-    _kept.cache_clear()
+    """Forget every kept FactorData, also those cli keeps by document
+    text; factor_data builds each ring again."""
+    for memo in _MEMOS:
+        memo.cache_clear()

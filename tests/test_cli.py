@@ -5,6 +5,7 @@ import select
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,61 @@ def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch
     assert len(rings) <= len(calls) == len({(params, tuple(factors)) for params, factors in calls})
 
 
+def _count_calls(monkeypatch, *fns):
+    """Calls to each of fns by name, wherever a ccring module binds it."""
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in fns:
+        wrapper = counted(fn)
+        for name, module in list(sys.modules.items()):
+            if name == "ccring" or name.startswith("ccring."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_dual_sets_up_a_ring_once_per_process(capsys, monkeypatch):
+    """After the first document of a ring, no later one, in the same
+    input or another, builds a field (with m = 2, a modulus test), checks
+    factor degrees or builds factor data; the answers are those of one
+    process per document."""
+    ring = ("--p", "2", "--m", "2", "--s", "1", "--n", "3", "--lambda", "[0,1]")
+    _, out, _ = run(capsys, "enumerate", *ring, "--limit", "4")
+    docs = out.splitlines(keepends=True)
+    assert len(docs) == 4
+    singles = []
+    for doc in docs:
+        with _cli_process("dual", stdin=subprocess.PIPE) as proc:
+            dual, err = proc.communicate(doc.encode(), timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        singles.append(dual.decode())
+    ccring.decomp.clear_memo()
+    calls = _count_calls(monkeypatch, gf.field_new, ccring.decomp.factor_degrees, ccring.decomp.factor_data_for)
+    after_first = []
+
+    def stdin():
+        yield docs[0]
+        after_first.append(dict(calls))
+        yield from docs[1:]
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    code, first, _ = run(capsys, "dual")
+    # the first document set up its ring and the dual ring
+    assert after_first == [{"field_new": 1, "factor_degrees": 1, "factor_data_for": 2}]
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code2, second, _ = run(capsys, "dual")
+    assert dict(calls) == after_first[0]
+    assert code == code2 == 0 and first == second == "".join(singles)
+
+
 def test_rejected_factors_exit_2_each_time(capsys, monkeypatch):
     """A failed set-up is not memoized: a bad factor list is refused on
     every call, and a good document of the same ring still works."""
@@ -309,6 +365,16 @@ def test_rejected_factors_exit_2_each_time(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dual))
     code2, back, _ = run(capsys, "dual")
     assert code == code2 == 0 and back == out
+
+
+def test_null_factors_are_refused_after_a_document_without_factors(capsys, monkeypatch):
+    """A document without factors and one with "factors": null are
+    different rings to the memo: the second is refused, as on its own."""
+    doc = {"params": {"p": 5, "m": 1, "s": 1, "n": 2, "lambda": 4}, "components": [{"case": "III", "k": 0}] * 2}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc) + "\n" + json.dumps(dict(doc, factors=None))))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and len(out.splitlines()) == 1
+    assert err == "error: document field 'factors' must be list, got None\n"
 
 
 @pytest.mark.parametrize("stdin", ["{}", "[]", ""])
@@ -447,15 +513,41 @@ def test_huge_p_exits_2_before_the_field_is_built(capsys, monkeypatch):
         raise AssertionError(f"primality test of p = {p}")
 
     monkeypatch.setattr(gf, "_is_prime", refuse)
-    message = f"error: length n*p^s = 1*{HUGE_P}^1 exceeds {MAX_LENGTH}\n"
-    code, out, err = run(capsys, "count", "--p", str(HUGE_P), "--s", "1", "--n", "1", "--lambda", "1")
-    assert (code, out, err) == (2, "", message)
-    doc = {"params": {"p": HUGE_P, "m": 1, "s": 1, "n": 1, "lambda": 1}, "components": [{"case": "III", "k": 0}]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    code, out, err = run(capsys, "dual")
-    assert (code, out, err) == (2, "", message)
+    # s and n are checked first, with the messages AmbientParams gives
+    for s, n, message in [
+        (1, 1, f"error: length n*p^s = 1*{HUGE_P}^1 exceeds {MAX_LENGTH}\n"),
+        (0, 1, "error: s = 0 must be >= 1\n"),
+        (1, 0, "error: n = 0 must be >= 1\n"),
+    ]:
+        code, out, err = run(capsys, "count", "--p", str(HUGE_P), "--s", str(s), "--n", str(n), "--lambda", "1")
+        assert (code, out, err) == (2, "", message)
+        doc = {"params": {"p": HUGE_P, "m": 1, "s": s, "n": n, "lambda": 1}, "components": [{"case": "III", "k": 0}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "dual")
+        assert (code, out, err) == (2, "", message)
     with pytest.raises(TooLarge):
         AmbientParams.of_ints(HUGE_P, 1, 1, 1, 1)
+
+
+def test_field_past_the_size_bound_exits_2_before_the_modulus_search(capsys, monkeypatch):
+    assert gf.field_new(2, gf.MAX_FIELD_BITS).q == 1 << gf.MAX_FIELD_BITS  # the bound itself is a field
+
+    def refuse(*args):
+        raise AssertionError(f"modulus search or test for {args}")
+
+    monkeypatch.setattr(gf, "_smallest_irreducible", refuse)
+    monkeypatch.setattr(gf, "_modulus_irreducible", refuse)
+    for p, m, modulus in [(2, 200000, None), (2, gf.MAX_FIELD_BITS + 1, None), (5, 28, [1] * 29)]:
+        message = f"error: field size p^m = {p}^{m} exceeds 2^{gf.MAX_FIELD_BITS}\n"
+        flags = ["--modulus", ",".join(map(str, modulus))] if modulus else []
+        code, out, err = run(capsys, "count", "--p", str(p), "--m", str(m), *flags, "--s", "1", "--n", "1", "--lambda", "1")
+        assert (code, out, err) == (2, "", message)
+        params = {"p": p, "m": m, "s": 1, "n": 1, "lambda": [1] + [0] * (m - 1)}
+        if modulus:
+            params["modulus"] = modulus
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"params": params, "components": []})))
+        code, out, err = run(capsys, "dual")
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(
