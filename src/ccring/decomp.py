@@ -216,27 +216,21 @@ class FactorData:
 
 
 def _pair_order(factors: list[Poly]) -> list[Poly]:
-    """Sort so tau-fixed factors come first, then pair halves aligned.
-
-    In the returned order tau (0-based) is tau(j) = j for j < rho and
-    tau(rho + i) = rho + pair_count + i.
-    """
-    recip_of = {}
+    """Reorder factors, sorted as factor_squarefree returns them: the
+    tau-fixed ones, then each pair's member that sorts before its monic
+    reciprocal, then those reciprocals, so that (0-based) tau(j) = j for
+    j < rho and tau(rho + i) = rho + pair_count + i."""
+    members = set(factors)
+    fixed, firsts, seconds = [], [], []
     for f in factors:
-        recip_of[f] = reciprocal(f).monic()
-    fixed = [f for f in factors if recip_of[f] == f]
-    paired = [f for f in factors if recip_of[f] != f]
-    firsts, seconds, seen = [], [], set()
-    for f in sorted(paired, key=Poly.sort_key):
-        if f in seen:
-            continue
-        g = recip_of[f]
-        if g not in recip_of:
+        g = reciprocal(f).monic()
+        if g not in members:
             raise RangeError("reciprocal pairing left the factor set")
-        seen.add(f)
-        seen.add(g)
-        firsts.append(f)
-        seconds.append(g)
+        if g == f:
+            fixed.append(f)
+        elif f.sort_key() < g.sort_key():
+            firsts.append(f)
+            seconds.append(g)
     return fixed + firsts + seconds
 
 

@@ -7,20 +7,22 @@ and keeps it on the source's, so every code of one FactorData dualizes
 over the same object, and the decomp memo makes the dual of that dual
 the source again.
 
-On spec level the whole construction is a parameter transport: writing
-d_j = deg f_j and N = n*p^s, every case that carries a b maps through
+On spec level the whole construction is a parameter transport.  In
+the family <f^(k+1) b + u f^k, f^(k+t)> of ideals.py the dual component
+of (k, t) is
+
+    (k, t) -> (e - k - t, t),
+
+an involution that keeps t and so the b window; on the labels it reads
+I <-> I, II(k) <-> IV(e-k), III(k) <-> III(e-k) and V -> V.  Writing
+d_j = deg f_j and N = n*p^s, a b (t >= 1) maps through
 
     b_hat = -lambda * f_j(0) * x^(N - d_j) * b(x^(-1))
 
-into the window of the image case, and the case data moves by
-
-    I -> I,  II(k) -> IV(e-k),  III(k) -> III(e-k),
-    IV(t) -> II(e-t),  V(k,t) -> V(e-k-t, t).
-
-The scalar is f_j(0) and not its inverse: the printed dual generator is
--lambda x^(N-d) rev(f_j) b(x^(-1)) + u with rev(f_j) the plain
-coefficient reversal, and rev(f_j) = f_j(0) * fhat_j once the modulus
-is normalized monic.  Tests pin this against kernel-computed duals.
+into that window.  The scalar is f_j(0) and not its inverse: the
+printed dual generator is -lambda x^(N-d) rev(f_j) b(x^(-1)) + u with
+rev(f_j) the plain coefficient reversal, and rev(f_j) = f_j(0) * fhat_j
+once the modulus is normalized monic.  Tests pin this against kernel-computed duals.
 
 The transport is written down, not evaluated: a b reduced into its
 window has deg b < d_j (e - 1) <= N - d_j, so x^(N - d_j) b(x^(-1))
@@ -33,9 +35,9 @@ component built from position j landing at tau(j).
 
 A self-dual code picks any spec on one factor of each reciprocal pair
 (its partner is forced) and a spec that is its own dual component on
-each tau-fixed factor.  Only case I, III(e/2) and V(k, e - 2k) can be;
-on their digit windows the transport is F_p-linear, so the fixed b are
-the kernel of T - I.  Counting takes p^dim of each kernel, and the
+each tau-fixed factor.  Only the (k, t) with 2k + t = e can be: I,
+III(e/2) and V(k, e - 2k).  On their digit windows the transport is
+F_p-linear, so the fixed b are the kernel of T - I.  Counting takes p^dim of each kernel, and the
 codes stream from the kernel bases; no spec is scanned.
 """
 
@@ -50,10 +52,13 @@ from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
     IdealSpec,
+    CASES,
     b_window,
     count_ideals,
     enumerate_ideals,
+    from_kt,
     spec_product,
+    to_kt,
 )
 from .linalg import kernel, pack, unpack
 from .poly import Poly, reciprocal
@@ -109,23 +114,16 @@ def _transport_b(b: Poly, j: int, fd: FactorData, target: ChainCtx) -> Poly:
 
 
 def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) -> IdealSpec:
-    """The ideal spec of the dual code's component over recip(f_j)."""
+    """The ideal spec of the dual code's component over recip(f_j):
+    (k, t) -> (e - k - t, t), b transported into the same window."""
     e = fd.params.e
-    if spec.case == "III":
-        return IdealSpec("III", k=e - spec.k)
-    if spec.case == "I":
-        shape = IdealSpec("I")
-    elif spec.case == "II":
-        shape = IdealSpec("IV", t=e - spec.k)
-    elif spec.case == "IV":
-        shape = IdealSpec("II", k=e - spec.t)
-    else:
-        shape = IdealSpec("V", k=e - spec.k - spec.t, t=spec.t)
+    k, t = to_kt(spec, e)
+    if t == 0:
+        return from_kt(e - k, 0, e)
     raw = _transport_b(spec.b, j, fd, target)
-    lo, hi = b_window(shape, e)
     # the transport preserves divisibility by each f^k, so raw never
     # has digits below the window; window_reduce checks that as a side effect
-    return replace(shape, b=target.window_reduce(raw, lo, hi))
+    return from_kt(e - k - t, t, e, target.window_reduce(raw, *b_window(spec, e)))
 
 
 def dual_code(code: CodeSpec) -> CodeSpec:
@@ -171,23 +169,16 @@ def nu_value(field, nu: int) -> int:
 
 
 def _fixed_shapes(e: int):
-    """The shapes that map to themselves, in enumerate_ideals order.
-
-    I -> I, III(k) -> III(e - k) and V(k, t) -> V(e - k - t, t): so case
-    I, case III with 2k = e, and case V with t = e - 2k >= 1.  Every
-    other shape lands in another case.
-    """
-    yield IdealSpec("I")
-    if e % 2 == 0:
-        yield IdealSpec("III", k=e // 2)
-    for k in range(1, (e + 1) // 2):
-        yield IdealSpec("V", k=k, t=e - 2 * k)
+    """The shapes that map to themselves, (k, e - 2k) for 0 <= k <= e/2,
+    in enumerate_ideals order: I, III(e/2) for even e, V(k, e - 2k) by k."""
+    shapes = [from_kt(k, e - 2 * k, e) for k in range(e // 2 + 1)]
+    return sorted(shapes, key=lambda shape: CASES.index(shape.case))
 
 
 def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] | None]]:
     """Each fixed shape of tau-fixed factor j with an F_p basis of the b
     its dual component maps to themselves, least significant pivot
-    first (None for case III, which carries no b).
+    first (None for t = 0, which carries no b).
 
     On a window [lo, hi) the map T(b) = window_reduce(_transport_b(b),
     lo, hi) is F_p-linear, so the fixed b are ker(T - I).  The transport
@@ -214,7 +205,7 @@ def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] |
     images = [_digit_coords(_transport_b(b, j, fd, ctx), ctx) for b in basis]
     out = []
     for shape in _fixed_shapes(e):
-        if shape.case == "III":
+        if to_kt(shape, e)[1] == 0:
             out.append((shape, None))
             continue
         lo, hi = b_window(shape, e)

@@ -1,18 +1,21 @@
 """Ideals of K + uK (u^2 = 0) over a chain ring K = F_{p^m}[x]/(f^e).
 
-Writing an element as xi + u*eta, every ideal falls into one of five
-shapes, keyed by a distinguished generator and at most one extra power
-of f:
+Writing an element as xi + u*eta, every ideal is one member of a single
+family
 
-    I    <f*b + u>                          b in f^(ceil(e/2)-1) (K/f^(e-1))
-    II   <f^(k+1)*b + u*f^k>                1 <= k <= e-1,
-                                            b in f^(ceil((e-k)/2)-1) (K/f^(e-k-1))
-    III  <f^k>                              0 <= k <= e
-    IV   <f*b + u, f^t>                     1 <= t <= e-1,
-                                            b in f^(ceil(t/2)-1) (K/f^(t-1))
-    V    <f^(k+1)*b + u*f^k, f^(k+t)>       1 <= k <= e-2, 1 <= t <= e-k-1,
-                                            b in f^(ceil(t/2)-1) (K/f^(t-1))
+    <f^(k+1)*b + u*f^k, f^(k+t)>      0 <= k, 0 <= t, k + t <= e,
+                                      b in f^(ceil(t/2)-1) (K/f^(t-1)),
 
+of size (q^d)^(2e - 2k - t); for t = 0 there is no b and the ideal is
+<f^k>.  The five case labels name regions of (k, t):
+
+    I      (0, e)         <f*b + u>
+    II(k)  (k, e - k)     <f^(k+1)*b + u*f^k>          1 <= k <= e-1
+    III(k) (k, 0)         <f^k>                        0 <= k <= e
+    IV(t)  (0, t)         <f*b + u, f^t>               1 <= t <= e-1
+    V(k,t) (k, t)         the rest: k, t >= 1, k + t <= e-1
+
+to_kt and from_kt translate between a labelled spec and its (k, t).
 The parameter b ranges over a residue window, so each ideal appears for
 exactly one spec.  Codes in the full ambient ring are tuples of one
 such spec per irreducible factor, glued through the idempotents.
@@ -21,7 +24,7 @@ such spec per irreducible factor, glued through the idempotents.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 
@@ -31,6 +34,8 @@ from .errors import InvalidSpec
 from .poly import Poly
 
 CASES = ("I", "II", "III", "IV", "V")
+# the fields among k, t and b that a spec of each case sets; the others are None
+_FIELDS = dict(zip(CASES, ("b", "kb", "k", "tb", "ktb")))
 
 
 @dataclass(frozen=True)
@@ -51,100 +56,81 @@ class IdealSpec:
         return " ".join(bits)
 
 
+def to_kt(spec: IdealSpec, e: int) -> tuple[int, int]:
+    """The (k, t) of a spec whose fields fit its case, as tabled above."""
+    k = spec.k or 0
+    if spec.t is not None:
+        return k, spec.t
+    return (k, 0) if spec.case == "III" else (k, e - k)
+
+
+def _label(k: int, t: int, e: int) -> str:
+    """The case of (k, t), 0 <= k, 0 <= t, k + t <= e."""
+    if t == 0:
+        return "III"
+    if k == 0:
+        return "I" if t == e else "IV"
+    return "II" if k + t == e else "V"
+
+
+def from_kt(k: int, t: int, e: int, b: Poly | None = None) -> IdealSpec:
+    """The labelled spec of (k, t), with b unless t = 0; inverse of to_kt."""
+    case = _label(k, t, e)
+    fields = _FIELDS[case]
+    return IdealSpec(case, k if "k" in fields else None, t if "t" in fields else None, b if "b" in fields else None)
+
+
 def b_window(spec: IdealSpec, e: int) -> tuple[int, int]:
-    """Digit window [lo, hi) that the parameter b must live in."""
-    if spec.case == "I":
-        return ceil_half(e) - 1, e - 1
-    if spec.case == "II":
-        w = e - spec.k
-        return ceil_half(w) - 1, w - 1
-    if spec.case in ("IV", "V"):
-        return ceil_half(spec.t) - 1, spec.t - 1
-    raise InvalidSpec(f"case {spec.case} carries no b parameter")
+    """Digit window [lo, hi) = [ceil(t/2) - 1, t - 1) that b must live in."""
+    t = to_kt(spec, e)[1]
+    if t == 0:
+        raise InvalidSpec(f"case {spec.case} carries no b parameter")
+    return ceil_half(t) - 1, t - 1
 
 
-def validate_spec(spec: IdealSpec, ctx: ChainCtx) -> None:
-    e = ctx.e
-    case = spec.case
-    if case not in CASES:
-        raise InvalidSpec(f"unknown case {spec.case!r}")
-    if case == "I":
-        if spec.k is not None or spec.t is not None:
-            raise InvalidSpec("case I takes no k or t")
-    elif case == "II":
-        if spec.t is not None:
-            raise InvalidSpec("case II takes no t")
-        if spec.k is None or not 1 <= spec.k <= e - 1:
-            raise InvalidSpec(f"case II needs 1 <= k <= {e - 1}")
-    elif case == "III":
-        if spec.b is not None or spec.t is not None:
-            raise InvalidSpec("case III takes only k")
-        if spec.k is None or not 0 <= spec.k <= e:
-            raise InvalidSpec(f"case III needs 0 <= k <= {e}")
-    elif case == "IV":
-        if spec.k is not None:
-            raise InvalidSpec("case IV takes no k")
-        if spec.t is None or not 1 <= spec.t <= e - 1:
-            raise InvalidSpec(f"case IV needs 1 <= t <= {e - 1}")
-    elif case == "V":
-        if spec.k is None or not 1 <= spec.k <= e - 2:
-            raise InvalidSpec(f"case V needs 1 <= k <= {e - 2}")
-        if spec.t is None or not 1 <= spec.t <= e - spec.k - 1:
-            raise InvalidSpec(f"case V needs 1 <= t <= {e - spec.k - 1}")
-    if case != "III":
-        if spec.b is None:
-            raise InvalidSpec(f"case {case} needs a b parameter")
-        if spec.b.ctx != ctx.field:
-            raise InvalidSpec("b lives over the wrong field")
-        lo, hi = b_window(spec, e)
-        if not ctx.in_residue_window(ctx.reduce(spec.b), lo, hi):
-            raise InvalidSpec(
-                f"b = {spec.b.term_string()} outside digit window [{lo}, {hi})"
-            )
+def validate_spec(spec: IdealSpec, ctx: ChainCtx) -> IdealSpec:
+    """spec with b reduced mod f^e; InvalidSpec unless it names an ideal."""
+    e, case = ctx.e, spec.case
+    fields = _FIELDS.get(case)
+    if fields is None:
+        raise InvalidSpec(f"unknown case {case!r}")
+    if fields != "k" * (spec.k is not None) + "t" * (spec.t is not None) + "b" * (spec.b is not None):
+        raise InvalidSpec(f"case {case} takes exactly {', '.join(fields)}")
+    k, t = to_kt(spec, e)
+    if not (0 <= k and 0 <= t and k + t <= e and _label(k, t, e) == case):
+        raise InvalidSpec(f"case {case} has no ideal with (k, t) = ({k}, {t}) when e = {e}")
+    if spec.b is None:
+        return spec
+    if spec.b.ctx != ctx.field:
+        raise InvalidSpec("b lives over the wrong field")
+    b, (lo, hi) = ctx.reduce(spec.b), b_window(spec, e)
+    if not ctx.in_residue_window(b, lo, hi):
+        raise InvalidSpec(f"b = {spec.b.term_string()} outside digit window [{lo}, {hi})")
+    return spec if b is spec.b else replace(spec, b=b)
 
 
 def ideal_size(spec: IdealSpec, ctx: ChainCtx) -> int:
-    q = ctx.field.q ** ctx.d
-    e = ctx.e
-    if spec.case == "I":
-        return q ** e
-    if spec.case == "II":
-        return q ** (e - spec.k)
-    if spec.case == "III":
-        return q ** (2 * (e - spec.k))
-    if spec.case == "IV":
-        return q ** (2 * e - spec.t)
-    if spec.case == "V":
-        return q ** (2 * e - 2 * spec.k - spec.t)
-    raise InvalidSpec(f"unknown case {spec.case!r}")
+    k, t = to_kt(spec, ctx.e)
+    return (ctx.field.q ** ctx.d) ** (2 * ctx.e - 2 * k - t)
 
 
 def generator_rows(spec: IdealSpec, ctx: ChainCtx) -> list[tuple[Poly, Poly, int]]:
-    """Module generators of the ideal as rows (xi, eta, depth).
+    """Module generators of the ideal as rows (xi, eta, depth):
+    (f^(k+1) b, f^k, k) and (f^(k+t), 0, k+t), each kept while its
+    depth is below e (b = 0 for case III).
 
     Each element of the ideal is uniquely sum_i c_i * row_i with the
     coefficient c_i running over K/(f^(e - depth_i)).
     """
     validate_spec(spec, ctx)
-    f = ctx.f
-    zero = Poly.zero(ctx.field)
-    one = Poly.one(ctx.field)
-    fp = ctx.f_pows
-    if spec.case == "I":
-        return [(ctx.mul(f, spec.b), one, 0)]
-    if spec.case == "II":
-        k = spec.k
-        return [(ctx.mul(fp[k + 1], spec.b), fp[k], k)]
-    if spec.case == "III":
-        k = spec.k
-        if k == ctx.e:
-            return []
-        return [(fp[k], zero, k), (zero, fp[k], k)]
-    if spec.case == "IV":
-        t = spec.t
-        return [(ctx.mul(f, spec.b), one, 0), (fp[t], zero, t)]
-    k, t = spec.k, spec.t
-    return [(ctx.mul(fp[k + 1], spec.b), fp[k], k), (fp[k + t], zero, k + t)]
+    k, t = to_kt(spec, ctx.e)
+    fp, zero = ctx.f_pows, Poly.zero(ctx.field)
+    rows = []
+    if k < ctx.e:
+        rows.append((zero if spec.b is None else ctx.mul(fp[k + 1], spec.b), fp[k], k))
+    if k + t < ctx.e:
+        rows.append((fp[k + t], zero, k + t))
+    return rows
 
 
 def _shapes(e: int):
@@ -167,11 +153,12 @@ def enumerate_ideals(ctx: ChainCtx):
     Case I (b ascending), II (k then b), III (k), IV (t then b),
     V (k, then t, then b); b runs in residue_set order over b_window.
     """
-    for shape in _shapes(ctx.e):
-        if shape.case == "III":
+    e = ctx.e
+    for shape in _shapes(e):
+        if to_kt(shape, e)[1] == 0:
             yield shape
             continue
-        for b in ctx.residue_set(*b_window(shape, ctx.e)):
+        for b in ctx.residue_set(*b_window(shape, e)):
             yield IdealSpec(shape.case, shape.k, shape.t, b)
 
 
@@ -179,12 +166,12 @@ def enumerate_ideals(ctx: ChainCtx):
 
 
 def case_counts(p: int, m: int, d: int, s: int) -> dict[str, int]:
-    """How many ideals each case contributes, from the window sizes."""
+    """How many ideals each case contributes: q^floor(t/2) per (k, t),
+    the size of the b window."""
     e, q = p ** s, p ** (m * d)
     counts = dict.fromkeys(CASES, 0)
     for shape in _shapes(e):
-        lo, hi = (0, 0) if shape.case == "III" else b_window(shape, e)
-        counts[shape.case] += q ** (hi - lo)
+        counts[shape.case] += q ** (to_kt(shape, e)[1] // 2)
     return counts
 
 
@@ -240,8 +227,9 @@ class CodeSpec:
             raise InvalidSpec(
                 f"need {self.fd.r} components, got {len(self.components)}"
             )
-        for j, spec in enumerate(self.components):
-            validate_spec(spec, self.fd.chain(j))
+        # b is kept as its residue mod f^e, so equal codes compare equal
+        comps = tuple(map(validate_spec, self.components, self.fd.chain_ctxs))
+        object.__setattr__(self, "components", comps)
 
     @classmethod
     def trusted(cls, fd: FactorData, components: tuple[IdealSpec, ...]):

@@ -175,6 +175,18 @@ def test_bad_dual_input_exits_2(capsys, monkeypatch):
     assert code == 2 and "bad JSON" in err
 
 
+def test_dual_component_with_k_out_of_range_exits_2(capsys, monkeypatch):
+    # e = 5 at (5,1,1,2): case II needs 1 <= k <= 4
+    doc = {
+        "params": {"p": 5, "m": 1, "s": 1, "n": 2, "lambda": 4},
+        "components": [{"case": "II", "k": 7, "b": []}, {"case": "III", "k": 0}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "dual")
+    assert code == 2 and out == ""
+    assert err.startswith("error: case ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_seed_env_is_accepted(capsys, monkeypatch):
     monkeypatch.setenv("CCRING_SEED", "7")
     code, out, _ = run(capsys, "info", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")

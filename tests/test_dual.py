@@ -210,6 +210,20 @@ def test_double_dual_restores_everything():
         assert dd.fd.params.lam == fd.params.lam
 
 
+def test_code_spec_keeps_b_as_its_residue_mod_f_e():
+    """A b given with a multiple of f^e added is the same ideal, so the
+    code must still be self-dual and dualize back to itself."""
+    fd = fd_of(3, 1, 1, 2, 2)
+    code = next(c for c in enumerate_self_dual(fd, -1) if any(x.b is not None for x in c.components))
+    j = next(j for j, x in enumerate(code.components) if x.b is not None)
+    comps = list(code.components)
+    comps[j] = replace(comps[j], b=comps[j].b + fd.chain(j).modulus)
+    padded = CodeSpec(fd, tuple(comps))
+    assert padded.components == code.components
+    assert is_self_dual(padded)
+    assert dual_code(dual_code(padded)).components == padded.components
+
+
 def test_self_dual_count_anchors():
     assert count_self_dual(fd_of(5, 1, 1, 6, 4), -1) == 249381
     assert count_self_dual(fd_of(5, 1, 1, 2, 4), -1) == 121

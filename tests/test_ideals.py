@@ -17,9 +17,12 @@ from ccring.ideals import (
     count_ideals_params,
     count_ideals_sumform_params,
     enumerate_codes,
+    _shapes,
     enumerate_ideals,
+    from_kt,
     generator_rows,
     ideal_size,
+    to_kt,
     validate_spec,
 )
 from ccring.oracle import code_space
@@ -241,3 +244,28 @@ def test_both_count_routes_reject_a_chain_length_not_a_power_of_p():
             count(ctx)
     assert chain_exponent(ChainCtx(Poly(F5, [2, 1]), 25)) == 2
     assert count_ideals(ChainCtx(Poly(F5, [2, 1]), 25)) == count_ideals_sumform_params(5, 1, 1, 2)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 9, 25, 27])
+def test_labels_name_the_family_and_its_dual_map(e):
+    from ccring.dual import _fixed_shapes
+
+    shapes = list(_shapes(e))
+    kts = [to_kt(shape, e) for shape in shapes]
+    assert [from_kt(k, t, e) for k, t in kts] == shapes
+    # every (k, t) with 0 <= k, 0 <= t, k + t <= e, each exactly once
+    assert sorted(kts) == [(k, t) for k in range(e + 1) for t in range(e - k + 1)]
+    expect = {
+        "I": lambda k, t: IdealSpec("I"),
+        "II": lambda k, t: IdealSpec("IV", t=e - k),
+        "III": lambda k, t: IdealSpec("III", k=e - k),
+        "IV": lambda k, t: IdealSpec("II", k=e - t),
+        "V": lambda k, t: IdealSpec("V", k=e - k - t, t=t),
+    }
+    for shape, (k, t) in zip(shapes, kts):
+        image = from_kt(e - k - t, t, e)
+        assert image == expect[shape.case](k, t)
+        k2, t2 = to_kt(image, e)
+        assert from_kt(e - k2 - t2, t2, e) == shape
+    fixed = [shape for shape, (k, t) in zip(shapes, kts) if 2 * k + t == e]
+    assert list(_fixed_shapes(e)) == fixed
