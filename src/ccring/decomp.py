@@ -37,7 +37,8 @@ the dual ring is fixed by the source's, so dual.dual_factor_data
 builds it once and keeps it on the source; through the memo, the dual
 of that dual is the source again.  Other memos of set-up work are
 made with memoized(), so clear_memo empties them as well (cli keeps a
-code document's ring by the document's text).
+code document's ring by the document's text, and oracle a ring's lift
+maps and lifted component rows).
 """
 
 from __future__ import annotations
@@ -365,6 +366,7 @@ def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData
 
 def clear_memo() -> None:
     """Forget every kept FactorData, also those cli keeps by document
-    text; factor_data builds each ring again."""
+    text, and oracle's per-ring lifts; factor_data builds each ring
+    again."""
     for memo in _MEMOS:
         memo.cache_clear()

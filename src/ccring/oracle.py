@@ -16,8 +16,17 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
   ideal, spanning each vector that is not a unit multiple of one
   already spanned (a unit multiple generates the same ideal, a mere
   member of the span may not);
-* duals are computed as literal kernels of the inner-product pairing
-  (a full scan of the ambient space at toy sizes agrees by a test);
+* a classified code's space is the sum of its components' spans, each
+  carried into the ambient ring by multiplication by eps_j: an
+  F_p-linear lift map per factor, a table of the images of K_j^2's
+  basis built from eps_j by the ambient x and g steps, with no
+  polynomial product.  The ring keeps its lift maps and each
+  component's lifted rows, keyed by (j, spec), in memos that
+  decomp.clear_memo empties, so a code whose components were met
+  before costs rank insertions and nothing more;
+* duals are computed as literal kernels of the inner-product pairing,
+  whose rows come off each packed basis row and its g-steps (a full
+  scan of the ambient space at toy sizes agrees by a test);
 * the self-dual components of a tau-fixed factor are found by running
   every spec through the dual transport, with no elimination, which
   checks the kernel route of the dual module.
@@ -34,18 +43,19 @@ through the field modulus), with one reduction mod p for odd p.  The
 routine inserts the rows x^i g^l (A, B) into the span one at a time
 and stops a pair's chain at the first i whose x^i (A, B) is already in
 the span: the span is then closed under x and F_q, so the rest of the
-chain adds nothing (a Krylov closure).  The size limit ORACLE_BUDGET is
-a module constant.
+chain adds nothing (a Krylov closure).  The same steps build the lift
+maps, from x^i g^c eps_j, and the pairing rows, from g^c b.  The size
+limit ORACLE_BUDGET is a module constant.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, product
-from operator import lshift
+from itertools import chain, filterfalse, product
+from operator import lshift, mul
 
 from .chain import ChainCtx
-from .decomp import AmbientParams, FactorData, build_factor_data
+from .decomp import AmbientParams, FactorData, build_factor_data, memoized
 from .dual import (
     dual_code_nu,
     dual_component,
@@ -69,7 +79,7 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
-from .linalg import FpSpace, _mod, kernel, slot_bits, unpack
+from .linalg import FpSpace, _byte_table, _mod, kernel, slot_bits, unpack
 from .poly import Poly, is_irreducible
 
 # past this size a brute-force route raises TooLarge (see each check)
@@ -81,17 +91,11 @@ ORACLE_BUDGET = 1 << 24
 
 @functools.cache
 def _field_tables(field: FieldCtx, bits: int):
-    """(spread, gather, funcs) in slots of the given width: spread[b]
-    holds the m F_p coordinates of b, gather inverts spread, and
-    funcs[l][b] holds r -> coordinate l of g^r * b, each in m slots."""
-    m, g = field.m, field.gen()
+    """(spread, gather) in slots of the given width: spread[b] holds the
+    m F_p coordinates of b, and gather inverts spread."""
     coords = [field.decode(b) for b in field.elements()]
-    spread = [sum(map(lshift, c, range(0, bits * m, bits))) for c in coords]
-    gather = {v: b for b, v in enumerate(spread)}
-    g_pows = [field.pow(g, r) for r in range(m)]
-    images = [[field.mul(x, b) for x in g_pows] for b in field.elements()]
-    funcs = [[sum(coords[c][l] << bits * r for r, c in enumerate(im)) for im in images] for l in range(m)]
-    return spread, gather, funcs
+    spread = [sum(map(lshift, c, range(0, bits * field.m, bits))) for c in coords]
+    return spread, {v: b for b, v in enumerate(spread)}
 
 
 def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> int:
@@ -134,12 +138,27 @@ def _packed_steps(modulus: Poly):
         # coordinate l of the top block, one slot from each half
         x_terms.append((step * (slots - 1) + bits * l, slot | slot << half, fold))
     x_step = _shift_fold(p, dim, full ^ (top_block | top_block << half), step, x_terms)
+    return x_step, _g_step(field, slots)
+
+
+def _firsts(p: int, m: int, slots: int) -> int:
+    """Coordinate 0 of every block of a packed pair, each slot all ones."""
+    bits = slot_bits(p, 2 * m * slots)
+    return sum((1 << bits) - 1 << bits * m * i for i in range(2 * slots))
+
+
+@functools.cache
+def _g_step(field: FieldCtx, slots: int):
+    """Multiplication by g = field.gen() on packed pairs of slots
+    coefficients each (see _packed_steps), or None when m = 1."""
+    p, m = field.p, field.m
     if m == 1:  # g = 1
-        return x_step, None
-    firsts = sum(slot << step * i for i in range(2 * slots))  # coordinate 0 of every block
+        return None
+    bits = slot_bits(p, 2 * m * slots)
+    firsts, full = _firsts(p, m, slots), (1 << bits * 2 * m * slots) - 1
     g_fold = sum((-c % p) << bits * k for k, c in enumerate(field.modulus[:-1]))
     g_term = (bits * (m - 1), firsts, g_fold)
-    return x_step, _shift_fold(p, dim, full ^ firsts << bits * (m - 1), bits, [g_term])
+    return _shift_fold(p, 2 * m * slots, full ^ firsts << bits * (m - 1), bits, [g_term])
 
 
 def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
@@ -337,15 +356,10 @@ def coords_ambient(params: AmbientParams, vec: int) -> tuple[Poly, Poly]:
 
 def _coords_pair(field: FieldCtx, vec: int, slots: int) -> tuple[Poly, Poly]:
     """The pair (A, B) whose packed coordinates, slots per polynomial, are vec."""
-    cs = _pair_coeffs(field, vec, slots)
-    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
-
-
-def _pair_coeffs(field: FieldCtx, vec: int, slots: int) -> list[int]:
-    """The 2 * slots coefficients of A then B, read off the packed pair."""
     step = slot_bits(field.p, 2 * field.m * slots) * field.m
     gather = _field_tables(field, step // field.m)[1]
-    return [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
+    cs = [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
+    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
 
 
 def ideal_span(fd: FactorData, gens) -> FpSpace:
@@ -357,15 +371,77 @@ def ideal_span(fd: FactorData, gens) -> FpSpace:
     return _closure(fd.binomial, [pair for a0, a1 in gens for pair in ((a0, a1), (zero, a0))])
 
 
+@memoized
+def _lift(fd: FactorData, j: int):
+    """The F_p-linear map K_j^2 -> ambient, (A, B) -> eps_j (A, B), on
+    packed rows.
+
+    It is a table of the images of the 2 m d e basis vectors x^i g^c of
+    either half: eps_j packed once, then stepped by the ambient x and g
+    (see _packed_steps), the B half one shift over.  For p = 2 a row's
+    image is the XOR of the images of its set bits; for odd p it is the
+    sum of slot times image, reduced once, as the ambient slots hold
+    2 m d e products of two residues.
+    """
+    params, ctx = fd.params, fd.chain(j)
+    field = params.field
+    p, dim = field.p, ambient_dim(params)
+    x_step, g_step = _packed_steps(fd.binomial)
+    vec = ambient_coords(params, fd.idempotents[j], Poly.zero(field))
+    images = []
+    for _ in range(ctx.d * ctx.e):
+        images.append(vec)
+        for _ in range(1, field.m):
+            images.append(g_step(images[-1]))
+        vec = x_step(vec)
+    half = slot_bits(p, dim) * field.m * params.N
+    images += [image << half for image in images]
+    if p == 2:
+
+        def lift(row: int) -> int:
+            out = 0
+            while row:
+                bit = row & -row
+                out ^= images[bit.bit_length() - 1]
+                row ^= bit
+            return out
+
+    else:
+        kdim = pair_dim(ctx)
+
+        def lift(row: int) -> int:
+            return _mod(sum(map(mul, unpack(p, kdim, row), images)), p, dim)
+
+    return lift
+
+
+@memoized
+def _component_rows(fd: FactorData) -> dict:
+    """(j, spec) -> the rows of spec_span(spec, fd.chain(j)) lifted
+    into the ambient ring, filled in as code_space meets the specs."""
+    return {}
+
+
 def code_space(code: CodeSpec) -> FpSpace:
-    """The F_p-span of a classified code in ambient coordinates."""
+    """The F_p-span of a classified code in ambient coordinates.
+
+    The eps_j cut the ring into independent pieces, so the code's
+    space is spanned by its components' lifted spans, rank rows in
+    all; the ring keeps each component's rows (see _component_rows).
+    With one factor, eps_0 = 1 and K_0 is the ambient ring itself, with
+    the same coordinates, so the component's span is the code's.
+    """
     fd = code.fd
-    pairs = [
-        (fd.mulmod(eps, A), fd.mulmod(eps, B))
-        for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
-        for A, B, _ in generator_rows(spec, fd.chain(j))
-    ]
-    return _closure(fd.binomial, pairs)
+    if fd.r == 1:
+        return spec_span(code.components[0], fd.chain(0))
+    memo = _component_rows(fd)
+    rows = []
+    for j, spec in enumerate(code.components):
+        lifted = memo.get((j, spec))
+        if lifted is None:
+            lifted = memo[j, spec] = list(map(_lift(fd, j), spec_span(spec, fd.chain(j)).rows))
+        rows += lifted
+    return FpSpace.from_rows(fd.params.field.p, ambient_dim(fd.params), rows)
 
 
 def brute_ambient_ideals(fd: FactorData):
@@ -379,18 +455,13 @@ def brute_ambient_ideals(fd: FactorData):
     params = fd.params
     if params.ring_size() > ORACLE_BUDGET:
         raise TooLarge(f"|R|^N = {params.ring_size()} over budget {ORACLE_BUDGET}")
-    field = params.field
-
-    def lifted(j: int, space: FpSpace) -> list[int]:
-        ctx, eps = fd.chain(j), fd.idempotents[j]
-        pairs = (_coords_pair(field, row, ctx.d * ctx.e) for row in space.rows)
-        return [ambient_coords(params, fd.mulmod(eps, A), fd.mulmod(eps, B)) for A, B in pairs]
-
-    per_factor = [[lifted(j, s) for s in brute_u_closed_submodules(fd.chain(j))] for j in range(fd.r)]
+    per_factor = [
+        [list(map(_lift(fd, j), s.rows)) for s in brute_u_closed_submodules(fd.chain(j))] for j in range(fd.r)
+    ]
 
     ideals: dict = {}
     for choice in product(*per_factor):
-        space = FpSpace.from_rows(field.p, ambient_dim(params), chain.from_iterable(choice))
+        space = FpSpace.from_rows(params.field.p, ambient_dim(params), chain.from_iterable(choice))
         ideals.setdefault(space.key(), space)
 
     _check_singly_generated_covered(fd, ideals)
@@ -404,32 +475,74 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     multiple x^i c v + t u v (c in F_q^*, t in F_q[x]/(x^N - lambda)) of
     an earlier vector, which generates the same ideal.  A mere member
     of an earlier span may generate a smaller ideal, so it is spanned.
+
+    Vectors run with coordinate 0 fastest, and a covered one is
+    skipped inside the iterator.  For p = 2 they are the packed ints
+    themselves.  An odd p within ORACLE_BUDGET has p <= 5 and 8-bit
+    slots (p^(2p) <= |R|^N), so there a vector is keyed on its
+    big-endian bytes, one slot each, read straight off product.  Its
+    cosets w + t u v come from one int holding every t u v unreduced,
+    one block each (see _span_blob): w is added to every block at once,
+    and one translate reduces the whole coset.
     """
     params = fd.params
     field, N = params.field, params.N
     p, dim = field.p, ambient_dim(params)
-    bits = slot_bits(p, dim)
     x_step = _packed_steps(fd.binomial)[0]
     zero = Poly.zero(field)
-    # every vector, coordinate 0 moving fastest
-    whole = FpSpace(p, dim, [1 << bits * i for i in range(dim)], range(dim))
     covered: set = set()
-    for vec in whole.elements():
-        if vec in covered:
-            continue
+    if p == 2:
+        todo = filterfalse(covered.__contains__, range(1 << dim))
+    else:
+        if slot_bits(p, dim) != 8:
+            raise TooLarge(f"ambient dimension {dim} needs slots past 8 bits for p = {p}")
+        residues = _byte_table(p, 1)
+        words = filterfalse(covered.__contains__, map(bytes, product(range(p), repeat=dim)))
+        todo = map(functools.partial(int.from_bytes, byteorder="big"), words)
+    for vec in todo:
         a0, a1 = coords_ambient(params, vec)
         span = ideal_span(fd, [(a0, a1)])
         if span.key() not in ideals:
             gen = unpack(p, dim, vec)
             raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
         # t u v = (0, t a0) runs over the F_p-span of the x^i g^l (0, a0)
-        by_u = _closure(fd.binomial, [(zero, a0)]).elements()
+        by_u = _closure(fd.binomial, [(zero, a0)])
+        if p == 2:
+            elements = by_u.elements()
+
+            def coset(w: int) -> list[int]:
+                return [w ^ t for t in elements]
+
+        else:
+            blob, count = _span_blob(by_u.rows, p, dim)
+            ones, size = _repeat(1, 8 * dim, count), dim * count
+
+            def coset(w: int) -> list[bytes]:
+                raw = (w * ones + blob).to_bytes(size, "big").translate(residues)
+                return [raw[at : at + dim] for at in range(0, size, dim)]
+
         scaled = [ambient_coords(params, a0.scale(c), a1.scale(c)) for c in range(1, field.q)]
         for _ in range(N):
             for w in scaled:
-                coset = [w ^ t for t in by_u] if p == 2 else [_mod(w + t, p, dim) for t in by_u]
-                covered.update(coset)
+                covered.update(coset(w))
             scaled = list(map(x_step, scaled))
+
+
+def _repeat(vec: int, width: int, count: int) -> int:
+    """count copies of vec, one in each width-bit block."""
+    return vec * (((1 << width * count) - 1) // ((1 << width) - 1))
+
+
+def _span_blob(rows, p: int, dim: int) -> tuple[int, int]:
+    """(blob, count): the count = p^len(rows) vectors of the rows' span,
+    each a dim-byte block of blob, with slots left unreduced.  A slot
+    sums at most dim products of two residues, so adding one more
+    residue stays within an 8-bit slot of the elimination width."""
+    blob, count, width = 0, 1, 8 * dim
+    for row in rows:
+        blob = sum(blob + _repeat(c * row, width, count) << width * count * c for c in range(p))
+        count *= p
+    return blob, count
 
 
 # -- duals ---------------------------------------------------------------------
@@ -440,26 +553,31 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
 
     The form is [a, b] = sum_i a_i b_i in R; writing it out on the
     (a0, a1) coordinate blocks gives, per basis codeword b, the 2m
-    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.  On the
-    block of a_i the l-th coordinate of a_i * b_i is r -> coordinate l
-    of g^r * b_i, a row of the field's table.  The answer is exactly the
-    set a full scan would return (a test runs that scan at toy sizes).
+    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.  The
+    condition on coordinate l reads slot r of a_i's block against
+    coordinate l of g^r b_i.  Those rows come off the packed b itself:
+    v_l holds, in slot r of each block, coordinate l of that block of
+    g^r b (the g-steps of b, one slot per step), and its A half pairs
+    with a0 in [a,b]_0, while [a,b]_1 pairs a0 with v_l's B half and a1
+    with its A half.  This holds for any space, not only ideals; the
+    answer is exactly the set a full scan would return (a test runs
+    that scan at toy sizes).
     """
     field = params.field
     p, m, N = field.p, field.m, params.N
     dim = ambient_dim(params)
-    step = slot_bits(p, dim) * m
-    at = range(0, step * N, step)
+    bits = slot_bits(p, dim)
+    half = bits * m * N
+    low = (1 << half) - 1
+    g_step, firsts = _g_step(field, N), _firsts(p, m, N)
     mat = []
-    for row in space.rows:
-        cs = _pair_coeffs(field, row, N)
-        b0, b1 = cs[:N], cs[N:]
-        for func in _field_tables(field, step // m)[2]:
-            # [a, b]_0 = sum_i a0_i * b0_i
-            by_b0 = sum(map(lshift, map(func.__getitem__, b0), at))
-            # [a, b]_1 = sum_i a0_i * b1_i + a1_i * b0_i
-            by_b1 = sum(map(lshift, map(func.__getitem__, b1), at))
-            mat += [by_b0, by_b1 + (by_b0 << step * N)]
+    for b in space.rows:
+        steps = [b]
+        for _ in range(1, m):
+            steps.append(g_step(steps[-1]))
+        for l in range(m):
+            v = sum((gb >> bits * l & firsts) << bits * r for r, gb in enumerate(steps))
+            mat += [v & low, v >> half | (v & low) << half]
     return kernel(mat, dim, p)
 
 

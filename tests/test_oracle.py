@@ -4,13 +4,13 @@ from itertools import product
 
 import pytest
 
-from ccring import oracle
+from ccring import decomp, oracle
 from ccring.chain import ChainCtx
 from ccring.decomp import AmbientParams, build_factor_data
 from ccring.dual import dual_code
 from ccring.errors import TooLarge
 from ccring.gf import field_new
-from ccring.ideals import IdealSpec, enumerate_codes, enumerate_ideals, ideal_size
+from ccring.ideals import IdealSpec, enumerate_codes, enumerate_ideals, generator_rows, ideal_size
 from ccring.linalg import kernel, pack, slot_bits, unpack
 from ccring.oracle import (
     FpSpace,
@@ -286,6 +286,95 @@ def test_dual_routes_agree_tiny():
         dual = brute_dual(space, params)
         assert set(dual.elements()) == brute_dual_scan(space, params)
         assert dual.size * space.size == params.ring_size()
+
+
+def code_space_by_products(code) -> FpSpace:
+    """The code's space by the eps-product route: every generator row
+    multiplied by its eps_j as polynomials, then closed in the ambient ring."""
+    fd = code.fd
+    pairs = [
+        (fd.mulmod(eps, A), fd.mulmod(eps, B))
+        for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
+        for A, B, _ in generator_rows(spec, fd.chain(j))
+    ]
+    return oracle._closure(fd.binomial, pairs)
+
+
+@pytest.mark.parametrize("ring", [(2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 3, 1, 1, 1)])
+def test_brute_dual_of_any_subspace_equals_the_scan(ring):
+    """The pairing rows hold for any F_p-subspace, not only for ideals."""
+    params = AmbientParams.of_ints(*ring)
+    fd = build_factor_data(params)
+    p, dim = params.p, ambient_dim(params)
+    rng = random.Random(sum(ring))
+    not_ideals = 0
+    for _ in range(6):
+        rows = [pack(p, dim, [rng.randrange(p) for _ in range(dim)]) for _ in range(rng.randrange(1, 4))]
+        space = FpSpace.from_rows(p, dim, rows)
+        ideal = oracle.ideal_span(fd, [coords_ambient(params, row) for row in space.rows])
+        not_ideals += ideal.rank > space.rank
+        assert set(brute_dual(space, params).elements()) == brute_dual_scan(space, params)
+    assert not_ideals
+
+
+# rings with 1-, 8- and 16-bit ambient slots and two or three factors
+LIFT_RINGS = [(p, m, 1, 3 if p == 2 else 2, 1) for p in (2, 3, 5) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("ring", LIFT_RINGS)
+def test_lift_is_multiplication_by_the_idempotent(ring):
+    params = AmbientParams.of_ints(*ring)
+    fd = build_factor_data(params)
+    F = params.field
+    rng = random.Random(str(ring))
+    assert fd.r >= 2
+    for j, eps in enumerate(fd.idempotents):
+        ctx = fd.chain(j)
+        lift = oracle._lift(fd, j)
+        for _ in range(10):
+            A, B = (Poly(F, [rng.randrange(F.q) for _ in range(ctx.d * ctx.e)]) for _ in range(2))
+            want = ambient_coords(params, fd.mulmod(eps, A), fd.mulmod(eps, B))
+            assert lift(pair_coords(ctx, A, B)) == want
+
+
+def test_code_space_sweeps_again_with_no_polynomial_product_or_division(monkeypatch):
+    fd = build_factor_data(AmbientParams.of_ints(2, 2, 1, 3, 1))
+    codes = list(enumerate_codes(fd))
+    first = [code_space(code) for code in codes]
+    calls = []
+    mul, divmod_ = Poly.__mul__, Poly.__divmod__
+
+    def counted_mul(a, b):
+        calls.append("mul")
+        return mul(a, b)
+
+    def counted_divmod(a, b):
+        calls.append("divmod")
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    assert [code_space(code) for code in codes] == first
+    assert calls == []
+
+
+def test_clear_memo_empties_the_component_rows():
+    fd = build_factor_data(AmbientParams.of_ints(2, 1, 1, 3, 1))
+    codes = list(enumerate_codes(fd))
+    first = [code_space(code).key() for code in codes]
+    kept = dict(oracle._component_rows(fd))
+    assert len(kept) == sum(1 for _ in enumerate_ideals(fd.chain(0))) + sum(1 for _ in enumerate_ideals(fd.chain(1)))
+    decomp.clear_memo()
+    assert oracle._component_rows(fd) == {}
+    assert [code_space(code).key() for code in codes] == first
+    assert oracle._component_rows(fd) == kept
+
+
+@pytest.mark.parametrize("ring", [(2, 1, 1, 5, 1), (3, 2, 1, 2, 5)])
+def test_code_space_equals_the_eps_product_route(ring):
+    fd = build_factor_data(AmbientParams.of_ints(*ring))
+    for code in enumerate_codes(fd):
+        assert code_space(code) == code_space_by_products(code)
 
 
 def test_budget_guards(monkeypatch):
