@@ -38,7 +38,7 @@ builds it once and keeps it on the source; through the memo, the dual
 of that dual is the source again.  Other memos of set-up work are
 made with memoized(), so clear_memo empties them as well (cli keeps a
 code document's ring by the document's text, and oracle a ring's lift
-maps and lifted component rows).
+maps and lifted component rows, its packed pair layouts and x steps).
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData
 
 def clear_memo() -> None:
     """Forget every kept FactorData, also those cli keeps by document
-    text, and oracle's per-ring lifts; factor_data builds each ring
-    again."""
+    text, and oracle's per-ring lifts, layouts and steps; factor_data
+    builds each ring again."""
     for memo in _MEMOS:
         memo.cache_clear()

@@ -33,19 +33,18 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
 
 Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
-In K^2 and in the ambient ring alike, pairs get packed F_p coordinates
-(see linalg) from one map and are closed under x and F_q by one
-routine, given the ring's monic modulus.  Each pair is packed once;
-then x and g = field.gen() act on the packed row itself, each as one
-shift of the whole int and one fold of what overflows (the top block
-of each half through the modulus, the top coordinate of each block
-through the field modulus), with one reduction mod p for odd p.  The
-routine inserts the rows x^i g^l (A, B) into the span one at a time
-and stops a pair's chain at the first i whose x^i (A, B) is already in
-the span: the span is then closed under x and F_q, so the rest of the
-chain adds nothing (a Krylov closure).  The same steps build the lift
-maps, from x^i g^c eps_j, and the pairing rows, from g^c b.  The size
-limit ORACLE_BUDGET is a module constant.
+K^2 and the ambient ring share one packed pair layout (see linalg), a
+_Layout per (field, slots), memoized so that decomp.clear_memo empties
+it: the pair (A, B) is one int, block i (m slots) holding the F_p
+coordinates of coefficient i of A, and B's blocks one half over.
+Polynomials are packed once, where they enter the oracle; every route
+then works on packed rows.  u is a shift by one half; x and
+g = field.gen() are each one shift of the whole int and one fold of
+what overflows (see _packed_steps), and a row's g-orbit is its m
+g-steps.  _closure closes rows under x and F_q (a Krylov closure), and
+the same steps build the lift maps, from x^i g^c eps_j, and the
+pairing rows, from g^c b.  The size limit ORACLE_BUDGET is a module
+constant.
 """
 
 from __future__ import annotations
@@ -86,29 +85,54 @@ from .poly import Poly, is_irreducible
 ORACLE_BUDGET = 1 << 24
 
 
-# -- coordinates for K^2 pairs -----------------------------------------------
+# -- the packed pair layout -------------------------------------------------
 
 
-@functools.cache
-def _field_tables(field: FieldCtx, bits: int):
-    """(spread, gather) in slots of the given width: spread[b] holds the
-    m F_p coordinates of b, and gather inverts spread."""
-    coords = [field.decode(b) for b in field.elements()]
-    spread = [sum(map(lshift, c, range(0, bits * field.m, bits))) for c in coords]
-    return spread, {v: b for b, v in enumerate(spread)}
+class _Layout:
+    """Packed F_p rows of the pairs (A, B) in (F_q[x]/(modulus))^2, slots
+    coefficients per polynomial (see the module docstring)."""
+
+    def __init__(self, field: FieldCtx, slots: int):
+        p, m = field.p, field.m
+        self.field, self.slots, self.dim = field, slots, 2 * m * slots
+        self.bits = bits = slot_bits(p, self.dim)
+        self.step = bits * m
+        self.half = self.step * slots
+        self.low = (1 << self.half) - 1
+        # coordinate 0 of every block, each slot all ones
+        self.firsts = sum((1 << bits) - 1 << self.step * i for i in range(2 * slots))
+        self.spread = [sum(map(lshift, field.decode(b), range(0, self.step, bits))) for b in field.elements()]
+        g_fold = sum((-c % p) << bits * k for k, c in enumerate(field.modulus[:-1]))
+        keep = (1 << 2 * self.half) - 1 ^ self.firsts << bits * (m - 1)
+        # multiplication by g = field.gen() (see _packed_steps), or None when m = 1 (g = 1)
+        self.g_step = _shift_fold(p, self.dim, keep, bits, [(bits * (m - 1), self.firsts, g_fold)]) if m > 1 else None
+
+    def pack(self, A: Poly, B: Poly) -> int:
+        spread, at = self.spread, range(0, 2 * self.half, self.step)
+        a = sum(map(lshift, map(spread.__getitem__, A.coeffs), at[: self.slots]))
+        return a + sum(map(lshift, map(spread.__getitem__, B.coeffs), at[self.slots :]))
+
+    def unpack(self, vec: int) -> tuple[Poly, Poly]:
+        field, cs = self.field, unpack(self.field.p, self.dim, vec)
+        coeffs = [field.encode(cs[at : at + field.m]) for at in range(0, self.dim, field.m)]
+        return Poly(field, coeffs[: self.slots]), Poly(field, coeffs[self.slots :])
+
+    def orbit(self, vec: int) -> list[int]:
+        """g^c vec for c < m."""
+        out = [vec]
+        for _ in range(1, self.field.m):
+            out.append(self.g_step(out[-1]))
+        return out
+
+    def u(self, vec: int) -> int:
+        """(A, B) -> (0, A), multiplication by u."""
+        return (vec & self.low) << self.half
 
 
-def _pair_vec(field: FieldCtx, slots: int, A: Poly, B: Poly) -> int:
-    """Packed F_p coordinates of the pair (A, B), slots coefficients per
-    polynomial."""
-    step = slot_bits(field.p, 2 * field.m * slots) * field.m
-    spread = _field_tables(field, step // field.m)[0]
-    at = range(0, 2 * step * slots, step)
-    a = sum(map(lshift, map(spread.__getitem__, A.coeffs), at[:slots]))
-    return a + sum(map(lshift, map(spread.__getitem__, B.coeffs), at[slots:]))
+_layout = memoized(_Layout)
 
 
-@functools.cache
+@memoized
 def _packed_steps(modulus: Poly):
     """(x_step, g_step): multiplication by x and by g = field.gen() on
     packed pairs mod the monic modulus, each one shift and fold of the
@@ -123,42 +147,17 @@ def _packed_steps(modulus: Poly):
     elimination, so for odd p one _mod reduces the result.
     """
     field, slots = modulus.ctx, modulus.degree
-    p, m = field.p, field.m
-    dim = 2 * m * slots
-    bits = slot_bits(p, dim)
-    step, half = bits * m, bits * m * slots
-    spread = _field_tables(field, bits)[0]
-    slot, full = (1 << bits) - 1, (1 << 2 * half) - 1
-    top_block = ((1 << step) - 1) << step * (slots - 1)
-    low = modulus.coeffs[:-1]
+    layout = _layout(field, slots)
+    bits, step, half = layout.bits, layout.step, layout.half
+    slot, top_block = (1 << bits) - 1, ((1 << step) - 1) << step * (slots - 1)
     x_terms = []
-    for l in range(m):
+    for l in range(field.m):
         gl = field.pow(field.gen(), l)
-        fold = sum(spread[field.mul(gl, field.neg(r))] << step * i for i, r in enumerate(low))
+        fold = sum(layout.spread[field.mul(gl, field.neg(r))] << step * i for i, r in enumerate(modulus.coeffs[:-1]))
         # coordinate l of the top block, one slot from each half
         x_terms.append((step * (slots - 1) + bits * l, slot | slot << half, fold))
-    x_step = _shift_fold(p, dim, full ^ (top_block | top_block << half), step, x_terms)
-    return x_step, _g_step(field, slots)
-
-
-def _firsts(p: int, m: int, slots: int) -> int:
-    """Coordinate 0 of every block of a packed pair, each slot all ones."""
-    bits = slot_bits(p, 2 * m * slots)
-    return sum((1 << bits) - 1 << bits * m * i for i in range(2 * slots))
-
-
-@functools.cache
-def _g_step(field: FieldCtx, slots: int):
-    """Multiplication by g = field.gen() on packed pairs of slots
-    coefficients each (see _packed_steps), or None when m = 1."""
-    p, m = field.p, field.m
-    if m == 1:  # g = 1
-        return None
-    bits = slot_bits(p, 2 * m * slots)
-    firsts, full = _firsts(p, m, slots), (1 << bits * 2 * m * slots) - 1
-    g_fold = sum((-c % p) << bits * k for k, c in enumerate(field.modulus[:-1]))
-    g_term = (bits * (m - 1), firsts, g_fold)
-    return _shift_fold(p, 2 * m * slots, full ^ firsts << bits * (m - 1), bits, [g_term])
+    keep = (1 << 2 * half) - 1 ^ (top_block | top_block << half)
+    return _shift_fold(field.p, layout.dim, keep, step, x_terms), layout.g_step
 
 
 def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
@@ -183,29 +182,26 @@ def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
     return shift_fold
 
 
-def _closure(modulus: Poly, pairs, space: FpSpace | None = None) -> FpSpace:
-    """The F_p-span of x^i g^l (A, B) for every pair, i >= 0, l < m, in
-    the ring mod the monic modulus: the closure of the pairs under F_q
+def _closure(modulus: Poly, vecs, space: FpSpace | None = None) -> FpSpace:
+    """The F_p-span of x^i g^l v for every packed row v, i >= 0, l < m,
+    in the ring mod the monic modulus: the closure of the rows under F_q
     (g generates it; g = 1 when m = 1) and under x.  Given a space
     already closed under both, it grows that space in place.
 
-    Each pair is packed once; x and g then act on the packed row (see
-    _packed_steps).  The rows go into the span one at a time, and a
-    pair's chain stops at the first i with x^i (A, B) in the span.  The
-    span is then closed under x and F_q: earlier pairs' chains are, and
-    x maps the span of the x^j g^l (A, B), j < i, into that span plus
-    F_q x^i (A, B).  So the rest of the chain adds nothing.
+    x and g act on the packed row (see _packed_steps).  The rows go
+    into the span one at a time, and a row's chain stops at the first i
+    with x^i v in the span.  The span is then closed under x and F_q:
+    earlier rows' chains are, and x maps the span of the x^j g^l v,
+    j < i, into that span plus F_q x^i v.  So the rest of the chain adds
+    nothing.
     """
-    field, slots = modulus.ctx, modulus.degree
+    layout = _layout(modulus.ctx, modulus.degree)
     if space is None:
-        space = FpSpace(field.p, 2 * field.m * slots)
-    x_step, g_step = _packed_steps(modulus)
-    for A, B in pairs:
-        vec = _pair_vec(field, slots, A, B)
+        space = FpSpace(modulus.ctx.p, layout.dim)
+    x_step = _packed_steps(modulus)[0]
+    for vec in vecs:
         while space.insert(vec):
-            scaled = vec
-            for _ in range(1, field.m):
-                scaled = g_step(scaled)
+            for scaled in layout.orbit(vec)[1:]:
                 space.insert(scaled)
             vec = x_step(vec)
     return space
@@ -221,7 +217,8 @@ def k_span(ctx: ChainCtx, pairs) -> FpSpace:
     K is spanned over F_p by x^i g^l, so closing under those two actions
     is exactly closing under multiplication by K.
     """
-    return _closure(ctx.modulus, [(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs])
+    pack = _layout(ctx.field, ctx.d * ctx.e).pack
+    return _closure(ctx.modulus, [pack(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs])
 
 
 def spec_span(spec: IdealSpec, ctx: ChainCtx) -> FpSpace:
@@ -252,23 +249,26 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     The spans of v with (f^l, 0) (or (0, f^l)), and with 0 for l = e,
     are nested, growing as l falls.  So k_span([v]) is built once per v
     and extended in place by f^l for l = e - 1, ..., 0, with a copy of
-    the space kept after each step.
+    the space kept after each step.  The walls (f^l, 0) are packed once,
+    and (0, f^l) is their u-shift.
     """
     if ctx.size ** 2 > ORACLE_BUDGET:
         raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {ORACLE_BUDGET}")
     e, p, dim = ctx.e, ctx.field.p, pair_dim(ctx)
+    layout = _layout(ctx.field, ctx.d * e)
     zero = Poly.zero(ctx.field)
+    # (f^l, 0) and (0, f^l) for l < e, where f^l is reduced mod f^e
+    walls = [(w, layout.u(w)) for w in (layout.pack(ctx.f_pows[l], zero) for l in range(e))]
     nothing = FpSpace(p, dim)
     found: dict = {nothing.key(): nothing}
 
-    def record(v, side: int) -> None:
-        """Record the spans of v with w = f^l in side 0 or 1 of the pair,
-        for l = 0, ..., e (w = 0 at l = e)."""
-        span = k_span(ctx, [v])
+    def record(A: Poly, B: Poly, side: int) -> None:
+        """Record the spans of (A, B) with w = f^l in side 0 or 1 of the
+        pair, for l = 0, ..., e (w = 0 at l = e)."""
+        span = _closure(ctx.modulus, [layout.pack(A, B)])
         steps = [FpSpace(p, dim, span.rows, span.pivots)]
-        for l in range(e - 1, -1, -1):  # f^l, l < e, is reduced mod f^e
-            w = (ctx.f_pows[l], zero) if side == 0 else (zero, ctx.f_pows[l])
-            _closure(ctx.modulus, [w], span)
+        for l in range(e - 1, -1, -1):
+            _closure(ctx.modulus, [walls[l][side]], span)
             steps.append(FpSpace(p, dim, span.rows, span.pivots))
         for space in reversed(steps):  # l = 0, ..., e
             found.setdefault(space.key(), space)
@@ -276,17 +276,16 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     for k in range(e):
         fk = ctx.f_pows[k]
         for c in ctx.residue_set(0, e - k):
-            record((ctx.mul(fk, c), fk), 0)
+            record(ctx.mul(fk, c), fk, 0)
         for c in ctx.residue_set(1, e - k) if e - k >= 1 else ():
-            record((fk, ctx.mul(fk, c)), 1)
+            record(fk, ctx.mul(fk, c), 1)
     return list(found.values())
 
 
 def u_shift_closed(space: FpSpace, ctx: ChainCtx) -> bool:
     """Closure under (A, B) -> (0, A), i.e. under multiplication by u."""
-    shift = slot_bits(space.p, space.dim) * (space.dim // 2)
-    low = (1 << shift) - 1
-    return all(space.contains((row & low) << shift) for row in space.rows)
+    u = _layout(ctx.field, ctx.d * ctx.e).u
+    return all(space.contains(u(row)) for row in space.rows)
 
 
 def brute_u_closed_submodules(ctx: ChainCtx) -> list[FpSpace]:
@@ -347,19 +346,11 @@ def ambient_dim(params: AmbientParams) -> int:
 
 
 def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> int:
-    return _pair_vec(params.field, params.N, a0, a1)
+    return _layout(params.field, params.N).pack(a0, a1)
 
 
 def coords_ambient(params: AmbientParams, vec: int) -> tuple[Poly, Poly]:
-    return _coords_pair(params.field, vec, params.N)
-
-
-def _coords_pair(field: FieldCtx, vec: int, slots: int) -> tuple[Poly, Poly]:
-    """The pair (A, B) whose packed coordinates, slots per polynomial, are vec."""
-    step = slot_bits(field.p, 2 * field.m * slots) * field.m
-    gather = _field_tables(field, step // field.m)[1]
-    cs = [gather[vec >> at & (1 << step) - 1] for at in range(0, 2 * step * slots, step)]
-    return Poly(field, cs[:slots]), Poly(field, cs[slots:])
+    return _layout(params.field, params.N).unpack(vec)
 
 
 def ideal_span(fd: FactorData, gens) -> FpSpace:
@@ -367,8 +358,9 @@ def ideal_span(fd: FactorData, gens) -> FpSpace:
 
     Closes under multiplication by x, by the field generator and by u.
     """
-    zero = Poly.zero(fd.params.field)
-    return _closure(fd.binomial, [pair for a0, a1 in gens for pair in ((a0, a1), (zero, a0))])
+    layout = _layout(fd.params.field, fd.params.N)
+    vecs = [layout.pack(a0, a1) for a0, a1 in gens]
+    return _closure(fd.binomial, [w for v in vecs for w in (v, layout.u(v))])
 
 
 @memoized
@@ -378,24 +370,21 @@ def _lift(fd: FactorData, j: int):
 
     It is a table of the images of the 2 m d e basis vectors x^i g^c of
     either half: eps_j packed once, then stepped by the ambient x and g
-    (see _packed_steps), the B half one shift over.  For p = 2 a row's
+    (see _packed_steps), the B half their u-shift.  For p = 2 a row's
     image is the XOR of the images of its set bits; for odd p it is the
     sum of slot times image, reduced once, as the ambient slots hold
     2 m d e products of two residues.
     """
     params, ctx = fd.params, fd.chain(j)
-    field = params.field
-    p, dim = field.p, ambient_dim(params)
-    x_step, g_step = _packed_steps(fd.binomial)
-    vec = ambient_coords(params, fd.idempotents[j], Poly.zero(field))
+    p, dim = params.field.p, ambient_dim(params)
+    layout = _layout(params.field, params.N)
+    x_step = _packed_steps(fd.binomial)[0]
+    vec = layout.pack(fd.idempotents[j], Poly.zero(params.field))
     images = []
     for _ in range(ctx.d * ctx.e):
-        images.append(vec)
-        for _ in range(1, field.m):
-            images.append(g_step(images[-1]))
+        images += layout.orbit(vec)
         vec = x_step(vec)
-    half = slot_bits(p, dim) * field.m * params.N
-    images += [image << half for image in images]
+    images += [layout.u(image) for image in images]
     if p == 2:
 
         def lift(row: int) -> int:
@@ -483,13 +472,15 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     big-endian bytes, one slot each, read straight off product.  Its
     cosets w + t u v come from one int holding every t u v unreduced,
     one block each (see _span_blob): w is added to every block at once,
-    and one translate reduces the whole coset.
+    and one translate reduces the whole coset.  Everything stays on
+    packed rows: the t u v are the span of u v, <v> is that span grown
+    by v, and the c v are the nonzero elements of the span of v's
+    g-orbit.
     """
     params = fd.params
-    field, N = params.field, params.N
-    p, dim = field.p, ambient_dim(params)
+    p, dim = params.field.p, ambient_dim(params)
+    layout = _layout(params.field, params.N)
     x_step = _packed_steps(fd.binomial)[0]
-    zero = Poly.zero(field)
     covered: set = set()
     if p == 2:
         todo = filterfalse(covered.__contains__, range(1 << dim))
@@ -500,13 +491,11 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
         words = filterfalse(covered.__contains__, map(bytes, product(range(p), repeat=dim)))
         todo = map(functools.partial(int.from_bytes, byteorder="big"), words)
     for vec in todo:
-        a0, a1 = coords_ambient(params, vec)
-        span = ideal_span(fd, [(a0, a1)])
+        by_u = _closure(fd.binomial, [layout.u(vec)])
+        span = _closure(fd.binomial, [vec], FpSpace(p, dim, by_u.rows, by_u.pivots))
         if span.key() not in ideals:
             gen = unpack(p, dim, vec)
             raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
-        # t u v = (0, t a0) runs over the F_p-span of the x^i g^l (0, a0)
-        by_u = _closure(fd.binomial, [(zero, a0)])
         if p == 2:
             elements = by_u.elements()
 
@@ -521,8 +510,8 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
                 raw = (w * ones + blob).to_bytes(size, "big").translate(residues)
                 return [raw[at : at + dim] for at in range(0, size, dim)]
 
-        scaled = [ambient_coords(params, a0.scale(c), a1.scale(c)) for c in range(1, field.q)]
-        for _ in range(N):
+        scaled = list(filter(None, FpSpace.from_rows(p, dim, layout.orbit(vec)).elements()))
+        for _ in range(params.N):
             for w in scaled:
                 covered.update(coset(w))
             scaled = list(map(x_step, scaled))
@@ -563,22 +552,15 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     answer is exactly the set a full scan would return (a test runs
     that scan at toy sizes).
     """
-    field = params.field
-    p, m, N = field.p, field.m, params.N
-    dim = ambient_dim(params)
-    bits = slot_bits(p, dim)
-    half = bits * m * N
-    low = (1 << half) - 1
-    g_step, firsts = _g_step(field, N), _firsts(p, m, N)
+    layout = _layout(params.field, params.N)
+    bits, half, firsts = layout.bits, layout.half, layout.firsts
     mat = []
     for b in space.rows:
-        steps = [b]
-        for _ in range(1, m):
-            steps.append(g_step(steps[-1]))
-        for l in range(m):
+        steps = layout.orbit(b)
+        for l in range(params.m):
             v = sum((gb >> bits * l & firsts) << bits * r for r, gb in enumerate(steps))
-            mat += [v & low, v >> half | (v & low) << half]
-    return kernel(mat, dim, p)
+            mat += [v & layout.low, v >> half | layout.u(v)]
+    return kernel(mat, layout.dim, params.field.p)
 
 
 def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:

@@ -5,14 +5,16 @@ budget.  Reference counts, factor tables and idempotent vectors are
 frozen here on purpose, so regressions surface as exact mismatches.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from math import gcd
 
 from ccring.chain import ChainCtx
+from ccring.cli import main, parse_code
 from ccring.decomp import AmbientParams, build_factor_data
-from ccring.dual import count_self_dual
+from ccring.dual import count_self_dual, is_self_dual
 from ccring.gf import field_new
 from ccring.ideals import (
     CodeSpec,
@@ -255,3 +257,32 @@ def test_criterion_10_idempotent_identities_random():
             assert total == Poly.one(field), (p, m, s, n, lam)
             seen += 1
         info["detail"] = "25 parameter draws"
+
+
+def negacyclic_f5_self_dual_count(s: int, t: int) -> int:
+    """The paper's count of self-dual negacyclic codes of length
+    2 * 3^t * 5^s over F_5 + u F_5: prod_{j <= t} N(d_j), with d_0 = 1,
+    d_j = 2 * 3^(j-1), N(d) = sum_{i <= h} (3 + 4i) 5^(d (h - i)) and
+    h = (5^s - 1)/2."""
+    h = (5 ** s - 1) // 2
+    total = 1
+    for d in [1] + [2 * 3 ** (j - 1) for j in range(1, t + 1)]:
+        total *= sum((3 + 4 * i) * 5 ** (d * (h - i)) for i in range(h + 1))
+    return total
+
+
+def test_criterion_11_negacyclic_self_dual_family_over_f5(capsys):
+    with criterion(11, limit=5.0) as info:
+        details = []
+        for s, top in [(1, 3), (2, 2)]:
+            for t in range(top + 1):
+                ring = ["--p", "5", "--s", str(s), "--n", str(2 * 3 ** t), "--nu", "-1"]
+                assert main(["selfdual", *ring, "--count-only"]) == 0
+                got = capsys.readouterr().out
+                assert got == f"{negacyclic_f5_self_dual_count(s, t)}\n", (s, t, got)
+            details.append(f"s={s}: t <= {top}")
+        for s in (1, 2):
+            assert main(["selfdual", "--p", "5", "--s", str(s), "--n", "6", "--nu", "-1", "--limit", "20"]) == 0
+            codes = [parse_code(json.loads(line)) for line in capsys.readouterr().out.splitlines()]
+            assert len(codes) == 20 and all(map(is_self_dual, codes)), s
+        info["detail"] = "; ".join(details) + "; 20 codes self-dual at t = 1"

@@ -39,7 +39,7 @@ SCAN_BUDGET = 1 << 14
 
 def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
     """The packed F_p row of (A, B) in K^2, as the oracle's spaces hold it."""
-    return oracle._pair_vec(ctx.field, ctx.d * ctx.e, ctx.reduce(A), ctx.reduce(B))
+    return oracle._layout(ctx.field, ctx.d * ctx.e).pack(ctx.reduce(A), ctx.reduce(B))
 
 
 def brute_submodules_allpairs(ctx: ChainCtx) -> set:
@@ -179,17 +179,18 @@ def test_packed_steps_match_the_poly_route(p, m):
     for modulus in (dense, binomial):
         slots = modulus.degree
         x_step, g_step = oracle._packed_steps(modulus)
+        pack = oracle._layout(F, slots).pack
         assert (g_step is None) == (m == 1)
         for _ in range(20):
             A, B = (Poly(F, [rng.randrange(F.q) for _ in range(slots)]) for _ in range(2))
-            vec = oracle._pair_vec(F, slots, A, B)
+            vec = pack(A, B)
             for _ in range(2 * slots):  # a chain, so tops of every value fold
                 if g_step is not None:
-                    want = oracle._pair_vec(F, slots, A.scale(g), B.scale(g))
+                    want = pack(A.scale(g), B.scale(g))
                     assert g_step(vec) == want
                 A, B = x_step_ref(modulus, A), x_step_ref(modulus, B)
                 vec = x_step(vec)
-                assert vec == oracle._pair_vec(F, slots, A, B)
+                assert vec == pack(A, B)
     assert slot_bits(p, 2 * m * 5) == {2: 1, 3: 8, 5: 8 if m < 2 else 16, 257: 32}[p]
 
 
@@ -259,6 +260,29 @@ def test_covered_check_finds_a_missing_principal_ideal(ring, other):
             oracle._check_singly_generated_covered(fd, {k: s for k, s in ideals.items() if k != span.key()})
 
 
+@pytest.mark.parametrize("ring", [(3, 1, 1, 1, 1), (2, 2, 1, 1, 1)])
+def test_covered_check_stays_on_packed_rows(ring, monkeypatch):
+    """No vector of the cover check goes back to polynomials: no unpack,
+    no Poly.scale and no polynomial product."""
+    fd = build_factor_data(AmbientParams.of_ints(*ring))
+    ideals = {s.key(): s for s in brute_ambient_ideals(fd)}
+    decomp.clear_memo()  # the layout and steps are built again under the counters
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "coords_ambient", counted("coords_ambient", oracle.coords_ambient))
+    monkeypatch.setattr(Poly, "scale", counted("scale", Poly.scale))
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    oracle._check_singly_generated_covered(fd, ideals)
+    assert calls == []
+
+
 def test_ambient_ideal_assembly():
     fd = build_factor_data(AmbientParams.of_ints(2, 1, 1, 1, 1))
     ideals = brute_ambient_ideals(fd)
@@ -297,7 +321,7 @@ def code_space_by_products(code) -> FpSpace:
         for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
         for A, B, _ in generator_rows(spec, fd.chain(j))
     ]
-    return oracle._closure(fd.binomial, pairs)
+    return oracle._closure(fd.binomial, [ambient_coords(fd.params, A, B) for A, B in pairs])
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 3, 1, 1, 1)])
@@ -368,6 +392,15 @@ def test_clear_memo_empties_the_component_rows():
     assert oracle._component_rows(fd) == {}
     assert [code_space(code).key() for code in codes] == first
     assert oracle._component_rows(fd) == kept
+
+
+def test_clear_memo_empties_the_layout_and_step_memos():
+    fd = build_factor_data(AmbientParams.of_ints(2, 2, 1, 3, 1))
+    for code in enumerate_codes(fd):
+        code_space(code)
+    assert oracle._layout.cache_info().currsize and oracle._packed_steps.cache_info().currsize
+    decomp.clear_memo()
+    assert oracle._layout.cache_info().currsize == oracle._packed_steps.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 5, 1), (3, 2, 1, 2, 5)])
