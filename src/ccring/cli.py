@@ -112,6 +112,8 @@ def parse_fieldelem(field: FieldCtx, doc) -> int:
 
 
 def poly_json(field: FieldCtx, a: Poly):
+    if field.m == 1:  # an F_p element is its own JSON integer
+        return list(a.coeffs)
     return [fieldelem_json(field, c) for c in a.coeffs]
 
 

@@ -49,8 +49,8 @@ from math import gcd
 
 from .chain import ChainCtx
 from .errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
-from .gf import FieldCtx, _prime_factors, field_new, ps_root
-from .poly import Poly, factor_squarefree, frobenius, reciprocal
+from .gf import FieldCtx, field_new, ps_root
+from .poly import Poly, binomial_degrees, factor_squarefree, frobenius, reciprocal
 
 # the longest ambient length N = n*p^s accepted; set-up work grows with N
 # (on a 2-vCPU Xeon with Python 3.11, count takes about 0.06 s at
@@ -161,6 +161,16 @@ class FactorData:
     back only once it is dualized itself.  _fixed holds the self-dual
     kernels of the tau-fixed factors once dual has built them, so a
     count and a stream on one ring share them.
+
+    _last_valid and _last_dual remember, per factor j, the last spec
+    seen there and what was derived from it: its validated form
+    (CodeSpec) and its dual component (dual.dual_code).  Both are pure
+    functions of the spec on this ring, and specs and Poly are
+    immutable, so a spec equal to the remembered one gets the
+    remembered result exactly.  Codes of one stream differ in few
+    components (enumerate moves the last factor fastest), so a stream
+    derives only what changed.  Each holds one entry per factor, O(r)
+    for the ring, and a spec whose derivation raised is not stored.
     """
 
     __slots__ = (
@@ -170,6 +180,8 @@ class FactorData:
         "_idempotents",
         "_dual",
         "_fixed",
+        "_last_valid",
+        "_last_dual",
         "chain_ctxs",
         "binomial",
         "tau",
@@ -185,6 +197,8 @@ class FactorData:
         self._idempotents = None
         self._dual = None
         self._fixed = None
+        self._last_valid = [None] * len(factors)
+        self._last_dual = [None] * len(factors)
         self.chain_ctxs = chain_ctxs
         field, N = params.field, params.N
         self.binomial = Poly(field, (field.neg(params.lam),) + (0,) * (N - 1) + (1,))
@@ -214,6 +228,23 @@ class FactorData:
     def reduce(self, a: Poly) -> Poly:
         """a mod x^N - lambda; division visits the binomial's two terms only."""
         return a % self.binomial
+
+
+def recall(last: list, specs, derive) -> tuple:
+    """derive(j, spec) for each spec at its factor j, taken from last[j]
+    when spec equals the spec last[j] was derived from.
+
+    last is one of a FactorData's per-factor memos; it keeps the latest
+    (spec, derive(j, spec)) of each j.  derive must be pure in (j, spec)
+    for that ring.  An entry is stored only when derive returns.
+    """
+    out = []
+    for j, spec in enumerate(specs):
+        kept = last[j]
+        if kept is None or kept[0] != spec:
+            kept = last[j] = (spec, derive(j, spec))
+        out.append(kept[1])
+    return tuple(out)
 
 
 def _pair_order(factors: list[Poly]) -> list[Poly]:
@@ -295,37 +326,11 @@ def root_binomial(params: AmbientParams) -> tuple[int, Poly]:
 
 
 def factor_degrees(params: AmbientParams) -> list[int]:
-    """Degrees of the f_j, ascending, in integer arithmetic only.
-
-    With t the order of lambda0 and beta a primitive (n*t)-th root of
-    unity, the roots of x^n - lambda0 are the beta^j with j = 1 (mod t).
-    The q-th power map takes beta^j to beta^(j*q), so each f_j has the
-    roots of one q-cyclotomic coset of those j, and its degree is the
-    size of that coset.
-
-    The coset of j = 1 + i*t has the size of the least d with q^d = 1
-    mod n*t / gcd(j, n).  A factor of t prime to n divides q - 1 and is
-    prime to the rest of that modulus, so it never decides d, and taking
-    i to i times it permutes the j mod n: t may be cut to its part made
-    of primes of n, which FieldCtx.order finds without factoring q - 1.
-    As q = 1 mod t, every j of a coset stays 1 mod t, so seen is indexed
-    by i, and the work and memory are O(n) whatever the field.
-    """
-    field, n = params.field, params.n
-    lam0 = ps_root(field, params.lam, params.s)
-    t = field.order(lam0, _prime_factors(n))
-    q, M = field.q, n * t
-    seen = bytearray(n)
-    degrees = []
-    for i in range(n):
-        j, d = 1 + i * t, 0
-        while not seen[(j - 1) // t]:
-            seen[(j - 1) // t] = 1
-            d += 1
-            j = j * q % M
-        if d:
-            degrees.append(d)
-    return sorted(degrees)
+    """Degrees of the f_j, ascending, in integer arithmetic only: the
+    sizes of the q-cyclotomic cosets of the roots' exponents (see
+    poly.binomial_degrees)."""
+    field = params.field
+    return binomial_degrees(field, params.n, ps_root(field, params.lam, params.s))
 
 
 def build_factor_data(params: AmbientParams) -> FactorData:

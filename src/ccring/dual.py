@@ -29,6 +29,15 @@ window has deg b < d_j (e - 1) <= N - d_j, so x^(N - d_j) b(x^(-1))
 is b's coefficient list reversed and shifted, and each component costs
 one reduction mod fhat_j^e and one window cut.
 
+A component's dual depends on that component alone, and each
+FactorData remembers, per factor, the last spec dual_code transported
+there and its image (decomp.recall): a code is dualized at the cost of
+the components that differ from the previous code's on its ring.  The
+transport is a pure function of the spec on that ring, and specs are
+immutable, so the remembered image is exact; the memo holds one entry
+per factor.  enumerate moves the last factor fastest, so along its
+stream most components repeat.
+
 For lambda = +-1 the reciprocal factors are a permutation tau of the
 source factors and the dual lives in the same ambient ring with the
 component built from position j landing at tau(j).
@@ -47,7 +56,7 @@ from dataclasses import replace
 from functools import partial
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, FactorData, factor_data
+from .decomp import AmbientParams, FactorData, factor_data, recall
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -128,13 +137,14 @@ def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) ->
 
 def dual_code(code: CodeSpec) -> CodeSpec:
     """Dual of a classified code, over the lambda^(-1) ambient ring
-    whose factor data is dual_factor_data(code.fd)."""
+    whose factor data is dual_factor_data(code.fd).
+
+    Only the components that differ from the last code dualized on
+    code.fd at their factor are transported (decomp.recall).
+    """
     fd = code.fd
     dfd = dual_factor_data(fd)
-    comps = tuple(
-        dual_component(spec, j, fd, dfd.chain(j))
-        for j, spec in enumerate(code.components)
-    )
+    comps = recall(fd._last_dual, code.components, lambda j, spec: dual_component(spec, j, fd, dfd.chain(j)))
     return CodeSpec.trusted(dfd, comps)
 
 

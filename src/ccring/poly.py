@@ -402,6 +402,47 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def _binomial_constant(f: Poly) -> int | None:
+    """c when f is the monic binomial x^n - c with c != 0 and n prime to
+    p (so f is squarefree), else None."""
+    if f.is_monic() and f.degree % f.ctx.p and f.coeffs[0] and not any(f.coeffs[1:-1]):
+        return f.ctx.neg(f.coeffs[0])
+    return None
+
+
+def binomial_degrees(ctx: FieldCtx, n: int, c: int) -> list[int]:
+    """Degrees of the irreducible factors of x^n - c over F_q, ascending,
+    for c != 0 and n prime to p, in integer arithmetic only.
+
+    With t the order of c and beta a primitive (n*t)-th root of unity,
+    the roots of x^n - c are the beta^j with j = 1 (mod t).  The q-th
+    power map takes beta^j to beta^(j*q), so each factor has the roots
+    of one q-cyclotomic coset of those j, and its degree is the size of
+    that coset.
+
+    The coset of j = 1 + i*t has the size of the least d with q^d = 1
+    mod n*t / gcd(j, n).  A factor of t prime to n divides q - 1 and is
+    prime to the rest of that modulus, so it never decides d, and taking
+    i to i times it permutes the j mod n: t may be cut to its part made
+    of primes of n, which FieldCtx.order finds without factoring q - 1.
+    As q = 1 mod t, every j of a coset stays 1 mod t, so seen is indexed
+    by i, and the work and memory are O(n) whatever the field.
+    """
+    t = ctx.order(c, _prime_factors(n))
+    q, M = ctx.q, n * t
+    seen = bytearray(n)
+    degrees = []
+    for i in range(n):
+        j, d = 1 + i * t, 0
+        while not seen[(j - 1) // t]:
+            seen[(j - 1) // t] = 1
+            d += 1
+            j = j * q % M
+        if d:
+            degrees.append(d)
+    return sorted(degrees)
+
+
 def _power_map(f: Poly):
     """The map (a, k, mod) -> a^(p^k) mod mod, for mod dividing f and
     a of degree < deg f.
@@ -418,11 +459,10 @@ def _power_map(f: Poly):
     other f gets poly_modpow mod mod, whose cost falls as mod shrinks.
     """
     ctx = f.ctx
-    n = f.degree
-    if not (f.is_monic() and n % ctx.p and f.coeffs[0]) or any(f.coeffs[1:-1]):
+    c = _binomial_constant(f)
+    if c is None:
         return lambda a, k, mod: poly_modpow(a, ctx.p ** k, mod)
-    p, m = ctx.p, ctx.m
-    c = ctx.neg(f.coeffs[0])
+    p, m, n = ctx.p, ctx.m, f.degree
     period = n * (ctx.q - 1)
 
     def power(a: Poly, k: int, mod: Poly) -> Poly:
@@ -459,8 +499,11 @@ def _ddf(f: Poly, power) -> list[tuple[int, Poly]]:
 
     x^(q^d) is kept mod what is left of f, where power takes it one
     degree on; its gcd with that remainder collects the factors of
-    degree d.
+    degree d.  A binomial goes to _ddf_binomial instead.
     """
+    c = _binomial_constant(f)
+    if c is not None:
+        return _ddf_binomial(f, c, power)
     ctx = f.ctx
     x = Poly.x(ctx)
     parts = []
@@ -477,6 +520,25 @@ def _ddf(f: Poly, power) -> list[tuple[int, Poly]]:
         if g.degree > 0:
             parts.append((d, g))
             rem = rem // g
+    return parts
+
+
+def _ddf_binomial(f: Poly, c: int, power) -> list[tuple[int, Poly]]:
+    """_ddf of f = x^n - c, whose factor degrees binomial_degrees knows:
+    one gcd per distinct degree but the largest, whose factors are what
+    is left of f.  x^(q^d) goes from one degree to the next in one step
+    of power, which moves coefficients only."""
+    ctx = f.ctx
+    x = Poly.x(ctx)
+    *lower, top = sorted(set(binomial_degrees(ctx, f.degree, c)))
+    parts = []
+    rem, h, at = f, x, 0
+    for d in lower:
+        h, at = power(h, ctx.m * (d - at), rem), d
+        g = poly_gcd(h - x, rem)
+        parts.append((d, g))
+        rem = rem // g
+    parts.append((top, rem))
     return parts
 
 

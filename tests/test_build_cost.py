@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ccring import decomp
+from ccring import decomp, poly
 from ccring.chain import ChainCtx
 from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
@@ -28,6 +28,7 @@ from ccring.poly import (
     factor_squarefree,
     frobenius,
     is_irreducible,
+    poly_gcd,
     poly_modpow,
     poly_xgcd,
 )
@@ -144,6 +145,51 @@ def test_binomial_power_map_is_modpow(p, m):
         for k in range(2 * m + 2):
             a = Poly(field, [rng.randrange(field.q) for _ in range(n)])
             assert power(a, k, f) == poly_modpow(a, p**k, f), (n, c, k)
+
+
+def ddf_every_degree(f: Poly) -> list:
+    """Distinct-degree parts of a monic squarefree f, one gcd for every
+    d up to half of what is left: the loop any non-binomial f takes."""
+    x, q = Poly.x(f.ctx), f.ctx.q
+    parts, rem, h, d = [], f, x, 0
+    while 2 * (d + 1) <= rem.degree:
+        d += 1
+        h = poly_modpow(h, q, rem)
+        g = poly_gcd(h - x, rem)
+        if g.degree > 0:
+            parts.append((d, g))
+            rem = rem // g
+    return parts + [(rem.degree, rem)] if rem.degree > 0 else parts
+
+
+def test_binomial_ddf_matches_the_every_degree_loop():
+    """_ddf takes a binomial's degrees from its cyclotomic cosets and runs
+    one gcd per distinct degree but the largest; its parts are those of
+    the loop over every degree, except that the largest degree's part
+    may hold several factors."""
+    for ring in [(3, 1, 2, 127, 2)] + degree_sweep()[::7]:
+        params = AmbientParams.of_ints(*ring)
+        _, base = root_binomial(params)
+        *head, (top, rest) = poly._ddf(base, _power_map(base))
+        want = ddf_every_degree(base)
+        assert head == want[: len(head)], ring
+        prod = Poly.one(params.field)
+        for d, part in want[len(head):]:
+            assert d == top, ring
+            prod = prod * part
+        assert prod == rest, ring
+
+
+def test_binomial_ddf_runs_one_gcd_per_distinct_degree_but_the_largest(monkeypatch):
+    params = AmbientParams.of_ints(3, 1, 2, 127, 2)  # x - lambda0 and one of degree 126
+    _, base = root_binomial(params)
+    assert factor_degrees(params) == [1, 126]
+    calls = []
+    real = poly.poly_gcd
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    parts = poly._ddf(base, _power_map(base))
+    assert len(calls) == 1  # the every-degree loop runs 63
+    assert [(d, part.degree) for d, part in parts] == [(1, 1), (126, 126)]
 
 
 # lambda = x in F_(2^m); its order, and so that of lambda0, can reach

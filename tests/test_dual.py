@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from ccring import decomp
+from ccring import dual as dual_module
 from ccring.cli import main as cli_main
 from ccring.decomp import AmbientParams, build_factor_data, factor_data
 from ccring.dual import (
@@ -140,6 +141,55 @@ def test_the_dual_ring_holds_no_link_to_its_source(ring):
     # with the memo cleared, the ring is built afresh
     decomp.clear_memo()
     assert factor_data(fd.params) is not back
+
+
+STREAM_RING = (7, 1, 1, 48, 6)  # r = 12 quartic factors
+
+
+def test_dual_code_transports_only_the_components_that_changed(monkeypatch):
+    """dual_code equals the component-by-component route on each code of
+    an enumerate stream, and transports only the components that differ
+    from the previous code's at their factor."""
+    fd = fd_of(*STREAM_RING)
+    assert fd.r == 12
+    dfd = dual_factor_data(fd)
+    codes = list(enumerate_codes(fd, 200))
+    want = [tuple(dual_component(x, j, fd, dfd.chain(j)) for j, x in enumerate(c.components)) for c in codes]
+    calls = []
+    real = dual_module.dual_component
+    monkeypatch.setattr(dual_module, "dual_component", lambda spec, j, *rest: calls.append((j, spec)) or real(spec, j, *rest))
+    previous = [None] * fd.r
+    for code, comps in zip(codes, want):
+        calls.clear()
+        assert dual_code(code).components == comps
+        assert calls == [(j, x) for j, x in enumerate(code.components) if x != previous[j]]
+        previous = code.components
+    assert len(calls) < fd.r  # the stream's last code changed few components
+
+
+def test_dual_of_dual_restores_a_whole_stream():
+    """A ring and its dual each remember their own components: dualizing
+    back restores every code of the stream, and streams of both rings
+    interleaved get the component route's duals."""
+    fd = factor_data(AmbientParams.of_ints(*STREAM_RING))
+    for code in enumerate_codes(fd, 200):
+        dual = dual_code(code)
+        back = dual_code(dual)
+        assert back.fd is fd and back.components == code.components
+    for pair in zip(enumerate_codes(fd, 200), enumerate_codes(dual_factor_data(fd), 200)):
+        for code in pair:
+            target = dual_factor_data(code.fd)
+            want = tuple(dual_component(x, j, code.fd, target.chain(j)) for j, x in enumerate(code.components))
+            assert dual_code(code).components == want
+
+
+def test_dual_stream_twice_through_one_process(capsys, monkeypatch):
+    ring = ["--p", "7", "--s", "1", "--n", "48", "--lambda", "6"]
+    assert cli_main(["enumerate", *ring, "--limit", "200"]) == 0
+    stream = capsys.readouterr().out
+    dual = run_dual(capsys, monkeypatch, stream)
+    assert dual.count("\n") == 200 and dual != stream
+    assert run_dual(capsys, monkeypatch, dual) == stream
 
 
 def test_inv_x_image_roundtrip():

@@ -234,6 +234,56 @@ def test_hand_built_code_with_b_outside_its_window_raises():
     CodeSpec(fd, (IdealSpec("I", b=fd.factors[0]),))  # digit 1: in the window
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """The spec of each validate_spec call."""
+    from ccring import ideals
+
+    calls = []
+    real = ideals.validate_spec
+    monkeypatch.setattr(ideals, "validate_spec", lambda spec, ctx: calls.append(spec) or real(spec, ctx))
+    return calls
+
+
+def test_code_spec_validates_only_the_components_that_changed(validations):
+    fd = build_factor_data(AmbientParams.of_ints(7, 1, 1, 48, 6))  # r = 12
+    previous = [None] * fd.r
+    for code in enumerate_codes(fd, 200):
+        validations.clear()
+        assert CodeSpec(fd, code.components).components == code.components
+        changed = [x for j, x in enumerate(code.components) if x != previous[j]]
+        assert validations == changed
+        previous = code.components
+
+
+def test_an_unreduced_b_is_validated_afresh_and_kept_reduced(validations):
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 2, 2))
+    code = next(c for c in enumerate_codes(fd) if c.components[0].b)
+    CodeSpec(fd, code.components)
+    spec = code.components[0]
+    padded = IdealSpec(spec.case, spec.k, spec.t, spec.b + fd.chain(0).modulus)
+    comps = (padded,) + code.components[1:]
+    validations.clear()
+    assert CodeSpec(fd, comps).components == code.components
+    assert validations == [padded]
+    # remembered now: the padded spec comes back reduced, with no check
+    validations.clear()
+    assert CodeSpec(fd, comps).components == code.components
+    assert validations == []
+
+
+def test_an_invalid_spec_after_a_remembered_valid_one_raises():
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 1, 1))  # e = 3
+    field = fd.params.field
+    valid = IdealSpec("I", b=fd.factors[0])  # digit 1: in the window [1, 2)
+    for bad in (IdealSpec("I", b=Poly.one(field)), IdealSpec("III", k=4), IdealSpec("II", k=1)):
+        CodeSpec(fd, (valid,))
+        for _ in range(2):  # a failed check leaves nothing behind
+            with pytest.raises(InvalidSpec):
+                CodeSpec(fd, (bad,))
+        assert CodeSpec(fd, (valid,)).components == (valid,)
+
+
 def test_both_count_routes_reject_a_chain_length_not_a_power_of_p():
     from ccring.ideals import chain_exponent
 
