@@ -8,19 +8,23 @@ ACM TOMS 37(1), 2010).  For odd p a slot is 1, 2, 4, ... bytes, room
 for p - 1 plus dim products of two residues: a row operation adds c
 times the negated row, (p - c) * row, as one int multiply and add, and
 slots grow past p - 1 without carrying into the next.  A slot is
-reduced mod p only when its value is read, and a whole vector once,
-after its elimination and before its pivot search.
+reduced mod p only when its value is read, and a whole vector when it
+becomes a stored row or back-substitution changes it.
 
-Vectors handed in and stored rows have every slot in [0, p).  A row's
-pivot is its first nonzero coordinate, scaled to 1, and every pivot
-column is clear in the other rows, so two spaces are equal iff their
-bases are.  Insertion, membership and kernels share one elimination.
+Vectors handed in and stored rows have every slot in [0, p).  Rows are
+kept in echelon form, in a dict keyed by pivot.  Insertion, membership
+and kernels share one elimination: _reduce walks a vector from its
+pivot end and looks each slot up in that dict, so a vector costs only
+the pivots it meets, and one that lies in the span costs no _mod.  They
+share one back-substitution too: _rref brings the rows to reduced
+echelon form when they are read.  An FpSpace's pivot is a row's first nonzero coordinate,
+scaled to 1, and then every pivot column is clear in the other rows, so
+two spaces are equal iff their bases are.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect
 from operator import lshift
 
 
@@ -59,17 +63,20 @@ def _mod(vec: int, p: int, dim: int, scale: int = 1) -> int:
 
 
 class FpSpace:
-    """A subspace of F_p^dim held as a reduced row echelon basis of
-    packed rows, sorted by pivot.  insert grows it in place; a space in
-    use as a key (key, ==, hash) is not grown any more."""
+    """A subspace of F_p^dim held as echelon rows keyed by their pivots,
+    each row's first nonzero coordinate.  insert grows it in place;
+    reading rows brings them to reduced echelon form, and that basis is
+    kept until the next insert.  The constructor takes a reduced echelon
+    basis and its pivots.  A space in use as a key (key, ==, hash) is
+    not grown any more."""
 
-    __slots__ = ("p", "dim", "rows", "pivots")
+    __slots__ = ("p", "dim", "_at", "_rows")
 
     def __init__(self, p: int, dim: int, rows=(), pivots=()):
         self.p = p
         self.dim = dim
-        self.rows: list[int] = list(rows)
-        self.pivots: list[int] = list(pivots)
+        self._rows: list[int] | None = list(rows)
+        self._at: dict[int, int] = dict(zip(pivots, self._rows, strict=True))
 
     @classmethod
     def from_rows(cls, p: int, dim: int, raw_rows) -> "FpSpace":
@@ -78,26 +85,41 @@ class FpSpace:
             space.insert(vec)
         return space
 
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._at)
+
+    @property
+    def rows(self) -> list[int]:
+        """The reduced echelon basis, sorted by pivot: the space's own
+        list, which a later insert replaces and does not change."""
+        if self._rows is None:
+            self._rows = list(map(self._at.__getitem__, _rref(self._at, self.p, self.dim)))
+        return self._rows
+
     def insert(self, vec: int) -> bool:
         """Add a packed vector; False, with no change, if it is in the space."""
-        return _insert(self.rows, self.pivots, vec, self.p, self.dim)
+        if not _reduce(self._at, vec, self.p, self.dim):
+            return False
+        self._rows = None
+        return True
 
     def contains(self, vec: int) -> bool:
-        return _eliminate(self.rows, self.pivots, vec, self.p, self.dim)[1] < 0
+        return not _reduce(self._at, vec, self.p, self.dim, keep=False)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._at)
 
     @property
     def size(self) -> int:
-        return self.p ** len(self.rows)
+        return self.p ** len(self._at)
 
     def key(self):
         return tuple(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FpSpace) and self.rows == other.rows
+        return isinstance(other, FpSpace) and (self.p, self.dim, self.rows) == (other.p, other.dim, other.rows)
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -114,73 +136,103 @@ class FpSpace:
         return out if p == 2 else [_mod(v, p, dim) for v in out]
 
 
-def _eliminate(rows, pivots, vec: int, p: int, dim: int, last: bool = False):
-    """(vec reduced against the rows with its pivot scaled to 1, pivot),
-    or (0, -1) when vec lies in the rows' span.
+def _reduce(at: dict, vec: int, p: int, dim: int, last: bool = False, keep: bool = True) -> bool:
+    """Whether vec lies outside the span of the echelon rows at[pivot].
+    If it does and keep is set, its reduction joins them: reduced mod p
+    once, and scaled to 1 at its new pivot.
 
-    No row touches another's pivot column, so every coefficient is read
-    off vec as given.  The pivot is vec's first nonzero coordinate, or
-    its last when last is set.
+    Each row has its pivot slot 1 and no nonzero slot on one side of
+    it: below it, or above it when last is set.  The walk starts at
+    vec's nonzero slot on that side, its first or its last.  A slot
+    that is 0 mod p is dropped; a slot at some row's pivot gets that
+    row's multiple and is dropped too.  Neither changes a slot the walk
+    has passed, so it meets each pivot at most once, and only where vec
+    is nonzero: the multiples it adds fit in the slots (see
+    slot_bits).  The first slot nonzero mod p at no pivot is the new
+    pivot, and the walk stops there.  Slots are left unreduced on the
+    way, so a vector in the span costs no _mod.
+    """
+    get = at.get
+    if p == 2:
+        while vec:
+            row = get(t := (vec.bit_length() if last else (vec & -vec).bit_length()) - 1)
+            if row is None:
+                if keep:
+                    at[t] = vec
+                return True
+            vec ^= row
+        return False
+    bits = slot_bits(p, dim)
+    mask = (1 << bits) - 1
+    while vec:
+        t = ((vec.bit_length() if last else (vec & -vec).bit_length()) - 1) // bits
+        shift = t * bits
+        v = vec >> shift & mask
+        c = v % p
+        if c:
+            row = get(t)
+            if row is None:
+                if keep:
+                    at[t] = _mod(vec, p, dim, pow(c, -1, p))
+                return True
+            vec += (p - c) * row
+            v += p - c
+        vec -= v << shift
+    return False
+
+
+def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
+    """Bring the echelon rows at[pivot] to reduced echelon form in place,
+    and return their pivots in ascending order.
+
+    One back-substitution clears every pivot column in the other rows,
+    starting from the rows with nothing but their pivot on the far side:
+    a row's coefficients are read off it as it is, since the rows done
+    before it are clear in every pivot column but their own.  A row
+    that is already reduced costs one AND.
     """
     bits = slot_bits(p, dim)
     mask = (1 << bits) - 1
-    if p == 2:
-        for row, piv in zip(rows, pivots):
-            if vec >> piv & 1:
-                vec ^= row
-    else:
-        acc = vec
-        for row, piv in zip(rows, pivots):
-            c = vec >> piv * bits & mask
-            if c:
-                acc += (p - c) * row
-        vec = _mod(acc, p, dim)
-    if not vec:
-        return 0, -1
-    piv = ((vec.bit_length() if last else (vec & -vec).bit_length()) - 1) // bits
-    c = vec >> piv * bits & mask
-    return (vec if c == 1 else _mod(vec, p, dim, pow(c, -1, p))), piv
-
-
-def _insert(rows: list, pivots: list, vec: int, p: int, dim: int, last: bool = False) -> bool:
-    """Reduce vec against rows; add it if independent.  Keeps RREF."""
-    vec, piv = _eliminate(rows, pivots, vec, p, dim, last)
-    if piv < 0:
-        return False
-    # clear the new pivot column from the old rows
-    bits = slot_bits(p, dim)
-    for k, row in enumerate(rows):
-        c = row >> piv * bits & (1 << bits) - 1
-        if c:
-            rows[k] = row ^ vec if p == 2 else _mod(row + (p - c) * vec, p, dim)
-    at = bisect(pivots, piv)
-    rows.insert(at, vec)
-    pivots.insert(at, piv)
-    return True
+    pivots = sorted(at)
+    done = 0  # all ones in the slot of each pivot cleared so far
+    for t in pivots if last else reversed(pivots):
+        row = at[t]
+        hit = row & done
+        if hit:
+            while hit:
+                col = (hit.bit_length() - 1) // bits
+                c = hit >> col * bits
+                hit ^= c << col * bits
+                row = row ^ at[col] if p == 2 else row + (p - c) * at[col]
+            at[t] = row if p == 2 else _mod(row, p, dim)
+        done |= mask << t * bits
+    return pivots
 
 
 def kernel(mat, dim: int, p: int) -> FpSpace:
     """Kernel of the linear map with the given packed rows, as an FpSpace.
 
-    The rows are reduced with each pivot at its row's last nonzero
-    coordinate.  Then for each free column f, e_f minus the sum of
-    row_k[f] e_(pivot k) has its first nonzero coordinate, a 1, at f
-    and a 0 at every other free column: the kernel's basis comes out in
-    reduced echelon form, with no second elimination.
+    The rows go in through _reduce with each pivot at its row's last
+    nonzero coordinate: a row that depends on the rows before it costs
+    only the pivots it meets and, for odd p, no _mod.  One _rref at the
+    end reduces the rows kept.
+
+    Then for each free column f, e_f minus the sum of row_k[f]
+    e_(pivot k) has its first nonzero coordinate, a 1, at f and a 0 at
+    every other free column: the kernel's basis comes out in reduced
+    echelon form, with no second elimination.
     """
-    rows: list[int] = []
-    pivots: list[int] = []
+    at: dict[int, int] = {}
     for vec in mat:
-        _insert(rows, pivots, vec, p, dim, last=True)
+        _reduce(at, vec, p, dim, last=True)
     bits = slot_bits(p, dim)
-    taken = set(pivots)
-    free = [f for f in range(dim) if f not in taken]
-    basis = []
-    for f in free:
-        vec = 1 << f * bits
-        for row, piv in zip(rows, pivots):
-            c = row >> f * bits & (1 << bits) - 1
-            if c:
-                vec += p - c << piv * bits
-        basis.append(vec)
-    return FpSpace(p, dim, basis, free)
+    basis = {f: 1 << f * bits for f in range(dim) if f not in at}
+    # reduced, row t holds its pivot's 1 and otherwise only free columns
+    for t in _rref(at, p, dim, last=True):
+        rest = at[t] ^ 1 << t * bits
+        while rest:
+            f = (rest.bit_length() - 1) // bits
+            c = rest >> f * bits
+            rest ^= c << f * bits
+            basis[f] += p - c << t * bits
+    return FpSpace(p, dim, basis.values(), basis.keys())

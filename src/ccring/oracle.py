@@ -248,9 +248,9 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
 
     The spans of v with (f^l, 0) (or (0, f^l)), and with 0 for l = e,
     are nested, growing as l falls.  So k_span([v]) is built once per v
-    and extended in place by f^l for l = e - 1, ..., 0, with a copy of
-    the space kept after each step.  The walls (f^l, 0) are packed once,
-    and (0, f^l) is their u-shift.
+    and extended in place by f^l for l = e - 1, ..., 0, with its basis
+    kept after each step; a space is made only for a new basis.  The
+    walls (f^l, 0) are packed once, and (0, f^l) is their u-shift.
     """
     if ctx.size ** 2 > ORACLE_BUDGET:
         raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {ORACLE_BUDGET}")
@@ -266,12 +266,15 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
         """Record the spans of (A, B) with w = f^l in side 0 or 1 of the
         pair, for l = 0, ..., e (w = 0 at l = e)."""
         span = _closure(ctx.modulus, [layout.pack(A, B)])
-        steps = [FpSpace(p, dim, span.rows, span.pivots)]
+        # a later insert replaces span.rows rather than changing it
+        steps = [(span.rows, span.pivots)]
         for l in range(e - 1, -1, -1):
             _closure(ctx.modulus, [walls[l][side]], span)
-            steps.append(FpSpace(p, dim, span.rows, span.pivots))
-        for space in reversed(steps):  # l = 0, ..., e
-            found.setdefault(space.key(), space)
+            steps.append((span.rows, span.pivots))
+        for rows, pivots in reversed(steps):  # l = 0, ..., e
+            key = tuple(rows)
+            if key not in found:
+                found[key] = FpSpace(p, dim, rows, pivots)
 
     for k in range(e):
         fk = ctx.f_pows[k]
@@ -546,20 +549,27 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     condition on coordinate l reads slot r of a_i's block against
     coordinate l of g^r b_i.  Those rows come off the packed b itself:
     v_l holds, in slot r of each block, coordinate l of that block of
-    g^r b (the g-steps of b, one slot per step), and its A half pairs
-    with a0 in [a,b]_0, while [a,b]_1 pairs a0 with v_l's B half and a1
-    with its A half.  This holds for any space, not only ideals; the
-    answer is exactly the set a full scan would return (a test runs
-    that scan at toy sizes).
+    g^r b.  With g^r b shifted up by r slots once, each v_l takes one
+    shift and one mask per g-step.  v_l's A half pairs with a0 in
+    [a,b]_0, while [a,b]_1 pairs a0 with v_l's B half and a1 with its
+    A half.  This holds for any space, not only ideals, so every row of
+    every basis vector goes in; kernel drops the dependent ones at the
+    cost of the pivots they meet.  The answer is exactly the set a full
+    scan would return (a test runs that scan at toy sizes).
     """
     layout = _layout(params.field, params.N)
-    bits, half, firsts = layout.bits, layout.half, layout.firsts
+    half, low = layout.half, layout.low
+    shifts = range(0, layout.step, layout.bits)  # slot r of a block, r < m
+    picks = [layout.firsts << at for at in shifts]
     mat = []
     for b in space.rows:
-        steps = layout.orbit(b)
-        for l in range(params.m):
-            v = sum((gb >> bits * l & firsts) << bits * r for r, gb in enumerate(steps))
-            mat += [v & layout.low, v >> half | layout.u(v)]
+        lifted = list(map(lshift, layout.orbit(b), shifts))
+        for at in shifts:
+            v = 0
+            for gb, pick in zip(lifted, picks):
+                v |= gb >> at & pick
+            a = v & low
+            mat += (a, v >> half | a << half)
     return kernel(mat, layout.dim, params.field.p)
 
 
@@ -600,7 +610,7 @@ def _chain_check(p, m, d, s):
     if len(specs) != count_ideals(ctx):
         return False, "enumeration count != closed form"
     for key, spec in spans.items():
-        if ideal_size(spec, ctx) != FpSpace(ctx.field.p, pair_dim(ctx), key).size:
+        if ideal_size(spec, ctx) != ctx.field.p ** len(key):
             return False, f"size mismatch at {spec.label()}"
     return True, f"{len(subs)} submodules, {len(specs)} ideals"
 

@@ -3,13 +3,15 @@
 The reference below is row reduction on coordinate lists, one
 coordinate at a time: the pivot is the first nonzero coordinate, scaled
 to 1, and every pivot column is cleared in the other rows.  The packed
-routine must give the same rows, pivots, membership answers and kernels.
+routine must give the same rows, pivots, membership answers and kernels,
+also on the matrices that stress its unreduced slots most.
 """
 
 import random
 
 import pytest
 
+from ccring import linalg
 from ccring.linalg import FpSpace, kernel, pack, slot_bits, unpack
 
 PRIMES = [2, 3, 5, 65521, 2147483647]
@@ -132,3 +134,106 @@ def test_elements_are_the_whole_span():
         assert len(set(elements)) == p ** 2
         want = {pack(p, dim, [a] + [b] * (dim - 1)) for a in range(p) for b in range(p)}
         assert set(elements) == want
+
+
+def assert_kernel_is_the_reference(p, dim, mat):
+    ker = kernel([pack(p, dim, row) for row in mat], dim, p)
+    krows, kpivots = ref_kernel(p, dim, mat)
+    assert [unpack(p, dim, row) for row in ker.rows] == krows
+    assert ker.pivots == kpivots
+
+
+def rows_per_basis_vector(rng, p, dim, rank, per):
+    """per rows for each of rank random basis vectors, as the oracle's
+    pairing matrices have (per = 2m): the vector itself, then random
+    combinations of it and the vectors before it, which are dependent."""
+    basis = [[rng.randrange(p) for _ in range(dim)] for _ in range(rank)]
+    mat = []
+    for k, vec in enumerate(basis):
+        mat.append(vec)
+        for _ in range(per - 1):
+            coeffs = [rng.randrange(p) for _ in range(k + 1)]
+            mat.append([sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(dim)])
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_of_the_oracle_row_shape(p, m):
+    rng = random.Random(f"{p} {m}")
+    for dim in (2 * m, 12, 24, 36):
+        for rank in (1, dim // 3, dim // 2):
+            assert_kernel_is_the_reference(p, dim, rows_per_basis_vector(rng, p, dim, rank, 2 * m))
+
+
+def walk_heavy(p, dim, nfree, last):
+    """(rows, vec): rows with pivots at the dim - nfree slots on one side,
+    each holding p - 1 in every slot on its far side, and a vec whose
+    walk meets every pivot with coefficient 1.  Each step then adds
+    (p - 1)^2 to every slot not yet passed, so the slots past the last
+    pivot reach p - 1 plus dim - nfree such products: the sums slot_bits
+    leaves room for."""
+    if last:
+        rows = [[p - 1] * t + [1] + [0] * (dim - 1 - t) for t in range(nfree, dim)]
+        # slot t is met after the dim - 1 - t pivots above it, each adding (p - 1)^2 = 1 mod p
+        return rows, [(1 - (dim - 1 - t)) % p for t in range(dim)]
+    rows, vec = walk_heavy(p, dim, nfree, True)
+    return [row[::-1] for row in rows], vec[::-1]
+
+
+EDGES = [(3, 63), (3, 64), (5, 16), (65521, 8), (65521, 40)]
+
+
+@pytest.mark.parametrize("p, dim", EDGES)
+def test_unreduced_slots_at_the_width_edges(p, dim):
+    if p == 3:  # 8-bit slots up to dim 63, then 16-bit
+        assert slot_bits(p, dim) == (8 if dim < 64 else 16)
+    rng = random.Random(f"{p} {dim}")
+    for nfree in (0, 1, 2, dim // 2):
+        rows, vec = walk_heavy(p, dim, nfree, last=True)
+        assert_kernel_is_the_reference(p, dim, rows + [vec])
+        assert_kernel_is_the_reference(p, dim, [vec] + rows)
+        rows, vec = walk_heavy(p, dim, nfree, last=False)
+        space = FpSpace.from_rows(p, dim, [pack(p, dim, row) for row in rows])
+        ref_rows, ref_pivots = ref_rref(p, dim, rows)
+        inside = list(vec)
+        ref_reduce(ref_rows, ref_pivots, inside, p)
+        assert space.contains(pack(p, dim, vec)) == (not any(inside))
+        assert space.insert(pack(p, dim, vec)) == any(inside)
+        ref_rows, ref_pivots = ref_rref(p, dim, rows + [vec])
+        assert [unpack(p, dim, row) for row in space.rows] == ref_rows
+        assert space.pivots == ref_pivots
+    mat = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim + 4)]
+    assert_kernel_is_the_reference(p, dim, mat)
+    assert_kernel_is_the_reference(p, dim, rows_per_basis_vector(rng, p, dim, dim // 2, 4))
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521])
+def test_a_dependent_row_costs_no_mod(p, monkeypatch):
+    rng = random.Random(p)
+    dim, rank, per = 12, 6, 4
+    mat = [pack(p, dim, row) for row in rows_per_basis_vector(rng, p, dim, rank, per)]
+    basis, deps = mat[::per], [vec for k, vec in enumerate(mat) if k % per]
+    calls = []
+    real = linalg._mod
+    monkeypatch.setattr(linalg, "_mod", lambda *args: calls.append(args) or real(*args))
+
+    alone = kernel(basis, dim, p)
+    made = len(calls)
+    assert kernel(basis + deps, dim, p) == alone
+    assert len(calls) == 2 * made
+
+    space = FpSpace.from_rows(p, dim, basis)
+    assert space.rank == rank
+    calls.clear()
+    for vec in deps:
+        assert space.contains(vec)
+        assert not space.insert(vec)
+    assert not calls
+
+
+def test_spaces_of_different_fields_or_dimensions_differ():
+    a, b, c = FpSpace.from_rows(2, 4, [1]), FpSpace.from_rows(3, 4, [1]), FpSpace.from_rows(2, 6, [1])
+    assert a.key() == b.key() == c.key()
+    assert a != b and a != c and b != c
+    assert a == FpSpace.from_rows(2, 4, [1, 1]) == FpSpace(2, 4, [1], [0])

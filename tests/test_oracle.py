@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect
 from itertools import product
 
 import pytest
@@ -11,7 +12,7 @@ from ccring.dual import dual_code
 from ccring.errors import TooLarge
 from ccring.gf import field_new
 from ccring.ideals import IdealSpec, enumerate_codes, enumerate_ideals, generator_rows, ideal_size
-from ccring.linalg import kernel, pack, slot_bits, unpack
+from ccring.linalg import _mod, kernel, pack, slot_bits, unpack
 from ccring.oracle import (
     FpSpace,
     ambient_coords,
@@ -310,6 +311,83 @@ def test_dual_routes_agree_tiny():
         dual = brute_dual(space, params)
         assert set(dual.elements()) == brute_dual_scan(space, params)
         assert dual.size * space.size == params.ring_size()
+
+
+def _eliminate_last(rows, pivots, vec, p, dim):
+    """vec reduced against reduced echelon rows whose pivots are their
+    last nonzero coordinates, scaled to 1 at its own, and that pivot;
+    (0, -1) for a vector in their span.  Every row costs one step."""
+    bits = slot_bits(p, dim)
+    mask = (1 << bits) - 1
+    if p == 2:
+        for row, piv in zip(rows, pivots):
+            if vec >> piv & 1:
+                vec ^= row
+    else:
+        acc = vec
+        for row, piv in zip(rows, pivots):
+            c = vec >> piv * bits & mask
+            if c:
+                acc += (p - c) * row
+        vec = _mod(acc, p, dim)
+    if not vec:
+        return 0, -1
+    piv = (vec.bit_length() - 1) // bits
+    c = vec >> piv * bits & mask
+    return (vec if c == 1 else _mod(vec, p, dim, pow(c, -1, p))), piv
+
+
+def kernel_by_inserts(mat, dim, p) -> FpSpace:
+    """The kernel by a full elimination per row, each new pivot cleared
+    from every kept row as it comes: the reference for linalg.kernel."""
+    rows, pivots = [], []
+    bits = slot_bits(p, dim)
+    mask = (1 << bits) - 1
+    for vec in mat:
+        vec, piv = _eliminate_last(rows, pivots, vec, p, dim)
+        if piv < 0:
+            continue
+        for k, row in enumerate(rows):
+            c = row >> piv * bits & mask
+            if c:
+                rows[k] = row ^ vec if p == 2 else _mod(row + (p - c) * vec, p, dim)
+        at = bisect(pivots, piv)
+        rows.insert(at, vec)
+        pivots.insert(at, piv)
+    free = [f for f in range(dim) if f not in pivots]
+    basis = []
+    for f in free:
+        vec = 1 << f * bits
+        for row, piv in zip(rows, pivots):
+            c = row >> f * bits & mask
+            if c:
+                vec += p - c << piv * bits
+        basis.append(vec)
+    return FpSpace(p, dim, basis, free)
+
+
+def brute_dual_by_inserts(space: FpSpace, params: AmbientParams) -> FpSpace:
+    """brute_dual's pairing rows, v_l summed over the g-steps g^r b one
+    coordinate block at a time, through kernel_by_inserts."""
+    layout = oracle._layout(params.field, params.N)
+    bits, half, firsts = layout.bits, layout.half, layout.firsts
+    mat = []
+    for b in space.rows:
+        steps = layout.orbit(b)
+        for l in range(params.m):
+            v = sum((gb >> bits * l & firsts) << bits * r for r, gb in enumerate(steps))
+            mat += [v & layout.low, v >> half | layout.u(v)]
+    return kernel_by_inserts(mat, layout.dim, params.field.p)
+
+
+@pytest.mark.parametrize("ring", [(2, 2, 1, 3, 1), (3, 2, 1, 2, 5)])
+def test_brute_dual_equals_the_route_by_inserts(ring):
+    """On the two rings that dominate the benchmark, every code."""
+    params = AmbientParams.of_ints(*ring)
+    for code in enumerate_codes(build_factor_data(params)):
+        space = code_space(code)
+        dual, ref = brute_dual(space, params), brute_dual_by_inserts(space, params)
+        assert dual == ref and dual.pivots == ref.pivots
 
 
 def code_space_by_products(code) -> FpSpace:
