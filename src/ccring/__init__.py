@@ -33,7 +33,6 @@ from .ideals import (
     code_size,
     count_codes,
     count_codes_by_degree,
-    count_ideals,
     count_ideals_params,
     count_ideals_sumform_params,
     enumerate_codes,

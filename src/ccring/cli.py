@@ -45,7 +45,7 @@ from .ideals import (
     code_size,
     count_codes,
     count_codes_by_degree,
-    count_ideals,
+    count_ideals_params,
     enumerate_codes,
 )
 from .oracle import verify_suite
@@ -222,17 +222,17 @@ def _parse_factor_data(doc) -> FactorData:
 
 
 def factor_data_json(fd: FactorData):
-    field = fd.params.field
+    params, field = fd.params, fd.params.field
     doc = {
-        "params": params_json(fd.params),
+        "params": params_json(params),
         "lambda0": fieldelem_json(field, fd.lam0),
         "factors": [
             {
                 "poly": poly_json(field, f),
                 "degree": f.degree,
-                "count": decimal(count_ideals(fd.chain(j))),
+                "count": decimal(count_ideals_params(params.p, params.m, f.degree, params.s)),
             }
-            for j, f in enumerate(fd.factors)
+            for f in fd.factors
         ],
         "idempotents": [poly_json(field, e) for e in fd.idempotents],
         "total": decimal(count_codes(fd)),
@@ -354,13 +354,6 @@ def _params(args, nu=None) -> AmbientParams:
     return AmbientParams(field, args.s, args.n, lam)
 
 
-def _kept_fd(args, nu=None) -> FactorData:
-    """The ring of the flags through the decomp memo, for the commands
-    whose ring comes back: enumerate, then dual on its output, and a
-    self-dual count, then its codes."""
-    return factor_data(_params(args, nu))
-
-
 def _stream(path: str, mode: str):
     """The file at path, or stdin or stdout (by mode) for "-"."""
     if not path or path == "-":
@@ -430,7 +423,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    fd = _kept_fd(args)
+    # through the memo: `dual` on the output comes back to this ring
+    fd = factor_data(_params(args))
     with _stream(args.output, "w") as out:
         for code in enumerate_codes(fd, args.limit):
             print(_dumps(code_json(code)), file=out)
@@ -450,7 +444,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    fd = _kept_fd(args, args.nu)
+    # through the memo: a count and then the codes set the ring up once
+    fd = factor_data(_params(args, args.nu))
     with _stream(args.output, "w") as out:
         if args.count_only:
             print(decimal(count_self_dual(fd, args.nu)), file=out)

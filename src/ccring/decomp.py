@@ -20,10 +20,11 @@ c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
 
 exactly, at O(N) per factor.  FactorData builds them on first read of
 fd.idempotents, since only gluing (info, idempotents and the oracle)
-needs them; dual, enumerate and selfdual work componentwise.
-A count needs even less: only the factor degrees, which are the
-sizes of the q-cyclotomic cosets of the roots' exponents (see
-factor_degrees), so it does no polynomial arithmetic.
+needs them; dual, enumerate and selfdual work componentwise, and only
+the oracle builds x^N - lambda.  A count needs even less: only the
+factor degrees, which are the sizes of the q-cyclotomic cosets of the
+roots' exponents (see factor_degrees), so it does no polynomial
+arithmetic.
 
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
@@ -38,7 +39,8 @@ builds it once and keeps it on the source; through the memo, the dual
 of that dual is the source again.  Other memos of set-up work are
 made with memoized(), so clear_memo empties them as well (cli keeps a
 code document's ring by the document's text, and oracle a ring's lift
-maps and lifted component rows, its packed pair layouts and x steps).
+maps and lifted component rows, its x^N - lambda, packed pair layouts
+and x steps).
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ def _too_long(p: int, s: int, n: int) -> TooLarge:
 
 
 class FactorData:
-    """Factors, idempotents and pairing data for one ambient ring.
+    """Factors, idempotents and pairing data for one ambient ring, all
+    derived from params and the factors of x^n - lambda0 in the order
+    given (factor_data_for checks that they multiply out to it).
 
     The idempotents are built on first read of fd.idempotents and then
     kept, so work that never glues components (dual, enumerate,
@@ -183,29 +187,30 @@ class FactorData:
         "_last_valid",
         "_last_dual",
         "chain_ctxs",
-        "binomial",
         "tau",
         "delta",
         "rho",
         "pair_count",
     )
 
-    def __init__(self, params, lam0, factors, chain_ctxs, tau, delta, rho, pair_count):
+    def __init__(self, params: AmbientParams, factors: list[Poly]):
+        field = params.field
         self.params = params
-        self.lam0 = lam0
-        self.factors = factors
-        self._idempotents = None
-        self._dual = None
-        self._fixed = None
+        self.lam0 = ps_root(field, params.lam, params.s)
+        self.factors = factors = list(factors)
+        self._idempotents = self._dual = self._fixed = None
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
-        self.chain_ctxs = chain_ctxs
-        field, N = params.field, params.N
-        self.binomial = Poly(field, (field.neg(params.lam),) + (0,) * (N - 1) + (1,))
-        self.tau = tau  # 0-based involution on factor indices, None unless lambda^2 = 1
-        self.delta = delta  # delta_j = f_j(0)^-1, aligned with tau
-        self.rho = rho  # number of tau-fixed factors
-        self.pair_count = pair_count
+        self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
+        # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
+        # the number of tau-fixed factors, exist only when lambda^2 = 1
+        self.tau = self.delta = self.rho = self.pair_count = None
+        if params.lam_self_paired():
+            index = {f: j for j, f in enumerate(factors)}
+            self.tau = [index[reciprocal(f).monic()] for f in factors]
+            self.delta = [field.inv(f(0)) for f in factors]
+            self.rho = sum(1 for j, t in enumerate(self.tau) if j == t)
+            self.pair_count = (len(factors) - self.rho) // 2
 
     @property
     def idempotents(self) -> list[Poly]:
@@ -220,14 +225,6 @@ class FactorData:
 
     def chain(self, j: int) -> ChainCtx:
         return self.chain_ctxs[j]
-
-    def mulmod(self, a: Poly, b: Poly) -> Poly:
-        """Product reduced mod x^N - lambda."""
-        return self.reduce(a * b)
-
-    def reduce(self, a: Poly) -> Poly:
-        """a mod x^N - lambda; division visits the binomial's two terms only."""
-        return a % self.binomial
 
 
 def recall(last: list, specs, derive) -> tuple:
@@ -267,32 +264,18 @@ def _pair_order(factors: list[Poly]) -> list[Poly]:
 
 
 def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
-    """FactorData for a caller-supplied factor ordering of x^n - lambda0.
+    """FactorData for a caller-supplied factor ordering of x^n - lambda0;
+    RangeError unless the factors multiply out to it.
 
-    The pairing tau is found by matching each factor with the monic
-    normalization of its reciprocal; it exists only when lambda^2 = 1.
     Callers wanting the fixed-factors-first layout should order via
     _pair_order (build_factor_data does).
     """
-    field = params.field
-    lam0, base = root_binomial(params)
-    prod = Poly.one(field)
+    prod = Poly.one(params.field)
     for f in factors:
         prod = prod * f
-    if prod != base:
+    if prod != root_binomial(params)[1]:
         raise RangeError("factor list does not multiply out to x^n - lambda0")
-
-    if params.lam_self_paired():
-        index = {f: j for j, f in enumerate(factors)}
-        tau = [index[reciprocal(f).monic()] for f in factors]
-        delta = [field.inv(f(0)) for f in factors]
-        rho = sum(1 for j, l in enumerate(tau) if j == l)
-        pair_count = (len(factors) - rho) // 2
-    else:
-        tau = delta = rho = pair_count = None
-
-    chain_ctxs = [ChainCtx(f, params.e) for f in factors]
-    return FactorData(params, lam0, list(factors), chain_ctxs, tau, delta, rho, pair_count)
+    return FactorData(params, factors)
 
 
 def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
@@ -371,7 +354,7 @@ def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData
 
 def clear_memo() -> None:
     """Forget every kept FactorData, also those cli keeps by document
-    text, and oracle's per-ring lifts, layouts and steps; factor_data
-    builds each ring again."""
+    text, and oracle's per-ring lifts, moduli x^N - lambda, layouts and
+    steps; factor_data builds each ring again."""
     for memo in _MEMOS:
         memo.cache_clear()

@@ -38,9 +38,9 @@ immutable, so the remembered image is exact; the memo holds one entry
 per factor.  enumerate moves the last factor fastest, so along its
 stream most components repeat.
 
-For lambda = +-1 the reciprocal factors are a permutation tau of the
-source factors and the dual lives in the same ambient ring with the
-component built from position j landing at tau(j).
+For lambda = +-1 the dual ring is the source ring, its factor j,
+recip(f_j), being the source's factor tau(j), so dual_code_nu is
+dual_code with component j moved to position tau(j).
 
 A self-dual code picks any spec on one factor of each reciprocal pair
 (its partner is forced) and a spec that is its own dual component on
@@ -63,7 +63,7 @@ from .ideals import (
     IdealSpec,
     CASES,
     b_window,
-    count_ideals,
+    count_codes_by_degree,
     enumerate_ideals,
     from_kt,
     spec_product,
@@ -151,17 +151,14 @@ def dual_code(code: CodeSpec) -> CodeSpec:
 def dual_code_nu(code: CodeSpec) -> CodeSpec:
     """Dual inside the same ambient ring; needs lambda^2 = 1.
 
-    The reciprocal of f_j is f_tau(j) here, so the component built from
-    position j lands at position tau(j) of the same factor data.
+    dual_code's component j, over recip(f_j) = f_tau(j), lands at
+    tau(j); tau is an involution, so component i is dual_code's tau(i).
     """
     fd = code.fd
     if fd.tau is None:
         raise NotSelfPairedLambda("lambda^2 != 1, use dual_code")
-    comps: list[IdealSpec | None] = [None] * fd.r
-    for j, spec in enumerate(code.components):
-        tj = fd.tau[j]
-        comps[tj] = dual_component(spec, j, fd, fd.chain(tj))
-    return CodeSpec.trusted(fd, tuple(comps))
+    comps = dual_code(code).components
+    return CodeSpec.trusted(fd, tuple(comps[t] for t in fd.tau))
 
 
 def is_self_dual(code: CodeSpec) -> bool:
@@ -288,13 +285,11 @@ def count_self_dual(fd: FactorData, nu: int) -> int:
     """Number of self-dual codes: on each tau-fixed factor [e even] plus
     p^dim ker(T - I) per window, times the ideals of one factor of
     each reciprocal pair.  No spec is built."""
-    p = fd.params.p
-    total = 1
+    p, total = fd.params.p, 1
     for windows in _fixed_factor_windows(fd, nu):
         total *= sum(1 if basis is None else p ** len(basis) for _, basis in windows)
-    for i in range(fd.pair_count):
-        total *= count_ideals(fd.chain(fd.rho + i))
-    return total
+    firsts = fd.factors[fd.rho : fd.rho + fd.pair_count]
+    return total * count_codes_by_degree(fd.params, [f.degree for f in firsts])
 
 
 def enumerate_self_dual(fd: FactorData, nu: int):

@@ -196,22 +196,6 @@ def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:
     return sum(case_counts(p, m, d, s).values())
 
 
-def chain_exponent(ctx: ChainCtx) -> int:
-    """The s with ctx.e = p^s; InvalidSpec when e is not a power of p."""
-    p, e, s = ctx.field.p, ctx.e, 0
-    while e > 1:
-        if e % p:
-            raise InvalidSpec("chain length is not a power of p")
-        e //= p
-        s += 1
-    return s
-
-
-def count_ideals(ctx: ChainCtx) -> int:
-    field = ctx.field
-    return count_ideals_params(field.p, field.m, ctx.d, chain_exponent(ctx))
-
-
 # -- whole-ring codes --------------------------------------------------------
 
 

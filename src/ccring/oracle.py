@@ -43,8 +43,9 @@ g = field.gen() are each one shift of the whole int and one fold of
 what overflows (see _packed_steps), and a row's g-orbit is its m
 g-steps.  _closure closes rows under x and F_q (a Krylov closure), and
 the same steps build the lift maps, from x^i g^c eps_j, and the
-pairing rows, from g^c b.  The size limit ORACLE_BUDGET is a module
-constant.
+pairing rows, from g^c b; the x steps of the ambient ring take its
+modulus x^N - lambda from the memo _binomial.  The size limit
+ORACLE_BUDGET is a module constant.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .ideals import (
     IdealSpec,
     code_size,
     count_codes,
-    count_ideals,
     count_ideals_params,
     count_ideals_sumform_params,
     enumerate_codes,
@@ -344,6 +344,13 @@ def generator_matrix_spans(ctx: ChainCtx) -> list[FpSpace]:
 # -- ambient ring -------------------------------------------------------------
 
 
+@memoized
+def _binomial(params: AmbientParams) -> Poly:
+    """x^N - lambda, the modulus of the ambient ring."""
+    field = params.field
+    return Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
+
+
 def ambient_dim(params: AmbientParams) -> int:
     return 2 * params.m * params.N
 
@@ -363,7 +370,7 @@ def ideal_span(fd: FactorData, gens) -> FpSpace:
     """
     layout = _layout(fd.params.field, fd.params.N)
     vecs = [layout.pack(a0, a1) for a0, a1 in gens]
-    return _closure(fd.binomial, [w for v in vecs for w in (v, layout.u(v))])
+    return _closure(_binomial(fd.params), [w for v in vecs for w in (v, layout.u(v))])
 
 
 @memoized
@@ -381,7 +388,7 @@ def _lift(fd: FactorData, j: int):
     params, ctx = fd.params, fd.chain(j)
     p, dim = params.field.p, ambient_dim(params)
     layout = _layout(params.field, params.N)
-    x_step = _packed_steps(fd.binomial)[0]
+    x_step = _packed_steps(_binomial(params))[0]
     vec = layout.pack(fd.idempotents[j], Poly.zero(params.field))
     images = []
     for _ in range(ctx.d * ctx.e):
@@ -482,8 +489,8 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     """
     params = fd.params
     p, dim = params.field.p, ambient_dim(params)
-    layout = _layout(params.field, params.N)
-    x_step = _packed_steps(fd.binomial)[0]
+    layout, binomial = _layout(params.field, params.N), _binomial(params)
+    x_step = _packed_steps(binomial)[0]
     covered: set = set()
     if p == 2:
         todo = filterfalse(covered.__contains__, range(1 << dim))
@@ -494,8 +501,8 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
         words = filterfalse(covered.__contains__, map(bytes, product(range(p), repeat=dim)))
         todo = map(functools.partial(int.from_bytes, byteorder="big"), words)
     for vec in todo:
-        by_u = _closure(fd.binomial, [layout.u(vec)])
-        span = _closure(fd.binomial, [vec], FpSpace(p, dim, by_u.rows, by_u.pivots))
+        by_u = _closure(binomial, [layout.u(vec)])
+        span = _closure(binomial, [vec], FpSpace(p, dim, by_u.rows, by_u.pivots))
         if span.key() not in ideals:
             gen = unpack(p, dim, vec)
             raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
@@ -607,7 +614,7 @@ def _chain_check(p, m, d, s):
         spans[spec_span(spec, ctx).key()] = spec
     if set(spans) != ucl or len(spans) != len(specs):
         return False, "classified ideals do not biject with u-closed submodules"
-    if len(specs) != count_ideals(ctx):
+    if len(specs) != count_ideals_params(p, m, d, s):
         return False, "enumeration count != closed form"
     for key, spec in spans.items():
         if ideal_size(spec, ctx) != ctx.field.p ** len(key):

@@ -9,6 +9,13 @@ from ccring.gf import field_new
 from ccring.poly import Poly, reciprocal
 
 
+def mulmod(fd, a, b):
+    """a * b mod x^N - lambda; division visits the binomial's two terms only."""
+    params = fd.params
+    field = params.field
+    return (a * b) % Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
+
+
 def poly_of(field, coeff_at):
     coeffs = [0] * (max(coeff_at) + 1)
     for i, c in coeff_at.items():
@@ -78,13 +85,31 @@ def test_idempotent_identities_random(monkeypatch):
         total = Poly.zero(field)
         for j, eps in enumerate(fd.idempotents):
             total = total + eps
-            assert fd.mulmod(eps, eps) == eps
+            assert mulmod(fd, eps, eps) == eps
             # eps_j kills its own factor power
             fpow = fd.chain(j).modulus
-            assert fd.mulmod(eps, fd.reduce(fpow)).is_zero()
+            assert mulmod(fd, eps, fpow).is_zero()
             for l in range(j):
-                assert fd.mulmod(eps, fd.idempotents[l]).is_zero()
+                assert mulmod(fd, eps, fd.idempotents[l]).is_zero()
         assert total == Poly.one(field)
+
+
+@pytest.mark.parametrize("ring", [(3, 1, 4, 2, 1), (5, 1, 1, 6, 4)])
+def test_set_up_builds_no_polynomial_of_the_ambient_length(ring, monkeypatch):
+    """x^N - lambda is the oracle's, not the set-up's: building a ring
+    makes no Poly of length N + 1 (n > 1 here, so no f^e is one)."""
+    params = AmbientParams.of_ints(*ring)
+    lengths = []
+    init = Poly.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        lengths.append(len(self.coeffs))
+
+    monkeypatch.setattr(Poly, "__init__", recorded)
+    fd = build_factor_data(params)
+    assert lengths and fd.r > 1
+    assert params.N + 1 not in lengths
 
 
 def test_tau_absent_without_self_paired_lambda():

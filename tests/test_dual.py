@@ -155,16 +155,79 @@ def test_dual_code_transports_only_the_components_that_changed(monkeypatch):
     dfd = dual_factor_data(fd)
     codes = list(enumerate_codes(fd, 200))
     want = [tuple(dual_component(x, j, fd, dfd.chain(j)) for j, x in enumerate(c.components)) for c in codes]
+    assert_transports_only_changes(monkeypatch, dual_code, codes, want)
+
+
+def assert_transports_only_changes(monkeypatch, dualize, codes, want):
+    """dualize(code) has the components want[i] on codes[i], and runs
+    dual_component only on the components that differ from the previous
+    code's at their factor."""
     calls = []
     real = dual_module.dual_component
     monkeypatch.setattr(dual_module, "dual_component", lambda spec, j, *rest: calls.append((j, spec)) or real(spec, j, *rest))
-    previous = [None] * fd.r
+    previous = [None] * codes[0].fd.r
     for code, comps in zip(codes, want):
         calls.clear()
-        assert dual_code(code).components == comps
+        assert dualize(code).components == comps
         assert calls == [(j, x) for j, x in enumerate(code.components) if x != previous[j]]
         previous = code.components
-    assert len(calls) < fd.r  # the stream's last code changed few components
+    assert len(calls) < len(previous)  # the stream's last code changed few components
+
+
+def dual_code_nu_by_placement(code):
+    """The same-ring dual by its own transport loop, with no memo: the
+    component built from position j placed at position tau(j)."""
+    fd = code.fd
+    comps = [None] * fd.r
+    for j, spec in enumerate(code.components):
+        tj = fd.tau[j]
+        comps[tj] = dual_component(spec, j, fd, fd.chain(tj))
+    return tuple(comps)
+
+
+# the rings of the tests with lambda = +-1 and at most 15000 codes
+NU_RINGS = [
+    (2, 1, 1, 1, 1),
+    (2, 1, 1, 3, 1),
+    (2, 1, 2, 3, 1),
+    (3, 1, 1, 1, 1),
+    (3, 1, 1, 1, 2),
+    (3, 1, 1, 2, 1),
+    (3, 1, 1, 2, 2),
+    (5, 1, 1, 2, 1),
+    (5, 1, 1, 2, 4),
+    (2, 2, 1, 1, 1),
+    (2, 2, 1, 3, 1),
+    (2, 2, 1, 5, 1),
+    (3, 2, 1, 2, 1),
+]
+
+
+@pytest.mark.parametrize("ring", NU_RINGS)
+def test_dual_code_nu_is_the_placement_loop(ring):
+    fd = fd_of(*ring)
+    assert fd.tau is not None
+    for code in enumerate_codes(fd):
+        dual = dual_code_nu(code)
+        assert dual.fd is fd and dual.components == dual_code_nu_by_placement(code)
+
+
+def test_nu_rings_cover_both_signs_and_m_above_one():
+    rings = [fd_of(*ring) for ring in NU_RINGS]
+    assert {fd.params.lam == 1 for fd in rings} == {True, False}
+    assert max(fd.params.m for fd in rings) > 1
+    assert any(fd.pair_count for fd in rings) and any(fd.rho for fd in rings)
+
+
+def test_dual_code_nu_transports_only_the_components_that_changed(monkeypatch):
+    """Along an enumerate stream of a lambda = -1 ring, dual_code_nu
+    equals the placement loop and transports only the components that
+    differ from the previous code's at their factor."""
+    fd = fd_of(*STREAM_RING)
+    assert fd.r == 12 and fd.tau is not None
+    codes = list(enumerate_codes(fd, 200))
+    want = [dual_code_nu_by_placement(code) for code in codes]
+    assert_transports_only_changes(monkeypatch, dual_code_nu, codes, want)
 
 
 def test_dual_of_dual_restores_a_whole_stream():

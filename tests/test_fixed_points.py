@@ -27,7 +27,7 @@ from ccring.dual import (
     self_dual_component_options,
 )
 from ccring.gf import field_new
-from ccring.ideals import count_ideals
+from ccring.ideals import count_ideals_params
 from ccring.oracle import brute_self_dual_options
 
 
@@ -76,8 +76,9 @@ def test_kernel_route_is_the_filter_in_order(ring):
     want = 1
     for n_fixed in lengths:
         want *= n_fixed
+    p, m, s = ring[:3]
     for i in range(fd.pair_count):
-        want *= count_ideals(fd.chain(fd.rho + i))
+        want *= count_ideals_params(p, m, fd.chain(fd.rho + i).d, s)
     assert count_self_dual(fd, ring[4]) == want
 
 

@@ -13,7 +13,6 @@ from ccring.ideals import (
     case_counts,
     code_size,
     count_codes,
-    count_ideals,
     count_ideals_params,
     count_ideals_sumform_params,
     enumerate_codes,
@@ -86,19 +85,19 @@ def test_closed_form_equals_sum_form():
 
 def test_enumeration_matches_case_counts():
     grid = [
-        chain_of(2, 1, (1, 1), 2),
-        chain_of(3, 1, (1, 1), 1),
-        chain_of(5, 1, (2, 1), 1),
-        chain_of(2, 2, (2, 1), 1),
-        chain_of(2, 1, (1, 1, 1), 1),
+        (2, 1, (1, 1), 2),
+        (3, 1, (1, 1), 1),
+        (5, 1, (2, 1), 1),
+        (2, 2, (2, 1), 1),
+        (2, 1, (1, 1, 1), 1),
     ]
-    for ctx in grid:
+    for p, m, f_coeffs, s in grid:
+        ctx = chain_of(p, m, f_coeffs, s)
         specs = list(enumerate_ideals(ctx))
-        assert len(specs) == len(set(specs)) == count_ideals(ctx)
+        assert len(specs) == len(set(specs)) == count_ideals_params(p, m, ctx.d, s)
         tally = {}
         for spec in specs:
             tally[spec.case] = tally.get(spec.case, 0) + 1
-        s = ctx.e.bit_length() - 1 if ctx.field.p == 2 else 1
         expect = case_counts(ctx.field.p, ctx.field.m, ctx.d, s)
         assert tally == {c: n for c, n in expect.items() if n}
 
@@ -282,18 +281,6 @@ def test_an_invalid_spec_after_a_remembered_valid_one_raises():
             with pytest.raises(InvalidSpec):
                 CodeSpec(fd, (bad,))
         assert CodeSpec(fd, (valid,)).components == (valid,)
-
-
-def test_both_count_routes_reject_a_chain_length_not_a_power_of_p():
-    from ccring.ideals import chain_exponent
-
-    F5 = field_new(5, 1)
-    ctx = ChainCtx(Poly(F5, [2, 1]), 6)
-    for count in (count_ideals, chain_exponent):
-        with pytest.raises(InvalidSpec):
-            count(ctx)
-    assert chain_exponent(ChainCtx(Poly(F5, [2, 1]), 25)) == 2
-    assert count_ideals(ChainCtx(Poly(F5, [2, 1]), 25)) == count_ideals_sumform_params(5, 1, 1, 2)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 9, 25, 27])

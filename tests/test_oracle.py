@@ -31,6 +31,7 @@ from ccring.oracle import (
     verify_suite,
 )
 from ccring.poly import Poly
+from test_decomp import mulmod
 from test_ideals import component_elements
 
 # past these sizes the tests' own brute-force routes raise TooLarge
@@ -395,11 +396,11 @@ def code_space_by_products(code) -> FpSpace:
     multiplied by its eps_j as polynomials, then closed in the ambient ring."""
     fd = code.fd
     pairs = [
-        (fd.mulmod(eps, A), fd.mulmod(eps, B))
+        (mulmod(fd, eps, A), mulmod(fd, eps, B))
         for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
         for A, B, _ in generator_rows(spec, fd.chain(j))
     ]
-    return oracle._closure(fd.binomial, [ambient_coords(fd.params, A, B) for A, B in pairs])
+    return oracle._closure(oracle._binomial(fd.params), [ambient_coords(fd.params, A, B) for A, B in pairs])
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 3, 1, 1, 1)])
@@ -435,7 +436,7 @@ def test_lift_is_multiplication_by_the_idempotent(ring):
         lift = oracle._lift(fd, j)
         for _ in range(10):
             A, B = (Poly(F, [rng.randrange(F.q) for _ in range(ctx.d * ctx.e)]) for _ in range(2))
-            want = ambient_coords(params, fd.mulmod(eps, A), fd.mulmod(eps, B))
+            want = ambient_coords(params, mulmod(fd, eps, A), mulmod(fd, eps, B))
             assert lift(pair_coords(ctx, A, B)) == want
 
 
@@ -477,8 +478,10 @@ def test_clear_memo_empties_the_layout_and_step_memos():
     for code in enumerate_codes(fd):
         code_space(code)
     assert oracle._layout.cache_info().currsize and oracle._packed_steps.cache_info().currsize
+    assert oracle._binomial.cache_info().currsize
     decomp.clear_memo()
     assert oracle._layout.cache_info().currsize == oracle._packed_steps.cache_info().currsize == 0
+    assert oracle._binomial.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 5, 1), (3, 2, 1, 2, 5)])
