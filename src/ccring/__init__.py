@@ -16,9 +16,11 @@ from .decomp import (
     factor_data,
     factor_data_for,
     factor_degrees,
+    tau_degrees,
 )
 from .dual import (
     count_self_dual,
+    count_self_dual_params,
     dual_code,
     dual_code_nu,
     dual_factor_data,

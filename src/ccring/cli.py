@@ -36,7 +36,7 @@ from .decomp import (
     memoized,
     ring_field,
 )
-from .dual import count_self_dual, dual_code, enumerate_self_dual, nu_value
+from .dual import count_self_dual_params, dual_code, enumerate_self_dual, nu_value
 from .errors import CcringError
 from .gf import FieldCtx
 from .ideals import (
@@ -444,12 +444,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    # through the memo: a count and then the codes set the ring up once
-    fd = factor_data(_params(args, args.nu))
+    params = _params(args, args.nu)
+    if args.count_only:
+        # the count depends on the factor degrees only: no factors, no kernels
+        total = count_self_dual_params(params, args.nu)
+        with _stream(args.output, "w") as out:
+            print(decimal(total), file=out)
+        return 0
+    # through the memo: `dual` on the output comes back to this ring
+    fd = factor_data(params)
     with _stream(args.output, "w") as out:
-        if args.count_only:
-            print(decimal(count_self_dual(fd, args.nu)), file=out)
-            return 0
         for code in islice(enumerate_self_dual(fd, args.nu), args.limit):
             print(_dumps(code_json(code)), file=out)
     return 0

@@ -24,14 +24,15 @@ needs them; dual, enumerate and selfdual work componentwise, and only
 the oracle builds x^N - lambda.  A count needs even less: only the
 factor degrees, which are the sizes of the q-cyclotomic cosets of the
 roots' exponents (see factor_degrees), so it does no polynomial
-arithmetic.
+arithmetic; a self-dual count also needs to know which cosets are
+closed under negation, the tau-fixed factors (see tau_degrees).
 
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
 build_factor_data and factor_data_for build a new one on every call;
 factor_data hands out the ones the process keeps, the last MEMO_SIZE
 it asked for, so a ring that comes back (a stream of documents, the
-dual of a dual, a self-dual count and then its codes) is set up once,
+dual of a dual, self-dual codes and then their duals) is set up once,
 together with whatever it has built lazily since (the dual ring,
 self-dual kernels).  A failed build is not kept.  The factor data of
 the dual ring is fixed by the source's, so dual.dual_factor_data
@@ -52,7 +53,7 @@ from math import gcd
 from .chain import ChainCtx
 from .errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
 from .gf import FieldCtx, field_new, ps_root
-from .poly import Poly, binomial_degrees, factor_squarefree, frobenius, reciprocal
+from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefree, frobenius, reciprocal
 
 # the longest ambient length N = n*p^s accepted; set-up work grows with N
 # (on a 2-vCPU Xeon with Python 3.11, count takes about 0.06 s at
@@ -65,14 +66,15 @@ MAX_LENGTH = 1 << 18
 # takes three per ring for `enumerate` and then `dual` twice on its
 # documents (params and (params, factors) for the ring, (params,
 # factors) for its dual), two for a `dual` call, and two for `selfdual
-# --count-only` and then `--limit`; cli's document memo takes one per
-# ring text, so two for a ring and its dual.  Replaying the seed-9001
-# benchmark ops in one process, code_stream's 12 rings build 24
-# FactorData with any size from 2 up, and selfdual's 152, 141, 128 and
-# 89 with 2, 8, 16 and 32 keys, where past 2 only the op list's
-# returning to rings it used many ops before gains.  Documents of one
-# `dual` input share their ring through its own cache, whatever the
-# bound.
+# --limit`; `selfdual --count-only`, like `count`, takes none.  cli's
+# document memo takes one per ring text, so two for a ring and its
+# dual.  Replaying the seed-9001 benchmark ops in one process,
+# code_stream's 12 rings build 24 FactorData with any size from 2 up,
+# and selfdual's 152, 141, 128 and 89 with 2, 8, 16 and 32 keys (a
+# ring's stream op builds it, its count op nothing), where past 2 only
+# the op list's returning to rings it used many ops before gains.
+# Documents of one `dual` input share their ring through its own cache,
+# whatever the bound.
 MEMO_SIZE = 16
 
 
@@ -162,9 +164,9 @@ class FactorData:
     kept, so work that never glues components (dual, enumerate,
     selfdual, count) builds none.  _dual holds the lambda^(-1) ring's
     FactorData once dual.dual_factor_data has built it; the dual links
-    back only once it is dualized itself.  _fixed holds the self-dual
-    kernels of the tau-fixed factors once dual has built them, so a
-    count and a stream on one ring share them.
+    back only once it is dualized itself.  _fixed[j] holds the self-dual
+    kernels of tau-fixed factor j once a self-dual stream has moved past
+    its first spec, so later streams on the ring share them.
 
     _last_valid and _last_dual remember, per factor j, the last spec
     seen there and what was derived from it: its validated form
@@ -198,7 +200,8 @@ class FactorData:
         self.params = params
         self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._dual = self._fixed = None
+        self._idempotents = self._dual = None
+        self._fixed = [None] * len(factors)
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
@@ -314,6 +317,14 @@ def factor_degrees(params: AmbientParams) -> list[int]:
     poly.binomial_degrees)."""
     field = params.field
     return binomial_degrees(field, params.n, ps_root(field, params.lam, params.s))
+
+
+def tau_degrees(params: AmbientParams) -> tuple[list[int], list[int]]:
+    """For lambda^2 = 1, the degrees of the tau-fixed factors and one
+    degree per reciprocal pair, ascending, from the same cosets as
+    factor_degrees: FactorData's rho and pair_count without factoring."""
+    field = params.field
+    return binomial_tau_degrees(field, params.n, ps_root(field, params.lam, params.s))
 
 
 def build_factor_data(params: AmbientParams) -> FactorData:

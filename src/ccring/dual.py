@@ -46,17 +46,59 @@ A self-dual code picks any spec on one factor of each reciprocal pair
 (its partner is forced) and a spec that is its own dual component on
 each tau-fixed factor.  Only the (k, t) with 2k + t = e can be: I,
 III(e/2) and V(k, e - 2k).  On their digit windows the transport is
-F_p-linear, so the fixed b are the kernel of T - I.  Counting takes p^dim of each kernel, and the
-codes stream from the kernel bases; no spec is scanned.
+F_q-linear, so the fixed b are the kernel of T - I, and the codes
+stream from the kernel bases; no spec is scanned.  A factor's stream
+starts with I and b = 0, which every window fixes, and solves its
+kernels only when it moves past it.
+
+Counting solves no kernel: each kernel's dimension has a closed form.
+Let f = f_j be tau-fixed of degree d, K = F_q[x]/(f^e) and s the
+involution x -> x^(-1) of K, which maps f to theta f with the unit
+theta = f(0) x^(-d).  As x^N = lambda = lambda^(-1) in K, the transport
+is S(b) = u s(b) with u = -f(0) x^(-d) = -theta; S keeps the f-adic
+filtration, and S^2 = u s(u) = f(0)^2 = 1.  A window [lo, hi) is
+f^lo K / f^hi K, of w = hi - lo = floor(t/2) digits, and on digit i S
+reads c -> -theta^(i+1) s(c) mod f.  Its fixed space has F_q-dimension
+delta(w):
+
+- d even: s is the involution of F_(q^d) over F_(q^(d/2)), and
+  c -> a s(c) with a s(a) = 1 fixes d/2 dimensions (Hilbert 90).  By
+  the normal basis theorem that action has no first cohomology, so
+  fixed points add up along the filtration in any characteristic:
+  delta(w) = (d/2) w.
+- d = 1, odd p: f = x - c with c = +-1 and theta = -1 mod f, so S is
+  (-1)^i on digit i, and an involution's fixed points add up along the
+  filtration in odd characteristic.  t is odd and lo = w, and [w, 2w)
+  holds floor(w/2) even i: delta(w) = floor(w/2).
+- d = 1, p = 2: f = y = x + 1, t is even and lo = w - 1.  With
+  b = y^lo c, c in F_q[y]/(y^w), and s(y) = x^(-1) y, T(y^lo c) =
+  y^lo x^(-w) s(c), so S = x^(-w) s is an involution of F_q[y]/(y^w)
+  and N = S - 1 has N^2 = 0.  N(y^a) = (w + a) y^(a+1) + ..., so the
+  image of N has a leading y^v for each v = w mod 2 in [1, w - 1]:
+  rank N >= ceil(w/2) - 1.  The kernel holds floor(w/2) + 1 elements
+  of distinct valuations: for even w, x^(-w/2) times the s-invariants
+  (x + x^(-1))^i = (y^2/x)^i, i < w/2, and y^(w-1); for odd w,
+  x^(-(w+1)/2) y times the s-invariants of F_q[y]/(y^(w-1)), found the
+  same way.  As rank N + dim ker N = w, both bounds are tight:
+  delta(w) = floor(w/2) + 1.
+
+So a tau-fixed factor has [e even] + sum over t = e - 2k >= 1 of
+q^delta(floor(t/2)) self-dual specs, and count_self_dual_params takes
+the ring's count from the degrees of the tau-fixed factors and of the
+pairs, which the cyclotomic cosets give (decomp.tau_degrees): it builds
+no factor, chain ring or kernel.  _fixed_windows checks each kernel it
+solves against m delta(w), its F_p-dimension.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, FactorData, factor_data, recall
+from .decomp import AmbientParams, FactorData, factor_data, recall, tau_degrees
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -220,6 +262,7 @@ def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] |
         size = len(window)
         minus_id = [pack(p, size, [images[c][a] - (a == c) for c in window]) for a in window]
         rows = kernel(minus_id, size, p).rows
+        assert len(rows) == m * _delta(p, d, hi - lo), "kernel dimension differs from the closed form"
         fixed = [
             sum((basis[c].scale(x) for c, x in zip(window, unpack(p, size, v)) if x), Poly.zero(field))
             for v in reversed(rows)
@@ -267,29 +310,57 @@ def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
     return list(_fixed_specs(_fixed_windows(j, fd), fd.params.field))
 
 
-def _fixed_factor_windows(fd: FactorData, nu: int):
-    """_fixed_windows of each tau-fixed factor, once fd is known to be
-    built for lambda = nu; built on the first call and kept on fd."""
-    if fd.tau is None:
+def _check_nu(params: AmbientParams, nu: int) -> None:
+    """NotSelfPairedLambda unless the ring's lambda is nu = +-1."""
+    if not params.lam_self_paired():
         raise NotSelfPairedLambda("lambda^2 != 1")
-    if fd.params.lam != nu_value(fd.params.field, nu):
-        raise NotSelfPairedLambda(
-            f"factor data was built for lambda = {fd.params.lam}, not nu = {nu}"
-        )
-    if fd._fixed is None:
-        fd._fixed = [_fixed_windows(j, fd) for j in range(fd.rho)]
-    return fd._fixed
+    if params.lam != nu_value(params.field, nu):
+        raise NotSelfPairedLambda(f"the ring has lambda = {params.lam}, not nu = {nu}")
+
+
+def _delta(p: int, d: int, w: int) -> int:
+    """F_q-dimension of the fixed b on a window of w digits of a
+    tau-fixed factor of degree d (see the module docstring)."""
+    if d == 1:
+        return w // 2 + (p == 2)
+    return d // 2 * w
+
+
+def _fixed_count(p: int, m: int, d: int, s: int) -> int:
+    """Specs on a tau-fixed factor of degree d that are their own dual
+    component: [e even] for III(e/2), and q^delta(floor(t/2)) on the
+    window of each (k, t = e - 2k) with t >= 1."""
+    e, q = p**s, p**m
+    return (e % 2 == 0) + sum(q ** _delta(p, d, t // 2) for t in range(e, 0, -2))
+
+
+def count_self_dual_params(params: AmbientParams, nu: int) -> int:
+    """Number of self-dual codes of the ring, lambda = nu = +-1: the
+    closed form on each tau-fixed factor times the ideals of one factor
+    of each reciprocal pair, from the factor degrees alone."""
+    _check_nu(params, nu)
+    p, m, s = params.p, params.m, params.s
+    fixed, pairs = tau_degrees(params)
+    total = 1
+    for d, mult in Counter(fixed).items():
+        total *= _fixed_count(p, m, d, s) ** mult
+    return total * count_codes_by_degree(params, pairs)
 
 
 def count_self_dual(fd: FactorData, nu: int) -> int:
-    """Number of self-dual codes: on each tau-fixed factor [e even] plus
-    p^dim ker(T - I) per window, times the ideals of one factor of
-    each reciprocal pair.  No spec is built."""
-    p, total = fd.params.p, 1
-    for windows in _fixed_factor_windows(fd, nu):
-        total *= sum(1 if basis is None else p ** len(basis) for _, basis in windows)
-    firsts = fd.factors[fd.rho : fd.rho + fd.pair_count]
-    return total * count_codes_by_degree(fd.params, [f.degree for f in firsts])
+    """count_self_dual_params of fd's ring; fd must be built for lambda = nu."""
+    return count_self_dual_params(fd.params, nu)
+
+
+def _fixed_stream(j: int, fd: FactorData):
+    """self_dual_component_options of tau-fixed factor j, as a stream:
+    I with b = 0 comes first and solves no kernel; the windows are
+    built when the stream moves past it, and kept on fd."""
+    field, e = fd.params.field, fd.params.e
+    yield from_kt(0, e, e, Poly.zero(field))
+    if fd._fixed[j] is None:
+        fd._fixed[j] = _fixed_windows(j, fd)
+    yield from islice(_fixed_specs(fd._fixed[j], field), 1, None)
 
 
 def enumerate_self_dual(fd: FactorData, nu: int):
@@ -297,11 +368,13 @@ def enumerate_self_dual(fd: FactorData, nu: int):
     reciprocal pair (the partner is forced), kernel-spanned fixed
     points on the tau-fixed factors.
 
-    Every factor streams, so the first code costs the kernels and one
-    spec per factor.
+    Every factor streams, so the first code costs one spec per factor,
+    and a tau-fixed factor's kernels are solved only once its stream
+    moves past I with b = 0.
     """
-    rho, field = fd.rho, fd.params.field
-    streams = [partial(_fixed_specs, w, field) for w in _fixed_factor_windows(fd, nu)]
+    _check_nu(fd.params, nu)
+    rho = fd.rho
+    streams = [partial(_fixed_stream, j, fd) for j in range(rho)]
     streams += [partial(enumerate_ideals, fd.chain(a)) for a in range(rho, rho + fd.pair_count)]
     for choice in spec_product(streams):
         comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))

@@ -57,6 +57,7 @@ from operator import lshift, mul
 from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, build_factor_data, memoized
 from .dual import (
+    count_self_dual,
     dual_code_nu,
     dual_component,
     enumerate_self_dual,
@@ -654,6 +655,9 @@ def _selfdual_check(p, m, s, n, nu):
         return False, f"{len(keys)} enumerated vs {len(fixed)} brute fixed points"
     if not all(is_self_dual(c) for c in emitted):
         return False, "an emitted code fails is_self_dual"
+    count = count_self_dual(fd, nu)
+    if count != len(fixed):
+        return False, f"closed-form count {count} vs {len(fixed)} brute fixed points"
     return True, f"{len(emitted)} self-dual codes"
 
 
@@ -708,6 +712,7 @@ QUICK_SUITE = [
     ("dual 3,1,1,1 nu=+1", lambda: _dual_check(3, 1, 1, 1, 1)),
     ("dual 3,1,1,1 nu=-1", lambda: _dual_check(3, 1, 1, 1, 2)),
     ("selfdual 3,1,1,2 nu=-1", lambda: _selfdual_check(3, 1, 1, 2, -1)),
+    ("selfdual 2,1,2,1 nu=+1", lambda: _selfdual_check(2, 1, 2, 1, 1)),
     ("ambient 2,1,1,1", lambda: _ambient_check(2, 1, 1, 1, 1)),
 ]
 

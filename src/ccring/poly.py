@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from math import gcd
 
 from .errors import (
     BothZero,
@@ -428,10 +429,38 @@ def binomial_degrees(ctx: FieldCtx, n: int, c: int) -> list[int]:
     As q = 1 mod t, every j of a coset stays 1 mod t, so seen is indexed
     by i, and the work and memory are O(n) whatever the field.
     """
+    return sorted(d for _, d in _binomial_cosets(ctx, n, c)[1])
+
+
+def binomial_tau_degrees(ctx: FieldCtx, n: int, c: int) -> tuple[list[int], list[int]]:
+    """For c = +-1: the degrees of the factors of x^n - c that are their
+    own reciprocal, and one degree per reciprocal pair, both ascending.
+
+    The reciprocal of the factor with the roots beta^j, j in a coset C,
+    has the roots beta^(-j), so a factor is its own reciprocal when -j
+    is in the coset of j, and otherwise pairs with the factor of -C, of
+    the same size.  The order t of c divides 2 and -1 = 1 mod 2, so -j
+    is a root exponent again, also mod the cut t of binomial_degrees.
+    The coset of j is j times the powers of q mod r = M / gcd(j, M), of
+    which there are d, its size; for r > 2, -1 is one of them when d is
+    even and q^(d/2) = -1 mod r, the one element of order 2.
+    """
+    M, cosets = _binomial_cosets(ctx, n, c)
+    fixed, paired = [], []
+    for j, d in cosets:
+        r = M // gcd(j, M)
+        closed = r <= 2 or (d % 2 == 0 and pow(ctx.q, d // 2, r) == r - 1)
+        (fixed if closed else paired).append(d)
+    return sorted(fixed), sorted(paired)[::2]
+
+
+def _binomial_cosets(ctx: FieldCtx, n: int, c: int) -> tuple[int, list[tuple[int, int]]]:
+    """M = n t and the (first j, size) of each coset of binomial_degrees'
+    walk."""
     t = ctx.order(c, _prime_factors(n))
     q, M = ctx.q, n * t
     seen = bytearray(n)
-    degrees = []
+    cosets = []
     for i in range(n):
         j, d = 1 + i * t, 0
         while not seen[(j - 1) // t]:
@@ -439,8 +468,8 @@ def binomial_degrees(ctx: FieldCtx, n: int, c: int) -> list[int]:
             d += 1
             j = j * q % M
         if d:
-            degrees.append(d)
-    return sorted(degrees)
+            cosets.append((1 + i * t, d))
+    return M, cosets
 
 
 def _power_map(f: Poly):
@@ -571,10 +600,10 @@ def factor_squarefree(f: Poly) -> list[Poly]:
             h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
             if h.degree < 1:
                 continue
-            g = poly_gcd(h, part)
-            if 0 < g.degree < part.degree:
-                pass
-            elif ctx.p == 2:
+            # an h sharing a factor with part needs no gcd of its own: its
+            # trace or norm is 0 mod that factor, which only puts the factor
+            # on one side of the split
+            if ctx.p == 2:
                 # additive splitting via the trace to F_2: the sum of h^(2^i), i < m d
                 t = _orbit_fold(h, ctx.m * d, 1, power_mod, Poly.__add__) % part
                 if t.is_zero():

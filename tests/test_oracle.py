@@ -508,6 +508,17 @@ def test_quick_suite_passes():
         assert ok, f"{name}: {detail}"
 
 
+def test_selfdual_check_catches_a_wrong_count(monkeypatch):
+    """_selfdual_check compares count_self_dual with the brute-force
+    fixed points, on p = 2, s = 2 among others."""
+    assert oracle._selfdual_check(2, 1, 2, 1, 1) == (True, "7 self-dual codes")
+    real = oracle.count_self_dual
+    monkeypatch.setattr(oracle, "count_self_dual", lambda fd, nu: real(fd, nu) + 1)
+    ok, detail = oracle._selfdual_check(2, 1, 2, 1, 1)
+    assert not ok and detail == "closed-form count 8 vs 7 brute fixed points"
+    assert "selfdual 2,1,2,1 nu=+1" in dict((name, fn) for name, fn in oracle.QUICK_SUITE)
+
+
 def _digest(spaces) -> str:
     """Hash of the spaces' bases as coordinate lists, in sorted order."""
     bases = sorted(tuple(tuple(unpack(s.p, s.dim, row)) for row in s.rows) for s in spaces)
