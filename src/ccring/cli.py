@@ -5,8 +5,16 @@ documents) or NDJSON (streams).  Counts are printed as decimal strings
 since they overflow 64-bit integers quickly, and may run past the
 interpreter's int-to-str digit limit (see decimal).
 
-Exit codes: 0 on success, 2 when parameters fail validation or the
-output cannot be written, 3 when a verify run reports a failure.  A
+The command line is read by one table of each command's flags (see
+build_parser), which also gives the -h text and the usage line of a
+rejected line; the parser is built once per process.  A flag's value
+follows it or an "=", and a flag may be cut to any prefix that begins
+no other flag of its command.  A rejected line prints the usage line
+and one "ccring <command>: error: ..." line to stderr.
+
+Exit codes: 0 on success (and for -h), 2 for a rejected command line,
+parameters that fail validation or output that cannot be written, 3
+when a verify run reports a failure.  A
 reader that closes the pipe early (`ccring enumerate ... | head`) chose
 to stop: the run ends with exit code 0 and writes nothing to stderr.
 verify still exits 3 then, unless the whole suite ran and passed, since
@@ -15,7 +23,6 @@ a cut-off run proves nothing.
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import functools
 import io
@@ -26,6 +33,8 @@ import sys
 import time
 from contextlib import nullcontext
 from itertools import chain, islice
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .decomp import (
     AmbientParams,
@@ -297,43 +306,22 @@ def _documents(lines):
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _ring_args(sub, need_lambda=True):
-    sub.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    sub.add_argument("--m", type=int, default=1, help="extension degree of the residue field")
-    sub.add_argument("--s", type=int, required=True, help="exponent in the length n*p^s")
-    sub.add_argument("--n", type=int, required=True, help="prime-to-p part of the length")
-    sub.add_argument(
-        "--modulus",
-        type=_modulus_arg,
-        default=None,
-        help="field modulus as comma-separated F_p coefficients, little-endian",
-    )
-    if need_lambda:
-        sub.add_argument(
-            "--lambda",
-            dest="lam",
-            type=str,
-            required=True,
-            help="unit of the residue field: integer for m=1 (-1 allowed), JSON array for m>1",
-        )
-
-
 def _modulus_arg(text: str):
     if not text:
         return None
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+        raise UsageError(f"not comma-separated integers: {text!r}") from None
 
 
 def _limit_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise UsageError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise UsageError(f"must be >= 0, got {value}")
     return value
 
 
@@ -474,58 +462,264 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ccring",
-        description="classify, count, enumerate and dualize constacyclic codes "
-        "over F_{p^m} + u F_{p^m}",
+# -- command line ----------------------------------------------------------------
+
+
+class UsageError(ValueError):
+    """A command line, or a flag value, that the parser rejects; main
+    prints the usage line and the message, and returns 2."""
+
+
+class Flag(NamedTuple):
+    """One flag of a command: its converted value goes to dest.
+
+    convert is None for a switch, which takes no value and stores True.
+    A required flag's default is None, which no converter returns.
+    """
+
+    name: str
+    dest: str
+    convert: Callable[[str], object] | None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str = ""
+
+
+class Command(NamedTuple):
+    fn: Callable
+    help: str
+    flags: tuple[Flag, ...]
+
+
+_HELP = Flag("--help", "help", None, help="show this help message and exit")
+
+# a negative number is a value, not a flag
+_NUMBER = re.compile(r"-\d*\.?\d+")
+
+
+def _is_flag(token: str) -> bool:
+    return token[:1] == "-" and (token[1:2] == "-" or (len(token) > 1 and not _NUMBER.fullmatch(token)))
+
+
+def _lookup(flags) -> dict:
+    """Each name of flags and of _HELP, and each prefix of one from "--"
+    on, mapped to the flag it names, or to the names it could begin."""
+    names = {"-h": _HELP, "--help": _HELP}
+    names.update((f.name, f) for f in flags)
+    begun: dict[str, list] = {}
+    for name in names:
+        for k in range(2, len(name)):
+            begun.setdefault(name[:k], []).append(name)
+    lookup = {prefix: names[ms[0]] if len(ms) == 1 else tuple(ms) for prefix, ms in begun.items()}
+    lookup.update(names)  # a whole name wins over the longer names it begins
+    return lookup
+
+
+class Parser:
+    """Reads a command line by the flag table of its command.
+
+    The first token that is not a flag names the command; only -h may
+    come before it.  A flag takes its value as the next token or after
+    "=", and may be abbreviated to any prefix that begins no other flag
+    of its command; the last of a repeated flag wins.  A token that
+    starts with "-" and is not a negative number is a flag, never a
+    value.  A line is rejected for a missing command or required flag,
+    an unknown token, or a value its converter or choices refuse; -h
+    asks for help unless an error comes before it (an unknown token
+    counts only at the end, an ambiguous prefix anywhere), as argparse
+    decides.
+    """
+
+    def __init__(self, description: str, commands: dict[str, Command]):
+        self.description = description
+        self.commands = commands
+        self._lookups = {name: _lookup(c.flags) for name, c in commands.items()}
+        self._lookups[None] = _lookup(())
+        self._defaults = {name: {f.dest: f.default for f in c.flags} for name, c in commands.items()}
+        self._required = {name: [f for f in c.flags if f.required] for name, c in commands.items()}
+
+    def parse(self, argv) -> SimpleNamespace:
+        """The command and the value of every flag (command and fn
+        included), or for -h a namespace whose fn prints the help;
+        UsageError for a rejected line."""
+        argv = list(argv)
+        start = 0
+        while start < len(argv) and _is_flag(argv[start]):
+            start += 1
+        extras: list[str] = []  # unknown tokens, refused once no -h follows
+        if start and self._read(None, argv[:start], {}, extras):
+            return SimpleNamespace(command=None, fn=_print_help, help=self.help(None))
+        if start == len(argv):
+            raise self._error(None, "the following arguments are required: command")
+        name = argv[start]
+        command = self.commands.get(name)
+        if command is None:
+            choices = ", ".join(map(repr, self.commands))
+            raise self._error(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+        values = dict(self._defaults[name])
+        if self._read(name, argv[start + 1 :], values, extras):
+            return SimpleNamespace(command=None, fn=_print_help, help=self.help(name))
+        missing = [f.name for f in self._required[name] if values[f.dest] is None]
+        if missing:
+            raise self._error(name, "the following arguments are required: " + ", ".join(missing))
+        if extras:
+            raise self._error(name, "unrecognized arguments: " + " ".join(extras))
+        return SimpleNamespace(command=name, fn=command.fn, **values)
+
+    def _read(self, name, tokens: list[str], values: dict, extras: list[str]) -> bool:
+        """Store the flags of tokens in values; True when -h asks for help."""
+        lookup = self._lookups[name]
+        # per token, None for a value, else (flag or None, the text after
+        # "=" or None); every flag is looked up before the first one
+        # acts, so an ambiguous prefix is refused wherever it stands
+        hits = []
+        for token in tokens:
+            if not _is_flag(token):
+                hits.append(None)
+                continue
+            key, eq, text = token.partition("=")
+            flag = lookup.get(key)
+            if type(flag) is tuple:
+                raise self._error(name, f"ambiguous option: {token} could match {', '.join(flag)}")
+            hits.append((flag, text if eq else None))
+        i = 0
+        while i < len(tokens):
+            hit = hits[i]
+            i += 1
+            if hit is None or hit[0] is None:  # a stray value or an unknown flag
+                extras.append(tokens[i - 1])
+                continue
+            flag, text = hit
+            if flag.convert is None:
+                if text is not None:
+                    raise self._error(name, f"argument {flag.name}: ignored explicit argument {text!r}")
+                if flag is _HELP:
+                    return True
+                values[flag.dest] = True
+                continue
+            if text is None:
+                if i == len(tokens) or hits[i] is not None:
+                    raise self._error(name, f"argument {flag.name}: expected one argument")
+                text = tokens[i]
+                i += 1
+            try:
+                value = flag.convert(text)
+            except ValueError as ex:
+                why = str(ex) if isinstance(ex, UsageError) else f"invalid {flag.convert.__name__} value: {text!r}"
+                raise self._error(name, f"argument {flag.name}: {why}") from None
+            if flag.choices is not None and value not in flag.choices:
+                choices = ", ".join(map(repr, flag.choices))
+                raise self._error(name, f"argument {flag.name}: invalid choice: {value!r} (choose from {choices})")
+            values[flag.dest] = value
+        return False
+
+    def _error(self, name, message: str) -> UsageError:
+        prog = "ccring" if name is None else f"ccring {name}"
+        return UsageError(f"{self.usage(name)}\n{prog}: error: {message}")
+
+    def usage(self, name) -> str:
+        if name is None:
+            return "usage: ccring [-h] {" + ",".join(self.commands) + "} ..."
+        parts = [f"usage: ccring {name} [-h]"]
+        for flag in self.commands[name].flags:
+            part = f"{flag.name} {_metavar(flag)}".rstrip()
+            parts.append(part if flag.required else f"[{part}]")
+        return " ".join(parts)
+
+    def help(self, name) -> str:
+        if name is None:
+            about, heading = self.description, "commands:"
+            rows = [(command, c.help) for command, c in self.commands.items()]
+        else:
+            about, heading = self.commands[name].help, "options:"
+            rows = [("-h, --help", _HELP.help)]
+            for flag in self.commands[name].flags:
+                default = "" if flag.required or flag.default is None else f" (default: {flag.default})"
+                rows.append((f"{flag.name} {_metavar(flag)}".rstrip(), flag.help + default))
+        width = max(len(row[0]) for row in rows) + 2
+        lines = [self.usage(name), "", about, "", heading]
+        lines += [f"  {left.ljust(width)}{right}".rstrip() for left, right in rows]
+        return "\n".join(lines) + "\n"
+
+
+def _metavar(flag: Flag) -> str:
+    if flag.convert is None:
+        return ""
+    if flag.choices is not None:
+        return "{" + ",".join(map(str, flag.choices)) + "}"
+    return flag.name[2:].upper().replace("-", "_")
+
+
+def _print_help(args) -> int:
+    sys.stdout.write(args.help)
+    return 0
+
+
+def _ring_flags(need_lambda=True) -> list[Flag]:
+    flags = [
+        Flag("--p", "p", int, required=True, help="characteristic (prime)"),
+        Flag("--m", "m", int, 1, help="extension degree of the residue field"),
+        Flag("--s", "s", int, required=True, help="exponent in the length n*p^s"),
+        Flag("--n", "n", int, required=True, help="prime-to-p part of the length"),
+        Flag(
+            "--modulus",
+            "modulus",
+            _modulus_arg,
+            help="field modulus as comma-separated F_p coefficients, little-endian",
+        ),
+    ]
+    if need_lambda:
+        flags.append(
+            Flag(
+                "--lambda",
+                "lam",
+                str,
+                required=True,
+                help="unit of the residue field: integer for m=1 (-1 allowed), JSON array for m>1",
+            )
+        )
+    return flags
+
+
+def build_parser() -> Parser:
+    output = Flag("--output", "output", str, "-", help="path of the output, - for stdout")
+    limit = Flag("--limit", "limit", _limit_arg, help="stop after this many codes")
+
+    def command(fn, about, *flags):
+        return Command(fn, about, tuple(flags) + (output,))
+
+    return Parser(
+        "classify, count, enumerate and dualize constacyclic codes over F_{p^m} + u F_{p^m}",
+        {
+            "info": command(cmd_info, "factors, idempotents, pairing and counts", *_ring_flags()),
+            "idempotents": command(cmd_idempotents, "the primitive idempotents", *_ring_flags()),
+            "count": command(cmd_count, "number of codes in the ambient ring", *_ring_flags()),
+            "enumerate": command(cmd_enumerate, "stream codes as NDJSON", *_ring_flags(), limit),
+            "dual": command(
+                cmd_dual,
+                "dual of a code spec read as JSON",
+                Flag("--input", "input", str, "-", help="path of the code JSON, - for stdin"),
+            ),
+            "selfdual": command(
+                cmd_selfdual,
+                "self-dual codes for lambda = nu",
+                *_ring_flags(need_lambda=False),
+                Flag("--nu", "nu", int, -1, choices=(1, -1), help="lambda of the self-dual codes"),
+                Flag("--count-only", "count_only", None, False, help="print the number of codes only"),
+                limit,
+            ),
+            "verify": command(
+                cmd_verify,
+                "run the brute-force oracle suite",
+                Flag("--level", "level", str, "quick", choices=("quick", "full"), help="which suite to run"),
+            ),
+        },
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("info", help="factors, idempotents, pairing and counts")
-    _ring_args(sp)
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_info)
-
-    sp = sub.add_parser("idempotents", help="the primitive idempotents")
-    _ring_args(sp)
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_idempotents)
-
-    sp = sub.add_parser("count", help="number of codes in the ambient ring")
-    _ring_args(sp)
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_count)
-
-    sp = sub.add_parser("enumerate", help="stream codes as NDJSON")
-    _ring_args(sp)
-    sp.add_argument("--limit", type=_limit_arg, default=None)
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_enumerate)
-
-    sp = sub.add_parser("dual", help="dual of a code spec read as JSON")
-    sp.add_argument("--input", default="-", help="path of the code JSON, - for stdin")
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_dual)
-
-    sp = sub.add_parser("selfdual", help="self-dual codes for lambda = nu")
-    _ring_args(sp, need_lambda=False)
-    sp.add_argument("--nu", type=int, choices=(1, -1), default=-1)
-    sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--limit", type=_limit_arg, default=None)
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_selfdual)
-
-    sp = sub.add_parser("verify", help="run the brute-force oracle suite")
-    sp.add_argument("--level", choices=("quick", "full"), default="quick")
-    sp.add_argument("--output", default="-")
-    sp.set_defaults(fn=cmd_verify)
-
-    return ap
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> Parser:
     """build_parser() at the first main() call, shared by later calls."""
     return build_parser()
 
@@ -541,7 +735,11 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as ex:
+        print(ex, file=sys.stderr)
+        return 2
     status = None
     try:
         status = args.fn(args)

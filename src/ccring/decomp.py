@@ -29,7 +29,11 @@ closed under negation, the tau-fixed factors (see tau_degrees).
 
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
-build_factor_data and factor_data_for build a new one on every call;
+build_factor_data and factor_data_for build a new one on every call.
+Only a factor list from outside the package is multiplied back out to
+x^n - lambda0 (factor_data_for, and factor_data given factors): the
+package's own lists, from factor_squarefree or the monic reciprocals
+of such a list, are built on as they come;
 factor_data hands out the ones the process keeps, the last MEMO_SIZE
 it asked for, so a ring that comes back (a stream of documents, the
 dual of a dual, self-dual codes and then their duals) is set up once,
@@ -158,7 +162,8 @@ def _too_long(p: int, s: int, n: int) -> TooLarge:
 class FactorData:
     """Factors, idempotents and pairing data for one ambient ring, all
     derived from params and the factors of x^n - lambda0 in the order
-    given (factor_data_for checks that they multiply out to it).
+    given (factor_data_for checks that a list from outside multiplies
+    out to it).
 
     The idempotents are built on first read of fd.idempotents and then
     kept, so work that never glues components (dual, enumerate,
@@ -329,7 +334,7 @@ def tau_degrees(params: AmbientParams) -> tuple[list[int], list[int]]:
 
 def build_factor_data(params: AmbientParams) -> FactorData:
     """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
-    return factor_data_for(params, _ordered_factors(params))
+    return FactorData(params, _ordered_factors(params))
 
 
 def _ordered_factors(params: AmbientParams) -> list[Poly]:
@@ -338,11 +343,23 @@ def _ordered_factors(params: AmbientParams) -> list[Poly]:
     return _pair_order(factors) if params.lam_self_paired() else factors
 
 
-def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> FactorData:
+def factor_data(params: AmbientParams, factors: list[Poly] | None = None, derived: bool = False) -> FactorData:
     """The ring's FactorData, as build_factor_data (no factors) or
     factor_data_for gives it, but set up once while the process keeps
-    it: a call with equal arguments returns the same object."""
-    return _kept(params, None if factors is None else tuple(factors))
+    it: a call with equal factors returns the same object.  derived says
+    the factors are the package's own (the monic reciprocals of a
+    FactorData's factors), so they are not multiplied back out."""
+    if factors is not None:
+        factors = _Derived(factors) if derived else tuple(factors)
+    return _kept(params, factors)
+
+
+class _Derived(tuple):
+    """A factor list the package derived itself.  It equals, and hashes
+    as, the plain tuple, so both find one memo entry, but _kept builds
+    its FactorData without the product check."""
+
+    __slots__ = ()
 
 
 _MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
@@ -359,7 +376,9 @@ def memoized(fn):
 def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData:
     if factors is None:
         # also kept under its factors, so the dual of its dual is this one
-        return _kept(params, tuple(_ordered_factors(params)))
+        return _kept(params, _Derived(_ordered_factors(params)))
+    if isinstance(factors, _Derived):
+        return FactorData(params, factors)
     return factor_data_for(params, list(factors))
 
 

@@ -124,8 +124,10 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     this order is generally not the one build_factor_data would pick.
     """
     if fd._dual is None:
+        # the reciprocals of factors of x^n - lambda0 are those of
+        # x^n - lambda0^(-1): no product to check
         recips = [reciprocal(f).monic() for f in fd.factors]
-        fd._dual = factor_data(fd.params.dual_params(), recips)
+        fd._dual = factor_data(fd.params.dual_params(), recips, derived=True)
     return fd._dual
 
 

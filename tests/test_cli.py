@@ -195,16 +195,6 @@ def test_seed_env_is_accepted(capsys, monkeypatch):
     assert doc["tau"] == [3, 4, 1, 2]
 
 
-def run_exit(capsys, *argv):
-    """run(), with argparse's SystemExit turned into its exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as ex:
-        code = ex.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def parse_long_decimal(text):
     """int(text) in 1000-digit chunks, under any int-to-str digit limit."""
     value = 0
@@ -259,9 +249,7 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         singles.append(dual)
     import ccring.decomp
 
-    calls = []
-    real = ccring.decomp.factor_data_for
-    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
+    calls = _count_builds(monkeypatch)
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, stream, _ = run(capsys, "dual")
     assert code == 0 and stream == "".join(singles)
@@ -295,15 +283,26 @@ def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch
         streams.append(out.splitlines(keepends=True))
     assert all(len(docs) == 2 for docs in streams)
     ccring.decomp.clear_memo()
-    calls = []
-    real = ccring.decomp.factor_data_for
-    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
+    calls = _count_builds(monkeypatch)
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(doc for docs in zip(*streams) for doc in docs)))
     code, out, _ = run(capsys, "dual")
     assert code == 0 and len(out.splitlines()) == 2 * len(rings)
     # each ring and each dual ring built once (some of the rings are
     # each other's duals)
-    assert len(rings) <= len(calls) == len({(params, tuple(factors)) for params, factors in calls})
+    assert len(rings) <= len(calls) == len(set(calls))
+
+
+def _count_builds(monkeypatch):
+    """The (params, factors) of each FactorData built from here on."""
+    built = []
+    real = ccring.decomp.FactorData.__init__
+
+    def init(self, params, factors):
+        built.append((params, tuple(factors)))
+        real(self, params, factors)
+
+    monkeypatch.setattr(ccring.decomp.FactorData, "__init__", init)
+    return built
 
 
 def _count_calls(monkeypatch, *fns):
@@ -343,21 +342,22 @@ def test_dual_sets_up_a_ring_once_per_process(capsys, monkeypatch):
         assert (proc.returncode, err) == (0, b"")
         singles.append(dual.decode())
     ccring.decomp.clear_memo()
-    calls = _count_calls(monkeypatch, gf.field_new, ccring.decomp.factor_degrees, ccring.decomp.factor_data_for)
+    calls = _count_calls(monkeypatch, gf.field_new, ccring.decomp.factor_degrees)
+    builds = _count_builds(monkeypatch)
     after_first = []
 
     def stdin():
         yield docs[0]
-        after_first.append(dict(calls))
+        after_first.append(dict(calls, FactorData=len(builds)))
         yield from docs[1:]
 
     monkeypatch.setattr("sys.stdin", stdin())
     code, first, _ = run(capsys, "dual")
     # the first document set up its ring and the dual ring
-    assert after_first == [{"field_new": 1, "factor_degrees": 1, "factor_data_for": 2}]
+    assert after_first == [{"field_new": 1, "factor_degrees": 1, "FactorData": 2}]
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code2, second, _ = run(capsys, "dual")
-    assert dict(calls) == after_first[0]
+    assert dict(calls, FactorData=len(builds)) == after_first[0]
     assert code == code2 == 0 and first == second == "".join(singles)
 
 
@@ -397,18 +397,18 @@ def test_dual_rejects_non_code_documents(capsys, monkeypatch, stdin):
 
 
 def test_bad_modulus_exits_2(capsys):
-    code, out, err = run_exit(
+    code, out, err = run(
         capsys, "count", "--p", "3", "--m", "2", "--s", "1", "--n", "2", "--modulus", "a", "--lambda", "[1,0]"
     )
     assert code == 2 and out == "" and "error:" in err
 
 
 def test_negative_limit_exits_2(capsys):
-    code, out, err = run_exit(
+    code, out, err = run(
         capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "-1", "--limit", "-3"
     )
     assert code == 2 and out == "" and "error:" in err
-    code, out, _ = run_exit(
+    code, out, _ = run(
         capsys, "enumerate", "--p", "5", "--s", "1", "--n", "2", "--lambda", "-1", "--limit", "0"
     )
     assert code == 0 and out == ""
@@ -440,7 +440,7 @@ def test_dual_rejects_factors_split_into_quadratics(capsys, monkeypatch):
 
 def test_seed_flag_is_refused(capsys):
     # the factors come out sorted, so there is no factorization seed to set
-    code, out, err = run_exit(capsys, "--seed", "1", "count", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
+    code, out, err = run(capsys, "--seed", "1", "count", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")
     assert code == 2 and out == "" and "error:" in err
 
 
@@ -465,6 +465,47 @@ def test_deeply_nested_dual_input_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
     code, out, err = run(capsys, "dual")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_rejected_command_line_prints_usage_and_one_error(capsys):
+    code, out, err = run(capsys, "count", "--p", "x", "--s", "1", "--n", "6", "--lambda", "-1")
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ccring count ")
+    assert error == "ccring count: error: argument --p: invalid int value: 'x'"
+    code, out, err = run(capsys)
+    assert code == 2 and out == "" and err.splitlines()[1] == "ccring: error: the following arguments are required: command"
+
+
+@pytest.mark.parametrize("token", ["-x", "-1x", "-1_0", "-1.", "-1 ", "-x y", "--", "-hh", "-h=x", "--help=x"])
+def test_dash_led_tokens_are_flags_not_values(capsys, token):
+    """A dash-led token that is not a plain negative number is never a
+    flag's value, and no such token is a flag of count here."""
+    ring = ["--p", "5", "--s", "1", "--n", "6"]
+    for argv in (["count", *ring, "--lambda", token], ["count", *ring, "--lambda", "-1", token]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: ccring count "), argv
+    code, out, _ = run(capsys, "count", *ring, "--lambda", "-1")
+    assert code == 0 and out == "62190883161\n"
+
+
+@pytest.mark.parametrize("command", [None, "info", "idempotents", "count", "enumerate", "dual", "selfdual", "verify"])
+def test_help_exits_0(capsys, command):
+    code, out, err = run(capsys, *filter(None, [command, "-h"]))
+    assert code == 0 and err == "" and out.startswith("usage: ccring ")
+    assert all(name in out for name in cli._parser().commands) if command is None else "--output" in out
+
+
+def test_cli_import_leaves_argparse_out():
+    src = str(Path(ccring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ccring.cli; print('argparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from ccring import decomp, poly
 from ccring.decomp import AmbientParams, build_factor_data, factor_data, factor_data_for
+from ccring.dual import dual_factor_data
 from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
 from ccring.gf import field_new
 from ccring.poly import Poly, reciprocal
@@ -190,3 +191,55 @@ def test_memo_keeps_no_failed_build():
         with pytest.raises(RangeError):
             factor_data(params, wrong)
     assert decomp._kept.cache_info().currsize == 0
+
+
+# (p, m, s, n, lambda) rings of the tests: m = 1, 2 and 3, e up to 9,
+# lambda^2 = 1 and not, one factor and many
+DERIVED_RINGS = [
+    (5, 1, 1, 6, 4),
+    (5, 1, 1, 4, 3),
+    (5, 1, 1, 2, 2),
+    (2, 1, 2, 7, 1),
+    (3, 1, 2, 2, 2),
+    (3, 1, 1, 242, 1),
+    (3, 1, 1, 242, 2),
+    (7, 1, 1, 48, 6),
+    (41, 1, 1, 4, 1),
+    (2, 2, 1, 3, 1),
+    (2, 2, 1, 3, 2),
+    (3, 2, 1, 8, 1),
+    (3, 2, 1, 8, 3),
+    (2, 3, 1, 7, 1),
+    (2, 3, 1, 7, 2),
+]
+
+
+@pytest.mark.parametrize("ring", DERIVED_RINGS)
+def test_derived_factor_lists_are_not_multiplied_out(monkeypatch, ring):
+    """The package's own factor lists, from factoring x^n - lambda0 or as
+    the monic reciprocals of such a list, never reach the product check."""
+
+    def refuse(params, factors):
+        raise AssertionError("factor_data_for reached")
+
+    monkeypatch.setattr(decomp, "factor_data_for", refuse)
+    params = AmbientParams.of_ints(*ring)
+    fresh, kept = build_factor_data(params), factor_data(params)
+    dual = dual_factor_data(kept)
+    assert dual_factor_data(dual) is kept and dual_factor_data(fresh).factors == dual.factors
+    # what the check would have found: each list multiplies out to its binomial
+    for fd in (fresh, kept, dual):
+        prod = Poly.one(fd.params.field)
+        for f in fd.factors:
+            prod = prod * f
+        assert prod == decomp.root_binomial(fd.params)[1]
+    assert fresh.factors == kept.factors
+
+
+def test_outside_factor_lists_are_still_multiplied_out():
+    params = AmbientParams.of_ints(5, 1, 1, 6, 4)
+    factors = build_factor_data(params).factors
+    wrong = [Poly(params.field, [1, 1])] + factors[1:]
+    for route in (factor_data_for, factor_data):
+        with pytest.raises(RangeError, match="multiply out"):
+            route(params, wrong)
