@@ -30,10 +30,10 @@ closed under negation, the tau-fixed factors (see tau_degrees).
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
 build_factor_data and factor_data_for build a new one on every call.
-Only a factor list from outside the package is multiplied back out to
-x^n - lambda0 (factor_data_for, and factor_data given factors): the
-package's own lists, from factor_squarefree or the monic reciprocals
-of such a list, are built on as they come;
+factor_data_for multiplies a factor list from outside the package back
+out to x^n - lambda0; the package's own lists (DerivedFactors, from
+factor_squarefree or the monic reciprocals of such a list) are built
+on as they come;
 factor_data hands out the ones the process keeps, the last MEMO_SIZE
 it asked for, so a ring that comes back (a stream of documents, the
 dual of a dual, self-dual codes and then their duals) is set up once,
@@ -273,17 +273,28 @@ def _pair_order(factors: list[Poly]) -> list[Poly]:
 
 def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     """FactorData for a caller-supplied factor ordering of x^n - lambda0;
-    RangeError unless the factors multiply out to it.
+    RangeError unless the factors multiply out to it.  A DerivedFactors
+    list is the package's own and is not multiplied out.
 
     Callers wanting the fixed-factors-first layout should order via
     _pair_order (build_factor_data does).
     """
-    prod = Poly.one(params.field)
-    for f in factors:
-        prod = prod * f
-    if prod != root_binomial(params)[1]:
-        raise RangeError("factor list does not multiply out to x^n - lambda0")
+    if not isinstance(factors, DerivedFactors):
+        prod = Poly.one(params.field)
+        for f in factors:
+            prod = prod * f
+        if prod != root_binomial(params)[1]:
+            raise RangeError("factor list does not multiply out to x^n - lambda0")
     return FactorData(params, factors)
+
+
+class DerivedFactors(tuple):
+    """A factor list of x^n - lambda0 the package derived itself: the
+    sorted output of factor_squarefree, or the monic reciprocals of a
+    FactorData's factors (those of x^n - lambda0^(-1)).  It equals, and
+    hashes as, the plain tuple, so both find one factor_data entry."""
+
+    __slots__ = ()
 
 
 def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
@@ -334,7 +345,7 @@ def tau_degrees(params: AmbientParams) -> tuple[list[int], list[int]]:
 
 def build_factor_data(params: AmbientParams) -> FactorData:
     """Factor x^n - lambda0 and order the factors; idempotents come on first read."""
-    return FactorData(params, _ordered_factors(params))
+    return factor_data_for(params, DerivedFactors(_ordered_factors(params)))
 
 
 def _ordered_factors(params: AmbientParams) -> list[Poly]:
@@ -343,23 +354,13 @@ def _ordered_factors(params: AmbientParams) -> list[Poly]:
     return _pair_order(factors) if params.lam_self_paired() else factors
 
 
-def factor_data(params: AmbientParams, factors: list[Poly] | None = None, derived: bool = False) -> FactorData:
+def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> FactorData:
     """The ring's FactorData, as build_factor_data (no factors) or
     factor_data_for gives it, but set up once while the process keeps
-    it: a call with equal factors returns the same object.  derived says
-    the factors are the package's own (the monic reciprocals of a
-    FactorData's factors), so they are not multiplied back out."""
-    if factors is not None:
-        factors = _Derived(factors) if derived else tuple(factors)
+    it: a call with equal factors returns the same object."""
+    if factors is not None and not isinstance(factors, DerivedFactors):
+        factors = tuple(factors)
     return _kept(params, factors)
-
-
-class _Derived(tuple):
-    """A factor list the package derived itself.  It equals, and hashes
-    as, the plain tuple, so both find one memo entry, but _kept builds
-    its FactorData without the product check."""
-
-    __slots__ = ()
 
 
 _MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
@@ -376,10 +377,8 @@ def memoized(fn):
 def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData:
     if factors is None:
         # also kept under its factors, so the dual of its dual is this one
-        return _kept(params, _Derived(_ordered_factors(params)))
-    if isinstance(factors, _Derived):
-        return FactorData(params, factors)
-    return factor_data_for(params, list(factors))
+        return _kept(params, DerivedFactors(_ordered_factors(params)))
+    return factor_data_for(params, factors)
 
 
 def clear_memo() -> None:

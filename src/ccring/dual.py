@@ -98,7 +98,7 @@ from functools import partial
 from itertools import islice
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, FactorData, factor_data, recall, tau_degrees
+from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, recall, tau_degrees
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -124,10 +124,8 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     this order is generally not the one build_factor_data would pick.
     """
     if fd._dual is None:
-        # the reciprocals of factors of x^n - lambda0 are those of
-        # x^n - lambda0^(-1): no product to check
-        recips = [reciprocal(f).monic() for f in fd.factors]
-        fd._dual = factor_data(fd.params.dual_params(), recips, derived=True)
+        recips = DerivedFactors(reciprocal(f).monic() for f in fd.factors)
+        fd._dual = factor_data(fd.params.dual_params(), recips)
     return fd._dual
 
 

@@ -249,7 +249,9 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         singles.append(dual)
     import ccring.decomp
 
-    calls = _count_builds(monkeypatch)
+    calls = []
+    real = ccring.decomp.factor_data_for
+    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, stream, _ = run(capsys, "dual")
     assert code == 0 and stream == "".join(singles)
@@ -283,26 +285,15 @@ def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch
         streams.append(out.splitlines(keepends=True))
     assert all(len(docs) == 2 for docs in streams)
     ccring.decomp.clear_memo()
-    calls = _count_builds(monkeypatch)
+    calls = []
+    real = ccring.decomp.factor_data_for
+    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(doc for docs in zip(*streams) for doc in docs)))
     code, out, _ = run(capsys, "dual")
     assert code == 0 and len(out.splitlines()) == 2 * len(rings)
     # each ring and each dual ring built once (some of the rings are
     # each other's duals)
-    assert len(rings) <= len(calls) == len(set(calls))
-
-
-def _count_builds(monkeypatch):
-    """The (params, factors) of each FactorData built from here on."""
-    built = []
-    real = ccring.decomp.FactorData.__init__
-
-    def init(self, params, factors):
-        built.append((params, tuple(factors)))
-        real(self, params, factors)
-
-    monkeypatch.setattr(ccring.decomp.FactorData, "__init__", init)
-    return built
+    assert len(rings) <= len(calls) == len({(params, tuple(factors)) for params, factors in calls})
 
 
 def _count_calls(monkeypatch, *fns):
@@ -342,22 +333,21 @@ def test_dual_sets_up_a_ring_once_per_process(capsys, monkeypatch):
         assert (proc.returncode, err) == (0, b"")
         singles.append(dual.decode())
     ccring.decomp.clear_memo()
-    calls = _count_calls(monkeypatch, gf.field_new, ccring.decomp.factor_degrees)
-    builds = _count_builds(monkeypatch)
+    calls = _count_calls(monkeypatch, gf.field_new, ccring.decomp.factor_degrees, ccring.decomp.factor_data_for)
     after_first = []
 
     def stdin():
         yield docs[0]
-        after_first.append(dict(calls, FactorData=len(builds)))
+        after_first.append(dict(calls))
         yield from docs[1:]
 
     monkeypatch.setattr("sys.stdin", stdin())
     code, first, _ = run(capsys, "dual")
     # the first document set up its ring and the dual ring
-    assert after_first == [{"field_new": 1, "factor_degrees": 1, "FactorData": 2}]
+    assert after_first == [{"field_new": 1, "factor_degrees": 1, "factor_data_for": 2}]
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code2, second, _ = run(capsys, "dual")
-    assert dict(calls, FactorData=len(builds)) == after_first[0]
+    assert dict(calls) == after_first[0]
     assert code == code2 == 0 and first == second == "".join(singles)
 
 

@@ -23,7 +23,6 @@ import io
 import json
 import re
 import sys
-import timeit
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -341,11 +340,3 @@ def test_flag_table_reads_every_line_as_argparse(line):
         code, out, err = run_main(line)
         assert code == 2 and out == "" and err.startswith("usage:") and " error: " in err
         assert err.count("\n") == 2, err
-
-
-def test_flag_table_parses_five_times_faster_than_argparse():
-    line = ["selfdual", "--p", "3", "--s", "1", "--n", "8", "--nu", "-1", "--count-only"]
-    new, old = cli._parser().parse, reference_parser().parse_args
-    assert vars(new(line)) == vars(old(line))
-    times = {f: min(timeit.repeat(lambda: f(line), number=200, repeat=7)) for f in (new, old)}
-    assert times[new] <= times[old] / 5, times

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ccring import decomp, poly
-from ccring.decomp import AmbientParams, build_factor_data, factor_data, factor_data_for
+from ccring.decomp import AmbientParams, DerivedFactors, build_factor_data, factor_data, factor_data_for
 from ccring.dual import dual_factor_data
 from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
 from ccring.gf import field_new
@@ -217,16 +217,16 @@ DERIVED_RINGS = [
 @pytest.mark.parametrize("ring", DERIVED_RINGS)
 def test_derived_factor_lists_are_not_multiplied_out(monkeypatch, ring):
     """The package's own factor lists, from factoring x^n - lambda0 or as
-    the monic reciprocals of such a list, never reach the product check."""
-
-    def refuse(params, factors):
-        raise AssertionError("factor_data_for reached")
-
-    monkeypatch.setattr(decomp, "factor_data_for", refuse)
+    the monic reciprocals of such a list, reach factor_data_for as
+    DerivedFactors, which it does not multiply out."""
+    seen = []
+    real = decomp.factor_data_for
+    monkeypatch.setattr(decomp, "factor_data_for", lambda params, factors: seen.append(type(factors)) or real(params, factors))
     params = AmbientParams.of_ints(*ring)
     fresh, kept = build_factor_data(params), factor_data(params)
     dual = dual_factor_data(kept)
     assert dual_factor_data(dual) is kept and dual_factor_data(fresh).factors == dual.factors
+    assert len(seen) >= 2 and set(seen) == {DerivedFactors}
     # what the check would have found: each list multiplies out to its binomial
     for fd in (fresh, kept, dual):
         prod = Poly.one(fd.params.field)
