@@ -35,10 +35,10 @@ out to x^n - lambda0; the package's own lists (DerivedFactors, from
 factor_squarefree or the monic reciprocals of such a list) are built
 on as they come;
 factor_data hands out the ones the process keeps, the last MEMO_SIZE
-it asked for, so a ring that comes back (a stream of documents, the
-dual of a dual, self-dual codes and then their duals) is set up once,
-together with whatever it has built lazily since (the dual ring,
-self-dual kernels).  A failed build is not kept.  The factor data of
+rings it asked for, one entry each, so a ring that comes back (a
+stream of documents, the dual of a dual, self-dual codes and then their
+duals) is set up once, together with whatever it has built lazily
+since (the dual ring, self-dual kernels).  A failed build is not kept.  The factor data of
 the dual ring is fixed by the source's, so dual.dual_factor_data
 builds it once and keeps it on the source; through the memo, the dual
 of that dual is the source again.  Other memos of set-up work are
@@ -50,6 +50,7 @@ and x steps).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -66,17 +67,16 @@ from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefre
 # x^8191 - 1 over F_2 for info, N = 16382, takes about 40 s)
 MAX_LENGTH = 1 << 18
 
-# keys each ring set-up memo holds, sized from the traffic: factor_data
-# takes three per ring for `enumerate` and then `dual` twice on its
-# documents (params and (params, factors) for the ring, (params,
-# factors) for its dual), two for a `dual` call, and two for `selfdual
-# --limit`; `selfdual --count-only`, like `count`, takes none.  cli's
-# document memo takes one per ring text, so two for a ring and its
-# dual.  Replaying the seed-9001 benchmark ops in one process,
-# code_stream's 12 rings build 24 FactorData with any size from 2 up,
-# and selfdual's 152, 141, 128 and 89 with 2, 8, 16 and 32 keys (a
-# ring's stream op builds it, its count op nothing), where past 2 only
-# the op list's returning to rings it used many ops before gains.
+# entries each ring set-up memo holds, sized from the traffic:
+# factor_data takes one per ring, so two for `enumerate` and then `dual`
+# twice on its documents (the ring and its dual), two for a `dual` call,
+# and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
+# takes none.  cli's document memo takes one per ring text, so two for a
+# ring and its dual.  Replaying the seed-9001 benchmark ops in one
+# process, code_stream's 12 rings build 24 FactorData with any size from
+# 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
+# (a ring's stream op builds it, its count op nothing), where past 2
+# only the op list's returning to rings it used many ops before gains.
 # Documents of one `dual` input share their ring through its own cache,
 # whatever the bound.
 MEMO_SIZE = 16
@@ -357,11 +357,42 @@ def _ordered_factors(params: AmbientParams) -> list[Poly]:
 def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> FactorData:
     """The ring's FactorData, as build_factor_data (no factors) or
     factor_data_for gives it, but set up once while the process keeps
-    it: a call with equal factors returns the same object."""
+    it: a call with equal factors returns the same object.
+
+    Each ring takes one entry, under (params, None) when it was set up
+    from its params and under (params, factors) otherwise.  A lookup by
+    factors also finds the ring set up from its params, and one by
+    params the ring set up from the factors it derives, so the dual of a
+    dual is the source again.
+    """
     if factors is not None and not isinstance(factors, DerivedFactors):
         factors = tuple(factors)
-    return _kept(params, factors)
+    fd = _kept(params, factors)
+    if fd is None:
+        key = (params, factors)
+        if factors is None:
+            factors = DerivedFactors(_ordered_factors(params))
+            fd = _kept(params, factors)
+        if fd is None:
+            fd = _rings[key] = factor_data_for(params, factors)
+            if len(_rings) > MEMO_SIZE:
+                _rings.popitem(last=False)
+    return fd
 
+
+def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData | None:
+    """The kept FactorData of params with these factors (None: set up
+    from params), now the most recently used, or None."""
+    for key in ((params, factors), (params, None)):
+        fd = _rings.get(key)
+        if fd is not None and (factors is None or tuple(fd.factors) == factors):
+            _rings.move_to_end(key)
+            return fd
+    return None
+
+
+# the last MEMO_SIZE rings factor_data handed out, least recently used first
+_rings: OrderedDict = OrderedDict()
 
 _MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
 
@@ -373,17 +404,10 @@ def memoized(fn):
     return cached
 
 
-@memoized
-def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData:
-    if factors is None:
-        # also kept under its factors, so the dual of its dual is this one
-        return _kept(params, DerivedFactors(_ordered_factors(params)))
-    return factor_data_for(params, factors)
-
-
 def clear_memo() -> None:
     """Forget every kept FactorData, also those cli keeps by document
     text, and oracle's per-ring lifts, moduli x^N - lambda, layouts and
     steps; factor_data builds each ring again."""
+    _rings.clear()
     for memo in _MEMOS:
         memo.cache_clear()

@@ -8,6 +8,18 @@ Products switch between schoolbook and a Kronecker substitution
 depending on size: coefficients (F_p coordinates for m > 1) are packed
 into one int, two such ints are multiplied once and the product is
 unpacked, then reduced with the field modulus for m > 1.
+
+Over F_p (m = 1), division and gcd share one kernel on plain lists
+(_divmod_fp): a slot is reduced mod p only when it is read, a monic
+divisor takes no inverse multiply, and Euclid builds one Poly at the
+end.  For m > 1 each step goes through the field's add and mul.
+
+factor_squarefree splits x^n - lambda0, and any squarefree f, by
+distinct degrees and then by Cantor and Zassenhaus's trace splitter for
+every p: the trace of a random h is a sum of its conjugates under the
+p^k-th power map, which on a binomial only moves coefficients, so the
+split makes no product but, for odd p, the quadratic character of that
+trace.
 """
 
 from __future__ import annotations
@@ -181,26 +193,25 @@ class Poly:
         db = other.degree
         if self.degree < db:
             return Poly.zero(ctx), self
+        if ctx.m == 1:
+            quo, rem = _divmod_fp(self.coeffs, other.coeffs, ctx.p)
+            return Poly(ctx, quo), Poly(ctx, rem)
         inv_lc = ctx.inv(other.lc())
         rem = list(self.coeffs)
         quo = [0] * (len(rem) - db)
-        # only the divisor's nonzero terms: f^(p^s) has at most deg f + 1
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        fastpath = ctx.m == 1
-        p = ctx.p
+        # only the divisor's nonzero terms, negated once: f^(p^s) has at
+        # most deg f + 1
+        terms = [(j, ctx.neg(b)) for j, b in enumerate(other.coeffs) if b]
+        add, mul = ctx.add, ctx.mul
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            c = ctx.mul(c, inv_lc)
+            c = mul(c, inv_lc)
             off = i - db
             quo[off] = c
-            if fastpath:
-                for j, b in nonzero:
-                    rem[off + j] = (rem[off + j] - c * b) % p
-            else:
-                for j, b in nonzero:
-                    rem[off + j] = ctx.sub(rem[off + j], ctx.mul(c, b))
+            for j, nb in terms:
+                rem[off + j] = add(rem[off + j], mul(c, nb))
         return Poly(ctx, quo), Poly(ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -306,6 +317,51 @@ def _sub_slots(a, ctx: FieldCtx) -> list[int]:
     return out
 
 
+# -- division kernel over F_p ------------------------------------------------
+
+
+def _divmod_fp(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the F_p coefficient sequences a by b,
+    len(a) >= len(b), b trimmed; both come back as lists, the remainder
+    trimmed.
+
+    Each step adds c * (p - b_j) to a slot and leaves it unreduced: a
+    slot is reduced mod p only when it is read as the leading term, and
+    the remainder's slots once at the end, so the inner loop, over b's
+    nonzero terms below its leading one, holds no % p.  A monic b takes
+    no inverse multiply.
+    """
+    db = len(b) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    terms = [(j, p - c) for j, c in enumerate(b[:db]) if c]
+    rem = list(a)
+    quo = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c:
+            if inv != 1:
+                c = c * inv % p
+            off = i - db
+            quo[off] = c
+            for j, nb in terms:
+                rem[off + j] += c * nb
+    rem = [r % p for r in rem[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _gcd_fp(a, b, p: int) -> list[int]:
+    """Monic gcd of two trimmed F_p coefficient sequences, not both zero,
+    by Euclid on lists through _divmod_fp."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _divmod_fp(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 # -- modular arithmetic ----------------------------------------------------
 
 
@@ -347,6 +403,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0)")
+    if a.ctx.m == 1:
+        return Poly(a.ctx, _gcd_fp(a.coeffs, b.coeffs, a.ctx.p))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
@@ -507,19 +565,20 @@ def _power_map(f: Poly):
     return power
 
 
-def _orbit_fold(a: Poly, count: int, step: int, power, join) -> Poly:
-    """join over a, a^(p^step), ..., a^(p^(step*(count-1))) by doubling.
+def _orbit_fold(a: Poly, count: int, step: int, power, mod: Poly) -> Poly:
+    """a + a^(p^step) + ... + a^(p^(step*(count-1))), congruent mod mod,
+    by doubling.
 
-    power(b, k) is b^(p^k), a ring map, so the fold S_k of the first k
-    terms gives S_2k = join(S_k, S_k^(p^(step*k))) and
-    S_(k+1) = join(a, S_k^(p^step)): about 2*log2(count) maps and joins
+    power(b, k, mod) is b^(p^k), a ring map, so the sum S_k of the first
+    k terms gives S_2k = S_k + S_k^(p^(step*k)) and
+    S_(k+1) = a + S_k^(p^step): about 2*log2(count) maps and sums
     instead of count.
     """
     acc, k = a, 1
     for bit in bin(count)[3:]:
-        acc, k = join(acc, power(acc, step * k)), 2 * k
+        acc, k = acc + power(acc, step * k, mod), 2 * k
         if bit == "1":
-            acc, k = join(a, power(acc, step)), k + 1
+            acc, k = a + power(acc, step, mod), k + 1
     return acc
 
 
@@ -574,8 +633,24 @@ def _ddf_binomial(f: Poly, c: int, power) -> list[tuple[int, Poly]]:
 def factor_squarefree(f: Poly) -> list[Poly]:
     """The monic irreducible factors of a squarefree polynomial.
 
-    The list is sorted by degree, then by coefficient tuple, so it does
-    not depend on the random choices of the splitting step.
+    After the distinct-degree decomposition (_ddf), each part, a product
+    of distinct irreducibles all of degree d, is split by Cantor and
+    Zassenhaus's trace splitter (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 14) until every piece has degree d.  For a
+    random h mod part, the trace of h sums its conjugates under the
+    power map, so it takes no product: the absolute trace to F_2, the
+    sum of h^(2^i) for i < m d, when p = 2, and the trace to F_q, the
+    sum of h^(q^i) for i < d, for odd p, whose quadratic character
+    tr^((q - 1)/2) is 0 or +-1 mod each factor.  Either way the gcd of
+    part with the trace (p = 2) or with tr^((q - 1)/2) - 1 (odd p) takes
+    out about half of its factors.  On a binomial such as x^n - lambda0
+    the power map only moves coefficients (_power_map), and over F_p
+    every division and gcd runs on the list kernel _divmod_fp.
+
+    The parts wait on a worklist, so a factorization leaves no
+    reference cycle behind.  The list is sorted by degree, then by
+    coefficient tuple, so it does not depend on the random choices of
+    the splitting step.
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant")
@@ -585,42 +660,26 @@ def factor_squarefree(f: Poly) -> list[Poly]:
         raise NotSquarefree("input has a repeated factor")
     ctx = f.ctx
     q = ctx.q
+    one = Poly.one(ctx)
     rng = random.Random(FACTOR_SEED)
     power = _power_map(f)
-
-    def split(part: Poly, d: int) -> list[Poly]:
-        """Split a product of distinct irreducibles, all of degree d."""
-        if part.degree == d:
-            return [part]
-
-        def power_mod(a: Poly, k: int) -> Poly:
-            return power(a, k, part)
-
-        while True:
-            h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
-            if h.degree < 1:
-                continue
-            # an h sharing a factor with part needs no gcd of its own: its
-            # trace or norm is 0 mod that factor, which only puts the factor
-            # on one side of the split
-            if ctx.p == 2:
-                # additive splitting via the trace to F_2: the sum of h^(2^i), i < m d
-                t = _orbit_fold(h, ctx.m * d, 1, power_mod, Poly.__add__) % part
-                if t.is_zero():
-                    continue
-                g = poly_gcd(t, part)
-            else:
-                # h^((q^d - 1)/2) is the norm h^(1 + q + ... + q^(d-1)) to the (q - 1)/2
-                norm = _orbit_fold(h, d, ctx.m, power_mod, lambda a, b: (a * b) % part)
-                t = poly_modpow(norm, (q - 1) // 2, part) - Poly.one(ctx)
-                if t.is_zero():
-                    continue
-                g = poly_gcd(t, part)
-            if 0 < g.degree < part.degree:
-                return split(g, d) + split(part // g, d)
-
     out: list[Poly] = []
     for d, part in _ddf(f, power):
-        out.extend(split(part, d))
+        todo = [part]
+        while todo:
+            part = todo.pop()
+            if part.degree == d:
+                out.append(part)
+                continue
+            h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
+            # an h sharing a factor with part needs no gcd of its own: its
+            # trace is 0 mod that factor, which only puts the factor on one
+            # side of the split
+            if ctx.p == 2:
+                t = _orbit_fold(h, ctx.m * d, 1, power, part)
+            else:
+                t = poly_modpow(_orbit_fold(h, d, ctx.m, power, part), (q - 1) // 2, part) - one
+            g = poly_gcd(t, part)
+            todo += (part // g, g) if 0 < g.degree < part.degree else (part,)
     out.sort(key=Poly.sort_key)
     return out

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -23,6 +24,22 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+
+def test_info_leaves_no_reference_cycle(capsys):
+    """A factorization frees its field, its PRNG and its power map when it
+    returns, so after info the cyclic collector finds nothing to free."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for p, m, s, n, lam in ((11, 1, 1, 80, 1), (2, 1, 1, 63, 1)):
+            code, out, _ = run(capsys, "info", "--p", str(p), "--m", str(m), "--s", str(s), "--n", str(n), "--lambda", str(lam))
+            assert code == 0 and out
+            gc.collect()
+            assert gc.garbage == [], (p, n)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 def test_count_anchors(capsys):
     code, out, _ = run(capsys, "count", "--p", "5", "--s", "1", "--n", "6", "--lambda", "-1")

@@ -151,18 +151,36 @@ def test_seed_independence(monkeypatch):
 def test_memo_keeps_at_most_its_bound():
     rings = [AmbientParams.of_ints(5, 1, 1, n, lam) for n in (1, 2, 3, 4, 6) for lam in (1, 2, 3, 4)]
     first = factor_data(rings[0])
-    assert factor_data(rings[0], first.factors) is first  # kept under both keys
+    assert factor_data(rings[0], first.factors) is first  # found by its factors too
     for params in rings[1:]:
         factor_data(params)
-        assert decomp._kept.cache_info().currsize <= decomp.MEMO_SIZE
+        assert len(decomp._rings) <= decomp.MEMO_SIZE
         # a ring in use stays among the most recently used, so it is never dropped
         assert factor_data(rings[0]) is first
-    assert decomp._kept.cache_info().currsize == decomp.MEMO_SIZE
+    assert len(decomp._rings) == decomp.MEMO_SIZE
     # the least recently used rings were dropped and are built again
     fd = factor_data(rings[1])
     assert fd is not build_factor_data(rings[1]) and fd.factors == build_factor_data(rings[1]).factors
     assert factor_data(rings[1]) is fd
 
+
+
+def test_memo_keeps_memo_size_rings():
+    """Each ring takes one entry, so after MEMO_SIZE rings the first is
+    still kept; the dual of its dual is still the ring itself."""
+    rings = [AmbientParams.of_ints(5, 1, 1, n, lam) for n in (1, 2, 3, 4, 6) for lam in (1, 2, 3, 4)]
+    rings = rings[: decomp.MEMO_SIZE]
+    first = factor_data(rings[0])
+    for params in rings[1:]:
+        factor_data(params)
+    assert len(decomp._rings) == decomp.MEMO_SIZE
+    assert factor_data(rings[0]) is first
+    assert factor_data(rings[0], first.factors) is first
+    ring = AmbientParams.of_ints(5, 1, 1, 6, 2)  # lambda^(-1) = 3: a ring apart from its dual
+    fd = factor_data(ring)
+    assert dual_factor_data(dual_factor_data(fd)) is fd
+    assert len(decomp._rings) == decomp.MEMO_SIZE  # fd and its dual took two entries
+    assert factor_data(rings[0]) is first
 
 def test_build_factor_data_builds_afresh():
     params = AmbientParams.of_ints(5, 1, 1, 6, 4)
@@ -171,7 +189,7 @@ def test_build_factor_data_builds_afresh():
     assert a is not b and a is not kept
     assert a.factors == b.factors == kept.factors
     assert factor_data_for(params, a.factors) is not a
-    assert decomp._kept.cache_info().currsize == 2  # the builders add nothing
+    assert len(decomp._rings) == 1  # the builders add nothing
 
 
 def test_memo_tells_field_moduli_apart():
@@ -190,7 +208,7 @@ def test_memo_keeps_no_failed_build():
     for _ in range(2):
         with pytest.raises(RangeError):
             factor_data(params, wrong)
-    assert decomp._kept.cache_info().currsize == 0
+    assert len(decomp._rings) == 0
 
 
 # (p, m, s, n, lambda) rings of the tests: m = 1, 2 and 3, e up to 9,

@@ -1,0 +1,175 @@
+"""The F_p division kernel and list Euclid against the tuple loop they
+replaced, and the factorization of x^n - lambda0 over a grid of rings:
+multiplied out, irreducible, with the coset degrees, and pinned."""
+
+import hashlib
+from math import gcd
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ccring.gf import field_new
+from ccring.poly import Poly, binomial_degrees, factor_squarefree, frobenius, is_irreducible, poly_gcd
+
+SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+KERNEL_PRIMES = [2, 3, 257, 65521]
+
+
+# -- reference: the tuple loop Poly.__divmod__ and poly_gcd ran before the
+# list kernel, every slot reduced mod p as it is written
+
+
+def reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    ctx = a.ctx
+    db = b.degree
+    if a.degree < db:
+        return Poly.zero(ctx), a
+    inv_lc = ctx.inv(b.lc())
+    rem = list(a.coeffs)
+    quo = [0] * (len(rem) - db)
+    nonzero = [(j, c) for j, c in enumerate(b.coeffs) if c]
+    p = ctx.p
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        c = ctx.mul(c, inv_lc)
+        off = i - db
+        quo[off] = c
+        for j, bj in nonzero:
+            rem[off + j] = (rem[off + j] - c * bj) % p
+    return Poly(ctx, quo), Poly(ctx, rem)
+
+
+def reference_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, reference_divmod(a, b)[1]
+    return a.monic()
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    """(a, b) over F_p with deg a <= 200 and 0 <= deg b <= deg a; b is
+    dense, the binomial x^k - c, or a p^s-th power, and monic or not."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    F = field_new(p, 1)
+    coeff = st.integers(0, p - 1)
+    a = draw(st.lists(coeff, min_size=1, max_size=201))
+    a[-1] = a[-1] or 1
+    da = len(a) - 1
+    shape = draw(st.sampled_from(["dense", "binomial", "frobenius"]))
+    if shape == "dense":
+        b = draw(st.lists(coeff, min_size=1, max_size=da + 1))
+        b[-1] = b[-1] or 1
+        divisor = Poly(F, b)
+    elif shape == "binomial":
+        k = draw(st.integers(0, da))
+        c = draw(coeff)
+        divisor = Poly(F, [(-c) % p] + [0] * (k - 1) + [1]) if k else Poly.one(F)
+    else:
+        s = draw(st.integers(1, 4))
+        top = da // p**s
+        f = draw(st.lists(coeff, min_size=1, max_size=top + 1))
+        f[-1] = f[-1] or 1
+        divisor = frobenius(Poly(F, f), s)
+    scale = draw(st.integers(1, p - 1))  # 1: monic, as the kernel's shortcut
+    return Poly(F, a), divisor.scale(scale)
+
+
+@SETTINGS
+@given(pair=dividend_and_divisor())
+def test_divmod_kernel_matches_the_tuple_loop(pair):
+    a, b = pair
+    q, r = divmod(a, b)
+    assert (q, r) == reference_divmod(a, b)
+    assert r.degree < b.degree and q * b + r == a
+
+
+@SETTINGS
+@given(pair=dividend_and_divisor(), common=st.lists(st.integers(0, 1 << 16), max_size=6))
+def test_list_euclid_matches_the_tuple_loop(pair, common):
+    a, b = pair
+    F = a.ctx
+    g = Poly(F, [c % F.p for c in common] or [1])
+    if g.is_zero():
+        g = Poly.one(F)
+    # a shared factor g makes the gcd nontrivial
+    a, b = a * g, b * g
+    expected = reference_gcd(a, b)
+    assert poly_gcd(a, b) == poly_gcd(b, a) == expected
+    assert expected.is_monic() and (a % expected).is_zero() and (b % expected).is_zero()
+
+
+def test_kernel_edges():
+    F = field_new(3, 1)
+    a = Poly(F, [1, 2, 0, 1])
+    assert divmod(a, Poly.const(F, 2)) == reference_divmod(a, Poly.const(F, 2))
+    assert divmod(a, a.scale(2)) == (Poly.const(F, 2), Poly.zero(F))
+    assert poly_gcd(Poly.zero(F), a.scale(2)) == a
+    assert poly_gcd(a, Poly.const(F, 2)) == Poly.one(F)
+
+
+# -- factoring x^n - lambda0
+
+
+GRID_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def generator(F) -> int:
+    """The least element of multiplicative order q - 1."""
+    return next((a for a in range(2, F.q) if F.order(a) == F.q - 1), 1)
+
+
+def lambdas(F) -> list[int]:
+    """1, -1 and a generator of F_q^*, without repeats."""
+    return sorted({1, F.neg(1), generator(F)})
+
+
+def binomial(F, n: int, lam: int) -> Poly:
+    return Poly(F, (F.neg(lam),) + (0,) * (n - 1) + (1,))
+
+
+@st.composite
+def grid_rings(draw):
+    p = draw(st.sampled_from(GRID_PRIMES))
+    m = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 64).filter(lambda k: k % p))
+    F = field_new(p, m)
+    return F, n, draw(st.sampled_from(lambdas(F)))
+
+
+@SETTINGS
+@given(ring=grid_rings())
+def test_factors_multiply_out_irreducible_with_the_coset_degrees(ring):
+    F, n, lam = ring
+    f = binomial(F, n, lam)
+    factors = factor_squarefree(f)
+    prod = Poly.one(F)
+    for g in factors:
+        assert g.is_monic() and is_irreducible(g)
+        prod = prod * g
+    assert prod == f
+    assert [g.degree for g in factors] == binomial_degrees(F, n, lam)
+
+
+# sha256 of the factor lists of x^n - lambda0 over every ring of the grid
+# (p, m, lambda0, n in this order), as the norm splitter found them
+GRID_FACTORS_SHA256 = "0e1dc98eaccddf3e74739a3d30a7210c3dbe6636c5dd2bb029a43c153495974e"
+
+
+def test_grid_factor_lists_are_pinned():
+    digest = hashlib.sha256()
+    rings = 0
+    for p in GRID_PRIMES:
+        for m in (1, 2):
+            F = field_new(p, m)
+            for lam in lambdas(F):
+                for n in range(1, 65):
+                    if gcd(n, p) != 1:
+                        continue
+                    factors = factor_squarefree(binomial(F, n, lam))
+                    digest.update(repr((p, m, lam, n, [g.coeffs for g in factors])).encode())
+                    rings += 1
+    assert rings == 1667
+    assert digest.hexdigest() == GRID_FACTORS_SHA256
