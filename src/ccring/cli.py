@@ -189,23 +189,17 @@ def code_json(code: CodeSpec):
     }
 
 
-def parse_code(doc, cache: dict | None = None) -> CodeSpec:
+def parse_code(doc) -> CodeSpec:
     """The code a document describes.
 
     Its ring is keyed on the compact text of its params and factors, and
     set up once while the process keeps that text (decomp.MEMO_SIZE
     texts, cleared with decomp.clear_memo), so a later document of the
     ring, in this input or another, does no parsing or checking of the
-    ring.  cache, when given, also maps each text to its FactorData, so
-    documents of one input share their ring however many rings come
-    between them.
+    ring.
     """
     params = _member(doc, "params")
-    key = _dumps([params, doc["factors"]] if "factors" in doc else [params])
-    cache = {} if cache is None else cache
-    if key not in cache:
-        cache[key] = _ring(key)
-    fd = cache[key]
+    fd = _ring(_dumps([params, doc["factors"]] if "factors" in doc else [params]))
     comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
 
@@ -213,21 +207,13 @@ def parse_code(doc, cache: dict | None = None) -> CodeSpec:
 @memoized
 def _ring(key: str) -> FactorData:
     """The FactorData of the params and factors in key, set up through
-    the decomp memo; key holds the whole ring, so it fixes the result."""
-    return _parse_factor_data(dict(zip(("params", "factors"), json.loads(key))))
-
-
-def _parse_factor_data(doc) -> FactorData:
+    the decomp memo, which checks factors from outside; key holds the
+    whole ring, so it fixes the result."""
+    doc = dict(zip(("params", "factors"), json.loads(key)))
     params = parse_params(doc["params"])
     if "factors" not in doc:
         return factor_data(params)
-    factors = [parse_poly(params.field, f) for f in _member(doc, "factors", list)]
-    # x^n - lambda0 is squarefree, so monic factors with its product and
-    # its factor degrees are its irreducible factors
-    degrees = sorted(f.degree for f in factors)
-    if degrees != factor_degrees(params) or not all(f.is_monic() for f in factors):
-        raise CcringError("'factors' must be the monic irreducible factors of x^n - lambda0")
-    return factor_data(params, factors)
+    return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
 
 
 def factor_data_json(fd: FactorData):
@@ -420,14 +406,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    # documents of one ring share its FactorData, and so the dual's:
-    # within this input through fds, which the memo's bound does not
-    # limit, and across calls through parse_code's memo of ring texts
-    fds: dict = {}
+    # documents of one ring share its FactorData, and so the dual's,
+    # through parse_code's memo of ring texts and decomp's of rings
     with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
         for doc in _documents(_text_lines(src, universal=src is not sys.stdin)):
             # flushed per document, so a pipe gets each answer at once
-            print(_dumps(code_json(dual_code(parse_code(doc, fds)))), file=out, flush=True)
+            print(_dumps(code_json(dual_code(parse_code(doc)))), file=out, flush=True)
     return 0
 
 

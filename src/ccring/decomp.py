@@ -30,27 +30,26 @@ closed under negation, the tau-fixed factors (see tau_degrees).
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
 build_factor_data and factor_data_for build a new one on every call.
-factor_data_for multiplies a factor list from outside the package back
-out to x^n - lambda0; the package's own lists (DerivedFactors, from
-factor_squarefree or the monic reciprocals of such a list) are built
-on as they come;
-factor_data hands out the ones the process keeps, the last MEMO_SIZE
-rings it asked for, one entry each, so a ring that comes back (a
-stream of documents, the dual of a dual, self-dual codes and then their
-duals) is set up once, together with whatever it has built lazily
-since (the dual ring, self-dual kernels).  A failed build is not kept.  The factor data of
-the dual ring is fixed by the source's, so dual.dual_factor_data
-builds it once and keeps it on the source; through the memo, the dual
-of that dual is the source again.  Other memos of set-up work are
-made with memoized(), so clear_memo empties them as well (cli keeps a
-code document's ring by the document's text, and oracle a ring's lift
-maps and lifted component rows, its x^N - lambda, packed pair layouts
-and x steps).
+factor_data_for checks a factor list from outside the package (its
+degrees, then its product); the package's own lists (DerivedFactors,
+from factor_squarefree or the monic reciprocals of such a list) are
+built on as they come.  Every memo of set-up work is made with
+memoized(), an lru_cache of MEMO_SIZE entries that clear_memo empties.
+factor_data hands out the rings the process keeps, one entry per ring
+keyed on its params and factors, so a ring that comes back (a stream of
+documents, the dual of a dual, self-dual codes and then their duals) is
+set up once, together with whatever it has built lazily since (the
+dual ring, self-dual kernels).  A failed build is not kept.  The factor
+data of the dual ring is fixed by the source's, so
+dual.dual_factor_data builds it once and keeps it on the source;
+through the memo, the dual of that dual is the source again.  cli keeps
+a code document's ring by the document's text, and oracle a ring's
+lift maps and lifted component rows, its x^N - lambda, packed pair
+layouts and x steps.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -68,7 +67,8 @@ from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefre
 MAX_LENGTH = 1 << 18
 
 # entries each ring set-up memo holds, sized from the traffic:
-# factor_data takes one per ring, so two for `enumerate` and then `dual`
+# factor_data takes one per ring (and, for a ring set up from its params
+# alone, one for its derived factors), so two for `enumerate` and then `dual`
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
 # takes none.  cli's document memo takes one per ring text, so two for a
@@ -77,9 +77,24 @@ MAX_LENGTH = 1 << 18
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
 # (a ring's stream op builds it, its count op nothing), where past 2
 # only the op list's returning to rings it used many ops before gains.
-# Documents of one `dual` input share their ring through its own cache,
-# whatever the bound.
 MEMO_SIZE = 16
+
+_MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
+
+
+def memoized(fn):
+    """fn behind an lru_cache of MEMO_SIZE entries that clear_memo empties."""
+    cached = lru_cache(MEMO_SIZE)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_memo() -> None:
+    """Forget every kept FactorData, also those cli keeps by document
+    text, and oracle's per-ring lifts, moduli x^N - lambda, layouts and
+    steps; factor_data builds each ring again."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -162,8 +177,7 @@ def _too_long(p: int, s: int, n: int) -> TooLarge:
 class FactorData:
     """Factors, idempotents and pairing data for one ambient ring, all
     derived from params and the factors of x^n - lambda0 in the order
-    given (factor_data_for checks that a list from outside multiplies
-    out to it).
+    given (factor_data_for checks a list from outside the package).
 
     The idempotents are built on first read of fd.idempotents and then
     kept, so work that never glues components (dual, enumerate,
@@ -272,14 +286,22 @@ def _pair_order(factors: list[Poly]) -> list[Poly]:
 
 
 def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
-    """FactorData for a caller-supplied factor ordering of x^n - lambda0;
-    RangeError unless the factors multiply out to it.  A DerivedFactors
-    list is the package's own and is not multiplied out.
+    """FactorData for a caller-supplied factor ordering of x^n - lambda0.
+
+    A list from outside the package must be its monic irreducible
+    factors: RangeError unless each factor is monic and the degrees are
+    factor_degrees(params) (x^n - lambda0 is squarefree, so monic factors
+    with its product and its factor degrees are its irreducible factors),
+    then RangeError unless they multiply out to it.  A DerivedFactors
+    list is the package's own and is not checked.
 
     Callers wanting the fixed-factors-first layout should order via
     _pair_order (build_factor_data does).
     """
     if not isinstance(factors, DerivedFactors):
+        degrees = sorted(f.degree for f in factors)
+        if degrees != factor_degrees(params) or not all(f.is_monic() for f in factors):
+            raise RangeError("'factors' must be the monic irreducible factors of x^n - lambda0")
         prod = Poly.one(params.field)
         for f in factors:
             prod = prod * f
@@ -359,55 +381,23 @@ def factor_data(params: AmbientParams, factors: list[Poly] | None = None) -> Fac
     factor_data_for gives it, but set up once while the process keeps
     it: a call with equal factors returns the same object.
 
-    Each ring takes one entry, under (params, None) when it was set up
-    from its params and under (params, factors) otherwise.  A lookup by
-    factors also finds the ring set up from its params, and one by
-    params the ring set up from the factors it derives, so the dual of a
+    A ring takes one entry, keyed on its params and factors, and no
+    factors means the ones the ring derives, so factor_data(params) and
+    factor_data(params, its factors) share one entry, and the dual of a
     dual is the source again.
     """
-    if factors is not None and not isinstance(factors, DerivedFactors):
+    if factors is None:
+        factors = _derived_factors(params)
+    elif not isinstance(factors, DerivedFactors):
         factors = tuple(factors)
-    fd = _kept(params, factors)
-    if fd is None:
-        key = (params, factors)
-        if factors is None:
-            factors = DerivedFactors(_ordered_factors(params))
-            fd = _kept(params, factors)
-        if fd is None:
-            fd = _rings[key] = factor_data_for(params, factors)
-            if len(_rings) > MEMO_SIZE:
-                _rings.popitem(last=False)
-    return fd
+    return _kept_ring(params, factors)
 
 
-def _kept(params: AmbientParams, factors: tuple[Poly, ...] | None) -> FactorData | None:
-    """The kept FactorData of params with these factors (None: set up
-    from params), now the most recently used, or None."""
-    for key in ((params, factors), (params, None)):
-        fd = _rings.get(key)
-        if fd is not None and (factors is None or tuple(fd.factors) == factors):
-            _rings.move_to_end(key)
-            return fd
-    return None
+@memoized
+def _derived_factors(params: AmbientParams) -> DerivedFactors:
+    return DerivedFactors(_ordered_factors(params))
 
 
-# the last MEMO_SIZE rings factor_data handed out, least recently used first
-_rings: OrderedDict = OrderedDict()
-
-_MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
-
-
-def memoized(fn):
-    """fn behind an lru_cache of MEMO_SIZE entries that clear_memo empties."""
-    cached = lru_cache(MEMO_SIZE)(fn)
-    _MEMOS.append(cached)
-    return cached
-
-
-def clear_memo() -> None:
-    """Forget every kept FactorData, also those cli keeps by document
-    text, and oracle's per-ring lifts, moduli x^N - lambda, layouts and
-    steps; factor_data builds each ring again."""
-    _rings.clear()
-    for memo in _MEMOS:
-        memo.cache_clear()
+@memoized
+def _kept_ring(params: AmbientParams, factors: tuple[Poly, ...]) -> FactorData:
+    return factor_data_for(params, factors)

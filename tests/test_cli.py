@@ -13,10 +13,11 @@ import pytest
 
 import ccring
 from ccring import cli, gf
-from ccring.cli import main, parse_code
-from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data
-from ccring.dual import dual_code_nu
+from ccring.cli import code_json, main, parse_code
+from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data, factor_data
+from ccring.dual import dual_code, dual_code_nu
 from ccring.errors import TooLarge
+from ccring.ideals import CASES, enumerate_codes
 
 
 def run(capsys, *argv):
@@ -86,8 +87,6 @@ def test_enumerate_stream_roundtrips(capsys):
     for line in lines:
         doc = json.loads(line)
         parsed = parse_code(doc)
-        from ccring.cli import code_json
-
         assert code_json(parsed) == doc
 
 
@@ -290,9 +289,10 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         assert code == 0 and again == stream
 
 
-def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch):
-    """Documents of one input share their ring even when the input
-    interleaves more rings than the memo holds."""
+def test_dual_input_interleaving_more_rings_than_the_memo_holds(capsys, monkeypatch):
+    """An input that interleaves more rings than the memo holds gets, for
+    each document, the answer of one process per document, and dual
+    again restores the input byte for byte."""
     import ccring.decomp
 
     rings = [(n, lam) for n in (1, 2, 3, 4, 6, 7, 8) for lam in (1, 2, 3, 4)][: ccring.decomp.MEMO_SIZE + 2]
@@ -301,16 +301,42 @@ def test_dual_input_interleaving_many_rings_builds_each_once(capsys, monkeypatch
         _, out, _ = run(capsys, "enumerate", "--p", "5", "--s", "1", "--n", str(n), "--lambda", str(lam), "--limit", "2")
         streams.append(out.splitlines(keepends=True))
     assert all(len(docs) == 2 for docs in streams)
+    docs = [doc for pair in zip(*streams) for doc in pair]
+    singles = []
+    for doc in docs:
+        with _cli_process("dual", stdin=subprocess.PIPE) as proc:
+            dual, err = proc.communicate(doc.encode(), timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        singles.append(dual.decode())
     ccring.decomp.clear_memo()
-    calls = []
-    real = ccring.decomp.factor_data_for
-    monkeypatch.setattr(ccring.decomp, "factor_data_for", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr("sys.stdin", io.StringIO("".join(doc for docs in zip(*streams) for doc in docs)))
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(docs)))
     code, out, _ = run(capsys, "dual")
-    assert code == 0 and len(out.splitlines()) == 2 * len(rings)
-    # each ring and each dual ring built once (some of the rings are
-    # each other's duals)
-    assert len(rings) <= len(calls) == len({(params, tuple(factors)) for params, factors in calls})
+    assert code == 0 and out.splitlines(keepends=True) == singles
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, back, _ = run(capsys, "dual")
+    assert code == 0 and back == "".join(docs)
+
+
+def test_every_code_of_a_chain_ring_round_trips():
+    """Every code of (5,1,1,1,1), one factor x - 1 with e = 5, so all five
+    cases: its document reads back to itself, and dual twice restores it."""
+    fd = factor_data(AmbientParams.of_ints(5, 1, 1, 1, 1))
+    cases = set()
+    for code in enumerate_codes(fd):
+        doc = json.loads(json.dumps(code_json(code)))
+        assert code_json(parse_code(doc)) == doc
+        assert code_json(dual_code(dual_code(parse_code(doc)))) == doc
+        cases.update(c.case for c in code.components)
+    assert cases == set(CASES)
+
+
+def test_dual_of_a_non_integer_modulus_exits_2(capsys, monkeypatch):
+    _, out, _ = run(capsys, "enumerate", "--p", "2", "--m", "2", "--s", "1", "--n", "3", "--lambda", "[0,1]", "--limit", "1")
+    doc = json.loads(out)
+    doc["params"]["modulus"][0] = "1"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, dual, err = run(capsys, "dual")
+    assert code == 2 and dual == "" and err == "error: params field 'modulus' must hold integers\n"
 
 
 def _count_calls(monkeypatch, *fns):

@@ -7,6 +7,7 @@ from ccring.decomp import AmbientParams, DerivedFactors, build_factor_data, fact
 from ccring.dual import dual_factor_data
 from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
 from ccring.gf import field_new
+from ccring.ideals import count_codes
 from ccring.poly import Poly, reciprocal
 
 
@@ -22,6 +23,10 @@ def poly_of(field, coeff_at):
     for i, c in coeff_at.items():
         coeffs[i] = c
     return Poly(field, coeffs)
+
+
+def kept_rings() -> int:
+    return decomp._kept_ring.cache_info().currsize
 
 
 def test_params_validation():
@@ -154,15 +159,14 @@ def test_memo_keeps_at_most_its_bound():
     assert factor_data(rings[0], first.factors) is first  # found by its factors too
     for params in rings[1:]:
         factor_data(params)
-        assert len(decomp._rings) <= decomp.MEMO_SIZE
+        assert kept_rings() <= decomp.MEMO_SIZE
         # a ring in use stays among the most recently used, so it is never dropped
         assert factor_data(rings[0]) is first
-    assert len(decomp._rings) == decomp.MEMO_SIZE
+    assert kept_rings() == decomp.MEMO_SIZE
     # the least recently used rings were dropped and are built again
     fd = factor_data(rings[1])
     assert fd is not build_factor_data(rings[1]) and fd.factors == build_factor_data(rings[1]).factors
     assert factor_data(rings[1]) is fd
-
 
 
 def test_memo_keeps_memo_size_rings():
@@ -173,14 +177,15 @@ def test_memo_keeps_memo_size_rings():
     first = factor_data(rings[0])
     for params in rings[1:]:
         factor_data(params)
-    assert len(decomp._rings) == decomp.MEMO_SIZE
+    assert kept_rings() == decomp.MEMO_SIZE
     assert factor_data(rings[0]) is first
     assert factor_data(rings[0], first.factors) is first
     ring = AmbientParams.of_ints(5, 1, 1, 6, 2)  # lambda^(-1) = 3: a ring apart from its dual
     fd = factor_data(ring)
     assert dual_factor_data(dual_factor_data(fd)) is fd
-    assert len(decomp._rings) == decomp.MEMO_SIZE  # fd and its dual took two entries
+    assert kept_rings() == decomp.MEMO_SIZE  # fd and its dual took two entries
     assert factor_data(rings[0]) is first
+
 
 def test_build_factor_data_builds_afresh():
     params = AmbientParams.of_ints(5, 1, 1, 6, 4)
@@ -189,7 +194,7 @@ def test_build_factor_data_builds_afresh():
     assert a is not b and a is not kept
     assert a.factors == b.factors == kept.factors
     assert factor_data_for(params, a.factors) is not a
-    assert len(decomp._rings) == 1  # the builders add nothing
+    assert kept_rings() == 1  # the builders add nothing
 
 
 def test_memo_tells_field_moduli_apart():
@@ -208,7 +213,7 @@ def test_memo_keeps_no_failed_build():
     for _ in range(2):
         with pytest.raises(RangeError):
             factor_data(params, wrong)
-    assert len(decomp._rings) == 0
+    assert kept_rings() == 0
 
 
 # (p, m, s, n, lambda) rings of the tests: m = 1, 2 and 3, e up to 9,
@@ -261,3 +266,20 @@ def test_outside_factor_lists_are_still_multiplied_out():
     for route in (factor_data_for, factor_data):
         with pytest.raises(RangeError, match="multiply out"):
             route(params, wrong)
+
+
+@pytest.mark.parametrize("route", [factor_data_for, factor_data])
+def test_outside_factor_lists_must_have_the_factor_degrees(route):
+    """x^4 - 1 over F_3 is (x + 1)(x + 2)(x^2 + 1): a list with its
+    product but other degrees is refused before it is multiplied out (a
+    one-factor ring would count 250 codes, not the ring's 8704), and
+    nothing is kept."""
+    params = AmbientParams.of_ints(3, 1, 1, 4, 1)
+    F = params.field
+    whole = [Poly(F, (2, 0, 0, 0, 1))]
+    paired = [Poly(F, (2, 0, 1)), Poly(F, (1, 0, 1))]
+    for wrong in (whole, paired):
+        with pytest.raises(RangeError, match="monic irreducible factors"):
+            route(params, wrong)
+    assert kept_rings() == 0
+    assert count_codes(build_factor_data(params)) == 8704

@@ -110,6 +110,15 @@ def test_kernel_edges():
     assert poly_gcd(a, Poly.const(F, 2)) == Poly.one(F)
 
 
+def test_distinct_degree_stops_at_a_lone_factor():
+    """(x + 1)(x^3 + x + 1) over F_2 is no binomial, so _ddf takes it:
+    after degree 1 takes out x + 1, what is left has degree 3 < 2 * 2,
+    so it is irreducible with no further gcd."""
+    F = field_new(2, 1)
+    linear, cubic = Poly(F, [1, 1]), Poly(F, [1, 1, 0, 1])
+    assert factor_squarefree(linear * cubic) == [linear, cubic]
+
+
 # -- factoring x^n - lambda0
 
 

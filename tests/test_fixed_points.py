@@ -146,9 +146,8 @@ def test_former_timeout_rings(ring, count):
     assert code == 0 and elapsed < 1
     lines = out.splitlines()
     assert len(lines) == 30
-    cache = {}
     for line in lines:
-        assert is_self_dual(parse_code(json.loads(line), cache=cache))
+        assert is_self_dual(parse_code(json.loads(line)))
 
 
 def test_fixed_specs_per_factor_frozen():
