@@ -31,8 +31,10 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 from itertools import chain, islice
+from math import prod
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -52,7 +54,6 @@ from .ideals import (
     CodeSpec,
     IdealSpec,
     code_size,
-    count_codes,
     count_codes_by_degree,
     count_ideals_params,
     enumerate_codes,
@@ -216,28 +217,50 @@ def _ring(key: str) -> FactorData:
     return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
 
 
-def factor_data_json(fd: FactorData):
+def factor_data_json(fd: FactorData) -> str:
+    """The text of info's document.
+
+    count_ideals_params runs once per distinct factor degree, and the
+    total is the product of those counts.  The idempotents' text comes
+    from idempotents_json, spliced in between "factors" and "total".
+    """
     params, field = fd.params, fd.params.field
-    doc = {
+    degrees = Counter(f.degree for f in fd.factors)
+    counts = {d: count_ideals_params(params.p, params.m, d, params.s) for d in degrees}
+    texts = {d: decimal(c) for d, c in counts.items()}
+    head = {
         "params": params_json(params),
         "lambda0": fieldelem_json(field, fd.lam0),
         "factors": [
-            {
-                "poly": poly_json(field, f),
-                "degree": f.degree,
-                "count": decimal(count_ideals_params(params.p, params.m, f.degree, params.s)),
-            }
+            {"poly": poly_json(field, f), "degree": f.degree, "count": texts[f.degree]}
             for f in fd.factors
         ],
-        "idempotents": [poly_json(field, e) for e in fd.idempotents],
-        "total": decimal(count_codes(fd)),
     }
+    tail = {"total": decimal(prod(counts[d] ** k for d, k in degrees.items()))}
     if fd.tau is not None:
-        doc["tau"] = [t + 1 for t in fd.tau]
-        doc["delta"] = [fieldelem_json(field, d) for d in fd.delta]
-        doc["rho"] = fd.rho
-        doc["pair_count"] = fd.pair_count
-    return doc
+        tail["tau"] = [t + 1 for t in fd.tau]
+        tail["delta"] = [fieldelem_json(field, d) for d in fd.delta]
+        tail["rho"] = fd.rho
+        tail["pair_count"] = fd.pair_count
+    return f'{_dumps(head)[:-1]},"idempotents":{idempotents_json(fd)},{_dumps(tail)[1:]}'
+
+
+def idempotents_json(fd: FactorData) -> str:
+    """The text of [poly_json(field, eps_j) for each j], written from
+    the untwisted w_j (decomp): eps_j = frobenius(w_j, s) has c^(p^s) at
+    x^(i p^s) for each coefficient c = w_j[i] and the zero element
+    between, so its text is those coefficients' texts joined by runs of
+    p^s - 1 zeros, and no list of length N is built."""
+    field, e = fd.params.field, fd.params.e
+    if field.m == 1:  # c^(p^s) = c on F_p
+        sep, text = "," + "0," * (e - 1), str
+    else:
+        sep = "," + (_dumps(fieldelem_json(field, 0)) + ",") * (e - 1)
+
+        def text(c):
+            return _dumps(fieldelem_json(field, field.pow(c, e)))
+
+    return "[" + ",".join("[" + sep.join(map(text, w.coeffs)) + "]" for w in fd.root_idempotents) + "]"
 
 
 def _dumps(doc) -> str:
@@ -371,19 +394,19 @@ def _text_lines(fh, universal: bool):
 
 
 def cmd_info(args) -> int:
-    # built afresh: the idempotents it reads are r polynomials of length
-    # N, which the memo would keep for the rest of the process
+    # built afresh: the root idempotents it reads, r polynomials of
+    # length n, would otherwise stay in the memo with the ring for the
+    # rest of the process
     fd = build_factor_data(_params(args))
     with _stream(args.output, "w") as out:
-        print(_dumps(factor_data_json(fd)), file=out)
+        print(factor_data_json(fd), file=out)
     return 0
 
 
 def cmd_idempotents(args) -> int:
     fd = build_factor_data(_params(args))  # afresh, as for info
-    field = fd.params.field
     with _stream(args.output, "w") as out:
-        print(_dumps([poly_json(field, e) for e in fd.idempotents]), file=out)
+        print(idempotents_json(fd), file=out)
     return 0
 
 

@@ -18,14 +18,19 @@ c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
 
     eps_j = frobenius(w_j, s)
 
-exactly, at O(N) per factor.  FactorData builds them on first read of
-fd.idempotents, since only gluing (info, idempotents and the oracle)
-needs them; dual, enumerate and selfdual work componentwise, and only
-the oracle builds x^N - lambda.  A count needs even less: only the
-factor degrees, which are the sizes of the q-cyclotomic cosets of the
-roots' exponents (see factor_degrees), so it does no polynomial
-arithmetic; a self-dual count also needs to know which cosets are
-closed under negation, the tau-fixed factors (see tau_degrees).
+exactly: eps_j is w_j with p^s - 1 zero slots between its coefficients.
+FactorData keeps the w_j, of length n, the primitive idempotents of
+F_q[x]/(x^n - lambda0) (fd.root_idempotents), built on first read,
+since only gluing (info, idempotents and the oracle) needs them; dual,
+enumerate and selfdual work componentwise.  info and idempotents write
+each eps_j's text straight from w_j (cli.idempotents_json), so they
+build no list of length N.  fd.idempotents twists the w_j, at O(N) per
+factor, for the oracle, the only module that builds x^N - lambda.  A
+count needs even less: only the factor degrees, which are the sizes
+of the q-cyclotomic cosets of the roots' exponents (see
+factor_degrees), so it does no polynomial arithmetic; a self-dual count
+also needs to know which cosets are closed under negation, the
+tau-fixed factors (see tau_degrees).
 
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
@@ -179,9 +184,11 @@ class FactorData:
     derived from params and the factors of x^n - lambda0 in the order
     given (factor_data_for checks a list from outside the package).
 
-    The idempotents are built on first read of fd.idempotents and then
-    kept, so work that never glues components (dual, enumerate,
-    selfdual, count) builds none.  _dual holds the lambda^(-1) ring's
+    The idempotents are built on first read and then kept, so work that
+    never glues components (dual, enumerate, selfdual, count) builds
+    none.  _idempotents holds the untwisted w_j of length n
+    (root_idempotents), _twisted the eps_j of length N (idempotents),
+    which only the oracle reads.  _dual holds the lambda^(-1) ring's
     FactorData once dual.dual_factor_data has built it; the dual links
     back only once it is dualized itself.  _fixed[j] holds the self-dual
     kernels of tau-fixed factor j once a self-dual stream has moved past
@@ -203,6 +210,7 @@ class FactorData:
         "lam0",
         "factors",
         "_idempotents",
+        "_twisted",
         "_dual",
         "_fixed",
         "_last_valid",
@@ -219,7 +227,7 @@ class FactorData:
         self.params = params
         self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._dual = None
+        self._idempotents = self._twisted = self._dual = None
         self._fixed = [None] * len(factors)
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
@@ -235,11 +243,20 @@ class FactorData:
             self.pair_count = (len(factors) - self.rho) // 2
 
     @property
-    def idempotents(self) -> list[Poly]:
-        """eps_j for each f_j, built on first read."""
+    def root_idempotents(self) -> list[Poly]:
+        """w_j = v_j F_j mod (x^n - lambda0) for each f_j, of degree < n,
+        built on first read; eps_j = frobenius(w_j, s)."""
         if self._idempotents is None:
             self._idempotents = _idempotents(self.params, self.factors)
         return self._idempotents
+
+    @property
+    def idempotents(self) -> list[Poly]:
+        """eps_j for each f_j, of degree < N, twisted from
+        root_idempotents on first read."""
+        if self._twisted is None:
+            self._twisted = [frobenius(w, self.params.s) for w in self.root_idempotents]
+        return self._twisted
 
     @property
     def r(self) -> int:
@@ -314,19 +331,26 @@ class DerivedFactors(tuple):
     """A factor list of x^n - lambda0 the package derived itself: the
     sorted output of factor_squarefree, or the monic reciprocals of a
     FactorData's factors (those of x^n - lambda0^(-1)).  It equals, and
-    hashes as, the plain tuple, so both find one factor_data entry."""
+    hashes as, the plain tuple, so both find one factor_data entry.  The
+    hash is taken once, when the list is made, so a memo lookup by it
+    does not hash the r factors again."""
 
-    __slots__ = ()
+    def __init__(self, factors):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
-    """eps_j = frobenius(v_j F_j mod (x^n - lambda0), s), with no gcd.
+    """w_j = v_j F_j mod (x^n - lambda0), with no gcd: the untwisted
+    idempotents, eps_j = frobenius(w_j, s).
 
     Differentiating x^n - lambda0 = f F gives n x^(n-1) = f' F at each
     root of f, and x^n = lambda0 there, so the inverse of F mod f is
     v = x f'(x) / (n lambda0) mod f.  The twist is additive and
-    one-to-one, so the eps_j sum to 1 exactly when the untwisted
-    w_j = v_j F_j mod (x^n - lambda0) do, which is checked at length n.
+    one-to-one, so the eps_j sum to 1 exactly when the w_j do, which is
+    checked here, at length n.
     """
     field = params.field
     lam0, base = root_binomial(params)
@@ -337,7 +361,7 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
         v = (Poly.x(field) * f.derivative()).scale(scale) % f
         w = (v * (base // f)) % base
         total = total + w
-        idempotents.append(frobenius(w, params.s))
+        idempotents.append(w)
     assert total == Poly.one(field), "idempotents do not sum to 1"
     return idempotents
 

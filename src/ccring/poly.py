@@ -643,9 +643,12 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     sum of h^(q^i) for i < d, for odd p, whose quadratic character
     tr^((q - 1)/2) is 0 or +-1 mod each factor.  Either way the gcd of
     part with the trace (p = 2) or with tr^((q - 1)/2) - 1 (odd p) takes
-    out about half of its factors.  On a binomial such as x^n - lambda0
-    the power map only moves coefficients (_power_map), and over F_p
-    every division and gcd runs on the list kernel _divmod_fp.
+    out about half of its factors.  For q = 3 the character is tr itself,
+    uniform on F_3, so tr - 1 would take out only a third: there one
+    draw cuts part three ways, by gcds with tr - 1 and with tr + 1.  On a
+    binomial such as x^n - lambda0 the power map only moves coefficients
+    (_power_map), and over F_p every division and gcd runs on the list
+    kernel _divmod_fp.
 
     The parts wait on a worklist, so a factorization leaves no
     reference cycle behind.  The list is sorted by degree, then by
@@ -676,10 +679,19 @@ def factor_squarefree(f: Poly) -> list[Poly]:
             # trace is 0 mod that factor, which only puts the factor on one
             # side of the split
             if ctx.p == 2:
-                t = _orbit_fold(h, ctx.m * d, 1, power, part)
+                cuts = [_orbit_fold(h, ctx.m * d, 1, power, part)]
             else:
-                t = poly_modpow(_orbit_fold(h, d, ctx.m, power, part), (q - 1) // 2, part) - one
-            g = poly_gcd(t, part)
-            todo += (part // g, g) if 0 < g.degree < part.degree else (part,)
+                t = _orbit_fold(h, d, ctx.m, power, part)
+                # for q = 3, tr is its own character: cut on tr = 1 and -1
+                cuts = [t - one, t + one] if q == 3 else [poly_modpow(t, (q - 1) // 2, part) - one]
+            rest, pieces = part, []
+            for t in cuts:
+                if rest.degree == d:
+                    break
+                g = poly_gcd(t, rest)
+                if 0 < g.degree < rest.degree:
+                    pieces.append(g)
+                    rest = rest // g
+            todo += [rest, *reversed(pieces)]
     out.sort(key=Poly.sort_key)
     return out

@@ -1,7 +1,7 @@
-"""Set-up that follows the question: twisted idempotents, lazy f^k,
-degree-only counts from cyclotomic cosets, the binomial power map and
-lazy residue sets, each against a route that does not share its
-shortcut."""
+"""Set-up that follows the question: twisted idempotents, written
+from their length-n roots, lazy f^k, degree-only counts from cyclotomic
+cosets, the binomial power map and lazy residue sets, each against a
+route that does not share its shortcut."""
 
 import hashlib
 import io
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ccring import decomp, poly
+from ccring import cli, decomp, poly
 from ccring.chain import ChainCtx
 from ccring.cli import main
 from ccring.decomp import AmbientParams, build_factor_data, factor_degrees, root_binomial
@@ -417,3 +417,54 @@ def test_info_and_idempotents_unchanged(capsys, monkeypatch, cmd, ring):
     argv = [cmd, "--p", p, "--m", m, "--s", s, "--n", n, "--lambda", lam]
     out = cli_out(capsys, monkeypatch, argv)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FROZEN_OUTPUTS[cmd, ring]
+
+
+# -- idempotents written from their roots ----------------------------------------
+
+
+def reference_idempotents_text(fd) -> str:
+    """The idempotents' text as the twisted list through json: the
+    writer that idempotents_json replaced."""
+    field = fd.params.field
+    return cli._dumps([cli.poly_json(field, e) for e in fd.idempotents])
+
+
+def writer_rings(p: int, m: int, s: int):
+    """n = 1 and one longer n prime to p, each with lambda = 1 and with
+    a lambda outside {1, -1} where the field has one (the generator
+    x of F_q over F_p when m > 1, else 2)."""
+    n = next(k for k in (6, 5, 4) if k % p)
+    other = p if m > 1 else 2
+    lams = (1, other) if other < p ** m else (1,)
+    return [(p, m, s, k, lam) for k in (1, n) for lam in lams]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_idempotents_text_is_the_twisted_lists_json(p, m, s):
+    rings = writer_rings(p, m, s)
+    assert any(r[3] == 1 for r in rings)
+    if p ** m > 3:
+        assert any(r[4] not in (1, p ** m - 1) for r in rings)
+    for ring in rings:
+        params = AmbientParams.of_ints(*ring)
+        fd = build_factor_data(params)
+        assert all(w.degree < params.n for w in fd.root_idempotents), ring
+        text = cli.idempotents_json(fd)
+        assert text == reference_idempotents_text(fd), ring
+        doc = cli.factor_data_json(fd)
+        assert f',"idempotents":{text},"total":' in doc, ring
+
+
+def test_info_never_builds_the_twisted_list(capsys, monkeypatch):
+    def refuse(fd):
+        raise AssertionError("the twisted idempotents were built")
+
+    monkeypatch.setattr(decomp.FactorData, "idempotents", property(refuse))
+    monkeypatch.setattr(decomp, "frobenius", refuse)
+    for ring in ("2,1,12,7,1", "5,1,1,6,4", "3,2,1,8,[0,1]", "2,3,2,7,[1,0,0]"):
+        p, m, s, n, lam = ring.split(",", 4)
+        for cmd in ("info", "idempotents"):
+            argv = [cmd, "--p", p, "--m", m, "--s", s, "--n", n, "--lambda", lam]
+            assert cli_out(capsys, monkeypatch, argv).startswith(("{", "[["))

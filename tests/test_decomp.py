@@ -153,6 +153,22 @@ def test_seed_independence(monkeypatch):
     assert a.idempotents == b.idempotents
 
 
+def test_derived_factors_are_hashed_once(monkeypatch):
+    """A DerivedFactors equals, and hashes as, its plain tuple, and a
+    ring memo hit by it hashes none of the r factors again."""
+    params = AmbientParams.of_ints(3, 1, 1, 242, 2)
+    fd = factor_data(params)
+    factors = decomp._derived_factors(params)
+    assert len(factors) == 25
+    assert factors == tuple(factors) and hash(factors) == hash(tuple(factors))
+    assert factor_data(params, list(fd.factors)) is fd
+    calls = []
+    real = Poly.__hash__
+    monkeypatch.setattr(Poly, "__hash__", lambda self: calls.append(self) or real(self))
+    assert factor_data(params) is fd
+    assert calls == []
+
+
 def test_memo_keeps_at_most_its_bound():
     rings = [AmbientParams.of_ints(5, 1, 1, n, lam) for n in (1, 2, 3, 4, 6) for lam in (1, 2, 3, 4)]
     first = factor_data(rings[0])
