@@ -67,8 +67,9 @@ from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefre
 # the longest ambient length N = n*p^s accepted; set-up work grows with N
 # (on a 2-vCPU Xeon with Python 3.11, count takes about 0.06 s at
 # N = 2^18 and 0.5 s at 2^20; the field adds only a few powers in F_q,
-# so q = 2^61 at n = 3 takes 0.5 s for the whole process; but factoring
-# x^8191 - 1 over F_2 for info, N = 16382, takes about 40 s)
+# so q = 2^61 at n = 3 takes 0.5 s for the whole process; but info at
+# N = 16382, which factors x^8191 - 1 over F_2 into 630 factors of degree
+# 13 with gcds of degree up to 8190, takes about 20 s)
 MAX_LENGTH = 1 << 18
 
 # entries each ring set-up memo holds, sized from the traffic:
@@ -184,10 +185,12 @@ class FactorData:
     derived from params and the factors of x^n - lambda0 in the order
     given (factor_data_for checks a list from outside the package).
 
-    The idempotents are built on first read and then kept, so work that
-    never glues components (dual, enumerate, selfdual, count) builds
-    none.  _idempotents holds the untwisted w_j of length n
-    (root_idempotents), _twisted the eps_j of length N (idempotents),
+    The idempotents and the chain rings are built on first read and
+    then kept, so work that never glues components (dual, enumerate,
+    selfdual, count) builds no idempotent, and info and idempotents
+    build no chain ring and no f^(p^s).  _idempotents holds the
+    untwisted w_j of length n (root_idempotents), _chains the chain
+    rings (chain_ctxs), _twisted the eps_j of length N (idempotents),
     which only the oracle reads.  _dual holds the lambda^(-1) ring's
     FactorData once dual.dual_factor_data has built it; the dual links
     back only once it is dualized itself.  _fixed[j] holds the self-dual
@@ -215,7 +218,7 @@ class FactorData:
         "_fixed",
         "_last_valid",
         "_last_dual",
-        "chain_ctxs",
+        "_chains",
         "tau",
         "delta",
         "rho",
@@ -227,11 +230,10 @@ class FactorData:
         self.params = params
         self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._twisted = self._dual = None
+        self._idempotents = self._twisted = self._dual = self._chains = None
         self._fixed = [None] * len(factors)
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
-        self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
         # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
         # the number of tau-fixed factors, exist only when lambda^2 = 1
         self.tau = self.delta = self.rho = self.pair_count = None
@@ -259,11 +261,19 @@ class FactorData:
         return self._twisted
 
     @property
+    def chain_ctxs(self) -> list[ChainCtx]:
+        """The chain ring of each f_j, built on first read."""
+        if self._chains is None:
+            self._chains = [ChainCtx(f, self.params.e) for f in self.factors]
+        return self._chains
+
+    @property
     def r(self) -> int:
         return len(self.factors)
 
     def chain(self, j: int) -> ChainCtx:
-        return self.chain_ctxs[j]
+        # _chains, once built, without the property call
+        return (self._chains or self.chain_ctxs)[j]
 
 
 def recall(last: list, specs, derive) -> tuple:

@@ -176,19 +176,23 @@ def case_counts(p: int, m: int, d: int, s: int) -> dict[str, int]:
 
 
 def count_ideals_params(p: int, m: int, d: int, s: int) -> int:
-    """Closed form for the number of ideals of K + uK."""
+    """Closed form for the number of ideals of K + uK.
+
+    It is the sum over i = 0..h of (c + 4i) Q^(h-i), Q = p^(md), which is
+    (c + 4h) S0 - 4 S1 with S0 = sum Q^j and S1 = sum j Q^j over
+    j = 0..h, each a closed form with one exact division.
+    """
     if s == 0:
         return 3  # K is a field, so only 0, <u> and <1>
-    # sum over i = 0..h of (c + 4i) * Q^(h-i), Q = p^(md), by Horner's rule
     if p == 2:
         h, c = 2 ** (s - 1), 1
     else:
         h, c = (p ** s - 1) // 2, 3
     Q = p ** (m * d)
-    total = 0
-    for i in range(h + 1):
-        total = total * Q + c + 4 * i
-    return total
+    Qh = Q ** h
+    s0 = (Qh * Q - 1) // (Q - 1)
+    s1 = Q * (1 - (h + 1) * Qh + h * Qh * Q) // (Q - 1) ** 2
+    return (c + 4 * h) * s0 - 4 * s1
 
 
 def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:

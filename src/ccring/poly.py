@@ -14,12 +14,13 @@ Over F_p (m = 1), division and gcd share one kernel on plain lists
 divisor takes no inverse multiply, and Euclid builds one Poly at the
 end.  For m > 1 each step goes through the field's add and mul.
 
-factor_squarefree splits x^n - lambda0, and any squarefree f, by
-distinct degrees and then by Cantor and Zassenhaus's trace splitter for
-every p: the trace of a random h is a sum of its conjugates under the
-p^k-th power map, which on a binomial only moves coefficients, so the
-split makes no product but, for odd p, the quadratic character of that
-trace.
+factor_squarefree factors x^n - c, n prime to p, the only polynomials
+the package factors.  For c = +-1 it takes the parts Phi_M mod p, whose
+factors all have degree ord_M(q), with no gcd; for other c, the parts
+of equal factor degree by gcds.  It splits a part with random elements
+of its Berlekamp algebra {h : h^q = h}, combinations of a basis read
+off the q-orbits of exponents, by every value of F_q for small odd q,
+else by the quadratic character or the absolute trace.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BothZero,
@@ -49,6 +50,12 @@ _BYTE_ORDER = sys.byteorder
 # state of the equal-degree splitting's PRNG at the start of every
 # factorization; the sorted factor list does not depend on it
 FACTOR_SEED = 0xC0DEC
+
+# for odd p, factor_squarefree cuts a piece by every value of F_q up to
+# this q, and past it by the quadratic character: over n <= 48, the value
+# cut took 0.74-0.93 of the character's time for q = 3 .. 13, 0.97-1.07
+# for q = 17 .. 23 and 1.11 for q = 25
+_VALUE_CUT_MAX = 13
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -462,9 +469,8 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _binomial_constant(f: Poly) -> int | None:
-    """c when f is the monic binomial x^n - c with c != 0 and n prime to
-    p (so f is squarefree), else None."""
-    if f.is_monic() and f.degree % f.ctx.p and f.coeffs[0] and not any(f.coeffs[1:-1]):
+    """c when f is the monic binomial x^n - c with c != 0, else None."""
+    if f.is_monic() and f.coeffs[0] and not any(f.coeffs[1:-1]):
         return f.ctx.neg(f.coeffs[0])
     return None
 
@@ -530,29 +536,21 @@ def _binomial_cosets(ctx: FieldCtx, n: int, c: int) -> tuple[int, list[tuple[int
     return M, cosets
 
 
-def _power_map(f: Poly):
-    """The map (a, k, mod) -> a^(p^k) mod mod, for mod dividing f and
-    a of degree < deg f.
+def _power_map(ctx: FieldCtx, n: int, c: int):
+    """The map (a, k) -> a^(p^k) mod x^n - c, for a of degree < n.
 
-    It is chosen by the shape of f.  For a monic binomial f = x^n - c
-    with n prime to p (as when f is squarefree), x^n = c mod f turns the
-    power into a move of coefficients, with no product:
+    x^n = c turns the power into a move of coefficients, with no
+    product:
 
         a^(p^k) = sum_i a_i^(p^k) c^floor(i p^k / n) x^(i p^k mod n).
 
     The exponent of c only matters mod q - 1, and floor(i p^k / n) mod
-    q - 1 comes from i p^k mod n (q - 1).  That map works mod f and
-    leaves its O(n) result there: congruent mod mod, of degree < n.  Any
-    other f gets poly_modpow mod mod, whose cost falls as mod shrinks.
+    q - 1 comes from i p^k mod n (q - 1).
     """
-    ctx = f.ctx
-    c = _binomial_constant(f)
-    if c is None:
-        return lambda a, k, mod: poly_modpow(a, ctx.p ** k, mod)
-    p, m, n = ctx.p, ctx.m, f.degree
+    p, m = ctx.p, ctx.m
     period = n * (ctx.q - 1)
 
-    def power(a: Poly, k: int, mod: Poly) -> Poly:
+    def power(a: Poly, k: int) -> Poly:
         step = pow(p, k, period)
         frob = p ** (k % m)  # the field's own Frobenius has order m
         out = [0] * n
@@ -565,64 +563,20 @@ def _power_map(f: Poly):
     return power
 
 
-def _orbit_fold(a: Poly, count: int, step: int, power, mod: Poly) -> Poly:
-    """a + a^(p^step) + ... + a^(p^(step*(count-1))), congruent mod mod,
-    by doubling.
-
-    power(b, k, mod) is b^(p^k), a ring map, so the sum S_k of the first
-    k terms gives S_2k = S_k + S_k^(p^(step*k)) and
-    S_(k+1) = a + S_k^(p^step): about 2*log2(count) maps and sums
-    instead of count.
-    """
-    acc, k = a, 1
-    for bit in bin(count)[3:]:
-        acc, k = acc + power(acc, step * k, mod), 2 * k
-        if bit == "1":
-            acc, k = a + power(acc, step, mod), k + 1
-    return acc
-
-
-def _ddf(f: Poly, power) -> list[tuple[int, Poly]]:
-    """Distinct-degree decomposition of a monic squarefree f.
-
-    x^(q^d) is kept mod what is left of f, where power takes it one
-    degree on; its gcd with that remainder collects the factors of
-    degree d.  A binomial goes to _ddf_binomial instead.
-    """
-    c = _binomial_constant(f)
-    if c is not None:
-        return _ddf_binomial(f, c, power)
+def _ddf_binomial(f: Poly, c: int) -> list[tuple[int, Poly]]:
+    """The parts (d, product of the factors of degree d) of f = x^n - c,
+    whose factor degrees binomial_degrees knows: one gcd per distinct
+    degree but the largest, whose factors are what is left of f.
+    x^(q^d) mod f goes from one degree to the next in one step of the
+    power map, which moves coefficients only."""
     ctx = f.ctx
-    x = Poly.x(ctx)
-    parts = []
-    rem = f
-    h = x
-    d = 0
-    while rem.degree > 0:
-        d += 1
-        if 2 * d > rem.degree:
-            parts.append((rem.degree, rem))
-            break
-        h = power(h, ctx.m, rem)
-        g = poly_gcd(h - x, rem)
-        if g.degree > 0:
-            parts.append((d, g))
-            rem = rem // g
-    return parts
-
-
-def _ddf_binomial(f: Poly, c: int, power) -> list[tuple[int, Poly]]:
-    """_ddf of f = x^n - c, whose factor degrees binomial_degrees knows:
-    one gcd per distinct degree but the largest, whose factors are what
-    is left of f.  x^(q^d) goes from one degree to the next in one step
-    of power, which moves coefficients only."""
-    ctx = f.ctx
+    power = _power_map(ctx, f.degree, c)
     x = Poly.x(ctx)
     *lower, top = sorted(set(binomial_degrees(ctx, f.degree, c)))
     parts = []
     rem, h, at = f, x, 0
     for d in lower:
-        h, at = power(h, ctx.m * (d - at), rem), d
+        h, at = power(h, ctx.m * (d - at)), d
         g = poly_gcd(h - x, rem)
         parts.append((d, g))
         rem = rem // g
@@ -630,61 +584,134 @@ def _ddf_binomial(f: Poly, c: int, power) -> list[tuple[int, Poly]]:
     return parts
 
 
+def _cyclotomic(ctx: FieldCtx, M: int) -> Poly:
+    """Phi_M mod p, the product over e | M of (x^e - 1)^mu(M/e): sparse
+    products by x^e - 1 first, then exact divisions by it."""
+    p, primes = ctx.p, _prime_factors(M)
+    ups, downs = [], []
+    for k in range(1 << len(primes)):
+        rs = [r for i, r in enumerate(primes) if k >> i & 1]
+        (downs if len(rs) % 2 else ups).append(M // prod(rs))
+    out = [1]
+    for e in ups:
+        out = [(b - a) % p for a, b in zip(out + [0] * e, [0] * e + out)]
+    for e in downs:
+        # out = quo * (x^e - 1), so quo_k = quo_(k-e) - out_k
+        for k in range(len(out) - e):
+            out[k] = ((out[k - e] if k >= e else 0) - out[k]) % p
+        del out[len(out) - e :]
+    return Poly(ctx, out)
+
+
+def _binomial_parts(f: Poly, c: int) -> list[tuple[int, int, Poly]]:
+    """(d, L, part) for parts of f = x^n - c whose factors all have
+    degree d, each part dividing x^L - c.
+
+    For c = 1 the parts are the Phi_M mod p for M | n, for c = -1 those
+    for M | 2n with M not dividing n (x^n + 1 = (x^2n - 1) / (x^n - 1));
+    Phi_M divides x^(M/t) - c, t the order of c, and its factors have
+    degree ord_M(q) (Lidl and Niederreiter, Finite Fields, 2.47).  Any
+    other c takes _ddf_binomial's parts, with L = n.
+    """
+    ctx, n = f.ctx, f.degree
+    if c not in (1, ctx.neg(1)):
+        return [(d, n, part) for d, part in _ddf_binomial(f, c)]
+    t = 1 if c == 1 else 2
+    parts = []
+    for M in range(1, t * n + 1):
+        if t * n % M == 0 and (t == 1 or n % M):
+            d, r = 1, ctx.q % M
+            while r != 1 % M:
+                d, r = d + 1, r * ctx.q % M
+            parts.append((d, M // t, _cyclotomic(ctx, M)))
+    return parts
+
+
+def _orbit_basis(ctx: FieldCtx, L: int, c: int) -> list[list[tuple[int, int]]]:
+    """A basis of the Berlekamp algebra {h : h^q = h} of
+    F_q[x]/(x^L - c), each element as its (exponent, coefficient) terms.
+
+    x^i goes to x^(q i) = c^floor(q i / L) x^(q i mod L), so the sum of
+    the conjugates (x^i0)^(q^k) over the q-orbit of i0 in Z/L is fixed
+    by the q-th power map exactly when the twist closes, that is when
+    (x^i0)^(q^|orbit|) = x^i0; an orbit whose twist does not close holds
+    no fixed h.  Exponents of c are kept mod q - 1, as in _power_map.
+    """
+    q = ctx.q
+    period = L * (q - 1)
+    seen = bytearray(L)
+    basis = []
+    for i0 in range(L):
+        orbit, v = [], i0
+        while not seen[v % L]:
+            seen[v % L] = 1
+            orbit.append(v)
+            v = v * q % period
+        if orbit and ctx.pow(c, v // L) == 1:
+            basis.append([(u % L, ctx.pow(c, u // L)) for u in orbit])
+    return basis
+
+
 def factor_squarefree(f: Poly) -> list[Poly]:
-    """The monic irreducible factors of a squarefree polynomial.
+    """The monic irreducible factors of the binomial f = x^n - c, with
+    c != 0 and n prime to p (so f is squarefree), the only polynomials
+    the package factors; f may be scaled.  RangeError for any other f,
+    NotSquarefree when p divides n.
 
-    After the distinct-degree decomposition (_ddf), each part, a product
-    of distinct irreducibles all of degree d, is split by Cantor and
-    Zassenhaus's trace splitter (von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 14) until every piece has degree d.  For a
-    random h mod part, the trace of h sums its conjugates under the
-    power map, so it takes no product: the absolute trace to F_2, the
-    sum of h^(2^i) for i < m d, when p = 2, and the trace to F_q, the
-    sum of h^(q^i) for i < d, for odd p, whose quadratic character
-    tr^((q - 1)/2) is 0 or +-1 mod each factor.  Either way the gcd of
-    part with the trace (p = 2) or with tr^((q - 1)/2) - 1 (odd p) takes
-    out about half of its factors.  For q = 3 the character is tr itself,
-    uniform on F_3, so tr - 1 would take out only a third: there one
-    draw cuts part three ways, by gcds with tr - 1 and with tr + 1.  On a
-    binomial such as x^n - lambda0 the power map only moves coefficients
-    (_power_map), and over F_p every division and gcd runs on the list
-    kernel _divmod_fp.
+    _binomial_parts cuts f into parts whose factors share one degree d:
+    for c = +-1 the cyclotomic Phi_M with no gcd, for other c by
+    distinct degrees.  A part is split by random elements h of its
+    Berlekamp algebra (Berlekamp 1970), F_q-combinations of the orbit
+    basis of x^L - c (_orbit_basis) reduced mod the part: h is a value
+    of F_q mod each factor, uniform and independent over the factors.
+    For p = 2 one h cuts a piece by its absolute trace, the sum of the
+    h^(2^k) for k < m, which on x^L - c only moves coefficients
+    (_power_map).  For odd q <= _VALUE_CUT_MAX it cuts by every value a,
+    with gcd(h - a, rest), and past it by the quadratic character,
+    gcd(h^((q - 1)/2) - 1, piece).  Over F_p every division and gcd
+    runs on the list kernel _divmod_fp.
 
-    The parts wait on a worklist, so a factorization leaves no
+    The pieces wait on a worklist, so a factorization leaves no
     reference cycle behind.  The list is sorted by degree, then by
-    coefficient tuple, so it does not depend on the random choices of
-    the splitting step.
+    coefficient tuple, so it does not depend on the random choices.
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant")
     f = f.monic()
-    df = f.derivative()
-    if df.is_zero() or poly_gcd(f, df).degree != 0:
-        raise NotSquarefree("input has a repeated factor")
-    ctx = f.ctx
-    q = ctx.q
-    one = Poly.one(ctx)
+    c = _binomial_constant(f)
+    if c is None:
+        raise RangeError("factor_squarefree takes x^n - c with c != 0")
+    ctx, q = f.ctx, f.ctx.q
+    if f.degree % ctx.p == 0:
+        raise NotSquarefree("x^n - c with p | n is a p-th power")
     rng = random.Random(FACTOR_SEED)
-    power = _power_map(f)
     out: list[Poly] = []
-    for d, part in _ddf(f, power):
-        todo = [part]
+    for d, L, part in _binomial_parts(f, c):
+        todo, basis = [part], None
         while todo:
-            part = todo.pop()
-            if part.degree == d:
-                out.append(part)
+            piece = todo.pop()
+            if piece.degree == d:
+                out.append(piece)
                 continue
-            h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
-            # an h sharing a factor with part needs no gcd of its own: its
-            # trace is 0 mod that factor, which only puts the factor on one
-            # side of the split
+            basis = basis or _orbit_basis(ctx, L, c)
+            h = [0] * L
+            for orbit in basis:
+                a = rng.randrange(q)
+                if a:
+                    for i, w in orbit:
+                        h[i] = ctx.mul(a, w)
+            h = Poly(ctx, h)
             if ctx.p == 2:
-                cuts = [_orbit_fold(h, ctx.m * d, 1, power, part)]
+                power = _power_map(ctx, L, c)
+                cuts = [sum((power(h, k) for k in range(1, ctx.m)), h)]
+            elif q <= _VALUE_CUT_MAX:
+                # a factor where h is none of the values before the last has
+                # h = q - 1, so the last value takes no gcd
+                h = h % piece
+                cuts = (h - Poly.const(ctx, a) for a in range(q - 1))
             else:
-                t = _orbit_fold(h, d, ctx.m, power, part)
-                # for q = 3, tr is its own character: cut on tr = 1 and -1
-                cuts = [t - one, t + one] if q == 3 else [poly_modpow(t, (q - 1) // 2, part) - one]
-            rest, pieces = part, []
+                cuts = [poly_modpow(h, (q - 1) // 2, piece) - Poly.one(ctx)]
+            rest, pieces = piece, []
             for t in cuts:
                 if rest.degree == d:
                     break
@@ -692,6 +719,6 @@ def factor_squarefree(f: Poly) -> list[Poly]:
                 if 0 < g.degree < rest.degree:
                     pieces.append(g)
                     rest = rest // g
-            todo += [rest, *reversed(pieces)]
+            todo += [rest, *pieces]
     out.sort(key=Poly.sort_key)
     return out

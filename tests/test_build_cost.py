@@ -141,10 +141,10 @@ def test_binomial_power_map_is_modpow(p, m):
         n = rng.choice([k for k in range(2, 40) if k % p])
         c = rng.randrange(1, field.q)
         f = Poly(field, (field.neg(c),) + (0,) * (n - 1) + (1,))
-        power = _power_map(f)
+        power = _power_map(field, n, c)
         for k in range(2 * m + 2):
             a = Poly(field, [rng.randrange(field.q) for _ in range(n)])
-            assert power(a, k, f) == poly_modpow(a, p**k, f), (n, c, k)
+            assert power(a, k) == poly_modpow(a, p**k, f), (n, c, k)
 
 
 def ddf_every_degree(f: Poly) -> list:
@@ -163,14 +163,14 @@ def ddf_every_degree(f: Poly) -> list:
 
 
 def test_binomial_ddf_matches_the_every_degree_loop():
-    """_ddf takes a binomial's degrees from its cyclotomic cosets and runs
-    one gcd per distinct degree but the largest; its parts are those of
-    the loop over every degree, except that the largest degree's part
-    may hold several factors."""
+    """_ddf_binomial takes a binomial's degrees from its cyclotomic cosets
+    and runs one gcd per distinct degree but the largest; its parts are
+    those of the loop over every degree, except that the largest
+    degree's part may hold several factors."""
     for ring in [(3, 1, 2, 127, 2)] + degree_sweep()[::7]:
         params = AmbientParams.of_ints(*ring)
-        _, base = root_binomial(params)
-        *head, (top, rest) = poly._ddf(base, _power_map(base))
+        lam0, base = root_binomial(params)
+        *head, (top, rest) = poly._ddf_binomial(base, lam0)
         want = ddf_every_degree(base)
         assert head == want[: len(head)], ring
         prod = Poly.one(params.field)
@@ -182,12 +182,12 @@ def test_binomial_ddf_matches_the_every_degree_loop():
 
 def test_binomial_ddf_runs_one_gcd_per_distinct_degree_but_the_largest(monkeypatch):
     params = AmbientParams.of_ints(3, 1, 2, 127, 2)  # x - lambda0 and one of degree 126
-    _, base = root_binomial(params)
+    lam0, base = root_binomial(params)
     assert factor_degrees(params) == [1, 126]
     calls = []
     real = poly.poly_gcd
     monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
-    parts = poly._ddf(base, _power_map(base))
+    parts = poly._ddf_binomial(base, lam0)
     assert len(calls) == 1  # the every-degree loop runs 63
     assert [(d, part.degree) for d, part in parts] == [(1, 1), (126, 126)]
 
@@ -455,6 +455,22 @@ def test_idempotents_text_is_the_twisted_lists_json(p, m, s):
         assert text == reference_idempotents_text(fd), ring
         doc = cli.factor_data_json(fd)
         assert f',"idempotents":{text},"total":' in doc, ring
+
+
+def test_info_builds_no_chain_ring(capsys, monkeypatch):
+    """info and idempotents read no chain ring, so they build no ChainCtx
+    and no f^(p^s)."""
+
+    def refuse(*args):
+        raise AssertionError("a chain ring was built")
+
+    monkeypatch.setattr(ChainCtx, "__init__", refuse)
+    monkeypatch.setattr(decomp, "ChainCtx", refuse)
+    for ring in ("2,1,12,7,1", "5,1,1,6,4", "3,2,1,8,[0,1]", "2,3,2,7,[1,0,0]"):
+        p, m, s, n, lam = ring.split(",", 4)
+        for cmd in ("info", "idempotents"):
+            argv = [cmd, "--p", p, "--m", m, "--s", s, "--n", n, "--lambda", lam]
+            assert cli_out(capsys, monkeypatch, argv).startswith(("{", "[["))
 
 
 def test_info_never_builds_the_twisted_list(capsys, monkeypatch):

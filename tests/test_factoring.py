@@ -1,15 +1,28 @@
 """The F_p division kernel and list Euclid against the tuple loop they
 replaced, and the factorization of x^n - lambda0 over a grid of rings:
-multiplied out, irreducible, with the coset degrees, and pinned."""
+multiplied out, irreducible, with the coset degrees, pinned, and equal
+to the trace route's for any squarefree polynomial, kept here as the
+reference (reference_factor)."""
 
 import hashlib
+import random
 from math import gcd
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ccring import poly
+from ccring.errors import NotSquarefree
 from ccring.gf import field_new
-from ccring.poly import Poly, binomial_degrees, factor_squarefree, frobenius, is_irreducible, poly_gcd
+from ccring.poly import (
+    Poly,
+    binomial_degrees,
+    factor_squarefree,
+    frobenius,
+    is_irreducible,
+    poly_gcd,
+    poly_modpow,
+)
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -110,13 +123,78 @@ def test_kernel_edges():
     assert poly_gcd(a, Poly.const(F, 2)) == Poly.one(F)
 
 
+# -- reference: the trace route factor_squarefree took for any squarefree
+# f before it took binomials only, with its general distinct-degree loop
+
+
+def reference_power_map(f: Poly):
+    """(a, k, mod) -> a^(p^k) mod mod, mod dividing f: for a binomial
+    x^n - c with n prime to p, the coefficient moves of poly._power_map
+    (checked against poly_modpow in test_build_cost), else poly_modpow."""
+    ctx, n = f.ctx, f.degree
+    if f.is_monic() and n % ctx.p and f.coeffs[0] and not any(f.coeffs[1:-1]):
+        power = poly._power_map(ctx, n, ctx.neg(f.coeffs[0]))
+        return lambda a, k, mod: power(a, k)
+    return lambda a, k, mod: poly_modpow(a, ctx.p**k, mod)
+
+
+def reference_ddf(f: Poly, power) -> list:
+    """Distinct-degree parts of a monic squarefree f, one gcd per degree."""
+    x = Poly.x(f.ctx)
+    parts, rem, h, d = [], f, x, 0
+    while rem.degree > 0:
+        d += 1
+        if 2 * d > rem.degree:
+            parts.append((rem.degree, rem))
+            break
+        h = power(h, f.ctx.m, rem)
+        g = poly_gcd(h - x, rem)
+        if g.degree > 0:
+            parts.append((d, g))
+            rem = rem // g
+    return parts
+
+
+def reference_factor(f: Poly) -> list:
+    """The monic irreducible factors of a squarefree f, sorted: distinct
+    degrees, then Cantor and Zassenhaus's trace splitter (the absolute
+    trace for p = 2, the quadratic character of the trace to F_q for odd
+    p), the trace summed term by term."""
+    f = f.monic()
+    df = f.derivative()
+    if df.is_zero() or poly_gcd(f, df).degree != 0:
+        raise NotSquarefree("input has a repeated factor")
+    ctx, q = f.ctx, f.ctx.q
+    rng = random.Random(poly.FACTOR_SEED)
+    power = reference_power_map(f)
+    out = []
+    for d, part in reference_ddf(f, power):
+        todo = [part]
+        while todo:
+            part = todo.pop()
+            if part.degree == d:
+                out.append(part)
+                continue
+            h = Poly(ctx, [rng.randrange(q) for _ in range(part.degree)])
+            count, step = (ctx.m * d, 1) if ctx.p == 2 else (d, ctx.m)
+            t, term = h, h
+            for _ in range(count - 1):
+                term = power(term, step, part)
+                t = t + term
+            if ctx.p != 2:
+                t = poly_modpow(t, (q - 1) // 2, part) - Poly.one(ctx)
+            g = poly_gcd(t, part)
+            todo += [g, part // g] if 0 < g.degree < part.degree else [part]
+    return sorted(out, key=Poly.sort_key)
+
+
 def test_distinct_degree_stops_at_a_lone_factor():
-    """(x + 1)(x^3 + x + 1) over F_2 is no binomial, so _ddf takes it:
-    after degree 1 takes out x + 1, what is left has degree 3 < 2 * 2,
-    so it is irreducible with no further gcd."""
+    """(x + 1)(x^3 + x + 1) over F_2 is no binomial, so the reference's
+    degree loop takes it: after degree 1 takes out x + 1, what is left
+    has degree 3 < 2 * 2, so it is irreducible with no further gcd."""
     F = field_new(2, 1)
     linear, cubic = Poly(F, [1, 1]), Poly(F, [1, 1, 0, 1])
-    assert factor_squarefree(linear * cubic) == [linear, cubic]
+    assert reference_factor(linear * cubic) == [linear, cubic]
 
 
 # -- factoring x^n - lambda0
@@ -182,3 +260,50 @@ def test_grid_factor_lists_are_pinned():
                     rings += 1
     assert rings == 1667
     assert digest.hexdigest() == GRID_FACTORS_SHA256
+
+
+@st.composite
+def reference_rings(draw):
+    """(F, n, lambda0): p in GRID_PRIMES, m in 1..3, n <= 120 prime to p,
+    lambda0 in 1, -1 or an element of order > 2 where F has one."""
+    p = draw(st.sampled_from(GRID_PRIMES))
+    F = field_new(p, draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 120).filter(lambda k: k % p))
+    lams = lambdas(F) if F.q > 3 else [1, F.neg(1)]
+    return F, n, draw(st.sampled_from(lams))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring=reference_rings())
+@example(ring=(field_new(3, 2), 1, 1))
+@example(ring=(field_new(13, 1), 1, 2))
+@example(ring=(field_new(2, 3), 63, 2))
+def test_factors_equal_the_trace_route(ring):
+    F, n, lam = ring
+    f = binomial(F, n, lam)
+    assert factor_squarefree(f) == reference_factor(f)
+
+
+def test_cyclotomic_parts_multiply_out_with_the_coset_degrees():
+    """For lambda0 = +-1 the parts are the Phi_M mod p; each has its own
+    factor degree, they multiply out to x^n -+ 1, and the degrees they
+    give are binomial_degrees'.  The orbit basis has one element per
+    factor, for every lambda0."""
+    for p in GRID_PRIMES:
+        for m in (1, 2):
+            F = field_new(p, m)
+            for n in (k for k in range(1, 49) if k % p):
+                for lam in lambdas(F):
+                    f = binomial(F, n, lam)
+                    degrees = binomial_degrees(F, n, lam)
+                    assert len(poly._orbit_basis(F, n, lam)) == len(degrees), (p, m, n, lam)
+                    if lam not in (1, F.neg(1)):
+                        continue
+                    parts = poly._binomial_parts(f, lam)
+                    prod, got = Poly.one(F), []
+                    for d, L, part in parts:
+                        assert part.degree % d == 0 and (binomial(F, L, lam) % part).is_zero()
+                        prod = prod * part
+                        got += [d] * (part.degree // d)
+                    assert prod == f, (p, m, n, lam)
+                    assert sorted(got) == degrees, (p, m, n, lam)

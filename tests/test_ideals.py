@@ -83,6 +83,30 @@ def test_closed_form_equals_sum_form():
     assert count_ideals_params(3, 1, 1, 0) == 3
 
 
+def horner_ideal_count(p: int, m: int, d: int, s: int) -> int:
+    """The sum over i = 0..h of (c + 4i) Q^(h-i) by Horner's rule, as
+    count_ideals_params took it before its closed form."""
+    h, c = (2 ** (s - 1), 1) if p == 2 else ((p**s - 1) // 2, 3)
+    total = 0
+    for i in range(h + 1):
+        total = total * p ** (m * d) + c + 4 * i
+    return total
+
+
+def test_closed_form_equals_the_sum_and_horners_rule():
+    for p in (2, 3, 5, 7, 13):
+        for m in (1, 2):
+            for d in range(1, 6):
+                for s in range(1, 4):
+                    want = horner_ideal_count(p, m, d, s)
+                    assert count_ideals_params(p, m, d, s) == want, (p, m, d, s)
+                    if p**s <= 27:
+                        assert count_ideals_sumform_params(p, m, d, s) == want, (p, m, d, s)
+    # deep chains: h up to 2^11 terms
+    for p, m, d, s in [(2, 1, 3, 12), (2, 1, 1, 12), (2, 2, 7, 9), (3, 1, 2, 7), (5, 1, 1, 4)]:
+        assert count_ideals_params(p, m, d, s) == horner_ideal_count(p, m, d, s), (p, m, d, s)
+
+
 def test_enumeration_matches_case_counts():
     grid = [
         (2, 1, (1, 1), 2),
