@@ -185,12 +185,10 @@ class FactorData:
     derived from params and the factors of x^n - lambda0 in the order
     given (factor_data_for checks a list from outside the package).
 
-    The idempotents and the chain rings are built on first read and
-    then kept, so work that never glues components (dual, enumerate,
-    selfdual, count) builds no idempotent, and info and idempotents
-    build no chain ring and no f^(p^s).  _idempotents holds the
-    untwisted w_j of length n (root_idempotents), _chains the chain
-    rings (chain_ctxs), _twisted the eps_j of length N (idempotents),
+    The idempotents are built on first read and then kept, so work that
+    never glues components (dual, enumerate, selfdual, count) builds
+    none.  _idempotents holds the untwisted w_j of length n
+    (root_idempotents), _twisted the eps_j of length N (idempotents),
     which only the oracle reads.  _dual holds the lambda^(-1) ring's
     FactorData once dual.dual_factor_data has built it; the dual links
     back only once it is dualized itself.  _fixed[j] holds the self-dual
@@ -218,7 +216,7 @@ class FactorData:
         "_fixed",
         "_last_valid",
         "_last_dual",
-        "_chains",
+        "chain_ctxs",
         "tau",
         "delta",
         "rho",
@@ -230,10 +228,11 @@ class FactorData:
         self.params = params
         self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._twisted = self._dual = self._chains = None
+        self._idempotents = self._twisted = self._dual = None
         self._fixed = [None] * len(factors)
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
+        self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
         # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
         # the number of tau-fixed factors, exist only when lambda^2 = 1
         self.tau = self.delta = self.rho = self.pair_count = None
@@ -261,19 +260,11 @@ class FactorData:
         return self._twisted
 
     @property
-    def chain_ctxs(self) -> list[ChainCtx]:
-        """The chain ring of each f_j, built on first read."""
-        if self._chains is None:
-            self._chains = [ChainCtx(f, self.params.e) for f in self.factors]
-        return self._chains
-
-    @property
     def r(self) -> int:
         return len(self.factors)
 
     def chain(self, j: int) -> ChainCtx:
-        # _chains, once built, without the property call
-        return (self._chains or self.chain_ctxs)[j]
+        return self.chain_ctxs[j]
 
 
 def recall(last: list, specs, derive) -> tuple:

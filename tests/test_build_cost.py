@@ -457,22 +457,6 @@ def test_idempotents_text_is_the_twisted_lists_json(p, m, s):
         assert f',"idempotents":{text},"total":' in doc, ring
 
 
-def test_info_builds_no_chain_ring(capsys, monkeypatch):
-    """info and idempotents read no chain ring, so they build no ChainCtx
-    and no f^(p^s)."""
-
-    def refuse(*args):
-        raise AssertionError("a chain ring was built")
-
-    monkeypatch.setattr(ChainCtx, "__init__", refuse)
-    monkeypatch.setattr(decomp, "ChainCtx", refuse)
-    for ring in ("2,1,12,7,1", "5,1,1,6,4", "3,2,1,8,[0,1]", "2,3,2,7,[1,0,0]"):
-        p, m, s, n, lam = ring.split(",", 4)
-        for cmd in ("info", "idempotents"):
-            argv = [cmd, "--p", p, "--m", m, "--s", s, "--n", n, "--lambda", lam]
-            assert cli_out(capsys, monkeypatch, argv).startswith(("{", "[["))
-
-
 def test_info_never_builds_the_twisted_list(capsys, monkeypatch):
     def refuse(fd):
         raise AssertionError("the twisted idempotents were built")
