@@ -122,16 +122,16 @@ class ChainCtx:
 
     f_pows is an FPowers sequence: len(f_pows) == e + 1 and f_pows[k] is
     f^k, built on first use and then kept, so a context that never reads
-    a power pays nothing for it, except modulus = f_pows[e]: for e = p^s,
-    the case of every ring in this package, it is s Frobenius twists of
-    f and involves no polynomial product.
+    a power pays nothing for it, the modulus f^e = f_pows[e] included
+    (reduce compares degrees with d*e): for e = p^s, as in every ring of
+    this package, f^e is s Frobenius twists of f, with no product.
 
     Digit windows are checked by division, not digit by digit: z has no
     digits at positions >= b exactly when deg z < d*b, and none below a
     exactly when f^a divides z (in_residue_window, window_reduce).
     """
 
-    __slots__ = ("field", "f", "d", "e", "modulus", "f_pows")
+    __slots__ = ("field", "f", "d", "e", "f_pows")
 
     def __init__(self, f: Poly, e: int):
         if f.degree < 1:
@@ -145,10 +145,13 @@ class ChainCtx:
         self.d = f.degree
         self.e = e
         self.f_pows = FPowers(f, e)
-        self.modulus = self.f_pows[e]
 
     def __repr__(self) -> str:
         return f"ChainCtx(f={self.f.term_string()}, e={self.e})"
+
+    @property
+    def modulus(self) -> Poly:
+        return self.f_pows[self.e]
 
     @property
     def size(self) -> int:
@@ -162,7 +165,7 @@ class ChainCtx:
     # -- arithmetic --------------------------------------------------------
 
     def reduce(self, a: Poly) -> Poly:
-        return a % self.modulus if a.degree >= self.modulus.degree else a
+        return a % self.modulus if a.degree >= self.d * self.e else a
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)

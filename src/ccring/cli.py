@@ -47,7 +47,7 @@ from .decomp import (
     memoized,
     ring_field,
 )
-from .dual import count_self_dual_params, dual_code, enumerate_self_dual, nu_value
+from .dual import count_self_dual_params, dual_component, dual_factor_data, enumerate_self_dual, nu_value
 from .errors import CcringError
 from .gf import FieldCtx
 from .ideals import (
@@ -57,6 +57,8 @@ from .ideals import (
     count_codes_by_degree,
     count_ideals_params,
     enumerate_codes,
+    ideal_size,
+    validate_spec,
 )
 from .oracle import verify_suite
 from .poly import Poly
@@ -199,10 +201,14 @@ def parse_code(doc) -> CodeSpec:
     ring, in this input or another, does no parsing or checking of the
     ring.
     """
-    params = _member(doc, "params")
-    fd = _ring(_dumps([params, doc["factors"]] if "factors" in doc else [params]))
+    fd = _ring(_ring_key(doc))
     comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
+
+
+def _ring_key(doc) -> str:
+    params = _member(doc, "params")  # a ring is kept by this text of its params and factors
+    return _dumps([params, doc["factors"]] if "factors" in doc else [params])
 
 
 @memoized
@@ -215,6 +221,41 @@ def _ring(key: str) -> FactorData:
     if "factors" not in doc:
         return factor_data(params)
     return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
+
+
+@memoized
+def _dual_memo(key: str):
+    """A ring's FactorData and its dual's, the dual document's head, and per
+    factor the last component document read, its dual's text and size."""
+    fd = _ring(key)
+    dfd = dual_factor_data(fd)
+    head = _dumps({"params": params_json(dfd.params), "factors": [poly_json(dfd.params.field, f) for f in dfd.factors]})
+    return fd, dfd, head[:-1] + ',"components":[', [None] * fd.r
+
+
+def _ints(comp) -> bool:
+    """Whether the k, t and b of a component document hold ints only:
+    == takes JSON true and 1.0 for 1, which parse_ideal refuses."""
+    nums = [comp.get("k", 0), comp.get("t", 0), *comp.get("b", ())]
+    return all(type(v) is int or type(v) is list and all(type(c) is int for c in v) for v in nums)
+
+
+def _dual_text(doc) -> str:
+    """_dumps(code_json(dual_code(parse_code(doc)))), errors in order, at the
+    cost of the components that differ from the ring's last document: all
+    are parsed, then validated and transported; the others reuse their text."""
+    fd, dfd, head, kept = _dual_memo(_ring_key(doc))
+    comps = _member(doc, "components", list)
+    if len(comps) != fd.r:
+        parse_code(doc)  # raises the parse error or the component count's
+    changed = [j for j, c in enumerate(comps) if kept[j] is None or kept[j][0] != c or not _ints(c)]
+    specs = [parse_ideal(fd.params.field, comps[j]) for j in changed]
+    specs = [validate_spec(spec, fd.chain(j)) for j, spec in zip(changed, specs)]
+    for j, spec in zip(changed, specs):
+        dual = dual_component(spec, j, fd, dfd.chain(j))
+        kept[j] = (comps[j], _dumps(ideal_json(dfd.params.field, dual)), ideal_size(dual, dfd.chain(j)))
+    size = decimal(prod(entry[2] for entry in kept))
+    return f'{head}{",".join(entry[1] for entry in kept)}],"size":"{size}"}}'
 
 
 def factor_data_json(fd: FactorData) -> str:
@@ -429,12 +470,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    # documents of one ring share its FactorData, and so the dual's,
-    # through parse_code's memo of ring texts and decomp's of rings
+    # a document pays for the components that changed from the last
+    # document of its ring, which keeps their dual texts (_dual_text)
     with _stream(args.input, "r") as src, _stream(args.output, "w") as out:
         for doc in _documents(_text_lines(src, universal=src is not sys.stdin)):
             # flushed per document, so a pipe gets each answer at once
-            print(_dumps(code_json(dual_code(parse_code(doc)))), file=out, flush=True)
+            print(_dual_text(doc), file=out, flush=True)
     return 0
 
 

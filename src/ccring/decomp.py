@@ -48,9 +48,9 @@ dual ring, self-dual kernels).  A failed build is not kept.  The factor
 data of the dual ring is fixed by the source's, so
 dual.dual_factor_data builds it once and keeps it on the source;
 through the memo, the dual of that dual is the source again.  cli keeps
-a code document's ring by the document's text, and oracle a ring's
-lift maps and lifted component rows, its x^N - lambda, packed pair
-layouts and x steps.
+a code document's ring, and its dual texts, by the document's text, and
+oracle a ring's lift maps and lifted component rows, its x^N - lambda,
+packed pair layouts and x steps.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ MAX_LENGTH = 1 << 18
 # alone, one for its derived factors), so two for `enumerate` and then `dual`
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
-# takes none.  cli's document memo takes one per ring text, so two for a
+# takes none.  cli's document memos take one per ring text, so two for a
 # ring and its dual.  Replaying the seed-9001 benchmark ops in one
 # process, code_stream's 12 rings build 24 FactorData with any size from
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
@@ -97,8 +97,8 @@ def memoized(fn):
 
 def clear_memo() -> None:
     """Forget every kept FactorData, also those cli keeps by document
-    text, and oracle's per-ring lifts, moduli x^N - lambda, layouts and
-    steps; factor_data builds each ring again."""
+    text with their dual texts, and oracle's per-ring lifts, moduli
+    x^N - lambda, layouts and steps; factor_data builds each ring again."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -203,7 +203,8 @@ class FactorData:
     remembered result exactly.  Codes of one stream differ in few
     components (enumerate moves the last factor fastest), so a stream
     derives only what changed.  Each holds one entry per factor, O(r)
-    for the ring, and a spec whose derivation raised is not stored.
+    for the ring, and a spec whose derivation raised is not stored;
+    _units[j] holds dual._transport_b's unit at factor j once built.
     """
 
     __slots__ = (
@@ -216,6 +217,7 @@ class FactorData:
         "_fixed",
         "_last_valid",
         "_last_dual",
+        "_units",
         "chain_ctxs",
         "tau",
         "delta",
@@ -232,6 +234,7 @@ class FactorData:
         self._fixed = [None] * len(factors)
         self._last_valid = [None] * len(factors)
         self._last_dual = [None] * len(factors)
+        self._units = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
         # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
         # the number of tau-fixed factors, exist only when lambda^2 = 1

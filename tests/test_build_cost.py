@@ -247,9 +247,13 @@ def test_f_pows_builds_only_what_is_read():
     F2 = field_new(2, 1)
     ctx = ChainCtx(Poly(F2, (1, 1)), 4096)
     assert len(ctx.f_pows) == 4097
-    # the modulus f^4096 is the one power every context builds
+    # a new context has built no power, the modulus f^4096 included
+    assert ctx.f_pows._built == {}
+    # reducing an element of degree < d e reads no modulus
+    assert ctx.reduce(Poly(F2, (1,) * 4096)) == Poly(F2, (1,) * 4096)
+    assert ctx.f_pows._built == {}
+    assert ctx.modulus is ctx.f_pows[4096]
     assert sorted(ctx.f_pows._built) == [4096]
-    assert ctx.f_pows[4096] is ctx.modulus
     assert ctx.f_pows[3] == Poly(F2, (1, 1, 1, 1))
     # (x + 1)^(2^12 - 1) = (x^4096 + 1) / (x + 1) = 1 + x + ... + x^4095
     assert ctx.f_pows[4095] == Poly(F2, (1,) * 4096)
@@ -258,6 +262,17 @@ def test_f_pows_builds_only_what_is_read():
     assert ctx.modulus == Poly(F2, (1,) + (0,) * 4095 + (1,))
     with pytest.raises(IndexError):
         ctx.f_pows[4097]
+
+
+@pytest.mark.parametrize("ring", [(2, 1, 12, 7, 1), (5, 1, 1, 6, 4), (3, 2, 1, 8, [0, 1]), (2, 3, 2, 7, [1, 0, 0])])
+def test_info_document_builds_no_power_of_f(ring):
+    """info reads no chain ring, so no context builds its modulus f^(p^s)."""
+    p, m, s, n, lam = ring
+    field = field_new(p, m)
+    fd = build_factor_data(AmbientParams(field, s, n, field.encode(lam) if m > 1 else lam))
+    assert cli.factor_data_json(fd).startswith("{")
+    assert len(fd.chain_ctxs) == fd.r
+    assert all(ctx.f_pows._built == {} for ctx in fd.chain_ctxs)
 
 
 @pytest.mark.parametrize("p,m,coeffs,e", [(3, 1, (2, 0, 1), 9), (3, 1, (1, 1), 5), (2, 2, (2, 1, 1), 8), (5, 1, (2, 1), 3)])
@@ -319,7 +334,8 @@ def test_wide_residue_window_streams():
     firsts = [next(stream) for _ in range(4)]
     f = ctx.f
     assert firsts == [Poly.zero(F2), f, f * f, f + f * f]
-    assert sorted(ctx.f_pows._built) == [1, 2, 4096]
+    # the digits read f^1 and f^2; the modulus f^4096 is never read
+    assert sorted(ctx.f_pows._built) == [1, 2]
 
 
 # -- idempotents on first read -------------------------------------------------

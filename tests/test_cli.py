@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ccring
+import ccring.decomp
 from ccring import cli, gf
 from ccring.cli import code_json, main, parse_code
 from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data, factor_data
@@ -287,6 +288,81 @@ def test_dual_reads_an_ndjson_stream(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, again, _ = run(capsys, "dual")
         assert code == 0 and again == stream
+
+
+def library_dual(doc: str) -> str:
+    return cli._dumps(code_json(dual_code(parse_code(json.loads(doc))))) + "\n"
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        ("--p", "7", "--s", "1", "--n", "48", "--lambda", "6"),  # 12 factors
+        ("--p", "3", "--m", "2", "--s", "1", "--n", "8", "--lambda", "[1,0]"),
+        ("--p", "2", "--s", "4", "--n", "7", "--lambda", "1"),  # factors on both transport routes
+    ],
+)
+def test_dual_writes_the_library_route_line_for_line(capsys, monkeypatch, ring):
+    """dual transports only the components that changed since the ring's
+    last document, and writes what code_json(dual_code(parse_code(doc)))
+    gives, fed a 200-document stream at once or one document per call."""
+    _, out, _ = run(capsys, "enumerate", *ring, "--limit", "200")
+    docs = out.splitlines(keepends=True)
+    assert len(docs) == 200
+    want = [library_dual(doc) for doc in docs]
+    ccring.decomp.clear_memo()
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "dual") == (0, "".join(want), "")
+    ccring.decomp.clear_memo()
+    for doc, line in zip(docs, want):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(capsys, "dual") == (0, line, "")
+
+
+def _documents_of_7(capsys):
+    """(2,1,1,7,1) documents: the second one's last component is I, b = [1]."""
+    _, out, _ = run(capsys, "enumerate", "--p", "2", "--s", "1", "--n", "7", "--lambda", "1", "--limit", "2")
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def with_component(doc, j, comp):
+    out = json.loads(json.dumps(doc))
+    out["components"][j] = comp
+    return out
+
+
+def _retyped_cases(capsys):
+    docs = _documents_of_7(capsys)
+    kept = with_component(docs[1], 0, {"case": "III", "k": 1})
+    return [
+        (kept, with_component(kept, 0, {"case": "III", "k": True}), "error: component field 'k' must be int, got True\n"),
+        (kept, with_component(kept, 0, {"case": "III", "k": 1.0}), "error: component field 'k' must be int, got 1.0\n"),
+        (docs[1], with_component(docs[1], 2, {"case": "I", "b": [True]}), "error: field element must be an integer, got True\n"),
+    ]
+
+
+def _misordered_cases(capsys):
+    first = _documents_of_7(capsys)[0]
+    invalid = with_component(first, 0, {"case": "III", "k": 9})
+    short = dict(first, components=first["components"][:2])
+    return [
+        (first, with_component(invalid, 2, {"case": "I", "b": "x"}), "error: polynomial must be a coefficient array\n"),
+        (first, invalid, "error: case III has no ideal with (k, t) = (9, 0) when e = 2\n"),
+        (first, dict(short, components=[{"case": "I", "b": []}, {"case": 5}]), "error: component field 'case' must be str, got 5\n"),
+        (first, short, "error: need 3 components, got 2\n"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_dual_refuses_what_the_parent_refused(capsys, monkeypatch, case):
+    """A component equal, as a Python value, to the one remembered at its
+    factor but with true or 1.0 for an int is refused, not answered from
+    the memo; parse errors come before the component count, and that
+    before validation.  Each stderr is the one the library route wrote."""
+    good, bad, err = (_retyped_cases(capsys) + _misordered_cases(capsys))[case]
+    text = json.dumps(good) + "\n" + json.dumps(bad) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "dual") == (2, library_dual(json.dumps(good)), err)
 
 
 def test_dual_input_interleaving_more_rings_than_the_memo_holds(capsys, monkeypatch):

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 
 from ccring import cli
 from ccring.cli import main
+from ccring.dual import dual_code
+from ccring.errors import CcringError
 
 EXIT_CODES = {0, 2, 3}
 
@@ -251,6 +253,61 @@ LONG_RING_DOCUMENT = {
 def test_malformed_dual_documents_exit_cleanly(docs):
     text = "\n".join(json.dumps(d) for d in docs)
     assert exit_code(["dual"], text) in EXIT_CODES, text
+
+
+def int_spots(doc):
+    """(owner, key) of each int of doc's components: a k, a t or a
+    coordinate of b."""
+    spots = []
+    for comp in doc["components"]:
+        spots += [(comp, key) for key in ("k", "t") if key in comp]
+        for i, coeff in enumerate(comp.get("b", [])):
+            spots += [(coeff, x) for x in range(len(coeff))] if isinstance(coeff, list) else [(comp["b"], i)]
+    return spots
+
+
+@st.composite
+def remembered_then_retyped(draw):
+    """A valid document, then a copy with one int of a component given
+    as a float or a bool of equal value, which == takes for the int."""
+    doc = draw(st.sampled_from([doc for doc in valid_documents() if int_spots(doc)]))
+    copied = copy.deepcopy(doc)
+    owner, key = draw(st.sampled_from(int_spots(copied)))
+    value = owner[key]
+    owner[key] = draw(st.sampled_from([float(value)] + [bool(value)] * (value in (0, 1))))
+    return [doc, copied]
+
+
+def library_dual(docs):
+    """dual's exit code, stdout and stderr as the library route gives
+    them: code_json(dual_code(parse_code(doc))) per document."""
+    out = ""
+    for doc in docs:
+        try:
+            out += cli._dumps(cli.code_json(dual_code(cli.parse_code(doc)))) + "\n"
+        except CcringError as ex:
+            return 2, out, f"error: {ex}\n"
+    return 0, out, ""
+
+
+@SETTINGS
+@given(
+    runs=st.lists(
+        st.one_of(
+            st.sampled_from(valid_documents()).map(lambda doc: [doc]),
+            mutated_document().map(lambda doc: [doc]),
+            remembered_then_retyped(),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_dual_answers_as_the_library_route(runs):
+    """Whatever dual remembers of earlier documents, each document gets
+    the library route's answer or error."""
+    text = "".join(json.dumps(doc) + "\n" for run in runs for doc in run)
+    docs = [json.loads(line) for line in text.splitlines()]
+    assert run_main(["dual"], text) == library_dual(docs), text
 
 
 # -- the flag table against argparse -------------------------------------------

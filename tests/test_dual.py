@@ -7,6 +7,8 @@ import types
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ccring import decomp
 from ccring import dual as dual_module
@@ -14,6 +16,7 @@ from ccring.cli import main as cli_main
 from ccring.decomp import AmbientParams, build_factor_data, factor_data
 from ccring.dual import (
     _reflect,
+    _transport_b,
     count_self_dual,
     dual_code,
     dual_code_nu,
@@ -524,3 +527,85 @@ def run_dual(capsys, monkeypatch, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     assert cli_main(["dual"]) == 0
     return capsys.readouterr().out
+
+
+# -- the transport against the reflection route ---------------------------------
+
+
+def reference_transport_b(b, j, fd, target):
+    """-lambda f_j(0) x^(N - d_j) b(x^(-1)) by the reflection route, for
+    any b: each term c x^i lands at x^(N - d_j - i) = lambda^(-q) x^r with
+    (q, r) = divmod(N - d_j - i, N), as x^N = lambda^(-1) in the target,
+    and the polynomial of length N is reduced once."""
+    params = fd.params
+    field, N = params.field, params.N
+    out = [0] * N
+    for i, c in enumerate(b.coeffs):
+        q, r = divmod(N - fd.factors[j].degree - i, N)
+        out[r] = field.add(out[r], field.mul(c, field.pow(params.lam, -q)))
+    scal = field.neg(field.mul(params.lam, fd.factors[j](0)))
+    return target.reduce(Poly(field, out).scale(scal))
+
+
+# p in {2, 3, 5, 7}, m in {1, 2}, lambda of order 1, 2 and more, n = 1
+# included, and factors with n >= 3 d (the unit route) and n < 3 d
+UNIT_RINGS = [
+    (2, 1, 1, 7, 1),
+    (2, 1, 2, 1, 1),
+    (2, 2, 1, 3, [0, 1]),
+    (2, 2, 2, 5, [1, 0]),
+    (3, 1, 1, 4, 2),
+    (3, 1, 2, 8, 1),
+    (3, 2, 1, 8, [0, 1]),
+    (3, 2, 1, 1, [0, 1]),
+    (5, 1, 1, 6, 4),
+    (5, 1, 1, 1, 3),
+    (5, 1, 2, 3, 1),
+    (5, 2, 1, 3, [0, 1]),
+    (7, 1, 1, 48, 6),
+    (7, 1, 1, 3, 2),
+    (7, 1, 1, 1, 3),
+    (7, 2, 1, 4, [0, 1]),
+]
+
+
+def lam_order(params):
+    field, lam, k = params.field, params.lam, 1
+    while field.pow(lam, k) != 1:
+        k += 1
+    return k
+
+
+def test_unit_rings_cover_the_dispatch():
+    rings = [encoded_fd(*ring) for ring in UNIT_RINGS]
+    assert {(fd.params.p, fd.params.m) for fd in rings} == {(p, m) for p in (2, 3, 5, 7) for m in (1, 2)}
+    assert {min(lam_order(fd.params), 3) for fd in rings} == {1, 2, 3}
+    assert any(fd.params.n == 1 for fd in rings)
+    cut = dual_module._UNIT_CUTOFF
+    degrees = [(fd.params.n, f.degree) for fd in rings for f in fd.factors]
+    assert any(n >= cut * d for n, d in degrees) and any(n < cut * d for n, d in degrees)
+
+
+@st.composite
+def transport_case(draw):
+    """A ring, a factor j of it and a b: of degree < d_j e, or a parsed
+    b of any degree up to 2N + 2."""
+    fd = encoded_fd(*draw(st.sampled_from(UNIT_RINGS)))
+    j = draw(st.integers(0, fd.r - 1))
+    params = fd.params
+    size = fd.factors[j].degree * params.e
+    length = draw(st.one_of(st.integers(0, size), st.integers(size + 1, 2 * params.N + 3)))
+    coeffs = draw(st.lists(st.integers(0, params.field.q - 1), min_size=length, max_size=length))
+    return fd, j, Poly(params.field, coeffs)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=transport_case())
+def test_transport_is_the_reflection_route(case):
+    fd, j, b = case
+    target = dual_factor_data(fd).chain(j)
+    assert _transport_b(b, j, fd, target) == reference_transport_b(b, j, fd, target)
+    # a tau-fixed or paired factor's self-dual target is the same ring
+    if fd.tau is not None:
+        same = fd.chain(fd.tau[j])
+        assert _transport_b(b, j, fd, same) == reference_transport_b(b, j, fd, same)
