@@ -50,7 +50,11 @@ dual.dual_factor_data builds it once and keeps it on the source;
 through the memo, the dual of that dual is the source again.  cli keeps
 a code document's ring, and its dual texts, by the document's text, and
 oracle a ring's lift maps and lifted component rows, its x^N - lambda,
-packed pair layouts and x steps.
+packed pair layouts and x steps.  The one memo of work on codes is the
+dual command's: per factor, the last component document read and its
+dual's text (cli._dual_text).  A FactorData remembers no code, so
+CodeSpec and dual_code check and transport every component on every
+call.
 """
 
 from __future__ import annotations
@@ -193,18 +197,8 @@ class FactorData:
     FactorData once dual.dual_factor_data has built it; the dual links
     back only once it is dualized itself.  _fixed[j] holds the self-dual
     kernels of tau-fixed factor j once a self-dual stream has moved past
-    its first spec, so later streams on the ring share them.
-
-    _last_valid and _last_dual remember, per factor j, the last spec
-    seen there and what was derived from it: its validated form
-    (CodeSpec) and its dual component (dual.dual_code).  Both are pure
-    functions of the spec on this ring, and specs and Poly are
-    immutable, so a spec equal to the remembered one gets the
-    remembered result exactly.  Codes of one stream differ in few
-    components (enumerate moves the last factor fastest), so a stream
-    derives only what changed.  Each holds one entry per factor, O(r)
-    for the ring, and a spec whose derivation raised is not stored;
-    _units[j] holds dual._transport_b's unit at factor j once built.
+    its first spec, so later streams on the ring share them.  _units[j]
+    holds dual._transport_b's unit at factor j once built.
     """
 
     __slots__ = (
@@ -215,8 +209,6 @@ class FactorData:
         "_twisted",
         "_dual",
         "_fixed",
-        "_last_valid",
-        "_last_dual",
         "_units",
         "chain_ctxs",
         "tau",
@@ -232,8 +224,6 @@ class FactorData:
         self.factors = factors = list(factors)
         self._idempotents = self._twisted = self._dual = None
         self._fixed = [None] * len(factors)
-        self._last_valid = [None] * len(factors)
-        self._last_dual = [None] * len(factors)
         self._units = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
         # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
@@ -268,23 +258,6 @@ class FactorData:
 
     def chain(self, j: int) -> ChainCtx:
         return self.chain_ctxs[j]
-
-
-def recall(last: list, specs, derive) -> tuple:
-    """derive(j, spec) for each spec at its factor j, taken from last[j]
-    when spec equals the spec last[j] was derived from.
-
-    last is one of a FactorData's per-factor memos; it keeps the latest
-    (spec, derive(j, spec)) of each j.  derive must be pure in (j, spec)
-    for that ring.  An entry is stored only when derive returns.
-    """
-    out = []
-    for j, spec in enumerate(specs):
-        kept = last[j]
-        if kept is None or kept[0] != spec:
-            kept = last[j] = (spec, derive(j, spec))
-        out.append(kept[1])
-    return tuple(out)
 
 
 def _pair_order(factors: list[Poly]) -> list[Poly]:

@@ -31,18 +31,15 @@ one product of length D, no polynomial of length N, then one reduction
 mod fhat_j^e and one window cut (_transport_b, which reflects b when
 n < 3 d_j).
 
-A component's dual depends on that component alone, and each
-FactorData remembers, per factor, the last spec dual_code transported
-there and its image (decomp.recall): a code is dualized at the cost of
-the components that differ from the previous code's on its ring.  The
-transport is a pure function of the spec on that ring, and specs are
-immutable, so the remembered image is exact; the memo holds one entry
-per factor.  enumerate moves the last factor fastest, so along its
-stream most components repeat.
+A component's dual depends on that component alone, so the dual
+command, whose input is often an enumerate stream that moves the last
+factor fastest, keeps per factor the last component document and its
+dual's text, and transports only what changed (cli._dual_text).  The
+library routes here keep nothing: dual_code transports every component.
 
-For lambda = +-1 the dual ring is the source ring, its factor j,
-recip(f_j), being the source's factor tau(j), so dual_code_nu is
-dual_code with component j moved to position tau(j).
+For lambda = +-1 the reciprocal of f_j is the ring's own factor
+f_tau(j), so dual_code_nu transports component j straight into chain
+ring tau(j) of the source (_dual_at_tau) and builds no second ring.
 
 A self-dual code picks any spec on one factor of each reciprocal pair
 (its partner is forced) and a spec that is its own dual component on
@@ -100,7 +97,7 @@ from functools import partial
 from itertools import islice
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, recall, tau_degrees
+from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, tau_degrees
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -191,28 +188,29 @@ def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) ->
 
 def dual_code(code: CodeSpec) -> CodeSpec:
     """Dual of a classified code, over the lambda^(-1) ambient ring
-    whose factor data is dual_factor_data(code.fd).
-
-    Only the components that differ from the last code dualized on
-    code.fd at their factor are transported (decomp.recall).
-    """
+    whose factor data is dual_factor_data(code.fd)."""
     fd = code.fd
     dfd = dual_factor_data(fd)
-    comps = recall(fd._last_dual, code.components, lambda j, spec: dual_component(spec, j, fd, dfd.chain(j)))
+    comps = tuple(dual_component(spec, j, fd, dfd.chain(j)) for j, spec in enumerate(code.components))
     return CodeSpec.trusted(dfd, comps)
+
+
+def _dual_at_tau(spec: IdealSpec, j: int, fd: FactorData) -> IdealSpec:
+    """For lambda^2 = 1, the dual component of spec at factor j, over
+    recip(f_j) = f_tau(j) of fd itself."""
+    return dual_component(spec, j, fd, fd.chain(fd.tau[j]))
 
 
 def dual_code_nu(code: CodeSpec) -> CodeSpec:
     """Dual inside the same ambient ring; needs lambda^2 = 1.
 
-    dual_code's component j, over recip(f_j) = f_tau(j), lands at
-    tau(j); tau is an involution, so component i is dual_code's tau(i).
+    Component j's dual lies over f_tau(j), so it sits at tau(j); tau is
+    an involution, so component i is the dual of component tau(i).
     """
     fd = code.fd
     if fd.tau is None:
         raise NotSelfPairedLambda("lambda^2 != 1, use dual_code")
-    comps = dual_code(code).components
-    return CodeSpec.trusted(fd, tuple(comps[t] for t in fd.tau))
+    return CodeSpec.trusted(fd, tuple(_dual_at_tau(code.components[t], t, fd) for t in fd.tau))
 
 
 def is_self_dual(code: CodeSpec) -> bool:
@@ -391,5 +389,5 @@ def enumerate_self_dual(fd: FactorData, nu: int):
     for choice in spec_product(streams):
         comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))
         for a in range(rho, rho + fd.pair_count):
-            comps[fd.tau[a]] = dual_component(choice[a], a, fd, fd.chain(fd.tau[a]))
+            comps[fd.tau[a]] = _dual_at_tau(choice[a], a, fd)
         yield CodeSpec.trusted(fd, tuple(comps))

@@ -29,7 +29,7 @@ from functools import partial
 from itertools import islice
 
 from .chain import ChainCtx, ceil_half, odometer
-from .decomp import AmbientParams, FactorData, recall
+from .decomp import AmbientParams, FactorData
 from .errors import InvalidSpec
 from .poly import Poly
 
@@ -215,11 +215,8 @@ class CodeSpec:
             raise InvalidSpec(
                 f"need {self.fd.r} components, got {len(self.components)}"
             )
-        # b is kept as its residue mod f^e, so equal codes compare equal;
-        # a component equal to the last one validated at its factor is not
-        # validated again (see FactorData)
-        ctxs = self.fd.chain_ctxs
-        comps = recall(self.fd._last_valid, self.components, lambda j, spec: validate_spec(spec, ctxs[j]))
+        # b is kept as its residue mod f^e, so equal codes compare equal
+        comps = tuple(map(validate_spec, self.components, self.fd.chain_ctxs))
         object.__setattr__(self, "components", comps)
 
     @classmethod

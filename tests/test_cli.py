@@ -16,9 +16,9 @@ import ccring.decomp
 from ccring import cli, gf
 from ccring.cli import code_json, main, parse_code
 from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data, factor_data
-from ccring.dual import dual_code, dual_code_nu
+from ccring.dual import dual_code, dual_code_nu, dual_component
 from ccring.errors import TooLarge
-from ccring.ideals import CASES, enumerate_codes
+from ccring.ideals import CASES, enumerate_codes, validate_spec
 
 
 def run(capsys, *argv):
@@ -310,13 +310,22 @@ def test_dual_writes_the_library_route_line_for_line(capsys, monkeypatch, ring):
     docs = out.splitlines(keepends=True)
     assert len(docs) == 200
     want = [library_dual(doc) for doc in docs]
+    # the components that differ from the previous document's: all r on the first
+    comps = [json.loads(doc)["components"] for doc in docs]
+    before = [[None] * len(comps[0])] + comps
+    changed = [sum(c != b for c, b in zip(now, last)) for now, last in zip(comps, before)]
+    assert changed[0] == len(comps[0]) and min(changed) == 1
+    calls = _count_calls(monkeypatch, dual_component, validate_spec)
     ccring.decomp.clear_memo()
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     assert run(capsys, "dual") == (0, "".join(want), "")
+    assert calls == {"dual_component": sum(changed), "validate_spec": sum(changed)}
     ccring.decomp.clear_memo()
-    for doc, line in zip(docs, want):
+    for doc, line, n in zip(docs, want, changed):
+        calls.clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert run(capsys, "dual") == (0, line, "")
+        assert calls == {"dual_component": n, "validate_spec": n}
 
 
 def _documents_of_7(capsys):

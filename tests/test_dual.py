@@ -149,37 +149,9 @@ def test_the_dual_ring_holds_no_link_to_its_source(ring):
 STREAM_RING = (7, 1, 1, 48, 6)  # r = 12 quartic factors
 
 
-def test_dual_code_transports_only_the_components_that_changed(monkeypatch):
-    """dual_code equals the component-by-component route on each code of
-    an enumerate stream, and transports only the components that differ
-    from the previous code's at their factor."""
-    fd = fd_of(*STREAM_RING)
-    assert fd.r == 12
-    dfd = dual_factor_data(fd)
-    codes = list(enumerate_codes(fd, 200))
-    want = [tuple(dual_component(x, j, fd, dfd.chain(j)) for j, x in enumerate(c.components)) for c in codes]
-    assert_transports_only_changes(monkeypatch, dual_code, codes, want)
-
-
-def assert_transports_only_changes(monkeypatch, dualize, codes, want):
-    """dualize(code) has the components want[i] on codes[i], and runs
-    dual_component only on the components that differ from the previous
-    code's at their factor."""
-    calls = []
-    real = dual_module.dual_component
-    monkeypatch.setattr(dual_module, "dual_component", lambda spec, j, *rest: calls.append((j, spec)) or real(spec, j, *rest))
-    previous = [None] * codes[0].fd.r
-    for code, comps in zip(codes, want):
-        calls.clear()
-        assert dualize(code).components == comps
-        assert calls == [(j, x) for j, x in enumerate(code.components) if x != previous[j]]
-        previous = code.components
-    assert len(calls) < len(previous)  # the stream's last code changed few components
-
-
 def dual_code_nu_by_placement(code):
-    """The same-ring dual by its own transport loop, with no memo: the
-    component built from position j placed at position tau(j)."""
+    """The same-ring dual by its own transport loop: the component built
+    from position j placed at position tau(j)."""
     fd = code.fd
     comps = [None] * fd.r
     for j, spec in enumerate(code.components):
@@ -222,21 +194,23 @@ def test_nu_rings_cover_both_signs_and_m_above_one():
     assert any(fd.pair_count for fd in rings) and any(fd.rho for fd in rings)
 
 
-def test_dual_code_nu_transports_only_the_components_that_changed(monkeypatch):
-    """Along an enumerate stream of a lambda = -1 ring, dual_code_nu
-    equals the placement loop and transports only the components that
-    differ from the previous code's at their factor."""
-    fd = fd_of(*STREAM_RING)
-    assert fd.r == 12 and fd.tau is not None
-    codes = list(enumerate_codes(fd, 200))
-    want = [dual_code_nu_by_placement(code) for code in codes]
-    assert_transports_only_changes(monkeypatch, dual_code_nu, codes, want)
+@pytest.mark.parametrize("ring", [STREAM_RING, (2, 2, 1, 3, 1)])  # pairs only; a fixed factor and a pair
+def test_dual_code_nu_builds_no_ring(ring):
+    """dual_code_nu and is_self_dual stay in the code's own ring: along a
+    stream they set up no FactorData, and the dual ring is never built."""
+    fd = fd_of(*ring)
+    assert fd.pair_count
+    misses = decomp._kept_ring.cache_info().misses
+    for code in enumerate_codes(fd, 200):
+        dual = dual_code_nu(code)
+        assert dual.fd is fd and dual.components == dual_code_nu_by_placement(code)
+        is_self_dual(code)
+    assert decomp._kept_ring.cache_info().misses == misses and fd._dual is None
 
 
 def test_dual_of_dual_restores_a_whole_stream():
-    """A ring and its dual each remember their own components: dualizing
-    back restores every code of the stream, and streams of both rings
-    interleaved get the component route's duals."""
+    """Dualizing back restores every code of a stream, and streams of a
+    ring and its dual interleaved get the component route's duals."""
     fd = factor_data(AmbientParams.of_ints(*STREAM_RING))
     for code in enumerate_codes(fd, 200):
         dual = dual_code(code)

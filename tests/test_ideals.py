@@ -268,17 +268,6 @@ def validations(monkeypatch):
     return calls
 
 
-def test_code_spec_validates_only_the_components_that_changed(validations):
-    fd = build_factor_data(AmbientParams.of_ints(7, 1, 1, 48, 6))  # r = 12
-    previous = [None] * fd.r
-    for code in enumerate_codes(fd, 200):
-        validations.clear()
-        assert CodeSpec(fd, code.components).components == code.components
-        changed = [x for j, x in enumerate(code.components) if x != previous[j]]
-        assert validations == changed
-        previous = code.components
-
-
 def test_an_unreduced_b_is_validated_afresh_and_kept_reduced(validations):
     fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 2, 2))
     code = next(c for c in enumerate_codes(fd) if c.components[0].b)
@@ -289,10 +278,6 @@ def test_an_unreduced_b_is_validated_afresh_and_kept_reduced(validations):
     validations.clear()
     assert CodeSpec(fd, comps).components == code.components
     assert validations == [padded]
-    # remembered now: the padded spec comes back reduced, with no check
-    validations.clear()
-    assert CodeSpec(fd, comps).components == code.components
-    assert validations == []
 
 
 def test_an_invalid_spec_after_a_remembered_valid_one_raises():
