@@ -182,6 +182,8 @@ def parse_ideal(field: FieldCtx, doc) -> IdealSpec:
 
 
 def code_json(code: CodeSpec):
+    """The document of a code as a dict; enumerate and selfdual write
+    its text with _write_codes."""
     fd = code.fd
     field = fd.params.field
     return {
@@ -223,14 +225,48 @@ def _ring(key: str) -> FactorData:
     return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
 
 
+def _head(fd: FactorData) -> str:
+    """The text of a code document of fd's ring up to its first
+    component: {"params":...,"factors":[...],"components":[."""
+    field = fd.params.field
+    head = _dumps({"params": params_json(fd.params), "factors": [poly_json(field, f) for f in fd.factors]})
+    return head[:-1] + ',"components":['
+
+
+def _component(key, spec: IdealSpec, fd: FactorData, j: int) -> tuple:
+    """What a writer keeps of component j of a code of fd's ring: key,
+    the component's text and its ideal's size."""
+    return key, _dumps(ideal_json(fd.params.field, spec)), ideal_size(spec, fd.chain(j))
+
+
+def _line(head: str, kept) -> str:
+    """The text of the code document whose head and components are kept,
+    as _dumps(code_json(code)) writes it."""
+    size = decimal(prod(entry[2] for entry in kept))
+    return f'{head}{",".join(entry[1] for entry in kept)}],"size":"{size}"}}'
+
+
+def _write_codes(fd: FactorData, codes, out) -> None:
+    """One line per code of fd's ring, _dumps(code_json(code)), from the
+    ring's head text and per position the text and size of the last
+    component written there, made again only when the position holds
+    another spec object: the streams keep every component they do not
+    move."""
+    head, kept = _head(fd), [None] * fd.r
+    for code in codes:
+        for j, spec in enumerate(code.components):
+            if kept[j] is None or kept[j][0] is not spec:
+                kept[j] = _component(spec, spec, fd, j)
+        print(_line(head, kept), file=out)
+
+
 @memoized
 def _dual_memo(key: str):
     """A ring's FactorData and its dual's, the dual document's head, and per
     factor the last component document read, its dual's text and size."""
     fd = _ring(key)
     dfd = dual_factor_data(fd)
-    head = _dumps({"params": params_json(dfd.params), "factors": [poly_json(dfd.params.field, f) for f in dfd.factors]})
-    return fd, dfd, head[:-1] + ',"components":[', [None] * fd.r
+    return fd, dfd, _head(dfd), [None] * fd.r
 
 
 def _ints(comp) -> bool:
@@ -252,10 +288,8 @@ def _dual_text(doc) -> str:
     specs = [parse_ideal(fd.params.field, comps[j]) for j in changed]
     specs = [validate_spec(spec, fd.chain(j)) for j, spec in zip(changed, specs)]
     for j, spec in zip(changed, specs):
-        dual = dual_component(spec, j, fd, dfd.chain(j))
-        kept[j] = (comps[j], _dumps(ideal_json(dfd.params.field, dual)), ideal_size(dual, dfd.chain(j)))
-    size = decimal(prod(entry[2] for entry in kept))
-    return f'{head}{",".join(entry[1] for entry in kept)}],"size":"{size}"}}'
+        kept[j] = _component(comps[j], dual_component(spec, j, fd, dfd.chain(j)), dfd, j)
+    return _line(head, kept)
 
 
 def factor_data_json(fd: FactorData) -> str:
@@ -317,9 +351,14 @@ def _documents(lines):
     """The whitespace-separated JSON documents of a text read line by
     line: NDJSON, pretty-printed documents, or several on one line.
 
-    Lines are decoded once they close every bracket they open (a JSON
-    string holds no newline), so each document is yielded as soon as its
-    last line is read.  A text without any document is bad input.
+    A line that starts no document held over from earlier lines is
+    decoded at once; when one document takes all of it but whitespace,
+    as each line of NDJSON does, that document is yielded and the line
+    is read no further.  Any other line goes to the scan: lines are
+    decoded once they close every bracket they open (a JSON string holds
+    no newline), so each document is yielded as soon as its last line is
+    read, and errors are placed from the start of the text.  A text
+    without any document is bad input.
     """
     decoder = json.JSONDecoder()
     buf, depth = "", 0  # the lines not decoded yet, and their bracket depth
@@ -327,6 +366,17 @@ def _documents(lines):
     found = False
     for line in chain(lines, [None]):  # None: the end of the text
         if line is not None:
+            if not buf:
+                try:
+                    doc, end = decoder.raw_decode(line, _SPACE.match(line).end())
+                except (ValueError, RecursionError):  # the scan meets it again
+                    end = 0
+                if end and _SPACE.match(line, end).end() == len(line):
+                    base_chars += len(line)
+                    base_lines += line.count("\n")
+                    found = True
+                    yield doc
+                    continue
             buf += line
             bare = _STRING.sub("", line)  # brackets inside strings do not count
             depth += bare.count("[") + bare.count("{") - bare.count("]") - bare.count("}")
@@ -464,8 +514,7 @@ def cmd_enumerate(args) -> int:
     # through the memo: `dual` on the output comes back to this ring
     fd = factor_data(_params(args))
     with _stream(args.output, "w") as out:
-        for code in enumerate_codes(fd, args.limit):
-            print(_dumps(code_json(code)), file=out)
+        _write_codes(fd, enumerate_codes(fd, args.limit), out)
     return 0
 
 
@@ -490,8 +539,7 @@ def cmd_selfdual(args) -> int:
     # through the memo: `dual` on the output comes back to this ring
     fd = factor_data(params)
     with _stream(args.output, "w") as out:
-        for code in islice(enumerate_self_dual(fd, args.nu), args.limit):
-            print(_dumps(code_json(code)), file=out)
+        _write_codes(fd, islice(enumerate_self_dual(fd, args.nu), args.limit), out)
     return 0
 
 

@@ -40,6 +40,9 @@ degrees, then its product); the package's own lists (DerivedFactors,
 from factor_squarefree or the monic reciprocals of such a list) are
 built on as they come.  Every memo of set-up work is made with
 memoized(), an lru_cache of MEMO_SIZE entries that clear_memo empties.
+ring_field hands out the fields the process keeps, keyed on (p, m,
+modulus), with the exp/log tables their first products build, so a
+command of a field seen before searches or tests no modulus.
 factor_data hands out the rings the process keeps, one entry per ring
 keyed on its params and factors, so a ring that comes back (a stream of
 documents, the dual of a dual, self-dual codes and then their duals) is
@@ -82,7 +85,9 @@ MAX_LENGTH = 1 << 18
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
 # takes none.  cli's document memos take one per ring text, so two for a
-# ring and its dual.  Replaying the seed-9001 benchmark ops in one
+# ring and its dual.  ring_field takes one per field and modulus given:
+# for m = 1 one per p, for m > 1 one for the flags without --modulus and
+# one for the documents, which name it.  Replaying the seed-9001 benchmark ops in one
 # process, code_stream's 12 rings build 24 FactorData with any size from
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
 # (a ring's stream op builds it, its count op nothing), where past 2
@@ -100,9 +105,10 @@ def memoized(fn):
 
 
 def clear_memo() -> None:
-    """Forget every kept FactorData, also those cli keeps by document
-    text with their dual texts, and oracle's per-ring lifts, moduli
-    x^N - lambda, layouts and steps; factor_data builds each ring again."""
+    """Forget every kept field and FactorData, also those cli keeps by
+    document text with their dual texts, and oracle's per-ring lifts,
+    moduli x^N - lambda, layouts and steps; ring_field and factor_data
+    build each again."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -161,7 +167,8 @@ class AmbientParams:
 
 
 def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
-    """field_new(p, m, modulus) for the ring (p, m, s, n).
+    """field_new(p, m, modulus) for the ring (p, m, s, n), one object per
+    (p, m, modulus) while the memo keeps it.
 
     A p past MAX_LENGTH is refused here, with the error AmbientParams
     would give (s or n below 1, else a length N = n p^s >= p too long):
@@ -170,6 +177,13 @@ def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
     if p > MAX_LENGTH:
         _check_s_n(s, n)
         raise _too_long(p, s, n)
+    return _kept_field(p, m, None if modulus is None else tuple(modulus))
+
+
+@memoized
+def _kept_field(p: int, m: int, modulus: tuple[int, ...] | None) -> FieldCtx:
+    """field_new(p, m, modulus), kept with its exp/log tables once built,
+    so a command of a ring seen before searches or tests no modulus."""
     return field_new(p, m, modulus)
 
 

@@ -34,7 +34,10 @@ n < 3 d_j).
 A component's dual depends on that component alone, so the dual
 command, whose input is often an enumerate stream that moves the last
 factor fastest, keeps per factor the last component document and its
-dual's text, and transports only what changed (cli._dual_text).  The
+dual's text, and transports only what changed (cli._dual_text).  Along
+a self-dual stream, enumerate_self_dual keeps each pair factor's last
+spec and its partner, and transports only when that spec changes, so
+the partner stays one object, whose text a writer reuses too.  The
 library routes here keep nothing: dual_code transports every component.
 
 For lambda = +-1 the reciprocal of f_j is the ring's own factor
@@ -380,14 +383,20 @@ def enumerate_self_dual(fd: FactorData, nu: int):
 
     Every factor streams, so the first code costs one spec per factor,
     and a tau-fixed factor's kernels are solved only once its stream
-    moves past I with b = 0.
+    moves past I with b = 0.  Each pair factor's partner is transported
+    again only when that factor's spec object changes, and is the same
+    object until then.
     """
     _check_nu(fd.params, nu)
     rho = fd.rho
+    pairs = range(rho, rho + fd.pair_count)
     streams = [partial(_fixed_stream, j, fd) for j in range(rho)]
-    streams += [partial(enumerate_ideals, fd.chain(a)) for a in range(rho, rho + fd.pair_count)]
+    streams += [partial(enumerate_ideals, fd.chain(a)) for a in pairs]
+    kept: list = [None] * fd.r  # per pair factor: its last spec and that spec's partner
     for choice in spec_product(streams):
         comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))
-        for a in range(rho, rho + fd.pair_count):
-            comps[fd.tau[a]] = _dual_at_tau(choice[a], a, fd)
+        for a in pairs:
+            if kept[a] is None or kept[a][0] is not choice[a]:
+                kept[a] = (choice[a], _dual_at_tau(choice[a], a, fd))
+            comps[fd.tau[a]] = kept[a][1]
         yield CodeSpec.trusted(fd, tuple(comps))

@@ -1,3 +1,4 @@
+import functools
 import gc
 import io
 import json
@@ -7,6 +8,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from ccring import cli, gf
 from ccring.cli import code_json, main, parse_code
 from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data, factor_data
 from ccring.dual import dual_code, dual_code_nu, dual_component
-from ccring.errors import TooLarge
+from ccring.errors import CcringError, TooLarge
 from ccring.ideals import CASES, enumerate_codes, validate_spec
 
 
@@ -930,3 +933,193 @@ def test_crlf_input_keeps_its_error_positions(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "dual", "--input", str(path))
     assert code == 2 and len(out.splitlines()) == 3
     assert err == "error: bad JSON input: Expecting value: line 5 column 4 (char 678)\n"
+
+
+def reference_documents(lines):
+    """cli._documents with every line read by the bracket scan: the route
+    each line took before a line was first decoded on its own."""
+    decoder = json.JSONDecoder()
+    buf, depth = "", 0
+    base_chars = base_lines = 0
+    found = False
+    for line in chain(lines, [None]):
+        if line is not None:
+            buf += line
+            bare = cli._STRING.sub("", line)
+            depth += bare.count("[") + bare.count("{") - bare.count("]") - bare.count("}")
+            if depth > 0:
+                continue
+        pos = cli._SPACE.match(buf).end()
+        while pos < len(buf):
+            try:
+                doc, pos = decoder.raw_decode(buf, pos)
+            except RecursionError:
+                raise CcringError("JSON input nested too deeply") from None
+            except json.JSONDecodeError as ex:
+                raise CcringError(
+                    f"bad JSON input: {ex.msg}: line {base_lines + ex.lineno} "
+                    f"column {ex.colno} (char {base_chars + ex.pos})"
+                ) from None
+            found = True
+            yield doc
+            pos = cli._SPACE.match(buf, pos).end()
+        base_chars += len(buf)
+        base_lines += buf.count("\n")
+        buf, depth = "", 0
+    if not found:
+        raise CcringError("no JSON document in the input")
+
+
+STREAM_FLAGS = ("--p", "7", "--s", "1", "--n", "48", "--lambda", "6")
+
+
+@functools.cache
+def reading_shapes() -> dict:
+    """Inputs of every shape dual reads, by name, as bytes: documents of
+    a ring with m = 2 and of one with 12 factors."""
+    docs = []
+    for ring in (("--p", "3", "--m", "2", "--s", "1", "--n", "8", "--lambda", "[1,0]"), STREAM_FLAGS):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["enumerate", *ring, "--limit", "3"]) == 0
+        docs += out.getvalue().splitlines()
+    ndjson = "".join(doc + "\n" for doc in docs)
+    indented = "".join(json.dumps(json.loads(doc), indent=2) + "\n" for doc in docs)
+    deep = "[" * 100000
+    split = docs[1].replace(',"factors"', ',\n"factors"')  # a line break outside any string
+    texts = {
+        "ndjson": ndjson,
+        "no final newline": ndjson.rstrip("\n"),
+        "crlf": ndjson.replace("\n", "\r\n"),
+        "indented": indented,
+        "indented, tabs": indented.replace("  ", "\t"),
+        "two per line": "".join(" ".join(docs[i : i + 2]) + "\n" for i in range(0, len(docs), 2)),
+        "one line": " ".join(docs),
+        "a document begun after another": docs[0] + " " + split + "\n" + "\n".join(docs[2:]),
+        "blank lines": "\n\n" + "\n \t\n".join(docs) + "\n\n\n",
+        "only blanks": " \n\n\t\n",
+        "empty": "",
+        "scalar": docs[0] + "\n5\n",
+        "brackets in a string": docs[0] + '\n{"params": "[[{"}\n',
+        "unclosed string": docs[0] + '\n{"params": "[[{\n',
+        "bad JSON": docs[0] + "\n" + docs[1][:-3] + "\n" + docs[2] + "\n",
+        "bad JSON, indented": indented + '{\n  "params": [1,\n 2,, 3]\n}\n',
+        "trailing junk": docs[0] + " x\n" + docs[1] + "\n",
+        "trailing bracket": docs[0] + "]\n" + docs[1] + "\n",
+        "too deep, open": docs[0] + "\n" + deep + "\n",
+        "too deep, closed": docs[0] + "\n" + deep + "]" * 100000 + "\n",
+    }
+    shapes = {name: text.encode() for name, text in texts.items()}
+    shapes["not utf-8"] = (ndjson + docs[0]).encode() + b"\xff\n" + docs[1].encode() + b"\n"
+    return shapes
+
+
+READING_SHAPES = [
+    "ndjson",
+    "no final newline",
+    "crlf",
+    "indented",
+    "indented, tabs",
+    "two per line",
+    "one line",
+    "a document begun after another",
+    "blank lines",
+    "only blanks",
+    "empty",
+    "scalar",
+    "brackets in a string",
+    "unclosed string",
+    "bad JSON",
+    "bad JSON, indented",
+    "trailing junk",
+    "trailing bracket",
+    "too deep, open",
+    "too deep, closed",
+    "not utf-8",
+]
+# the shapes that hold the six documents and nothing else
+WELL_FORMED = {
+    "ndjson",
+    "no final newline",
+    "crlf",
+    "indented",
+    "indented, tabs",
+    "two per line",
+    "one line",
+    "a document begun after another",
+    "blank lines",
+}
+
+
+@pytest.mark.parametrize("shape", READING_SHAPES)
+def test_documents_are_those_of_the_bracket_scan(capsys, monkeypatch, shape):
+    """Each input shape gives the documents, answers, exit code and error
+    text that reading every line by the bracket scan gives."""
+    shapes = reading_shapes()
+    assert list(shapes) == READING_SHAPES
+
+    def outcome(documents):
+        try:
+            return list(documents(shapes[shape].decode().splitlines(keepends=True))), None
+        except (CcringError, UnicodeDecodeError) as ex:
+            return None, str(ex)
+
+    assert outcome(cli._documents) == outcome(reference_documents)
+    answers = []
+    for documents in (cli._documents, reference_documents):
+        monkeypatch.setattr(cli, "_documents", documents)
+        for data in (shapes[shape], shapes["ndjson"]):
+            monkeypatch.setattr("sys.stdin", byte_stdin(data))
+            answers.append(run(capsys, "dual"))
+    assert answers[0] == answers[2]
+    if shape in WELL_FORMED:
+        assert answers[0] == answers[1] == answers[3]
+    else:
+        assert answers[0][0] == 2 and answers[0][2].startswith("error: ")
+
+
+def test_ndjson_dual_input_is_read_with_no_bracket_scan(capsys, monkeypatch):
+    """A line that holds one whole document is decoded on its own: the
+    bracket scan's string pattern is never run on it."""
+    _, out, _ = run(capsys, "enumerate", *STREAM_FLAGS, "--limit", "50")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    want = run(capsys, "dual")
+    assert want[0] == 0 and want[1].count("\n") == 50
+
+    class NoScan:
+        def sub(self, *args):
+            raise AssertionError("bracket scan of an NDJSON line")
+
+    monkeypatch.setattr(cli, "_STRING", NoScan())
+    for stdin in (io.StringIO(out), byte_stdin(out.encode()), byte_stdin(out.replace("\n", "\r\n").encode())):
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, "dual") == want
+
+
+def test_fields_are_kept_across_commands(capsys, monkeypatch):
+    """Commands of one field, by flags or by documents, build it once
+    per (p, m, modulus) until clear_memo; a refused field is refused on
+    every call."""
+    calls = _count_calls(monkeypatch, gf.field_new)
+    f9 = ("--p", "3", "--m", "2", "--s", "1")
+    commands = (
+        ["count", "--n", "8"],
+        ["info", "--n", "8"],
+        ["enumerate", "--n", "4", "--limit", "3"],
+        ["count", "--n", "2"],
+    )
+    for argv in commands:
+        assert run(capsys, *argv, *f9, "--lambda", "[1,0]")[0] == 0
+    assert calls == {"field_new": 1}
+    # documents name their modulus: one more field, which dual keeps too
+    _, out, _ = run(capsys, "enumerate", *f9, "--n", "8", "--modulus", "1,0,1", "--lambda", "[1,0]", "--limit", "3")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "dual")[0] == 0
+    assert calls == {"field_new": 2}
+    ccring.decomp.clear_memo()
+    assert run(capsys, "count", *f9, "--n", "8", "--lambda", "[1,0]")[0] == 0
+    assert calls == {"field_new": 3}
+    for _ in range(2):
+        code, out, err = run(capsys, "count", "--p", "6", "--s", "1", "--n", "1", "--lambda", "1")
+        assert (code, out, err) == (2, "", "error: p = 6 is not prime\n")
+    assert calls == {"field_new": 5}

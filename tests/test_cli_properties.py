@@ -23,14 +23,17 @@ import io
 import json
 import re
 import sys
+from itertools import islice
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccring import cli
 from ccring.cli import main
-from ccring.dual import dual_code
+from ccring.decomp import AmbientParams, factor_data
+from ccring.dual import dual_code, enumerate_self_dual
 from ccring.errors import CcringError
+from ccring.ideals import enumerate_codes
 
 EXIT_CODES = {0, 2, 3}
 
@@ -308,6 +311,46 @@ def test_dual_answers_as_the_library_route(runs):
     text = "".join(json.dumps(doc) + "\n" for run in runs for doc in run)
     docs = [json.loads(line) for line in text.splitlines()]
     assert run_main(["dual"], text) == library_dual(docs), text
+
+
+# (p, m, s, n, lambda as its encoded int) of rings whose streams are
+# written: m > 1, r = 1, and lambda = +-1 rings with reciprocal pairs
+STREAM_RINGS = [
+    (3, 2, 1, 8, 1),  # F_9, lambda = 1: two fixed factors and three pairs
+    (3, 2, 1, 8, 3),  # F_9, lambda = x: two factors
+    (2, 2, 1, 3, 1),  # F_4: one fixed factor and one pair
+    (3, 1, 2, 1, 2),  # r = 1, e = 9
+    (2, 1, 1, 1, 1),  # r = 1
+    (5, 1, 1, 6, 4),  # two pairs
+    (7, 1, 1, 48, 6),  # six pairs of quartics
+    (3, 1, 1, 8, 1),  # three fixed factors and a pair
+]
+
+
+@SETTINGS
+@given(
+    ring=st.sampled_from(STREAM_RINGS),
+    selfdual=st.booleans(),
+    limit=st.integers(0, 150),
+)
+@example(ring=(3, 2, 1, 8, 1), selfdual=True, limit=0)
+@example(ring=(7, 1, 1, 48, 6), selfdual=True, limit=150)
+def test_stream_lines_are_the_code_json_of_each_code(ring, selfdual, limit):
+    """enumerate and selfdual --limit write, line for line,
+    _dumps(code_json(code)) of each code the library streams."""
+    params = AmbientParams.of_ints(*ring)
+    field = params.field
+    flags = ["--p", str(ring[0]), "--m", str(ring[1]), "--s", str(ring[2]), "--n", str(ring[3])]
+    fd = factor_data(params)
+    if selfdual and params.lam_self_paired():
+        nu = 1 if params.lam == 1 else -1
+        argv = ["selfdual", *flags, "--nu", str(nu)]
+        codes = islice(enumerate_self_dual(fd, nu), limit)
+    else:
+        argv = ["enumerate", *flags, "--lambda", json.dumps(cli.fieldelem_json(field, params.lam))]
+        codes = enumerate_codes(fd, limit)
+    want = "".join(cli._dumps(cli.code_json(code)) + "\n" for code in codes)
+    assert run_main([*argv, "--limit", str(limit)]) == (0, want, "")
 
 
 # -- the flag table against argparse -------------------------------------------

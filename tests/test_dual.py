@@ -5,6 +5,7 @@ import random
 import time
 import types
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -348,6 +349,36 @@ def test_self_dual_pairs_force_partner():
     fd = fd_of(5, 1, 1, 2, 4)  # one reciprocal pair, nothing tau-fixed
     assert fd.rho == 0 and fd.pair_count == 1
     for code in enumerate_self_dual(fd, -1):
+        assert dual_code_nu(code).components == code.components
+
+
+@pytest.mark.parametrize(
+    "ring,nu",
+    [((5, 1, 1, 6, 4), -1), ((7, 1, 1, 48, 6), -1), ((3, 1, 1, 8, 1), 1), ((2, 2, 1, 3, 1), 1)],
+)
+def test_self_dual_partners_are_transported_once_per_change(ring, nu, monkeypatch):
+    """Along a self-dual stream, dual_component runs once per change of
+    a pair factor's spec, and the partner stays the same object until
+    then; every code is its own dual."""
+    fd = fd_of(*ring)
+    assert fd.pair_count
+    calls = []
+    real = dual_module.dual_component
+    monkeypatch.setattr(dual_module, "dual_component", lambda *a: calls.append(a) or real(*a))
+    codes = list(islice(enumerate_self_dual(fd, nu), 300))
+    firsts = range(fd.rho, fd.rho + fd.pair_count)
+    changes = 0
+    for last, code in zip([None] + codes, codes):
+        for a in firsts:
+            moved = last is None or code.components[a] is not last.components[a]
+            changes += moved
+            if not moved:
+                assert code.components[fd.tau[a]] is last.components[fd.tau[a]]
+    assert len(calls) == changes
+    # a lone pair factor streams last, so it moves on every code
+    assert changes < len(codes) * fd.pair_count or fd.pair_count == 1
+    monkeypatch.undo()
+    for code in codes:
         assert dual_code_nu(code).components == code.components
 
 
