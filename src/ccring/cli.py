@@ -195,34 +195,24 @@ def code_json(code: CodeSpec):
 
 
 def parse_code(doc) -> CodeSpec:
-    """The code a document describes.
-
-    Its ring is keyed on the compact text of its params and factors, and
-    set up once while the process keeps that text (decomp.MEMO_SIZE
-    texts, cleared with decomp.clear_memo), so a later document of the
-    ring, in this input or another, does no parsing or checking of the
-    ring.
-    """
-    fd = _ring(_ring_key(doc))
+    """The code a document describes, over the ring decomp.factor_data
+    keeps for its params and factors, so a later document of the ring,
+    in this input or another, builds and checks no ring again."""
+    fd = _parse_ring(doc)
     comps = tuple(parse_ideal(fd.params.field, c) for c in _member(doc, "components", list))
     return CodeSpec(fd, comps)
+
+
+def _parse_ring(doc) -> FactorData:
+    params = parse_params(_member(doc, "params"))
+    if "factors" not in doc:
+        return factor_data(params)
+    return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
 
 
 def _ring_key(doc) -> str:
     params = _member(doc, "params")  # a ring is kept by this text of its params and factors
     return _dumps([params, doc["factors"]] if "factors" in doc else [params])
-
-
-@memoized
-def _ring(key: str) -> FactorData:
-    """The FactorData of the params and factors in key, set up through
-    the decomp memo, which checks factors from outside; key holds the
-    whole ring, so it fixes the result."""
-    doc = dict(zip(("params", "factors"), json.loads(key)))
-    params = parse_params(doc["params"])
-    if "factors" not in doc:
-        return factor_data(params)
-    return factor_data(params, [parse_poly(params.field, f) for f in _member(doc, "factors", list)])
 
 
 def _head(fd: FactorData) -> str:
@@ -262,9 +252,10 @@ def _write_codes(fd: FactorData, codes, out) -> None:
 
 @memoized
 def _dual_memo(key: str):
-    """A ring's FactorData and its dual's, the dual document's head, and per
+    """For the _ring_key text of a document, whose ring it fixes: the
+    ring's FactorData and its dual's, the dual document's head, and per
     factor the last component document read, its dual's text and size."""
-    fd = _ring(key)
+    fd = _parse_ring(dict(zip(("params", "factors"), json.loads(key))))
     dfd = dual_factor_data(fd)
     return fd, dfd, _head(dfd), [None] * fd.r
 
@@ -393,6 +384,8 @@ def _documents(lines):
                     f"bad JSON input: {ex.msg}: line {base_lines + ex.lineno} "
                     f"column {ex.colno} (char {base_chars + ex.pos})"
                 ) from None
+            except ValueError:
+                raise _long_int() from None
             found = True
             yield doc
             pos = _SPACE.match(buf, pos).end()
@@ -401,6 +394,12 @@ def _documents(lines):
         buf, depth = "", 0
     if not found:
         raise CcringError("no JSON document in the input")
+
+
+def _long_int() -> CcringError:
+    # json raises a plain ValueError for an int it may not convert: the
+    # limit guards the parser against quadratic-time conversions
+    return CcringError(f"bad JSON input: an integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -430,6 +429,10 @@ def _parse_lambda(field: FieldCtx, text: str) -> int:
         doc = json.loads(text)
     except RecursionError:
         raise CcringError("--lambda nested too deeply") from None
+    except json.JSONDecodeError as ex:
+        raise CcringError(f"bad JSON input: {ex}") from None
+    except ValueError:
+        raise _long_int() from None
     if isinstance(doc, int) and doc == -1:
         return field.neg(1)
     return parse_fieldelem(field, doc)
@@ -855,9 +858,6 @@ def main(argv=None) -> int:
         return 2
     except CcringError as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as ex:
-        print(f"error: bad JSON input: {ex}", file=sys.stderr)
         return 2
 
 

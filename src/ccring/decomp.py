@@ -41,18 +41,20 @@ from factor_squarefree or the monic reciprocals of such a list) are
 built on as they come.  Every memo of set-up work is made with
 memoized(), an lru_cache of MEMO_SIZE entries that clear_memo empties.
 ring_field hands out the fields the process keeps, keyed on (p, m,
-modulus), with the exp/log tables their first products build, so a
-command of a field seen before searches or tests no modulus.
-factor_data hands out the rings the process keeps, one entry per ring
-keyed on its params and factors, so a ring that comes back (a stream of
-documents, the dual of a dual, self-dual codes and then their duals) is
-set up once, together with whatever it has built lazily since (the
-dual ring, self-dual kernels).  A failed build is not kept.  The factor
-data of the dual ring is fixed by the source's, so
-dual.dual_factor_data builds it once and keeps it on the source;
-through the memo, the dual of that dual is the source again.  cli keeps
-a code document's ring, and its dual texts, by the document's text, and
-oracle a ring's lift maps and lifted component rows, its x^N - lambda,
+modulus), no modulus and the default one keying one field, with the
+exp/log tables their first products build, so a command of a field
+seen before searches or tests no modulus.  factor_data hands out the
+rings the process keeps, one entry per ring keyed on its params and
+factors, so a ring that comes back (a stream of documents, the dual of
+a dual, self-dual codes and then their duals) is set up once, together
+with whatever it has built lazily since (self-dual kernels, transport
+units).  A failed build is not kept.  The factor data of the dual
+ring is fixed by the source's, so dual.dual_factor_data sets it up
+through the memo too, and the dual of that dual is the source again;
+only the memo keeps rings, so a ring and its dual hold no link to each
+other.  cli's dual command keeps, by the text of a document's params
+and factors, its ring, the dual ring and the dual texts, and oracle a
+ring's lift maps and lifted component rows, its x^N - lambda,
 packed pair layouts and x steps.  The one memo of work on codes is the
 dual command's: per factor, the last component document read and its
 dual's text (cli._dual_text).  A FactorData remembers no code, so
@@ -84,10 +86,9 @@ MAX_LENGTH = 1 << 18
 # alone, one for its derived factors), so two for `enumerate` and then `dual`
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
-# takes none.  cli's document memos take one per ring text, so two for a
-# ring and its dual.  ring_field takes one per field and modulus given:
-# for m = 1 one per p, for m > 1 one for the flags without --modulus and
-# one for the documents, which name it.  Replaying the seed-9001 benchmark ops in one
+# takes none.  cli's dual memo takes one per ring text, so two for a ring
+# and its dual.  ring_field takes one per field, and one more per
+# modulus given other than the default.  Replaying the seed-9001 benchmark ops in one
 # process, code_stream's 12 rings build 24 FactorData with any size from
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
 # (a ring's stream op builds it, its count op nothing), where past 2
@@ -168,7 +169,8 @@ class AmbientParams:
 
 def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
     """field_new(p, m, modulus) for the ring (p, m, s, n), one object per
-    (p, m, modulus) while the memo keeps it.
+    (p, m, modulus) while the memo keeps it; no modulus and the default
+    one, which documents name, give the same object.
 
     A p past MAX_LENGTH is refused here, with the error AmbientParams
     would give (s or n below 1, else a length N = n p^s >= p too long):
@@ -177,7 +179,9 @@ def ring_field(p: int, m: int, s: int, n: int, modulus=None) -> FieldCtx:
     if p > MAX_LENGTH:
         _check_s_n(s, n)
         raise _too_long(p, s, n)
-    return _kept_field(p, m, None if modulus is None else tuple(modulus))
+    field = _kept_field(p, m, None)
+    default = modulus is None or tuple(modulus) == field.modulus
+    return field if default else _kept_field(p, m, tuple(modulus))
 
 
 @memoized
@@ -207,9 +211,7 @@ class FactorData:
     never glues components (dual, enumerate, selfdual, count) builds
     none.  _idempotents holds the untwisted w_j of length n
     (root_idempotents), _twisted the eps_j of length N (idempotents),
-    which only the oracle reads.  _dual holds the lambda^(-1) ring's
-    FactorData once dual.dual_factor_data has built it; the dual links
-    back only once it is dualized itself.  _fixed[j] holds the self-dual
+    which only the oracle reads.  _fixed[j] holds the self-dual
     kernels of tau-fixed factor j once a self-dual stream has moved past
     its first spec, so later streams on the ring share them.  _units[j]
     holds dual._transport_b's unit at factor j once built.
@@ -221,7 +223,6 @@ class FactorData:
         "factors",
         "_idempotents",
         "_twisted",
-        "_dual",
         "_fixed",
         "_units",
         "chain_ctxs",
@@ -236,7 +237,7 @@ class FactorData:
         self.params = params
         self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._twisted = self._dual = None
+        self._idempotents = self._twisted = None
         self._fixed = [None] * len(factors)
         self._units = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]

@@ -2,10 +2,10 @@
 
 The dual of a lambda-constacyclic code is lambda^(-1)-constacyclic, so
 it decomposes over the reciprocals of the f_j.  That ring is fixed by
-the source ring: dual_factor_data builds its FactorData on first use
-and keeps it on the source's, so every code of one FactorData dualizes
-over the same object, and the decomp memo makes the dual of that dual
-the source again.
+the source ring: dual_factor_data sets its FactorData up through the
+decomp memo, so while the memo keeps it every code of one FactorData
+dualizes over the same object, and the dual of that dual is the source
+again.  A ring holds no link to its dual, so the two form no cycle.
 
 On spec level the whole construction is a parameter transport.  In
 the family <f^(k+1) b + u f^k, f^(k+t)> of ideals.py the dual component
@@ -120,15 +120,14 @@ from .poly import Poly, reciprocal
 def dual_factor_data(fd: FactorData) -> FactorData:
     """Factor data of the lambda^(-1) ring, factor j = recip of f_j.
 
-    Built on the first call and kept on fd, so later calls return the
-    same object.  Keeping source order means component j of a dual code
-    always sits over the reciprocal of the factor it came from; note
-    this order is generally not the one build_factor_data would pick.
+    Set up through the decomp memo, so while it keeps the ring every call
+    returns the same object, and the dual of that dual is fd's entry.
+    Keeping source order means component j of a dual code always sits
+    over the reciprocal of the factor it came from; note this order is
+    generally not the one build_factor_data would pick.
     """
-    if fd._dual is None:
-        recips = DerivedFactors(reciprocal(f).monic() for f in fd.factors)
-        fd._dual = factor_data(fd.params.dual_params(), recips)
-    return fd._dual
+    recips = DerivedFactors(reciprocal(f).monic() for f in fd.factors)
+    return factor_data(fd.params.dual_params(), recips)
 
 
 def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:

@@ -19,8 +19,8 @@ the package factors.  For c = +-1 it takes the parts Phi_M mod p, whose
 factors all have degree ord_M(q), with no gcd; for other c, the parts
 of equal factor degree by gcds.  It splits a part with random elements
 of its Berlekamp algebra {h : h^q = h}, combinations of a basis read
-off the q-orbits of exponents, by every value of F_q for small odd q,
-else by the quadratic character or the absolute trace.
+off the q-orbits of exponents: each h is traced to F_p and cuts by every
+value of F_p for small p, else by the quadratic character of F_p.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ _BYTE_ORDER = sys.byteorder
 # factorization; the sorted factor list does not depend on it
 FACTOR_SEED = 0xC0DEC
 
-# for odd p, factor_squarefree cuts a piece by every value of F_q up to
-# this q, and past it by the quadratic character: over n <= 48, the value
-# cut took 0.74-0.93 of the character's time for q = 3 .. 13, 0.97-1.07
-# for q = 17 .. 23 and 1.11 for q = 25
+# factor_squarefree cuts a piece by every value of F_p up to this p, and
+# past it by the quadratic character of F_p: over F_p, n <= 48, the value
+# cut took 0.74-0.93 of the character's time for p = 3 .. 13 and 0.97-1.07
+# for p = 17 .. 23
 _VALUE_CUT_MAX = 13
 
 
@@ -662,13 +662,14 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     for c = +-1 the cyclotomic Phi_M with no gcd, for other c by
     distinct degrees.  A part is split by random elements h of its
     Berlekamp algebra (Berlekamp 1970), F_q-combinations of the orbit
-    basis of x^L - c (_orbit_basis) reduced mod the part: h is a value
-    of F_q mod each factor, uniform and independent over the factors.
-    For p = 2 one h cuts a piece by its absolute trace, the sum of the
-    h^(2^k) for k < m, which on x^L - c only moves coefficients
-    (_power_map).  For odd q <= _VALUE_CUT_MAX it cuts by every value a,
-    with gcd(h - a, rest), and past it by the quadratic character,
-    gcd(h^((q - 1)/2) - 1, piece).  Over F_p every division and gcd
+    basis of x^L - c (_orbit_basis): h is a value of F_q mod each
+    factor, uniform and independent over the factors.  So its absolute
+    trace tr, the sum of the h^(p^k) for k < m, which on x^L - c only
+    moves coefficients (_power_map), is a value of F_p mod each factor,
+    uniform too, for every field; for m = 1 it is h.  With tr reduced
+    mod the piece, a p <= _VALUE_CUT_MAX cuts by every value a, with
+    gcd(tr - a, rest), and a larger p by the quadratic character,
+    gcd(tr^((p - 1)/2) - 1, piece).  Over F_p every division and gcd
     runs on the list kernel _divmod_fp.
 
     The pieces wait on a worklist, so a factorization leaves no
@@ -681,13 +682,13 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     c = _binomial_constant(f)
     if c is None:
         raise RangeError("factor_squarefree takes x^n - c with c != 0")
-    ctx, q = f.ctx, f.ctx.q
-    if f.degree % ctx.p == 0:
+    ctx, p, q = f.ctx, f.ctx.p, f.ctx.q
+    if f.degree % p == 0:
         raise NotSquarefree("x^n - c with p | n is a p-th power")
     rng = random.Random(FACTOR_SEED)
     out: list[Poly] = []
     for d, L, part in _binomial_parts(f, c):
-        todo, basis = [part], None
+        todo, basis, power = [part], None, _power_map(ctx, L, c)
         while todo:
             piece = todo.pop()
             if piece.degree == d:
@@ -701,16 +702,13 @@ def factor_squarefree(f: Poly) -> list[Poly]:
                     for i, w in orbit:
                         h[i] = ctx.mul(a, w)
             h = Poly(ctx, h)
-            if ctx.p == 2:
-                power = _power_map(ctx, L, c)
-                cuts = [sum((power(h, k) for k in range(1, ctx.m)), h)]
-            elif q <= _VALUE_CUT_MAX:
-                # a factor where h is none of the values before the last has
-                # h = q - 1, so the last value takes no gcd
-                h = h % piece
-                cuts = (h - Poly.const(ctx, a) for a in range(q - 1))
+            tr = sum((power(h, k) for k in range(1, ctx.m)), h) % piece
+            if p <= _VALUE_CUT_MAX:
+                # a factor where tr is none of the values before the last has
+                # tr = p - 1, so the last value takes no gcd
+                cuts = (tr - Poly.const(ctx, a) for a in range(p - 1))
             else:
-                cuts = [poly_modpow(h, (q - 1) // 2, piece) - Poly.one(ctx)]
+                cuts = [poly_modpow(tr, (p - 1) // 2, piece) - Poly.one(ctx)]
             rest, pieces = piece, []
             for t in cuts:
                 if rest.degree == d:

@@ -1111,8 +1111,13 @@ def test_fields_are_kept_across_commands(capsys, monkeypatch):
     for argv in commands:
         assert run(capsys, *argv, *f9, "--lambda", "[1,0]")[0] == 0
     assert calls == {"field_new": 1}
-    # documents name their modulus: one more field, which dual keeps too
-    _, out, _ = run(capsys, "enumerate", *f9, "--n", "8", "--modulus", "1,0,1", "--lambda", "[1,0]", "--limit", "3")
+    # documents name the default modulus x^2 + 1: the same field
+    _, out, _ = run(capsys, "enumerate", *f9, "--n", "8", "--lambda", "[1,0]", "--limit", "3")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "dual")[0] == 0
+    assert calls == {"field_new": 1}
+    # another modulus, x^2 + x + 2: one more field, which dual keeps too
+    _, out, _ = run(capsys, "enumerate", *f9, "--n", "8", "--modulus", "2,1,1", "--lambda", "[1,0]", "--limit", "3")
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     assert run(capsys, "dual")[0] == 0
     assert calls == {"field_new": 2}
@@ -1123,3 +1128,49 @@ def test_fields_are_kept_across_commands(capsys, monkeypatch):
         code, out, err = run(capsys, "count", "--p", "6", "--s", "1", "--n", "1", "--lambda", "1")
         assert (code, out, err) == (2, "", "error: p = 6 is not prime\n")
     assert calls == {"field_new": 5}
+
+
+@pytest.mark.parametrize("field", [("--p", "2", "--m", "2", "--lambda", "[0,1]"), ("--p", "3", "--m", "2", "--lambda", "[1,0]")])
+def test_enumerate_then_dual_tabulate_the_field_once(capsys, monkeypatch, field):
+    """The flags without --modulus and the documents, which name the
+    default modulus, share one kept field: after enumerate, dual on the
+    documents of another ring of F_4 or F_9 builds no second table."""
+    _, docs, _ = run(capsys, "enumerate", *field, "--s", "1", "--n", "7", "--limit", "20")
+    ccring.decomp.clear_memo()
+    calls = Counter()
+    build = gf.FieldCtx._build_tables
+
+    def counted(self):
+        calls[self.p, self.m, self.modulus] += 1
+        build(self)
+
+    monkeypatch.setattr(gf.FieldCtx, "_build_tables", counted)
+    assert run(capsys, "enumerate", *field, "--s", "1", "--n", "5", "--limit", "20")[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+    assert run(capsys, "dual")[0] == 0
+    assert list(calls.values()) == [1]
+
+
+LONG_INT = "1" * 5000  # past the interpreter's int-to-str digit limit, 4300 by default
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_integers_past_the_digit_limit_exit_2(capsys, monkeypatch, fresh):
+    """json refuses an integer past sys.get_int_max_str_digits() digits
+    with a plain ValueError; a dual document or a --lambda holding one
+    ends the run with one error line and exit 2, and the answers written
+    before it stay."""
+    ring = ("--p", "5", "--s", "1", "--n", "6")
+    _, doc, _ = run(capsys, "enumerate", *ring, "--lambda", "-1", "--limit", "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    _, answer, _ = run(capsys, "dual")
+    err = f"error: bad JSON input: an integer of more than {sys.get_int_max_str_digits()} digits\n"
+    cases = [(["dual"], f"{doc}[{LONG_INT}]\n", answer), (["count", *ring, "--lambda", LONG_INT], "", "")]
+    for argv, stdin, out in cases:
+        if fresh:
+            with _cli_process(*argv, stdin=subprocess.PIPE) as proc:
+                got = proc.communicate(stdin.encode(), timeout=60)
+            assert (proc.returncode, *got) == (2, out.encode(), err.encode())
+        else:
+            monkeypatch.setattr("sys.stdin", byte_stdin(stdin.encode()))
+            assert run(capsys, *argv) == (2, out, err)

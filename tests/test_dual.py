@@ -133,8 +133,8 @@ def test_the_dual_ring_holds_no_link_to_its_source(ring):
     fd = fd_of(*ring)
     code = next(iter(enumerate_codes(fd, 1)))
     dual = dual_code(code)
-    assert _reaches(fd, dual.fd)  # the source keeps its dual ...
-    assert not _reaches(dual, fd)  # ... but not the other way round
+    # only the decomp memo keeps rings: neither ring holds the other
+    assert not _reaches(fd, dual.fd) and not _reaches(dual, fd)
     # dualizing again builds the lambda ring through the memo: not fd,
     # which build_factor_data built afresh, but the memo's, with fd's factors
     back = dual_factor_data(dual.fd)
@@ -201,12 +201,13 @@ def test_dual_code_nu_builds_no_ring(ring):
     stream they set up no FactorData, and the dual ring is never built."""
     fd = fd_of(*ring)
     assert fd.pair_count
-    misses = decomp._kept_ring.cache_info().misses
+    lookups = decomp._kept_ring.cache_info()[:2]
     for code in enumerate_codes(fd, 200):
         dual = dual_code_nu(code)
         assert dual.fd is fd and dual.components == dual_code_nu_by_placement(code)
         is_self_dual(code)
-    assert decomp._kept_ring.cache_info().misses == misses and fd._dual is None
+    # no ring is looked up in the memo, the dual ring included
+    assert decomp._kept_ring.cache_info()[:2] == lookups
 
 
 def test_dual_of_dual_restores_a_whole_stream():

@@ -1,8 +1,9 @@
 """The F_p division kernel and list Euclid against the tuple loop they
 replaced, and the factorization of x^n - lambda0 over a grid of rings:
-multiplied out, irreducible, with the coset degrees, pinned, and equal
-to the trace route's for any squarefree polynomial, kept here as the
-reference (reference_factor)."""
+multiplied out, irreducible, with the coset degrees, pinned, equal to
+the trace route's for any squarefree polynomial, kept here as the
+reference (reference_factor), and over F_p and for p = 2 as much work
+as the F_q-valued cuts it replaced."""
 
 import hashlib
 import random
@@ -282,6 +283,76 @@ def test_factors_equal_the_trace_route(ring):
     F, n, lam = ring
     f = binomial(F, n, lam)
     assert factor_squarefree(f) == reference_factor(f)
+
+
+@st.composite
+def character_rings(draw):
+    """(F, n, lambda0) over F_{17^2}, F_{19^2} and F_{17^3}, where a trace
+    to F_p is cut by the quadratic character, with lambda0 of order > 2."""
+    F = draw(st.sampled_from([field_new(17, 2), field_new(19, 2), field_new(17, 3)]))
+    n = draw(st.integers(1, 60).filter(lambda k: k % F.p))
+    lam = draw(st.integers(2, F.q - 1).filter(lambda a: F.order(a) > 2))
+    return F, n, lam
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ring=character_rings())
+@example(ring=(field_new(17, 2), 48, generator(field_new(17, 2))))
+def test_character_cut_after_the_trace_equals_the_trace_route(ring):
+    F, n, lam = ring
+    f = binomial(F, n, lam)
+    assert factor_squarefree(f) == reference_factor(f)
+
+
+# sha256 of the factor lists of x^n - lambda0, n < 40, lambda0 in
+# lambdas(F), over fields of m > 1 past the grid, as the F_q-valued cuts
+# found them (p, m, lambda0, n in this order)
+WIDE_FACTORS_SHA256 = "6c6c4b3c7e629796e2296c9e03114bb5b673b8ce83e60736d9e2b0451ecae82e"
+
+
+def test_wide_factor_lists_are_pinned():
+    digest = hashlib.sha256()
+    for p, m in [(17, 2), (19, 2), (3, 3), (5, 3)]:
+        F = field_new(p, m)
+        for lam in lambdas(F):
+            for n in (k for k in range(1, 40) if k % p):
+                factors = factor_squarefree(binomial(F, n, lam))
+                digest.update(repr((p, m, lam, n, [g.coeffs for g in factors])).encode())
+    assert digest.hexdigest() == WIDE_FACTORS_SHA256
+
+
+def test_prime_fields_and_p_2_split_with_the_same_work(monkeypatch):
+    """Over F_p and for p = 2 the trace to F_p cuts as the F_q-valued
+    cuts it replaced did: with the same draws, the same gcd and modpow
+    calls over x^n - lambda0, n < 50, lambda0 in lambdas(F)."""
+    calls = {"poly_gcd": 0, "poly_modpow": 0}
+    for name in calls:
+        real = getattr(poly, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(poly, name, counted)
+    got = {}
+    for p, m in [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (17, 1), (19, 1), (2, 2), (2, 3)]:
+        F = field_new(p, m)
+        before = dict(calls)
+        for lam in lambdas(F):
+            for n in (k for k in range(1, 50) if k % p):
+                factor_squarefree(binomial(F, n, lam))
+        got[p, m] = tuple(calls[name] - before[name] for name in calls)
+    assert got == {
+        (2, 1): (35, 0),
+        (3, 1): (183, 0),
+        (5, 1): (574, 0),
+        (7, 1): (1135, 0),
+        (13, 1): (2080, 0),
+        (17, 1): (673, 630),
+        (19, 1): (657, 628),
+        (2, 2): (191, 0),
+        (2, 3): (205, 0),
+    }
 
 
 def test_cyclotomic_parts_multiply_out_with_the_coset_degrees():
