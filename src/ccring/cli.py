@@ -663,7 +663,10 @@ class Parser:
         if missing:
             raise self._error(name, "the following arguments are required: " + ", ".join(missing))
         if extras:
-            raise self._error(name, "unrecognized arguments: " + " ".join(extras))
+            # a token that would break the error line (a newline, a
+            # control character) is shown quoted, so the message stays one line
+            shown = (t if t.isprintable() else repr(t) for t in extras)
+            raise self._error(name, "unrecognized arguments: " + " ".join(shown))
         return SimpleNamespace(command=name, fn=command.fn, **values)
 
     def _read(self, name, tokens: list[str], values: dict, extras: list[str]) -> bool:

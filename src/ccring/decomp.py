@@ -32,6 +32,10 @@ factor_degrees), so it does no polynomial arithmetic; a self-dual count
 also needs to know which cosets are closed under negation, the
 tau-fixed factors (see tau_degrees).
 
+A ring's parameters are an AmbientParams, a named tuple (field, s, n,
+lam) that checks them when built and is equal and hashed as that
+tuple, so it keys the memos below as its fields would.
+
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
 build_factor_data and factor_data_for build a new one on every call.
@@ -50,8 +54,9 @@ a dual, self-dual codes and then their duals) is set up once, together
 with whatever it has built lazily since (self-dual kernels, transport
 units).  A failed build is not kept.  The factor data of the dual
 ring is fixed by the source's, so dual.dual_factor_data sets it up
-through the memo too, and the dual of that dual is the source again;
-only the memo keeps rings, so a ring and its dual hold no link to each
+through the memo too, from the dual params and monic reciprocals it
+keeps per source ring, and the dual of that dual is the source again;
+only the memos keep rings, so a ring and its dual hold no link to each
 other.  cli's dual command keeps, by the text of a document's params
 and factors, its ring, the dual ring and the dual texts, and oracle a
 ring's lift maps and lifted component rows, its x^N - lambda,
@@ -64,9 +69,9 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .chain import ChainCtx
 from .errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
@@ -87,8 +92,9 @@ MAX_LENGTH = 1 << 18
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
 # takes none.  cli's dual memo takes one per ring text, so two for a ring
-# and its dual.  ring_field takes one per field, and one more per
-# modulus given other than the default.  Replaying the seed-9001 benchmark ops in one
+# and its dual, and dual_factor_data's one per source ring.  ring_field
+# takes one per field, and one more per modulus given other than the
+# default.  Replaying the seed-9001 benchmark ops in one
 # process, code_stream's 12 rings build 24 FactorData with any size from
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
 # (a ring's stream op builds it, its count op nothing), where past 2
@@ -114,24 +120,30 @@ def clear_memo() -> None:
         memo.cache_clear()
 
 
-@dataclass(frozen=True)
-class AmbientParams:
-    """Parameters (p, m, s, n, lambda) of R[x]/(x^(n*p^s) - lambda)."""
-
+class _Params(NamedTuple):
     field: FieldCtx
     s: int
     n: int
     lam: int
 
-    def __post_init__(self):
-        _check_s_n(self.s, self.n)
-        if gcd(self.n, self.field.p) != 1:
-            raise GcdViolation(f"n = {self.n} shares a factor with p = {self.field.p}")
-        if not 0 < self.lam < self.field.q:
-            raise ZeroLambda(f"lambda = {self.lam} is not a unit")
+
+class AmbientParams(_Params):
+    """Parameters (p, m, s, n, lambda) of R[x]/(x^(n*p^s) - lambda): a
+    named tuple of (field, s, n, lam), checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: FieldCtx, s: int, n: int, lam: int):
+        self = tuple.__new__(cls, (field, s, n, lam))
+        _check_s_n(s, n)
+        if gcd(n, field.p) != 1:
+            raise GcdViolation(f"n = {n} shares a factor with p = {field.p}")
+        if not 0 < lam < field.q:
+            raise ZeroLambda(f"lambda = {lam} is not a unit")
         # p^s >= 2^s, so the first test keeps p**s small in the second
-        if self.s >= MAX_LENGTH.bit_length() or self.N > MAX_LENGTH:
-            raise _too_long(self.p, self.s, self.n)
+        if s >= MAX_LENGTH.bit_length() or self.N > MAX_LENGTH:
+            raise _too_long(self.p, s, n)
+        return self
 
     @classmethod
     def of_ints(cls, p: int, m: int, s: int, n: int, lam: int, modulus=None):

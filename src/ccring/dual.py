@@ -5,7 +5,10 @@ it decomposes over the reciprocals of the f_j.  That ring is fixed by
 the source ring: dual_factor_data sets its FactorData up through the
 decomp memo, so while the memo keeps it every code of one FactorData
 dualizes over the same object, and the dual of that dual is the source
-again.  A ring holds no link to its dual, so the two form no cycle.
+again.  The dual params and monic reciprocals it sets up from are kept
+per source FactorData in a memoized() entry of their own, so a later
+code of that ring pays lookups only.  A ring holds no link to its
+dual, so the two form no cycle.
 
 On spec level the whole construction is a parameter transport.  In
 the family <f^(k+1) b + u f^k, f^(k+t)> of ideals.py the dual component
@@ -95,12 +98,11 @@ solves against m delta(w), its F_p-dimension.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from itertools import islice
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, tau_degrees
+from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, memoized, tau_degrees
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -126,8 +128,14 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     over the reciprocal of the factor it came from; note this order is
     generally not the one build_factor_data would pick.
     """
-    recips = DerivedFactors(reciprocal(f).monic() for f in fd.factors)
-    return factor_data(fd.params.dual_params(), recips)
+    return factor_data(*_dual_ring_key(fd))
+
+
+@memoized
+def _dual_ring_key(fd: FactorData) -> tuple[AmbientParams, DerivedFactors]:
+    """The dual ring's params and monic reciprocals, kept per source ring,
+    so that dualizing another code of a ring seen before pays a lookup."""
+    return fd.params.dual_params(), DerivedFactors(reciprocal(f).monic() for f in fd.factors)
 
 
 def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:
@@ -308,7 +316,7 @@ def _fixed_specs(windows, field):
             yield shape
         else:
             for b in _span(basis, field):
-                yield replace(shape, b=b)
+                yield shape._replace(b=b)
 
 
 def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:

@@ -12,8 +12,6 @@ exp/log tables built on first use.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import BadModulus, NotPrime, RangeError, ReducibleModulus, TooLarge, ZeroLambda
 
 _TABLE_LIMIT = 1 << 16
@@ -54,9 +52,15 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     # little-endian coefficients in lexicographic order, constant term
-    # slowest; x divides every candidate with constant term 0, so skip those
-    for lows in product(range(1, p), *[range(p)] * (m - 1)):
-        cand = lows + (1,)
+    # slowest; x divides every candidate with constant term 0, so skip
+    # those.  Each candidate is read off the base-p digits of its index,
+    # most significant first, so no range(p) is ever held whole.
+    for index in range(p ** (m - 1), p ** m):
+        digits = [1]
+        for _ in range(m):
+            index, c = divmod(index, p)
+            digits.append(c)
+        cand = tuple(digits[::-1])
         if _modulus_irreducible(cand, p):
             return cand
     raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")

@@ -19,14 +19,20 @@ to_kt and from_kt translate between a labelled spec and its (k, t).
 The parameter b ranges over a residue window, so each ideal appears for
 exactly one spec.  Codes in the full ambient ring are tuples of one
 such spec per irreducible factor, glued through the idempotents.
+
+Both are named tuples, equal and hashed as the tuple of their fields:
+an IdealSpec is (case, k, t, b), unchecked until validate_spec reads
+it, and a CodeSpec is (fd, components), whose constructor checks and
+reduces every component (CodeSpec.trusted, for components the package
+built itself, checks none).  spec._replace(b=...) changes a field.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 from .chain import ChainCtx, ceil_half, odometer
 from .decomp import AmbientParams, FactorData
@@ -38,8 +44,7 @@ CASES = ("I", "II", "III", "IV", "V")
 _FIELDS = dict(zip(CASES, ("b", "kb", "k", "tb", "ktb")))
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     case: str
     k: int | None = None
     t: int | None = None
@@ -106,7 +111,7 @@ def validate_spec(spec: IdealSpec, ctx: ChainCtx) -> IdealSpec:
     b, (lo, hi) = ctx.reduce(spec.b), b_window(spec, e)
     if not ctx.in_residue_window(b, lo, hi):
         raise InvalidSpec(f"b = {spec.b.term_string()} outside digit window [{lo}, {hi})")
-    return spec if b is spec.b else replace(spec, b=b)
+    return spec if b is spec.b else spec._replace(b=b)
 
 
 def ideal_size(spec: IdealSpec, ctx: ChainCtx) -> int:
@@ -203,30 +208,28 @@ def count_ideals_sumform_params(p: int, m: int, d: int, s: int) -> int:
 # -- whole-ring codes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """One ideal spec per irreducible factor of x^n - lambda0."""
-
+class _Code(NamedTuple):
     fd: FactorData
     components: tuple[IdealSpec, ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.fd.r:
-            raise InvalidSpec(
-                f"need {self.fd.r} components, got {len(self.components)}"
-            )
+
+class CodeSpec(_Code):
+    """One ideal spec per irreducible factor of x^n - lambda0: a named
+    tuple of (fd, components), each component checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, fd: FactorData, components: tuple[IdealSpec, ...]):
+        if len(components) != fd.r:
+            raise InvalidSpec(f"need {fd.r} components, got {len(components)}")
         # b is kept as its residue mod f^e, so equal codes compare equal
-        comps = tuple(map(validate_spec, self.components, self.fd.chain_ctxs))
-        object.__setattr__(self, "components", comps)
+        return tuple.__new__(cls, (fd, tuple(map(validate_spec, components, fd.chain_ctxs))))
 
     @classmethod
     def trusted(cls, fd: FactorData, components: tuple[IdealSpec, ...]):
         """A code from components the package itself built valid, such
         as enumerate_ideals and dual_component output: not validated."""
-        code = object.__new__(cls)
-        object.__setattr__(code, "fd", fd)
-        object.__setattr__(code, "components", components)
-        return code
+        return tuple.__new__(cls, (fd, components))
 
 
 def code_size(code: CodeSpec) -> int:

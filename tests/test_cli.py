@@ -617,6 +617,13 @@ def test_help_exits_0(capsys, command):
     assert all(name in out for name in cli._parser().commands) if command is None else "--output" in out
 
 
+@pytest.mark.parametrize("token", ["\n", "a\r\nb", "\t", "\x85", "\u2028"])
+def test_an_unrecognized_argument_keeps_the_error_on_one_line(capsys, token):
+    code, out, err = run(capsys, "dual", "--input", "", "x y", token)
+    assert code == 2 and out == "" and len(err.splitlines()) == err.count("\n") == 2
+    assert err.endswith(f"error: unrecognized arguments: x y {token!r}\n")
+
+
 def test_cli_import_leaves_argparse_out():
     src = str(Path(ccring.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -627,6 +634,19 @@ def test_cli_import_leaves_argparse_out():
         check=True,
     )
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    """No site hook loads them first under -S, so only ccring could."""
+    src = str(Path(ccring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, ccring.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

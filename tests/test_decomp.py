@@ -5,7 +5,7 @@ import pytest
 from ccring import decomp, poly
 from ccring.decomp import AmbientParams, DerivedFactors, build_factor_data, factor_data, factor_data_for
 from ccring.dual import dual_factor_data
-from ccring.errors import GcdViolation, RangeError, SZero, ZeroLambda
+from ccring.errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
 from ccring.gf import field_new
 from ccring.ideals import count_codes
 from ccring.poly import Poly, reciprocal
@@ -38,6 +38,46 @@ def test_params_validation():
         AmbientParams.of_ints(5, 1, 1, 6, 0)
     with pytest.raises(RangeError):
         AmbientParams.of_ints(5, 1, 1, 0, 4)
+
+
+# (p, m, s, n, lambda) and the error AmbientParams raises, in its order
+# of checks: s, n, gcd(n, p), lambda a unit, the length N = n p^s
+REFUSED_PARAMS = [
+    ((5, 1, 0, 6, 4), SZero),
+    ((5, 1, -1, 0, 0), SZero),
+    ((5, 1, 1, 0, 4), RangeError),
+    ((5, 1, 1, -3, 0), RangeError),
+    ((2, 1, 1, 4, 1), GcdViolation),
+    ((2, 1, 30, 4, 0), GcdViolation),
+    ((5, 1, 1, 6, 0), ZeroLambda),
+    ((5, 1, 1, 6, 5), ZeroLambda),
+    ((5, 1, 1, 6, -1), ZeroLambda),
+    ((3, 2, 1, 4, 9), ZeroLambda),
+    ((5, 1, 30, 1, 0), ZeroLambda),
+    ((2, 1, 19, 1, 1), TooLarge),
+    ((2, 1, 18, 3, 1), TooLarge),
+    ((3, 1, 12, 1, 1), TooLarge),
+    ((5, 1, 1, 6, None), TypeError),
+]
+
+
+@pytest.mark.parametrize("ring,error", REFUSED_PARAMS)
+def test_params_refusals_keep_their_order(ring, error):
+    p, m, s, n, lam = ring
+    with pytest.raises(error):
+        AmbientParams(field_new(p, m), s, n, lam)
+
+
+def test_params_are_a_frozen_value_hashed_as_their_fields():
+    field = field_new(3, 2)
+    params = AmbientParams(field, 1, 4, 8)
+    assert hash(params) == hash((field, 1, 4, 8))
+    assert params == AmbientParams.of_ints(3, 2, 1, 4, 8) and params.dual_params().lam == field.inv(8)
+    for name in ("field", "s", "n", "lam", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 1)
+    with pytest.raises(TypeError):
+        AmbientParams(field, 1, 4)
 
 
 def test_negacyclic_length_thirty_layout():

@@ -4,7 +4,6 @@ import io
 import random
 import time
 import types
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -93,7 +92,7 @@ def test_scalar_is_constant_term_not_its_inverse():
     variant_b = target.reduce(bhat.scale(ratio))
     assert variant_b != bhat
     variant = CodeSpec(
-        dc.fd, (replace(dc.components[0], b=variant_b),) + dc.components[1:]
+        dc.fd, (dc.components[0]._replace(b=variant_b),) + dc.components[1:]
     )
     assert code_size(variant) == code_size(dc)
     assert code_space(variant).key() != kernel.key()
@@ -110,6 +109,17 @@ def test_dual_factor_data_is_built_once_per_factor_data():
     decomp.clear_memo()
     other = dual_factor_data(fd_of(3, 1, 1, 8, 2))
     assert other is not dfd and other.factors == dfd.factors
+
+
+def test_dual_factor_data_builds_the_reciprocals_once_per_ring(monkeypatch):
+    fd = fd_of(7, 1, 1, 48, 6)  # r = 12
+    dfd = dual_factor_data(fd)
+    made = []
+    monkeypatch.setattr(dual_module, "reciprocal", lambda f: made.append(f) or reciprocal(f))
+    assert dual_factor_data(fd) is dfd and made == []
+    # clear_memo forgets them with the rings
+    decomp.clear_memo()
+    assert dual_factor_data(fd).factors == dfd.factors and len(made) == fd.r
 
 
 def _reaches(src, target) -> bool:
@@ -309,7 +319,7 @@ def test_code_spec_keeps_b_as_its_residue_mod_f_e():
     code = next(c for c in enumerate_self_dual(fd, -1) if any(x.b is not None for x in c.components))
     j = next(j for j, x in enumerate(code.components) if x.b is not None)
     comps = list(code.components)
-    comps[j] = replace(comps[j], b=comps[j].b + fd.chain(j).modulus)
+    comps[j] = comps[j]._replace(b=comps[j].b + fd.chain(j).modulus)
     padded = CodeSpec(fd, tuple(comps))
     assert padded.components == code.components
     assert is_self_dual(padded)
@@ -439,7 +449,7 @@ def horner_dual_component(spec, j, fd, target):
     digits = target.f_adic(raw)
     assert all(digits[k].is_zero() for k in range(lo))
     cut = [dg if lo <= k < hi else Poly.zero(field) for k, dg in enumerate(digits)]
-    return replace(shape, b=from_digits(target, cut))
+    return shape._replace(b=from_digits(target, cut))
 
 
 def encoded_fd(p, m, s, n, lam):
@@ -499,7 +509,7 @@ def test_dual_component_matches_horner(ring):
                 pad = Poly(ctx.field, [rng.randrange(ctx.field.q) for _ in range(fd.params.N)])
                 variants.append(b + pad * ctx.modulus)
             for b in variants:
-                spec = replace(shape, b=b)
+                spec = shape._replace(b=b)
                 got = dual_component(spec, j, fd, target)
                 assert got == horner_dual_component(spec, j, fd, target), (j, spec)
 

@@ -138,6 +138,33 @@ def test_default_modulus_frozen(pm):
     assert field_new(*pm).modulus == DEFAULT_MODULI[pm]
 
 
+# the default moduli of the other fields with m > 1 that tests/ builds,
+# computed when the candidates were still drawn from itertools.product
+TEST_FIELD_MODULI = {
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (1, 3, 1),
+    (17, 2): (1, 1, 1),
+    (17, 3): (1, 0, 3, 1),
+    (19, 2): (1, 0, 1),
+}
+
+
+def test_default_moduli_of_the_test_fields_are_unchanged():
+    assert {pm: field_new(*pm).modulus for pm in TEST_FIELD_MODULI} == TEST_FIELD_MODULI
+
+
+def test_modulus_search_over_a_large_p_copies_no_range():
+    """The candidates are walked one at a time: copying range(p) whole,
+    as itertools.product does, ran out of memory before the first test.
+    p = 4294967291 is 3 mod 4, so x^2 + 1 is the first irreducible."""
+    assert field_new(4294967291, 2).modulus == (1, 0, 1)
+
+
 def test_reducible_modulus_with_nonzero_constant_rejected():
     # (x^2 + x + 1)^2: no root over F_2, yet reducible
     with pytest.raises(ReducibleModulus):

@@ -205,6 +205,36 @@ def test_code_spec_checks_components():
         CodeSpec(fd, (IdealSpec("III", k=0),))
 
 
+def test_ideal_and_code_specs_are_frozen_values_hashed_as_their_fields():
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 1, 1))  # e = 3
+    f = fd.factors[0]
+    spec = IdealSpec("V", k=1, t=1, b=f)
+    assert hash(spec) == hash(("V", 1, 1, f)) and hash(IdealSpec("I")) == hash(("I", None, None, None))
+    for name in ("case", "k", "t", "b", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    code = CodeSpec(fd, (IdealSpec("I", b=f),))
+    assert hash(code) == hash((fd, code.components))
+    for name in ("fd", "components", "other"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, None)
+
+
+def test_code_spec_validates_and_trusted_does_not():
+    fd = build_factor_data(AmbientParams.of_ints(3, 1, 1, 1, 1))  # e = 3, r = 1
+    f = fd.factors[0]
+    outside = (IdealSpec("I", b=Poly.one(fd.params.field)),)  # digit 0, window [1, 2)
+    unreduced = (IdealSpec("I", b=f + fd.chain(0).modulus),)
+    with pytest.raises(InvalidSpec, match="outside digit window"):
+        CodeSpec(fd, outside)
+    with pytest.raises(InvalidSpec, match="need 1 components, got 2"):
+        CodeSpec(fd, outside * 2)
+    assert CodeSpec(fd, unreduced).components == CodeSpec(fd=fd, components=list(unreduced)).components == (IdealSpec("I", b=f),)
+    for comps in (outside, outside * 2, unreduced):
+        code = CodeSpec.trusted(fd, comps)
+        assert code.fd is fd and code.components is comps
+
+
 # (p, m, s, n, lambda, nu): chain lengths 3 to 8, m = 1 and 2
 GENERATED_RINGS = [
     (2, 1, 2, 3, 1, 1),
