@@ -601,6 +601,12 @@ def _is_flag(token: str) -> bool:
     return token[:1] == "-" and (token[1:2] == "-" or (len(token) > 1 and not _NUMBER.fullmatch(token)))
 
 
+def _shown(token: str) -> str:
+    """A token as an error message echoes it: as given, or quoted when it
+    would break the message's one line (a newline, a control character)."""
+    return token if token.isprintable() else repr(token)
+
+
 def _lookup(flags) -> dict:
     """Each name of flags and of _HELP, and each prefix of one from "--"
     on, mapped to the flag it names, or to the names it could begin."""
@@ -663,10 +669,7 @@ class Parser:
         if missing:
             raise self._error(name, "the following arguments are required: " + ", ".join(missing))
         if extras:
-            # a token that would break the error line (a newline, a
-            # control character) is shown quoted, so the message stays one line
-            shown = (t if t.isprintable() else repr(t) for t in extras)
-            raise self._error(name, "unrecognized arguments: " + " ".join(shown))
+            raise self._error(name, "unrecognized arguments: " + " ".join(map(_shown, extras)))
         return SimpleNamespace(command=name, fn=command.fn, **values)
 
     def _read(self, name, tokens: list[str], values: dict, extras: list[str]) -> bool:
@@ -683,7 +686,7 @@ class Parser:
             key, eq, text = token.partition("=")
             flag = lookup.get(key)
             if type(flag) is tuple:
-                raise self._error(name, f"ambiguous option: {token} could match {', '.join(flag)}")
+                raise self._error(name, f"ambiguous option: {_shown(token)} could match {', '.join(flag)}")
             hits.append((flag, text if eq else None))
         i = 0
         while i < len(tokens):

@@ -54,9 +54,8 @@ a dual, self-dual codes and then their duals) is set up once, together
 with whatever it has built lazily since (self-dual kernels, transport
 units).  A failed build is not kept.  The factor data of the dual
 ring is fixed by the source's, so dual.dual_factor_data sets it up
-through the memo too, from the dual params and monic reciprocals it
-keeps per source ring, and the dual of that dual is the source again;
-only the memos keep rings, so a ring and its dual hold no link to each
+through the memo too, and the dual of that dual is the source again;
+only the memo keeps rings, so a ring and its dual hold no link to each
 other.  cli's dual command keeps, by the text of a document's params
 and factors, its ring, the dual ring and the dual texts, and oracle a
 ring's lift maps and lifted component rows, its x^N - lambda,
@@ -92,9 +91,8 @@ MAX_LENGTH = 1 << 18
 # twice on its documents (the ring and its dual), two for a `dual` call,
 # and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
 # takes none.  cli's dual memo takes one per ring text, so two for a ring
-# and its dual, and dual_factor_data's one per source ring.  ring_field
-# takes one per field, and one more per modulus given other than the
-# default.  Replaying the seed-9001 benchmark ops in one
+# and its dual.  ring_field takes one per field, and one more per
+# modulus given other than the default.  Replaying the seed-9001 benchmark ops in one
 # process, code_stream's 12 rings build 24 FactorData with any size from
 # 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
 # (a ring's stream op builds it, its count op nothing), where past 2
@@ -129,7 +127,9 @@ class _Params(NamedTuple):
 
 class AmbientParams(_Params):
     """Parameters (p, m, s, n, lambda) of R[x]/(x^(n*p^s) - lambda): a
-    named tuple of (field, s, n, lam), checked when built."""
+    named tuple of (field, s, n, lam), checked when built, by _make and
+    _replace too.  As a tuple it equals, hashes and orders as the plain
+    tuple of its fields."""
 
     __slots__ = ()
 
@@ -144,6 +144,10 @@ class AmbientParams(_Params):
         if s >= MAX_LENGTH.bit_length() or self.N > MAX_LENGTH:
             raise _too_long(self.p, s, n)
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def of_ints(cls, p: int, m: int, s: int, n: int, lam: int, modulus=None):

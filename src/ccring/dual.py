@@ -5,10 +5,7 @@ it decomposes over the reciprocals of the f_j.  That ring is fixed by
 the source ring: dual_factor_data sets its FactorData up through the
 decomp memo, so while the memo keeps it every code of one FactorData
 dualizes over the same object, and the dual of that dual is the source
-again.  The dual params and monic reciprocals it sets up from are kept
-per source FactorData in a memoized() entry of their own, so a later
-code of that ring pays lookups only.  A ring holds no link to its
-dual, so the two form no cycle.
+again.  A ring holds no link to its dual, so the two form no cycle.
 
 On spec level the whole construction is a parameter transport.  In
 the family <f^(k+1) b + u f^k, f^(k+t)> of ideals.py the dual component
@@ -102,7 +99,7 @@ from functools import partial
 from itertools import islice
 
 from .chain import ChainCtx, odometer
-from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, memoized, tau_degrees
+from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, tau_degrees
 from .errors import NotSelfPairedLambda
 from .ideals import (
     CodeSpec,
@@ -128,14 +125,8 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     over the reciprocal of the factor it came from; note this order is
     generally not the one build_factor_data would pick.
     """
-    return factor_data(*_dual_ring_key(fd))
-
-
-@memoized
-def _dual_ring_key(fd: FactorData) -> tuple[AmbientParams, DerivedFactors]:
-    """The dual ring's params and monic reciprocals, kept per source ring,
-    so that dualizing another code of a ring seen before pays a lookup."""
-    return fd.params.dual_params(), DerivedFactors(reciprocal(f).monic() for f in fd.factors)
+    recips = DerivedFactors(reciprocal(f).monic() for f in fd.factors)
+    return factor_data(fd.params.dual_params(), recips)
 
 
 def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:

@@ -20,11 +20,12 @@ The parameter b ranges over a residue window, so each ideal appears for
 exactly one spec.  Codes in the full ambient ring are tuples of one
 such spec per irreducible factor, glued through the idempotents.
 
-Both are named tuples, equal and hashed as the tuple of their fields:
-an IdealSpec is (case, k, t, b), unchecked until validate_spec reads
-it, and a CodeSpec is (fd, components), whose constructor checks and
-reduces every component (CodeSpec.trusted, for components the package
-built itself, checks none).  spec._replace(b=...) changes a field.
+Both are named tuples, equal to and hashed as the plain tuple of their
+fields: an IdealSpec is (case, k, t, b), unchecked until validate_spec
+reads it, and a CodeSpec is (fd, components), whose constructor, _make
+and _replace check and reduce every component (CodeSpec.trusted, for
+components the package built itself, checks none).  spec._replace(b=...)
+changes a field.
 """
 
 from __future__ import annotations
@@ -215,7 +216,9 @@ class _Code(NamedTuple):
 
 class CodeSpec(_Code):
     """One ideal spec per irreducible factor of x^n - lambda0: a named
-    tuple of (fd, components), each component checked when built."""
+    tuple of (fd, components), each component checked when built, by
+    _make and _replace too.  As a tuple it equals and hashes as the
+    plain tuple of its fields."""
 
     __slots__ = ()
 
@@ -224,6 +227,10 @@ class CodeSpec(_Code):
             raise InvalidSpec(f"need {fd.r} components, got {len(components)}")
         # b is kept as its residue mod f^e, so equal codes compare equal
         return tuple.__new__(cls, (fd, tuple(map(validate_spec, components, fd.chain_ctxs))))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def trusted(cls, fd: FactorData, components: tuple[IdealSpec, ...]):

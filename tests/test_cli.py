@@ -622,6 +622,10 @@ def test_an_unrecognized_argument_keeps_the_error_on_one_line(capsys, token):
     code, out, err = run(capsys, "dual", "--input", "", "x y", token)
     assert code == 2 and out == "" and len(err.splitlines()) == err.count("\n") == 2
     assert err.endswith(f"error: unrecognized arguments: x y {token!r}\n")
+    # an ambiguous prefix echoes its whole token, text after "=" included
+    code, out, err = run(capsys, "enumerate", f"--l={token}")
+    assert code == 2 and out == "" and len(err.splitlines()) == err.count("\n") == 2
+    assert err.endswith(f"error: ambiguous option: {f'--l={token}'!r} could match --lambda, --limit\n")
 
 
 def test_cli_import_leaves_argparse_out():

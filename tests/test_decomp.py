@@ -78,6 +78,20 @@ def test_params_are_a_frozen_value_hashed_as_their_fields():
             setattr(params, name, 1)
     with pytest.raises(TypeError):
         AmbientParams(field, 1, 4)
+    # a named tuple: equal to and ordered as the plain tuple of its fields
+    assert params == (field, 1, 4, 8) and params < (field, 1, 4, 9) and params._asdict()["n"] == 4
+
+
+@pytest.mark.parametrize("change, error", [({"lam": 0}, ZeroLambda), ({"n": 3}, GcdViolation), ({"s": 0}, SZero)])
+def test_params_replace_and_make_keep_the_checks(change, error):
+    params = AmbientParams.of_ints(3, 2, 1, 4, 8)
+    with pytest.raises(error):
+        params._replace(**change)
+    with pytest.raises(error):
+        AmbientParams._make({**params._asdict(), **change}.values())
+    assert params._replace(lam=1) == AmbientParams._make((params.field, 1, 4, 1))
+    with pytest.raises(TypeError):
+        AmbientParams._make(params[:3])
 
 
 def test_negacyclic_length_thirty_layout():

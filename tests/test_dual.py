@@ -111,17 +111,6 @@ def test_dual_factor_data_is_built_once_per_factor_data():
     assert other is not dfd and other.factors == dfd.factors
 
 
-def test_dual_factor_data_builds_the_reciprocals_once_per_ring(monkeypatch):
-    fd = fd_of(7, 1, 1, 48, 6)  # r = 12
-    dfd = dual_factor_data(fd)
-    made = []
-    monkeypatch.setattr(dual_module, "reciprocal", lambda f: made.append(f) or reciprocal(f))
-    assert dual_factor_data(fd) is dfd and made == []
-    # clear_memo forgets them with the rings
-    decomp.clear_memo()
-    assert dual_factor_data(fd).factors == dfd.factors and len(made) == fd.r
-
-
 def _reaches(src, target) -> bool:
     """Whether target is reachable from src through object references
     (types, modules and functions not followed)."""

@@ -233,6 +233,13 @@ def test_code_spec_validates_and_trusted_does_not():
     for comps in (outside, outside * 2, unreduced):
         code = CodeSpec.trusted(fd, comps)
         assert code.fd is fd and code.components is comps
+    # _make and _replace build through the checks, as the constructor does
+    code = CodeSpec(fd, unreduced)
+    assert code._replace(components=unreduced) == CodeSpec._make((fd, unreduced)) == code == (fd, code.components)
+    with pytest.raises(InvalidSpec, match="outside digit window"):
+        code._replace(components=outside)
+    with pytest.raises(InvalidSpec, match="need 1 components, got 2"):
+        CodeSpec._make((fd, outside * 2))
 
 
 # (p, m, s, n, lambda, nu): chain lengths 3 to 8, m = 1 and 2
