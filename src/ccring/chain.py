@@ -10,7 +10,6 @@ defined only modulo f^hi is cut back into its window (window_reduce).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import product
 
 from .errors import ConstantInput, RangeError
 from .gf import FieldCtx
@@ -184,9 +183,12 @@ class ChainCtx:
     # -- residue sets ---------------------------------------------------------
 
     def digit_polys(self):
-        """All q^d polynomials of degree < d, constant term fastest."""
-        for coeffs in product(range(self.field.q), repeat=self.d):
-            yield Poly(self.field, coeffs[::-1])
+        """All q^d polynomials of degree < d, constant term fastest, each
+        read off the base-q digits of its index: no range(q) is held whole."""
+        field, q = self.field, self.field.q
+        places = [q**i for i in range(self.d)]
+        for index in range(q**self.d):
+            yield Poly(field, [index // place % q for place in places])
 
     def residue_set(self, a: int, b: int):
         """Iterate f^a * (K / (f^b)): all sums of digits at positions [a, b).

@@ -296,7 +296,7 @@ def factor_data_json(fd: FactorData) -> str:
     texts = {d: decimal(c) for d, c in counts.items()}
     head = {
         "params": params_json(params),
-        "lambda0": fieldelem_json(field, fd.lam0),
+        "lambda0": fieldelem_json(field, params.lam0),
         "factors": [
             {"poly": poly_json(field, f), "degree": f.degree, "count": texts[f.degree]}
             for f in fd.factors
@@ -305,7 +305,7 @@ def factor_data_json(fd: FactorData) -> str:
     tail = {"total": decimal(prod(counts[d] ** k for d, k in degrees.items()))}
     if fd.tau is not None:
         tail["tau"] = [t + 1 for t in fd.tau]
-        tail["delta"] = [fieldelem_json(field, d) for d in fd.delta]
+        tail["delta"] = [fieldelem_json(field, field.inv(f(0))) for f in fd.factors]
         tail["rho"] = fd.rho
         tail["pair_count"] = fd.pair_count
     return f'{_dumps(head)[:-1]},"idempotents":{idempotents_json(fd)},{_dumps(tail)[1:]}'
@@ -488,9 +488,9 @@ def _text_lines(fh, universal: bool):
 
 
 def cmd_info(args) -> int:
-    # built afresh: the root idempotents it reads, r polynomials of
-    # length n, would otherwise stay in the memo with the ring for the
-    # rest of the process
+    # built afresh, not through the memo: no benchmark op or command
+    # comes back to an info ring, and the benchmark's tracer counts
+    # set-ups through this module's build_factor_data
     fd = build_factor_data(_params(args))
     with _stream(args.output, "w") as out:
         print(factor_data_json(fd), file=out)

@@ -19,13 +19,13 @@ c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
     eps_j = frobenius(w_j, s)
 
 exactly: eps_j is w_j with p^s - 1 zero slots between its coefficients.
-FactorData keeps the w_j, of length n, the primitive idempotents of
-F_q[x]/(x^n - lambda0) (fd.root_idempotents), built on first read,
-since only gluing (info, idempotents and the oracle) needs them; dual,
-enumerate and selfdual work componentwise.  info and idempotents write
-each eps_j's text straight from w_j (cli.idempotents_json), so they
-build no list of length N.  fd.idempotents twists the w_j, at O(N) per
-factor, for the oracle, the only module that builds x^N - lambda.  A
+The w_j, of length n, are the primitive idempotents of
+F_q[x]/(x^n - lambda0) (fd.root_idempotents), built on each read:
+only gluing (info, idempotents and the oracle) needs them, once.  info
+and idempotents write each eps_j's text straight from w_j
+(cli.idempotents_json), so they build no list of length N.
+fd.idempotents twists the w_j, at O(N) per factor, and keeps the
+twists for the oracle, the only module that builds x^N - lambda.  A
 count needs even less: only the factor degrees, which are the sizes
 of the q-cyclotomic cosets of the roots' exponents (see
 factor_degrees), so it does no polynomial arithmetic; a self-dual count
@@ -34,7 +34,8 @@ tau-fixed factors (see tau_degrees).
 
 A ring's parameters are an AmbientParams, a named tuple (field, s, n,
 lam) that checks them when built and is equal and hashed as that
-tuple, so it keys the memos below as its fields would.
+tuple, so it keys the memos below as its fields would.  lambda0 depends
+on them alone: it is params.lam0, the one p^s-th root this module takes.
 
 The parameters alone fix a ring's FactorData: the factors come out of
 factor_squarefree sorted, whatever its random splitting did.
@@ -175,6 +176,12 @@ class AmbientParams(_Params):
     def lam_self_paired(self) -> bool:
         return self.field.mul(self.lam, self.lam) == 1
 
+    @property
+    def lam0(self) -> int:
+        """lambda0 = lambda^(1/p^s), taken on each read: x^N - lambda =
+        (x^n - lambda0)^(p^s)."""
+        return ps_root(self.field, self.lam, self.s)
+
     def dual_params(self) -> "AmbientParams":
         return AmbientParams(self.field, self.s, self.n, self.lam_inv())
 
@@ -219,66 +226,55 @@ def _too_long(p: int, s: int, n: int) -> TooLarge:
 
 
 class FactorData:
-    """Factors, idempotents and pairing data for one ambient ring, all
-    derived from params and the factors of x^n - lambda0 in the order
-    given (factor_data_for checks a list from outside the package).
+    """Factors and pairing data for one ambient ring, all derived from
+    params and the factors of x^n - lambda0 in the order given
+    (factor_data_for checks a list from outside the package).
 
-    The idempotents are built on first read and then kept, so work that
-    never glues components (dual, enumerate, selfdual, count) builds
-    none.  _idempotents holds the untwisted w_j of length n
-    (root_idempotents), _twisted the eps_j of length N (idempotents),
-    which only the oracle reads.  _fixed[j] holds the self-dual
-    kernels of tau-fixed factor j once a self-dual stream has moved past
-    its first spec, so later streams on the ring share them.  _units[j]
-    holds dual._transport_b's unit at factor j once built.
+    It keeps only what is read again, each with its readers:
+    - chain_ctxs[j], factor j's chain ring and its powers of f_j: every
+      spec and transport on factor j;
+    - tau, rho and pair_count (lambda^2 = 1): each self-dual code, dual_code_nu;
+    - _twisted, the eps_j (idempotents), built on first read:
+      oracle._lift, once per factor;
+    - _fixed[j], tau-fixed factor j's self-dual kernels, built when a
+      stream first moves past b = 0: each restart of that stream (the
+      seed-9001 selfdual benchmark ops at --seconds 10, in one process,
+      move 91 streams past b = 0 and build windows 49 times);
+    - _units[j], dual._transport_b's unit: each unit-route transport
+      out of factor j after the first.
+    The w_j (root_idempotents) are built on each read, as no command
+    reads them twice; lambda0 is params.lam0; info takes the
+    f_j(0)^(-1) as it writes them.
     """
 
-    __slots__ = (
-        "params",
-        "lam0",
-        "factors",
-        "_idempotents",
-        "_twisted",
-        "_fixed",
-        "_units",
-        "chain_ctxs",
-        "tau",
-        "delta",
-        "rho",
-        "pair_count",
-    )
+    __slots__ = ("params", "factors", "_twisted", "_fixed", "_units", "chain_ctxs", "tau", "rho", "pair_count")
 
     def __init__(self, params: AmbientParams, factors: list[Poly]):
-        field = params.field
         self.params = params
-        self.lam0 = ps_root(field, params.lam, params.s)
         self.factors = factors = list(factors)
-        self._idempotents = self._twisted = None
+        self._twisted = None
         self._fixed = [None] * len(factors)
         self._units = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
-        # tau (0-based, recip(f_j) = f_tau(j)), delta_j = f_j(0)^-1 and rho,
-        # the number of tau-fixed factors, exist only when lambda^2 = 1
-        self.tau = self.delta = self.rho = self.pair_count = None
+        # tau (0-based, recip(f_j) = f_tau(j)) and rho, the number of
+        # tau-fixed factors, exist only when lambda^2 = 1
+        self.tau = self.rho = self.pair_count = None
         if params.lam_self_paired():
             index = {f: j for j, f in enumerate(factors)}
             self.tau = [index[reciprocal(f).monic()] for f in factors]
-            self.delta = [field.inv(f(0)) for f in factors]
             self.rho = sum(1 for j, t in enumerate(self.tau) if j == t)
             self.pair_count = (len(factors) - self.rho) // 2
 
     @property
     def root_idempotents(self) -> list[Poly]:
         """w_j = v_j F_j mod (x^n - lambda0) for each f_j, of degree < n,
-        built on first read; eps_j = frobenius(w_j, s)."""
-        if self._idempotents is None:
-            self._idempotents = _idempotents(self.params, self.factors)
-        return self._idempotents
+        built on every read; eps_j = frobenius(w_j, s)."""
+        return _idempotents(self.params, self.factors)
 
     @property
     def idempotents(self) -> list[Poly]:
         """eps_j for each f_j, of degree < N, twisted from
-        root_idempotents on first read."""
+        root_idempotents on first read and then kept."""
         if self._twisted is None:
             self._twisted = [frobenius(w, self.params.s) for w in self.root_idempotents]
         return self._twisted
@@ -330,7 +326,7 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
         prod = Poly.one(params.field)
         for f in factors:
             prod = prod * f
-        if prod != root_binomial(params)[1]:
+        if prod != root_binomial(params):
             raise RangeError("factor list does not multiply out to x^n - lambda0")
     return FactorData(params, factors)
 
@@ -360,9 +356,8 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
     one-to-one, so the eps_j sum to 1 exactly when the w_j do, which is
     checked here, at length n.
     """
-    field = params.field
-    lam0, base = root_binomial(params)
-    scale = field.inv(field.mul(params.n % params.p, lam0))
+    field, base = params.field, root_binomial(params)
+    scale = field.inv(field.mul(params.n % params.p, field.neg(base[0])))  # base(0) = -lambda0
     total = Poly.zero(field)
     idempotents = []
     for f in factors:
@@ -374,27 +369,24 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
     return idempotents
 
 
-def root_binomial(params: AmbientParams) -> tuple[int, Poly]:
-    """(lambda0, x^n - lambda0) with lambda0^(p^s) = lambda."""
+def root_binomial(params: AmbientParams) -> Poly:
+    """x^n - lambda0, with lambda0 = params.lam0."""
     field = params.field
-    lam0 = ps_root(field, params.lam, params.s)
-    return lam0, Poly(field, (field.neg(lam0),) + (0,) * (params.n - 1) + (1,))
+    return Poly(field, (field.neg(params.lam0),) + (0,) * (params.n - 1) + (1,))
 
 
 def factor_degrees(params: AmbientParams) -> list[int]:
     """Degrees of the f_j, ascending, in integer arithmetic only: the
     sizes of the q-cyclotomic cosets of the roots' exponents (see
     poly.binomial_degrees)."""
-    field = params.field
-    return binomial_degrees(field, params.n, ps_root(field, params.lam, params.s))
+    return binomial_degrees(params.field, params.n, params.lam0)
 
 
 def tau_degrees(params: AmbientParams) -> tuple[list[int], list[int]]:
     """For lambda^2 = 1, the degrees of the tau-fixed factors and one
     degree per reciprocal pair, ascending, from the same cosets as
     factor_degrees: FactorData's rho and pair_count without factoring."""
-    field = params.field
-    return binomial_tau_degrees(field, params.n, ps_root(field, params.lam, params.s))
+    return binomial_tau_degrees(params.field, params.n, params.lam0)
 
 
 def build_factor_data(params: AmbientParams) -> FactorData:
@@ -403,8 +395,7 @@ def build_factor_data(params: AmbientParams) -> FactorData:
 
 
 def _ordered_factors(params: AmbientParams) -> list[Poly]:
-    _, base = root_binomial(params)
-    factors = factor_squarefree(base)
+    factors = factor_squarefree(root_binomial(params))
     return _pair_order(factors) if params.lam_self_paired() else factors
 
 

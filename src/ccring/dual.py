@@ -312,13 +312,13 @@ def _fixed_specs(windows, field):
 
 def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
     """Specs over tau-fixed factor j that are their own dual component,
-    in enumerate_ideals order.
+    in enumerate_ideals order: all of enumerate_self_dual's stream there.
 
     Built from the kernel of T - I on each fixed shape's window, with
     no scan of the other specs; oracle.brute_self_dual_options is the
     filter over all specs that checks it.
     """
-    return list(_fixed_specs(_fixed_windows(j, fd), fd.params.field))
+    return list(_fixed_stream(j, fd))
 
 
 def _check_nu(params: AmbientParams, nu: int) -> None:
@@ -364,9 +364,9 @@ def count_self_dual(fd: FactorData, nu: int) -> int:
 
 
 def _fixed_stream(j: int, fd: FactorData):
-    """self_dual_component_options of tau-fixed factor j, as a stream:
-    I with b = 0 comes first and solves no kernel; the windows are
-    built when the stream moves past it, and kept on fd."""
+    """The specs of tau-fixed factor j that are their own dual component,
+    as a stream: I with b = 0 comes first and solves no kernel; the
+    windows are built when the stream moves past it, and kept on fd."""
     field, e = fd.params.field, fd.params.e
     yield from_kt(0, e, e, Poly.zero(field))
     if fd._fixed[j] is None:

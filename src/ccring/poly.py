@@ -702,7 +702,13 @@ def factor_squarefree(f: Poly) -> list[Poly]:
                     for i, w in orbit:
                         h[i] = ctx.mul(a, w)
             h = Poly(ctx, h)
-            tr = sum((power(h, k) for k in range(1, ctx.m)), h) % piece
+            # h^(p^k) as the p-th power of h^(p^(k-1)): power(h, k) would
+            # take k squarings per coefficient in a field past the tables
+            tr = term = h
+            for _ in range(1, ctx.m):
+                term = power(term, 1)
+                tr = tr + term
+            tr = tr % piece
             if p <= _VALUE_CUT_MAX:
                 # a factor where tr is none of the values before the last has
                 # tr = p - 1, so the last value takes no gcd

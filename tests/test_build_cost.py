@@ -57,7 +57,7 @@ def test_twisted_idempotents_equal_modpow_definition(ring):
     params = AmbientParams.of_ints(*ring)
     fd = build_factor_data(params)
     field = params.field
-    _, base = root_binomial(params)
+    base = root_binomial(params)
     binomial = Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
     for j, f in enumerate(fd.factors):
         cof = base // f
@@ -94,7 +94,7 @@ def test_ddf_degrees_and_count_match_full_factorization():
     seen_other_lambda = False
     for ring in sweep:
         params = AmbientParams.of_ints(*ring)
-        _, base = root_binomial(params)
+        base = root_binomial(params)
         full = sorted(f.degree for f in factor_squarefree(base))
         degrees = factor_degrees(params)
         assert degrees == full, ring
@@ -123,7 +123,7 @@ def test_coset_degrees_match_the_factors(ring):
     which never reads them: same degrees, irreducible factors, and their
     product is x^n - lambda0."""
     params = AmbientParams.of_ints(*ring)
-    _, base = root_binomial(params)
+    base = root_binomial(params)
     factors = factor_squarefree(base)
     assert factor_degrees(params) == [f.degree for f in factors]
     prod = Poly.one(params.field)
@@ -169,7 +169,7 @@ def test_binomial_ddf_matches_the_every_degree_loop():
     degree's part may hold several factors."""
     for ring in [(3, 1, 2, 127, 2)] + degree_sweep()[::7]:
         params = AmbientParams.of_ints(*ring)
-        lam0, base = root_binomial(params)
+        lam0, base = params.lam0, root_binomial(params)
         *head, (top, rest) = poly._ddf_binomial(base, lam0)
         want = ddf_every_degree(base)
         assert head == want[: len(head)], ring
@@ -182,7 +182,7 @@ def test_binomial_ddf_matches_the_every_degree_loop():
 
 def test_binomial_ddf_runs_one_gcd_per_distinct_degree_but_the_largest(monkeypatch):
     params = AmbientParams.of_ints(3, 1, 2, 127, 2)  # x - lambda0 and one of degree 126
-    lam0, base = root_binomial(params)
+    lam0, base = params.lam0, root_binomial(params)
     assert factor_degrees(params) == [1, 126]
     calls = []
     real = poly.poly_gcd
@@ -220,7 +220,7 @@ def test_factor_degrees_cost_does_not_grow_with_the_field(m, n, want):
         tracemalloc.stop()
     # a table over Z/(n t) would take n * ord(lambda0) bytes
     assert peak < 1 << 16
-    assert degrees == [f.degree for f in factor_squarefree(root_binomial(params)[1])]
+    assert degrees == [f.degree for f in factor_squarefree(root_binomial(params))]
 
 
 def test_count_makes_no_polynomial_product_or_division(capsys, monkeypatch):
@@ -308,7 +308,7 @@ def test_residue_set_order_unchanged():
 
 def test_residue_set_first_element_is_cheap(monkeypatch):
     params = AmbientParams.of_ints(3, 1, 1, 242, 2)
-    _, base = root_binomial(params)
+    base = root_binomial(params)
     f = next(g for g in factor_squarefree(base) if g.degree == 10)
     ctx = ChainCtx(f, params.e)
     assert ctx.field.q ** (ctx.d * (2 - 1)) == 3**10  # the size of window [1, 2)
@@ -413,6 +413,40 @@ def test_idempotents_built_on_first_read(idempotent_builds, xgcd_calls):
         for i, c in table.items():
             coeffs[i] = c
         assert e == Poly(fd.params.field, coeffs)
+
+
+def test_root_idempotents_built_on_every_read(idempotent_builds):
+    """No command reads the w_j twice, so a ring keeps only their twists."""
+    fd = build_factor_data(AmbientParams.of_ints(5, 1, 1, 6, 4))
+    first, second = fd.root_idempotents, fd.root_idempotents
+    assert first == second and first is not second and len(idempotent_builds) == 2
+    eps = fd.idempotents
+    assert fd.idempotents is eps and len(idempotent_builds) == 3
+
+
+# p^s-th roots of lambda each command takes: one per step that reads
+# lambda0 (the coset degrees, the factoring, the info document, the
+# idempotents), none for a ring the memo set up or a derived factor list
+LAM0_ROOTS = {
+    "count": (["count", *RING_ARGS], 1),
+    "info": (["info", *RING_ARGS], 3),
+    "idempotents": (["idempotents", *RING_ARGS], 2),
+    "enumerate": (["enumerate", *RING_ARGS, "--limit", "3"], 1),
+    "selfdual": (["selfdual", *RING_ARGS[:-2], "--nu", "-1", "--limit", "3"], 1),
+    "dual": (["dual"], 2),  # the document's ring, checked, and its dual ring
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAM0_ROOTS))
+def test_each_command_takes_lambda0_once_per_reader(capsys, monkeypatch, name):
+    doc = cli_out(capsys, monkeypatch, ["enumerate", *RING_ARGS, "--limit", "1"])
+    decomp.clear_memo()
+    roots = []
+    real = decomp.ps_root
+    monkeypatch.setattr(decomp, "ps_root", lambda *args: roots.append(args) or real(*args))
+    argv, want = LAM0_ROOTS[name]
+    assert cli_out(capsys, monkeypatch, argv, doc)
+    assert len(roots) == want
 
 
 # sha256 prefixes of info and idempotents output, as written when the

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -113,6 +114,16 @@ def test_digit_polys_cover_residue_field():
     assert len(digits) == 9
     assert len(set(digits)) == 9
     assert all(d.degree < 2 for d in digits)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_digit_polys_walk_in_product_order(p, m, d):
+    """Constant term fastest: product's tuples over range(q), reversed."""
+    field = field_new(p, m)
+    ctx = ChainCtx(Poly.monomial(field, d), 1)  # only f's degree matters here
+    want = [Poly(field, cs[::-1]) for cs in product(range(field.q), repeat=d)]
+    assert list(ctx.digit_polys()) == want
 
 
 def test_rejects_bad_parameters():

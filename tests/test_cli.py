@@ -31,6 +31,20 @@ def run(capsys, *argv):
 
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--p", "2", "--m", "61", "--s", "1", "--n", "3", "--lambda", str([0, 1] + [0] * 59)],
+        ["selfdual", "--p", "2", "--m", "61", "--s", "1", "--n", "7", "--nu", "1"],
+    ],
+)
+def test_first_codes_over_a_field_of_2_to_the_61(capsys, argv):
+    """The first codes read the first digit polynomials only: no walk
+    over the q = 2^61 constants is held whole."""
+    code, out, err = run(capsys, *argv, "--limit", "2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2
+
+
 def test_info_leaves_no_reference_cycle(capsys):
     """A factorization frees its field, its PRNG and its power map when it
     returns, so after info the cyclic collector finds nothing to free."""

@@ -1,12 +1,14 @@
+import json
 import random
 
 import pytest
 
 from ccring import decomp, poly
+from ccring.cli import factor_data_json
 from ccring.decomp import AmbientParams, DerivedFactors, build_factor_data, factor_data, factor_data_for
 from ccring.dual import dual_factor_data
 from ccring.errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
-from ccring.gf import field_new
+from ccring.gf import field_new, ps_root
 from ccring.ideals import count_codes
 from ccring.poly import Poly, reciprocal
 
@@ -98,7 +100,7 @@ def test_negacyclic_length_thirty_layout():
     """x^30 - 4 over F_5: four factors, paired (1,3) and (2,4)."""
     params = AmbientParams.of_ints(5, 1, 1, 6, 4)
     fd = build_factor_data(params)
-    assert fd.lam0 == 4
+    assert fd.params.lam0 == 4
     assert [f.coeffs for f in fd.factors] == [
         (2, 1),
         (4, 2, 1),
@@ -107,9 +109,10 @@ def test_negacyclic_length_thirty_layout():
     ]
     assert fd.tau == [2, 3, 0, 1]
     assert fd.rho == 0 and fd.pair_count == 2
+    delta = json.loads(factor_data_json(fd))["delta"]
     for j, f in enumerate(fd.factors):
         assert reciprocal(f).monic() == fd.factors[fd.tau[j]]
-        assert params.field.mul(fd.delta[j], f(0)) == 1
+        assert params.field.mul(delta[j], f(0)) == 1
 
 
 def test_negacyclic_length_thirty_idempotents():
@@ -175,7 +178,7 @@ def test_set_up_builds_no_polynomial_of_the_ambient_length(ring, monkeypatch):
 def test_tau_absent_without_self_paired_lambda():
     params = AmbientParams.of_ints(5, 1, 1, 6, 2)  # 2^2 = 4 != 1
     fd = build_factor_data(params)
-    assert fd.tau is None and fd.delta is None
+    assert fd.tau is None and fd.rho is None
     assert fd.r == len(fd.idempotents)
 
 
@@ -325,8 +328,20 @@ def test_derived_factor_lists_are_not_multiplied_out(monkeypatch, ring):
         prod = Poly.one(fd.params.field)
         for f in fd.factors:
             prod = prod * f
-        assert prod == decomp.root_binomial(fd.params)[1]
+        assert prod == decomp.root_binomial(fd.params)
     assert fresh.factors == kept.factors
+
+
+@pytest.mark.parametrize("ring", DERIVED_RINGS + [(2, 3, 2, 7, 1), (3, 2, 2, 4, 5), (2, 2, 3, 5, 2)])
+def test_lam0_is_a_property_of_the_four_fields(ring):
+    """lambda0 is read off the params, which stay the tuple of their four
+    fields: equal, hashed and ordered as it."""
+    params = AmbientParams.of_ints(*ring)
+    field, s, n, lam = fields = (params.field, params.s, params.n, params.lam)
+    assert params.lam0 == ps_root(field, lam, s) and field.pow(params.lam0, params.e) == lam
+    assert params._fields == ("field", "s", "n", "lam") and len(params) == 4
+    assert params == fields and hash(params) == hash(fields) and params == AmbientParams.of_ints(*ring)
+    assert sorted([params, (field, s, n - 1, lam), (field, s, n + 1, lam)])[1] is params
 
 
 def test_outside_factor_lists_are_still_multiplied_out():
