@@ -113,8 +113,8 @@ def memoized(fn):
 def clear_memo() -> None:
     """Forget every kept field and FactorData, also those cli keeps by
     document text with their dual texts, and oracle's per-ring lifts,
-    moduli x^N - lambda, layouts and steps; ring_field and factor_data
-    build each again."""
+    moduli x^N - lambda, layouts, steps and pairing tables; ring_field
+    and factor_data build each again."""
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -8,6 +8,11 @@ the caller's bug and is not detected at this level.
 
 For small fields (q <= 2^16) multiplication and inversion run off
 exp/log tables built on first use.
+
+For p = 2 an element's encoding is its coordinate bitset, so the
+arithmetic works on the encoded bits: add and sub are an XOR, neg is
+the identity, and a product past the tables is a carry-less product
+reduced by the modulus bitset, with no coordinate lists.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FieldCtx:
     """Arithmetic context for F_{p^m} with encoded-int elements."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_pp")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_pp", "_modulus_bits")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -79,6 +84,8 @@ class FieldCtx:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._pp = tuple(p ** i for i in range(m + 1))
+        # for p = 2, the modulus as a bitset, as elements are encoded
+        self._modulus_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,6 +128,8 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         p = self.p
         out = 0
         for i in range(self.m):
@@ -135,6 +144,8 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         out = 0
         for i in range(self.m):
@@ -143,8 +154,19 @@ class FieldCtx:
         return out
 
     def _mul_raw(self, a: int, b: int) -> int:
-        # product via coordinate polynomials reduced by the modulus
         p, m = self.p, self.m
+        if p == 2:
+            # a carry-less product of the bitsets, one shift of a per set
+            # bit of b, then each bit from x^m up cleared from the top
+            prod = 0
+            while b:
+                top = b.bit_length() - 1
+                prod ^= a << top
+                b ^= 1 << top
+            while (top := prod.bit_length() - 1) >= m:
+                prod ^= self._modulus_bits << top - m
+            return prod
+        # product via coordinate polynomials reduced by the modulus
         av, bv = self.decode(a), self.decode(b)
         prod = [0] * (2 * m - 1)
         for i, ai in enumerate(av):
@@ -251,8 +273,8 @@ class FieldCtx:
             e = -e
         if self.m == 1:
             return pow(a, e, self.p)
-        if a == 0:
-            return 0 if e else 1
+        if a < 2:  # 0 and 1 are their own powers
+            return a if e else 1
         if self.q <= _TABLE_LIMIT:
             if self._exp is None:
                 self._build_tables()

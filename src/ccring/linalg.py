@@ -17,9 +17,16 @@ and kernels share one elimination: _reduce walks a vector from its
 pivot end and looks each slot up in that dict, so a vector costs only
 the pivots it meets, and one that lies in the span costs no _mod.  They
 share one back-substitution too: _rref brings the rows to reduced
-echelon form when they are read.  An FpSpace's pivot is a row's first nonzero coordinate,
-scaled to 1, and then every pivot column is clear in the other rows, so
-two spaces are equal iff their bases are.
+echelon form when they are read.  An FpSpace's pivot is a row's first
+nonzero coordinate, scaled to 1, and then every pivot column is clear
+in the other rows, so two spaces are equal iff their bases are.
+FpSpace.basis hands out the echelon rows as kept, for callers that
+need a basis but not the canonical one, and builds nothing.
+
+For p = 2 each routine has its own loop, with no slot arithmetic: a
+step is a bit_length, a dict lookup and an XOR.  kernel walks its rows
+inline, with no call per row, and builds the kernel's basis one bit at
+a time.
 """
 
 from __future__ import annotations
@@ -90,6 +97,13 @@ class FpSpace:
         return sorted(self._at)
 
     @property
+    def basis(self) -> list[int]:
+        """The echelon rows as kept, not reduced: a basis in no set
+        order, for callers that need any basis.  Reading it builds no
+        reduced basis."""
+        return list(self._at.values())
+
+    @property
     def rows(self) -> list[int]:
         """The reduced echelon basis, sorted by pivot: the space's own
         list, which a later insert replaces and does not change."""
@@ -125,10 +139,10 @@ class FpSpace:
         return hash(self.key())
 
     def elements(self) -> list[int]:
-        """All p^rank vectors, packed (keep to toy sizes)."""
+        """All p^rank vectors, packed, in no set order (keep to toy sizes)."""
         p, dim = self.p, self.dim
         out = [0]
-        for row in self.rows:
+        for row in self._at.values():
             if p == 2:
                 out += [v ^ row for v in out]
             else:  # a slot sums at most rank products: no carry
@@ -142,7 +156,8 @@ def _reduce(at: dict, vec: int, p: int, dim: int, last: bool = False, keep: bool
     once, and scaled to 1 at its new pivot.
 
     Each row has its pivot slot 1 and no nonzero slot on one side of
-    it: below it, or above it when last is set.  The walk starts at
+    it: below it, or above it when last is set (odd p only: for p = 2
+    only kernel walks from the last slot, inline).  The walk starts at
     vec's nonzero slot on that side, its first or its last.  A slot
     that is 0 mod p is dropped; a slot at some row's pivot gets that
     row's multiple and is dropped too.  Neither changes a slot the walk
@@ -155,7 +170,7 @@ def _reduce(at: dict, vec: int, p: int, dim: int, last: bool = False, keep: bool
     get = at.get
     if p == 2:
         while vec:
-            row = get(t := (vec.bit_length() if last else (vec & -vec).bit_length()) - 1)
+            row = get(t := (vec & -vec).bit_length() - 1)
             if row is None:
                 if keep:
                     at[t] = vec
@@ -189,13 +204,27 @@ def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
     starting from the rows with nothing but their pivot on the far side:
     a row's coefficients are read off it as it is, since the rows done
     before it are clear in every pivot column but their own.  A row
-    that is already reduced costs one AND.
+    that is already reduced costs one AND; for p = 2 a coefficient is
+    one bit, so a step is one XOR.
     """
+    pivots = sorted(at)
+    order = pivots if last else reversed(pivots)
+    done = 0  # all ones in the slot of each pivot cleared so far
+    if p == 2:
+        for t in order:
+            hit = at[t] & done
+            if hit:
+                row = at[t]
+                while hit:
+                    col = hit.bit_length() - 1
+                    hit ^= 1 << col
+                    row ^= at[col]
+                at[t] = row
+            done |= 1 << t
+        return pivots
     bits = slot_bits(p, dim)
     mask = (1 << bits) - 1
-    pivots = sorted(at)
-    done = 0  # all ones in the slot of each pivot cleared so far
-    for t in pivots if last else reversed(pivots):
+    for t in order:
         row = at[t]
         hit = row & done
         if hit:
@@ -203,8 +232,8 @@ def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
                 col = (hit.bit_length() - 1) // bits
                 c = hit >> col * bits
                 hit ^= c << col * bits
-                row = row ^ at[col] if p == 2 else row + (p - c) * at[col]
-            at[t] = row if p == 2 else _mod(row, p, dim)
+                row += (p - c) * at[col]
+            at[t] = _mod(row, p, dim)
         done |= mask << t * bits
     return pivots
 
@@ -212,17 +241,37 @@ def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
 def kernel(mat, dim: int, p: int) -> FpSpace:
     """Kernel of the linear map with the given packed rows, as an FpSpace.
 
-    The rows go in through _reduce with each pivot at its row's last
-    nonzero coordinate: a row that depends on the rows before it costs
-    only the pivots it meets and, for odd p, no _mod.  One _rref at the
-    end reduces the rows kept.
+    The rows are reduced with each pivot at its row's last nonzero
+    coordinate (for odd p through _reduce; for p = 2 in one XOR walk
+    inline): a row that depends on the rows before it costs only the
+    pivots it meets and, for odd p, no _mod.  One _rref at the end
+    reduces the rows kept.
 
     Then for each free column f, e_f minus the sum of row_k[f]
     e_(pivot k) has its first nonzero coordinate, a 1, at f and a 0 at
     every other free column: the kernel's basis comes out in reduced
-    echelon form, with no second elimination.
+    echelon form, with no second elimination.  For p = 2 it is built
+    one bit at a time: pivot t's bit goes to each free column its row
+    holds.
     """
     at: dict[int, int] = {}
+    if p == 2:
+        get = at.get
+        for vec in mat:
+            while vec:
+                row = get(t := vec.bit_length() - 1)
+                if row is None:
+                    at[t] = vec
+                    break
+                vec ^= row
+        basis = {f: 1 << f for f in range(dim) if f not in at}
+        for t in _rref(at, p, dim, last=True):
+            rest, pivot = at[t] ^ 1 << t, 1 << t
+            while rest:
+                f = rest.bit_length() - 1
+                rest ^= 1 << f
+                basis[f] |= pivot
+        return FpSpace(p, dim, basis.values(), basis.keys())
     for vec in mat:
         _reduce(at, vec, p, dim, last=True)
     bits = slot_bits(p, dim)

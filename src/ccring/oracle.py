@@ -25,7 +25,9 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
   decomp.clear_memo empties, so a code whose components were met
   before costs rank insertions and nothing more;
 * duals are computed as literal kernels of the inner-product pairing,
-  whose rows come off each packed basis row and its g-steps (a full
+  whose rows come off each vector of any basis of the code, the
+  echelon rows as kept: for odd p from the vector's g-steps, for p = 2
+  by XOR from a table of the unit vectors' rows, one per byte (a full
   scan of the ambient space at toy sizes agrees by a test);
 * the self-dual components of a tau-fixed factor are found by running
   every spec through the dual transport, with no elimination, which
@@ -44,7 +46,8 @@ what overflows (see _packed_steps), and a row's g-orbit is its m
 g-steps.  _closure closes rows under x and F_q (a Krylov closure), and
 the same steps build the lift maps, from x^i g^c eps_j, and the
 pairing rows, from g^c b; the x steps of the ambient ring take its
-modulus x^N - lambda from the memo _binomial.  The size limit
+modulus x^N - lambda from the memo _binomial.  The p = 2 pairing
+tables are a memo per field and length too.  The size limit
 ORACLE_BUDGET is a module constant.
 """
 
@@ -66,7 +69,7 @@ from .dual import (
     self_dual_component_options,
 )
 from .errors import TooLarge
-from .gf import FieldCtx, field_new
+from .gf import FieldCtx, _span_table, field_new
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -124,6 +127,32 @@ class _Layout:
         for _ in range(1, self.field.m):
             out.append(self.g_step(out[-1]))
         return out
+
+    def pairing_rows(self, vecs) -> list[int]:
+        """The 2m rows that pair a vector against b, for each b of vecs
+        in turn (see brute_dual).
+
+        The condition on coordinate l reads slot r of a_i's block
+        against coordinate l of g^r b_i.  Those rows come off the packed
+        b itself: v_l holds, in slot r of each block, coordinate l of
+        that block of g^r b.  With g^r b shifted up by r slots once,
+        each v_l takes one shift and one mask per g-step.  v_l's A half
+        pairs with a0 in [a,b]_0, while [a,b]_1 pairs a0 with v_l's B
+        half and a1 with its A half.
+        """
+        half, low = self.half, self.low
+        shifts = range(0, self.step, self.bits)  # slot r of a block, r < m
+        picks = [self.firsts << at for at in shifts]
+        rows = []
+        for b in vecs:
+            lifted = list(map(lshift, self.orbit(b), shifts))
+            for at in shifts:
+                v = 0
+                for gb, pick in zip(lifted, picks):
+                    v |= gb >> at & pick
+                a = v & low
+                rows += (a, v >> half | a << half)
+        return rows
 
     def u(self, vec: int) -> int:
         """(A, B) -> (0, A), multiplication by u."""
@@ -439,7 +468,7 @@ def code_space(code: CodeSpec) -> FpSpace:
     for j, spec in enumerate(code.components):
         lifted = memo.get((j, spec))
         if lifted is None:
-            lifted = memo[j, spec] = list(map(_lift(fd, j), spec_span(spec, fd.chain(j)).rows))
+            lifted = memo[j, spec] = list(map(_lift(fd, j), spec_span(spec, fd.chain(j)).basis))
         rows += lifted
     return FpSpace.from_rows(fd.params.field.p, ambient_dim(fd.params), rows)
 
@@ -553,32 +582,46 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
 
     The form is [a, b] = sum_i a_i b_i in R; writing it out on the
     (a0, a1) coordinate blocks gives, per basis codeword b, the 2m
-    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0.  The
-    condition on coordinate l reads slot r of a_i's block against
-    coordinate l of g^r b_i.  Those rows come off the packed b itself:
-    v_l holds, in slot r of each block, coordinate l of that block of
-    g^r b.  With g^r b shifted up by r slots once, each v_l takes one
-    shift and one mask per g-step.  v_l's A half pairs with a0 in
-    [a,b]_0, while [a,b]_1 pairs a0 with v_l's B half and a1 with its
-    A half.  This holds for any space, not only ideals, so every row of
-    every basis vector goes in; kernel drops the dependent ones at the
-    cost of the pivots they meet.  The answer is exactly the set a full
-    scan would return (a test runs that scan at toy sizes).
+    F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0 (see
+    _Layout.pairing_rows).  Any basis of the space serves, so the rows
+    come off its echelon basis as kept, with no back-substitution.  For
+    p = 2 they are F_2-linear in b, so the 2m rows of b, side by side
+    in one int, are the XOR of one entry per byte of b from a table
+    kept per field and length (_pairing_tables).  This holds for any
+    space, not only ideals, so every row of every basis vector goes in;
+    kernel drops the dependent ones at the cost of the pivots they
+    meet.  The answer is exactly the set a full scan would return (a
+    test runs that scan at toy sizes).
     """
-    layout = _layout(params.field, params.N)
-    half, low = layout.half, layout.low
-    shifts = range(0, layout.step, layout.bits)  # slot r of a block, r < m
-    picks = [layout.firsts << at for at in shifts]
+    field = params.field
+    layout = _layout(field, params.N)
+    dim = layout.dim
+    if field.p != 2:
+        return kernel(layout.pairing_rows(space.basis), dim, field.p)
+    tables = _pairing_tables(field, params.N)
+    mask, ats = (1 << dim) - 1, range(0, 2 * field.m * dim, dim)
     mat = []
-    for b in space.rows:
-        lifted = list(map(lshift, layout.orbit(b), shifts))
-        for at in shifts:
-            v = 0
-            for gb, pick in zip(lifted, picks):
-                v |= gb >> at & pick
-            a = v & low
-            mat += (a, v >> half | a << half)
-    return kernel(mat, layout.dim, params.field.p)
+    for b in space.basis:
+        rows = 0
+        for table in tables:
+            rows ^= table[b & 255]
+            b >>= 8
+        for at in ats:
+            mat.append(rows >> at & mask)
+    return kernel(mat, dim, 2)
+
+
+@memoized
+def _pairing_tables(field: FieldCtx, slots: int) -> list[list[int]]:
+    """For p = 2, one table per byte of a packed row b: entry v is the
+    XOR of the pairing rows of the unit vectors at v's set bits, the 2m
+    rows side by side in one int of 2 m dim bits.  The last table has
+    one entry per value of the bits that are left."""
+    layout = _layout(field, slots)
+    dim, per = layout.dim, 2 * field.m
+    rows = layout.pairing_rows(1 << i for i in range(dim))
+    images = [sum(map(lshift, rows[at : at + per], range(0, per * dim, dim))) for at in range(0, len(rows), per)]
+    return [_span_table(images[at : at + 8], 2, int.__xor__) for at in range(0, dim, 8)]
 
 
 def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:

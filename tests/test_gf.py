@@ -199,3 +199,68 @@ def test_tables_at_q_2_16_make_no_product_per_element(monkeypatch):
     for _ in range(200):
         a, b = rng.randrange(1, F.q), rng.randrange(1, F.q)
         assert F.mul(a, b) == real(F, a, b)
+
+
+# -- p = 2 on the encoded bits ---------------------------------------------------
+
+
+def coord_mul(F, a, b):
+    """The product through coordinate lists: a schoolbook product of the
+    coordinate polynomials reduced by the modulus, as F_(p^m) multiplied
+    before p = 2 took the bitset route."""
+    p, m = F.p, F.m
+    av, bv = F.decode(a), F.decode(b)
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(av):
+        if ai:
+            for j, bj in enumerate(bv):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(m):
+                prod[i - m + j] = (prod[i - m + j] - c * F.modulus[j]) % p
+    return F.encode(prod[:m])
+
+
+def coord_pow(F, a, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = coord_mul(F, out, a)
+        a = coord_mul(F, a, a)
+        e >>= 1
+    return out
+
+
+# x^8 + x^4 + x^3 + x + 1, not the default modulus of F_256
+BINARY_FIELDS = [(m, None) for m in (2, 3, 8, 17, 24, 61)] + [(8, (1, 1, 0, 1, 1, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("m, modulus", BINARY_FIELDS)
+def test_binary_field_arithmetic_equals_the_coordinate_route(m, modulus):
+    F = field_new(2, m, modulus)
+    if modulus is not None:
+        assert F.modulus == modulus != field_new(2, m).modulus
+    rng = random.Random(m)
+    picks = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(60)]
+    for a in picks:
+        assert F.neg(a) == a == F.encode([-c for c in F.decode(a)])
+        for b in picks[:12]:
+            assert F.add(a, b) == F.sub(a, b) == F.encode([x + y for x, y in zip(F.decode(a), F.decode(b))])
+            assert F.mul(a, b) == F._mul_raw(a, b) == coord_mul(F, a, b)
+    for a in picks[:8]:
+        for e in (0, 1, 2, 3, 7, F.q - 2, F.q - 1, F.q, rng.randrange(F.q)):
+            assert F.pow(a, e) == coord_pow(F, a, e)
+        if a:
+            assert F.mul(F.inv(a), a) == 1 and F.pow(a, -5) == coord_pow(F, F.inv(a), 5)
+
+
+def test_powers_of_one_and_zero_make_no_product(monkeypatch):
+    F = field_new(2, 61)
+    calls = []
+    monkeypatch.setattr(FieldCtx, "_mul_raw", lambda self, a, b: calls.append(1))
+    assert [F.pow(1, e) for e in (0, 1, 5, F.q - 2, F.q + 3)] == [1] * 5
+    assert [F.pow(0, e) for e in (0, 1, F.q - 2)] == [1, 0, 0]
+    assert not calls

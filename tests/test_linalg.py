@@ -7,9 +7,13 @@ routine must give the same rows, pivots, membership answers and kernels,
 also on the matrices that stress its unreduced slots most.
 """
 
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccring import linalg
 from ccring.linalg import FpSpace, kernel, pack, slot_bits, unpack
@@ -237,3 +241,74 @@ def test_spaces_of_different_fields_or_dimensions_differ():
     assert a.key() == b.key() == c.key()
     assert a != b and a != c and b != c
     assert a == FpSpace.from_rows(2, 4, [1, 1]) == FpSpace(2, 4, [1], [0])
+
+
+# -- p = 2: the XOR loops against the reference ------------------------------------
+
+# word and byte edges; 7, 8 and 9 leave a short last byte table
+EDGE_DIMS = [7, 8, 9, 63, 64, 65]
+
+
+@st.composite
+def binary_matrices(draw):
+    """(dim, rows): rows of F_2^dim as packed ints, often dependent."""
+    dim = draw(st.sampled_from(EDGE_DIMS) | st.integers(1, 130))
+    word = st.integers(0, (1 << dim) - 1)
+    base = draw(st.lists(word, min_size=1, max_size=8))
+    # XORs of a few base rows, so that many rows lie in the span
+    combos = st.lists(st.sampled_from(base), max_size=4).map(lambda picks: functools.reduce(operator.xor, picks, 0))
+    rows = draw(st.lists(word | combos, max_size=24))
+    return dim, rows
+
+
+def bits_of(dim, vec):
+    return [vec >> i & 1 for i in range(dim)]
+
+
+def reversed_bits(dim, vec):
+    return int(format(vec, f"0{dim}b")[::-1], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_matrices(), st.lists(st.integers(0), max_size=6))
+def test_binary_loops_match_the_reference(case, probes):
+    dim, mat = case
+    coords = [bits_of(dim, vec) for vec in mat]
+    rows, pivots = ref_rref(2, dim, coords)
+    space = FpSpace(2, dim)
+    for vec, before in zip(mat, range(len(mat))):
+        inside = bits_of(dim, vec)
+        ref_reduce(*ref_rref(2, dim, coords[:before]), inside, 2)
+        assert space.contains(vec) == (not any(inside))
+        assert space.insert(vec) == any(inside)
+    assert [bits_of(dim, row) for row in space.rows] == rows and space.pivots == pivots
+    for vec in [probe % (1 << dim) for probe in probes] + mat[:2]:
+        inside = bits_of(dim, vec)
+        ref_reduce(rows, pivots, inside, 2)
+        assert space.contains(vec) == (not any(inside))
+
+    ker = kernel(mat, dim, 2)
+    krows, kpivots = ref_kernel(2, dim, coords)
+    assert [bits_of(dim, row) for row in ker.rows] == krows and ker.pivots == kpivots
+
+    # _rref from either side: echelon rows pivoted at their first nonzero
+    # coordinate, and the same rows bit-reversed, pivoted at their last
+    first = dict(FpSpace.from_rows(2, dim, mat)._at)
+    assert [first[t] for t in linalg._rref(first, 2, dim)] == [pack(2, dim, row) for row in rows]
+    echelon = FpSpace.from_rows(2, dim, [reversed_bits(dim, vec) for vec in mat])._at
+    last = {dim - 1 - t: reversed_bits(dim, row) for t, row in echelon.items()}
+    want, want_pivots = ref_rref(2, dim, [row[::-1] for row in coords])
+    assert linalg._rref(last, 2, dim, last=True) == sorted(dim - 1 - t for t in want_pivots)
+    assert sorted(last.values()) == sorted(pack(2, dim, row[::-1]) for row in want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_basis_spans_the_space_and_builds_no_reduced_rows(p):
+    rng = random.Random(p)
+    dim = 17
+    mat = [pack(p, dim, row) for row in rows_per_basis_vector(rng, p, dim, 4, 3)]
+    space = FpSpace.from_rows(p, dim, mat)
+    basis, elements = space.basis, space.elements()  # p^4 elements
+    assert space._rows is None
+    assert len(basis) == space.rank and FpSpace.from_rows(p, dim, basis) == space
+    assert sorted(elements) == sorted(FpSpace(p, dim, space.rows, space.pivots).elements())

@@ -476,12 +476,12 @@ def test_clear_memo_empties_the_component_rows():
 def test_clear_memo_empties_the_layout_and_step_memos():
     fd = build_factor_data(AmbientParams.of_ints(2, 2, 1, 3, 1))
     for code in enumerate_codes(fd):
-        code_space(code)
+        brute_dual(code_space(code), fd.params)
     assert oracle._layout.cache_info().currsize and oracle._packed_steps.cache_info().currsize
-    assert oracle._binomial.cache_info().currsize
+    assert oracle._binomial.cache_info().currsize and oracle._pairing_tables.cache_info().currsize
     decomp.clear_memo()
     assert oracle._layout.cache_info().currsize == oracle._packed_steps.cache_info().currsize == 0
-    assert oracle._binomial.cache_info().currsize == 0
+    assert oracle._binomial.cache_info().currsize == oracle._pairing_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 5, 1), (3, 2, 1, 2, 5)])
@@ -559,3 +559,22 @@ def test_oracle_results_are_frozen(ring, ncodes, codes_hash, duals_hash, subs, n
     if nambient is not None:
         ideals = brute_ambient_ideals(fd)
         assert len(ideals) == nambient and _digest(ideals) == codes_hash
+
+
+@pytest.mark.parametrize("ring", [ring for ring, *_ in ORACLE_RESULTS if ring[0] == 2])
+def test_table_built_dual_of_any_subspace_equals_the_route_by_inserts(ring):
+    """The p = 2 pairing rows from the byte tables, on random subspaces,
+    most of them no ideal, of every p = 2 ring of the oracle set."""
+    params = AmbientParams.of_ints(*ring)
+    fd = build_factor_data(params)
+    dim = ambient_dim(params)
+    rng = random.Random(str(ring))
+    not_ideals = 0
+    for _ in range(12):
+        space = FpSpace.from_rows(2, dim, [rng.getrandbits(dim) for _ in range(rng.randrange(1, dim))])
+        basis = space.basis
+        dual, ref = brute_dual(space, params), brute_dual_by_inserts(FpSpace.from_rows(2, dim, basis), params)
+        assert dual.rows == ref.rows and dual.pivots == ref.pivots
+        ideal = oracle.ideal_span(fd, [coords_ambient(params, row) for row in basis])
+        not_ideals += ideal.rank > space.rank
+    assert not_ideals >= 6
