@@ -6,22 +6,22 @@ With gcd(n, p) = 1 and lambda0 the p^s-th root of lambda,
 
 for distinct monic irreducibles f_j.  The idempotent attached to f_j is
 eps_j = (v_j * F_j)^(p^s) mod (x^N - lambda) where F_j = (x^n - lambda0)/f_j
-and v_j * F_j + w_j * f_j = 1.  These are orthogonal, sum to 1, and cut
+and v_j * F_j = 1 mod f_j.  These are orthogonal, sum to 1, and cut
 the ambient ring into the chain-ring pieces K_j + u K_j this package
 works in; oracle.code_space glues a code's components back through them.
 
-The p^s-th power is never multiplied out.  With w_j = v_j * F_j reduced
-mod x^n - lambda0, the difference v_j * F_j - w_j is a multiple of
-x^n - lambda0, so its p^s-th power is a multiple of x^N - lambda, and in
-characteristic p the power of w_j is its Frobenius twist: coefficient
-c_i^(p^s) at x^(i*p^s).  That twist has degree < N, so
+The p^s-th power is never multiplied out.  Taking v_j of degree < deg f_j,
+w_j = v_j * F_j has degree < n, and in characteristic p its p^s-th power
+is its Frobenius twist: coefficient c_i^(p^s) at x^(i*p^s).  That twist
+has degree < N, so
 
     eps_j = frobenius(w_j, s)
 
 exactly: eps_j is w_j with p^s - 1 zero slots between its coefficients.
 The w_j, of length n, are the primitive idempotents of
-F_q[x]/(x^n - lambda0) (fd.root_idempotents), built on each read:
-only gluing (info, idempotents and the oracle) needs them, once.  info
+F_q[x]/(x^n - lambda0) (fd.root_idempotents), built on each read, each
+from a closed form of v_j and at most one exact division (see
+_idempotents): only gluing (info, idempotents and the oracle) needs them, once.  info
 and idempotents write each eps_j's text straight from w_j
 (cli.idempotents_json), so they build no list of length N.
 fd.idempotents twists the w_j, at O(N) per factor, and keeps the
@@ -267,8 +267,9 @@ class FactorData:
 
     @property
     def root_idempotents(self) -> list[Poly]:
-        """w_j = v_j F_j mod (x^n - lambda0) for each f_j, of degree < n,
-        built on every read; eps_j = frobenius(w_j, s)."""
+        """w_j = v_j F_j for each f_j, of degree < n, the exact quotient
+        v_j (x^n - lambda0) / f_j, built on every read; eps_j =
+        frobenius(w_j, s)."""
         return _idempotents(self.params, self.factors)
 
     @property
@@ -347,25 +348,62 @@ class DerivedFactors(tuple):
 
 
 def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
-    """w_j = v_j F_j mod (x^n - lambda0), with no gcd: the untwisted
-    idempotents, eps_j = frobenius(w_j, s).
+    """w_j = v_j F_j mod (x^n - lambda0), with no gcd and no product:
+    the untwisted idempotents, eps_j = frobenius(w_j, s).
 
     Differentiating x^n - lambda0 = f F gives n x^(n-1) = f' F at each
     root of f, and x^n = lambda0 there, so the inverse of F mod f is
-    v = x f'(x) / (n lambda0) mod f.  The twist is additive and
-    one-to-one, so the eps_j sum to 1 exactly when the w_j do, which is
-    checked here, at length n.
+    x f'(x) / (n lambda0) mod f.  f is monic of degree d, so x f' - d f
+    has degree < d and is that reduction: coefficient i < d of v is
+    (i - d) f_i / (n lambda0), read off f.  v F has degree < n, so it
+    is w itself, and v (x^n - lambda0) = f w makes w one exact division
+    of a dividend with 2d terms; its remainder is checked to be zero.
+
+    For lambda^2 = 1, x -> x^(-1) = lambda0 x^(n-1) is an automorphism
+    of F_q[x]/(x^n - lambda0) that takes the roots of f to those of its
+    monic reciprocal g, so w for g is w for f at x^(-1): coefficient
+    n - i is lambda0 w_i for 0 < i < n.  Of a reciprocal pair only the
+    first factor is divided.
+
+    The twist is additive and one-to-one, so the eps_j sum to 1 exactly
+    when the w_j do, which is checked here, at length n: over F_p by one
+    column sum per slot.
     """
-    field, base = params.field, root_binomial(params)
-    scale = field.inv(field.mul(params.n % params.p, field.neg(base[0])))  # base(0) = -lambda0
-    total = Poly.zero(field)
-    idempotents = []
+    field, n, lam0 = params.field, params.n, params.lam0
+    p, mul = field.p, field.mul
+    scale = field.inv(mul(n % p, lam0))
+    neg_lam0 = field.neg(lam0)
+    divided = {} if params.lam_self_paired() else None
+    rows = []  # each w_j's coefficients, padded to length n
     for f in factors:
-        v = (Poly.x(field) * f.derivative()).scale(scale) % f
-        w = (v * (base // f)) % base
-        total = total + w
-        idempotents.append(w)
-    assert total == Poly.one(field), "idempotents do not sum to 1"
+        mirror = None if divided is None else divided.get(reciprocal(f).monic())
+        if mirror is not None:
+            tail = mirror[:0:-1]
+            row = mirror[:1] + (tail if lam0 == 1 else tuple(map(field.neg, tail)))
+        else:
+            low = f.coeffs[:-1]
+            d = len(low)
+            if field.m == 1:
+                v = [(i - d) * c * scale % p for i, c in enumerate(low)]
+                head = [neg_lam0 * c % p for c in v]
+            else:
+                v = [mul(mul((i - d) % p, c), scale) for i, c in enumerate(low)]
+                head = [mul(neg_lam0, c) for c in v]
+            w, rem = divmod(Poly(field, head + [0] * (n - d) + v), f)
+            assert not rem, "idempotent division is not exact"
+            row = w.coeffs + (0,) * (n - len(w.coeffs))
+            if divided is not None:
+                divided[f] = row
+        rows.append(row)
+    idempotents = [Poly(field, row) for row in rows]
+    if field.m == 1:
+        one = [c % p for c in map(sum, zip(*rows))] == [1] + [0] * (n - 1)
+    else:
+        total = Poly.zero(field)
+        for w in idempotents:
+            total = total + w
+        one = total == Poly.one(field)
+    assert one, "idempotents do not sum to 1"
     return idempotents
 
 

@@ -122,7 +122,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
-            and self.ctx == other.ctx
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.coeffs == other.coeffs
         )
 
@@ -154,7 +154,9 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ctx != other.ctx:
+        # the package shares one FieldCtx per field, so identity is the
+        # usual answer and saves comparing p, m and the modulus
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("polynomials over different fields")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -685,7 +687,7 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     ctx, p, q = f.ctx, f.ctx.p, f.ctx.q
     if f.degree % p == 0:
         raise NotSquarefree("x^n - c with p | n is a p-th power")
-    rng = random.Random(FACTOR_SEED)
+    rng = None  # seeded before the first draw: many binomials split no part
     out: list[Poly] = []
     for d, L, part in _binomial_parts(f, c):
         todo, basis, power = [part], None, _power_map(ctx, L, c)
@@ -695,6 +697,7 @@ def factor_squarefree(f: Poly) -> list[Poly]:
                 out.append(piece)
                 continue
             basis = basis or _orbit_basis(ctx, L, c)
+            rng = rng or random.Random(FACTOR_SEED)
             h = [0] * L
             for orbit in basis:
                 a = rng.randrange(q)

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from ccring import decomp, poly
 from ccring.cli import factor_data_json
@@ -155,6 +157,53 @@ def test_idempotent_identities_random(monkeypatch):
             for l in range(j):
                 assert mulmod(fd, eps, fd.idempotents[l]).is_zero()
         assert total == Poly.one(field)
+
+
+def reference_idempotents(params, factors):
+    """w_j by the formula the closed form replaced: v = x f' / (n lambda0)
+    mod f, then w = v (x^n - lambda0) // f mod x^n - lambda0, with two
+    products and three divisions per factor and no reciprocal pairs."""
+    field, base = params.field, decomp.root_binomial(params)
+    scale = field.inv(field.mul(params.n % params.p, params.lam0))
+    out = []
+    for f in factors:
+        v = (Poly.x(field) * f.derivative()).scale(scale) % f
+        out.append((v * (base // f)) % base)
+    return out
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    m=st.sampled_from([1, 2, 3]),
+    s=st.sampled_from([1, 2]),
+    n=st.integers(1, 40),
+    order=st.sampled_from(["one", "two", "more"]),
+    lam=st.integers(1, 13**3 - 1),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(p=3, m=1, s=1, n=1, order="more", lam=2, shuffle=random.Random(0))  # n = 1: w = 1
+@example(p=3, m=1, s=1, n=2, order="two", lam=2, shuffle=random.Random(0))  # x^2 + 1: r = 1
+@example(p=7, m=1, s=2, n=48, order="more", lam=3, shuffle=random.Random(0))
+@example(p=2, m=3, s=1, n=21, order="one", lam=1, shuffle=random.Random(0))
+def test_idempotents_equal_the_product_formula(p, m, s, n, order, lam, shuffle):
+    """The closed form and the reciprocal mirror give the product
+    formula's w_j in any factor order, and w_i mod f_j = delta_ij."""
+    assume(n % p)
+    field = decomp.ring_field(p, m, s, n)
+    lam = {"one": 1, "two": field.neg(1)}.get(order, lam % field.q)
+    assume(lam and (order != "more" or field.order(lam) > 2))
+    params = AmbientParams(field, s, n, lam)
+    factors = list(build_factor_data(params).factors)
+    shuffle.shuffle(factors)
+    fd = factor_data_for(params, factors)
+    ws = fd.root_idempotents
+    assert ws == reference_idempotents(params, factors)
+    if fd.r == 1:
+        assert ws == [Poly.one(field)]
+    for i, w in enumerate(ws):
+        for j, f in enumerate(factors):
+            assert w % f == (Poly.one(field) if i == j else Poly.zero(field))
 
 
 @pytest.mark.parametrize("ring", [(3, 1, 4, 2, 1), (5, 1, 1, 6, 4)])

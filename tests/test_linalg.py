@@ -76,9 +76,10 @@ def random_matrix(rng, p, dim, nrows, shape):
     if shape == "zero":
         return [[0] * dim for _ in range(nrows)]
     base = [vec() for _ in range(max(1, dim // 4))]
-    combos = [
-        [sum(rng.randrange(p) * b[i] for b in base) % p for i in range(dim)] for _ in range(nrows)
-    ]
+    combos = []
+    for _ in range(nrows):
+        coeffs = [rng.randrange(p) for _ in base]  # one per base vector, so rank <= len(base)
+        combos.append([sum(c * v[i] for c, v in zip(coeffs, base)) % p for i in range(dim)])
     if shape == "dependent":
         return combos
     return [rng.choice(combos[:3]) for _ in range(nrows)]  # duplicates
@@ -99,6 +100,8 @@ def test_packed_elimination_matches_the_reference(p, dim, shape):
     mat = random_matrix(rng, p, dim, nrows, shape)
     space = FpSpace.from_rows(p, dim, [pack(p, dim, row) for row in mat])
     rows, pivots = ref_rref(p, dim, mat)
+    if shape in ("dependent", "duplicates"):
+        assert len(pivots) <= max(1, dim // 4)  # combinations of that many base vectors
     assert [unpack(p, dim, row) for row in space.rows] == rows
     assert space.pivots == pivots
     assert space.key() == FpSpace.from_rows(p, dim, reversed(space.rows)).key()
