@@ -3,8 +3,9 @@
 Elements are reduced Polys (degree < d*e).  The powers of f filter K,
 and the f-adic digit expansion a = sum_k b_k(x) f^k with deg b_k < d
 is the workhorse for residue sets and canonical representatives: the
-ideal parameters b range over digit windows (residue_set), and a b
-defined only modulo f^hi is cut back into its window (window_reduce).
+ideal parameters b range over digit windows (residue_set), a b is
+written f^lo c in its window (window_quotient), and a b defined only
+modulo f^hi is cut back into its window (window_reduce).
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class ChainCtx:
 
     Digit windows are checked by division, not digit by digit: z has no
     digits at positions >= b exactly when deg z < d*b, and none below a
-    exactly when f^a divides z (in_residue_window, window_reduce).
+    exactly when f^a divides z (window_quotient).  That division's
+    quotient z / f^a gives the window coordinates in which
+    dual.dual_component transports b.
     """
 
     __slots__ = ("field", "f", "d", "e", "f_pows")
@@ -207,14 +210,20 @@ class ChainCtx:
 
         yield from odometer([self.digit_polys] * (b - a), place, Poly.zero(self.field))
 
-    def in_residue_window(self, z: Poly, a: int, b: int) -> bool:
-        """Is z exactly a sum of digits over positions [a, b)?
+    def window_quotient(self, z: Poly, a: int, b: int) -> Poly | None:
+        """c with z = f^a c and deg c < d*(b - a), for a reduced z; None
+        when z has digits outside [a, b).
 
         The digits at positions >= b vanish exactly when deg z < d*b, and
-        those below a exactly when f^a divides z.
+        those below a exactly when f^a divides z: one division by f^a is
+        both that check and the quotient.
         """
-        z = self.reduce(z)
-        return z.degree < self.d * b and self._divisible(z, a)
+        if z.degree >= self.d * b:
+            return None
+        if a == 0:
+            return z
+        c, r = divmod(z, self.f_pows[a])
+        return None if r else c
 
     def window_reduce(self, z: Poly, a: int, b: int) -> Poly:
         """Truncate the digits of z to positions [a, b): z mod f^b.
@@ -222,10 +231,7 @@ class ChainCtx:
         Used to canonicalize a parameter that is only defined modulo f^b
         and is promised to be divisible by f^a; the promise is checked.
         """
-        z = self.reduce(z)
-        if not self._divisible(z, a):
+        z = z % self.f_pows[b]
+        if self.window_quotient(z, a, b) is None:
             raise RangeError("element has digits below the residue window")
-        return z % self.f_pows[b]
-
-    def _divisible(self, z: Poly, a: int) -> bool:
-        return a == 0 or (z % self.f_pows[a]).is_zero()
+        return z

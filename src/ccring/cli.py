@@ -53,12 +53,12 @@ from .gf import FieldCtx
 from .ideals import (
     CodeSpec,
     IdealSpec,
+    checked_spec,
     code_size,
     count_codes_by_degree,
     count_ideals_params,
     enumerate_codes,
     ideal_size,
-    validate_spec,
 )
 from .oracle import verify_suite
 from .poly import Poly
@@ -132,6 +132,11 @@ def poly_json(field: FieldCtx, a: Poly):
 def parse_poly(field: FieldCtx, doc) -> Poly:
     if not isinstance(doc, list):
         raise CcringError("polynomial must be a coefficient array")
+    if field.m == 1:  # plain ints in one pass; anything else takes parse_fieldelem's error
+        p = field.p
+        coeffs = [c % p for c in doc if type(c) is int]
+        if len(coeffs) == len(doc):
+            return Poly(field, coeffs)
     return Poly(field, [parse_fieldelem(field, c) for c in doc])
 
 
@@ -270,16 +275,18 @@ def _ints(comp) -> bool:
 def _dual_text(doc) -> str:
     """_dumps(code_json(dual_code(parse_code(doc)))), errors in order, at the
     cost of the components that differ from the ring's last document: all
-    are parsed, then validated and transported; the others reuse their text."""
+    are parsed, then validated, each check's division by f^lo giving the
+    quotient its transport takes, then transported; the others reuse their
+    text."""
     fd, dfd, head, kept = _dual_memo(_ring_key(doc))
     comps = _member(doc, "components", list)
     if len(comps) != fd.r:
         parse_code(doc)  # raises the parse error or the component count's
     changed = [j for j, c in enumerate(comps) if kept[j] is None or kept[j][0] != c or not _ints(c)]
     specs = [parse_ideal(fd.params.field, comps[j]) for j in changed]
-    specs = [validate_spec(spec, fd.chain(j)) for j, spec in zip(changed, specs)]
-    for j, spec in zip(changed, specs):
-        kept[j] = _component(comps[j], dual_component(spec, j, fd, dfd.chain(j)), dfd, j)
+    checked = [checked_spec(spec, fd.chain(j)) for j, spec in zip(changed, specs)]
+    for j, (spec, c) in zip(changed, checked):
+        kept[j] = _component(comps[j], dual_component(spec, j, fd, dfd.chain(j), c), dfd, j)
     return _line(head, kept)
 
 

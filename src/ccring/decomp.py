@@ -240,8 +240,9 @@ class FactorData:
       stream first moves past b = 0: each restart of that stream (the
       seed-9001 selfdual benchmark ops at --seconds 10, in one process,
       move 91 streams past b = 0 and build windows 49 times);
-    - _units[j], dual._transport_b's unit: each unit-route transport
-      out of factor j after the first.
+    - _units[j], the transport's unit U_j and, by window (lo, hi), the
+      window units made from it (dual._units): each transport out of
+      factor j after the first, in its window, and _fixed_windows.
     The w_j (root_idempotents) are built on each read, as no command
     reads them twice; lambda0 is params.lam0; info takes the
     f_j(0)^(-1) as it writes them.

@@ -24,12 +24,21 @@ printed dual generator is -lambda x^(N-d) rev(f_j) b(x^(-1)) + u with
 rev(f_j) the plain coefficient reversal, and rev(f_j) = f_j(0) * fhat_j
 once the modulus is normalized monic.  Tests pin this against kernel-computed duals.
 
-As x^N = lambda^(-1) in the target ring, with D = d_j e and deg b < D
-the image is a unit z_j = -lambda f_j(0) x^(N - d_j - (D - 1)), built
-once per factor, times x^(D - 1) b(x^(-1)), b's coefficients reversed:
-one product of length D, no polynomial of length N, then one reduction
-mod fhat_j^e and one window cut (_transport_b, which reflects b when
-n < 3 d_j).
+As x^N = lambda^(-1) in the target ring, that image is taken in the
+window's own coordinates.  Write b = f_j^lo c with deg c < L =
+d_j (hi - lo), and rev_L(c) = x^(L - 1) c(x^(-1)), c's coefficients
+reversed.  As f_j(x^(-1)) = f_j(0) x^(-d_j) fhat_j,
+
+    b_hat mod fhat_j^hi = fhat_j^lo * ((u * rev_L(c)) mod fhat_j^(hi - lo))
+
+with the window unit u = U_j x^(d_j (e - 1 - hi)) f_j(0)^lo and the
+factor's unit U_j = -lambda f_j(0) x^((n - d_j) e + 1) mod fhat_j^e,
+both kept on the FactorData (_units).  U_j's exponent is at least 1, so
+no polynomial of length N is built.  A component then costs one
+division by f_j^lo, which is also the check that b has no digits below
+its window (ideals.checked_spec makes it for the dual command), one
+product and one division of window size, and one product by fhat_j^lo:
+its cost follows the window, not e.
 
 A component's dual depends on that component alone, so the dual
 command, whose input is often an enumerate stream that moves the last
@@ -100,7 +109,7 @@ from itertools import islice
 
 from .chain import ChainCtx, odometer
 from .decomp import AmbientParams, DerivedFactors, FactorData, factor_data, tau_degrees
-from .errors import NotSelfPairedLambda
+from .errors import NotSelfPairedLambda, RangeError
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -129,62 +138,64 @@ def dual_factor_data(fd: FactorData) -> FactorData:
     return factor_data(fd.params.dual_params(), recips)
 
 
-def _reflect(a: Poly, shift: int, params: AmbientParams) -> Poly:
-    """x^shift * a(x^(-1)) with degree < N, in the ring where x^N = lambda^(-1).
-
-    For deg a <= shift < N that is a's coefficients reversed, starting
-    at x^(shift - deg a); otherwise x^(qN + r) = lambda^(-q) x^r places
-    each term.
-    """
-    field, N = params.field, params.N
-    cs = a.coeffs
-    if len(cs) - 1 <= shift < N:
-        return Poly(field, (0,) * (shift + 1 - len(cs)) + cs[::-1])
-    out = [0] * N
-    for i, c in enumerate(cs):
-        if c:
-            q, r = divmod(shift - i, N)
-            out[r] = field.add(out[r], field.mul(c, field.pow(params.lam, -q)))
-    return Poly(field, out)
+def _rev(c: Poly, size: int) -> Poly:
+    """x^(size - 1) c(x^(-1)) for deg c < size: c's coefficients reversed."""
+    return Poly(c.ctx, (0,) * (size - len(c.coeffs)) + c.coeffs[::-1])
 
 
-# _transport_b's unit route took 0.11 to 0.95 of the reflection's time on
-# all 53 of 68 timed factor shapes (d_j = 1 to 23, e = 2 to 1681) with
-# n >= 3 d_j, and up to 1.28 times it on 8 of the 10 with 2 d_j <= n < 3 d_j
-_UNIT_CUTOFF = 3
-
-
-def _transport_b(b: Poly, j: int, fd: FactorData, target: ChainCtx) -> Poly:
-    """-lambda f_j(0) x^(N - d_j) b(x^(-1)) in the target, with one reduction.
-
-    For D = d_j e > deg b and n >= 3 d_j: the unit z_j = -lambda f_j(0)
-    x^(N - d_j - (D - 1)) mod fhat_j^e (one division, kept in fd._units)
-    times b's coefficients reversed to length D.  Otherwise _reflect
-    builds x^(N - d_j) b(x^(-1)) of degree < N, placing the terms of a
-    parsed b of degree >= D by x^N = lambda^(-1); as f_j(x^(-1))^e is a
-    unit times fhat_j^e, b need only reduce into its window mod f_j^e.
-    """
-    params, d = fd.params, fd.factors[j].degree
-    field, size, shift = params.field, d * params.e, params.N - d
-    scal = field.neg(field.mul(params.lam, fd.factors[j](0)))
-    if b.degree >= size or params.n < _UNIT_CUTOFF * d:
-        return target.reduce(_reflect(b, shift, params).scale(scal))
+def _units(j: int, fd: FactorData, target: ChainCtx) -> tuple[Poly, dict]:
+    """fd._units[j], made on first use: the unit U_j = -lambda f_j(0)
+    x^((n - d_j) e + 1) mod fhat_j^e, and its window units by (lo, hi)."""
     if fd._units[j] is None:
-        fd._units[j] = Poly.monomial(field, shift - size + 1, scal) % target.modulus
-    return target.reduce(fd._units[j] * Poly(field, (0,) * (size - len(b.coeffs)) + b.coeffs[::-1]))
+        params, f = fd.params, fd.factors[j]
+        field = params.field
+        scal = field.neg(field.mul(params.lam, f(0)))
+        fd._units[j] = (Poly.monomial(field, (params.n - f.degree) * params.e + 1, scal) % target.modulus, {})
+    return fd._units[j]
 
 
-def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx) -> IdealSpec:
+def _transport_window(c: Poly, lo: int, hi: int, j: int, fd: FactorData, target: ChainCtx) -> Poly:
+    """T(f_j^lo c) mod fhat_j^hi for deg c < L = d_j (hi - lo), in window
+    coordinates: fhat_j^lo times (u rev_L(c)) mod fhat_j^(hi - lo), with
+    the window unit u = U_j x^(d_j (e - 1 - hi)) f_j(0)^lo, kept in
+    fd._units per window."""
+    if c.is_zero():
+        return c
+    unit, windows = _units(j, fd, target)
+    d, field, fp = target.d, target.field, target.f_pows
+    u = windows.get((lo, hi))
+    if u is None:
+        shifted = Poly(field, (0,) * (d * (target.e - 1 - hi)) + unit.coeffs)
+        u = windows[lo, hi] = shifted.scale(field.pow(fd.factors[j](0), lo)) % fp[hi - lo]
+    size = d * (hi - lo)
+    image = u * _rev(c, size)
+    if image.degree >= size:
+        image = image % fp[hi - lo]
+    return image * fp[lo] if lo else image
+
+
+def dual_component(spec: IdealSpec, j: int, fd: FactorData, target: ChainCtx, c: Poly | None = None) -> IdealSpec:
     """The ideal spec of the dual code's component over recip(f_j):
-    (k, t) -> (e - k - t, t), b transported into the same window."""
+    (k, t) -> (e - k - t, t), b transported into the same window.
+
+    b is reduced mod f_j^hi when its degree reaches d_j hi, and divided by
+    f_j^lo; RangeError when that leaves a remainder (digits below the
+    window).  A caller whose check already made c = b / f_j^lo
+    (ideals.checked_spec) passes it, and b is not divided again.
+    """
     e = fd.params.e
     k, t = to_kt(spec, e)
     if t == 0:
         return from_kt(e - k, 0, e)
-    raw = _transport_b(spec.b, j, fd, target)
-    # the transport preserves divisibility by each f^k, so raw never
-    # has digits below the window; window_reduce checks that as a side effect
-    return from_kt(e - k - t, t, e, target.window_reduce(raw, *b_window(spec, e)))
+    lo, hi = b_window(spec, e)
+    if c is None:
+        source, b = fd.chain(j), spec.b
+        if b.degree >= source.d * hi:
+            b = b % source.f_pows[hi]
+        c = source.window_quotient(b, lo, hi)
+        if c is None:
+            raise RangeError("element has digits below the residue window")
+    return from_kt(e - k - t, t, e, _transport_window(c, lo, hi, j, fd, target))
 
 
 def dual_code(code: CodeSpec) -> CodeSpec:
@@ -240,11 +251,13 @@ def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] |
     its dual component maps to themselves, least significant pivot
     first (None for t = 0, which carries no b).
 
-    On a window [lo, hi) the map T(b) = window_reduce(_transport_b(b),
-    lo, hi) is F_p-linear, so the fixed b are ker(T - I).  The transport
-    keeps f-valuations and window_reduce keeps digits below hi, so T's
-    matrix is a diagonal block of the transport's matrix on the digit
-    basis g^r x^i f^pos, which is built once for all windows.
+    On a window [lo, hi) the map T(b) = b_hat mod f^hi is F_p-linear,
+    so the fixed b are ker(T - I).  The transport keeps f-valuations and
+    the cut keeps digits below hi, so T's matrix is a diagonal block of
+    the transport's matrix on the digit basis g^r x^i f^pos, which is
+    built once for all windows.  Every basis element lies below digit
+    e - 1, so its image is U_j rev_(d (e - 1))(b) mod f^e (see the module
+    docstring), one product and one reduction each.
     Coordinates follow residue_set order: digit position, then x^i,
     then the F_p coordinate of g^r.  Taken most significant first,
     reduced echelon form puts each kernel row's pivot at its most
@@ -262,7 +275,8 @@ def _fixed_windows(j: int, fd: FactorData) -> list[tuple[IdealSpec, list[Poly] |
         for i in range(d)
         for r in range(m)
     ]
-    images = [_digit_coords(_transport_b(b, j, fd, ctx), ctx) for b in basis]
+    unit, size = _units(j, fd, ctx)[0], d * (e - 1)
+    images = [_digit_coords(ctx.reduce(unit * _rev(b, size)), ctx) for b in basis]
     out = []
     for shape in _fixed_shapes(e):
         if to_kt(shape, e)[1] == 0:

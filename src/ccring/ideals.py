@@ -96,6 +96,14 @@ def b_window(spec: IdealSpec, e: int) -> tuple[int, int]:
 
 def validate_spec(spec: IdealSpec, ctx: ChainCtx) -> IdealSpec:
     """spec with b reduced mod f^e; InvalidSpec unless it names an ideal."""
+    return checked_spec(spec, ctx)[0]
+
+
+def checked_spec(spec: IdealSpec, ctx: ChainCtx) -> tuple[IdealSpec, Poly | None]:
+    """validate_spec's spec and, when it carries a b, the quotient
+    c = b / f^lo on its window [lo, hi) (else None): the window check's
+    one division, which dual.dual_component takes instead of dividing
+    again."""
     e, case = ctx.e, spec.case
     fields = _FIELDS.get(case)
     if fields is None:
@@ -106,13 +114,14 @@ def validate_spec(spec: IdealSpec, ctx: ChainCtx) -> IdealSpec:
     if not (0 <= k and 0 <= t and k + t <= e and _label(k, t, e) == case):
         raise InvalidSpec(f"case {case} has no ideal with (k, t) = ({k}, {t}) when e = {e}")
     if spec.b is None:
-        return spec
+        return spec, None
     if spec.b.ctx != ctx.field:
         raise InvalidSpec("b lives over the wrong field")
     b, (lo, hi) = ctx.reduce(spec.b), b_window(spec, e)
-    if not ctx.in_residue_window(b, lo, hi):
+    c = ctx.window_quotient(b, lo, hi)
+    if c is None:
         raise InvalidSpec(f"b = {spec.b.term_string()} outside digit window [{lo}, {hi})")
-    return spec if b is spec.b else spec._replace(b=b)
+    return (spec if b is spec.b else spec._replace(b=b)), c
 
 
 def ideal_size(spec: IdealSpec, ctx: ChainCtx) -> int:

@@ -14,8 +14,8 @@ F5 = field_new(5, 1)
 def from_digits(ctx, digits):
     """sum_k digits[k] * f^k: the element of K with these f-adic digits.
 
-    The reference the window cuts (ChainCtx.window_reduce, and through
-    it dual_component) are checked against, here and in test_dual.
+    The reference the window cuts and quotients (ChainCtx.window_reduce
+    and window_quotient) are checked against, here and in test_dual.
     """
     out = Poly.zero(ctx.field)
     for k, b in enumerate(digits):
@@ -86,11 +86,11 @@ def test_residue_set_windows():
 def test_window_membership_and_reduce():
     ctx = make_ctx(e=4)
     z = ctx.mul(ctx.f_pows[2], Poly(F5, [1, 1]))
-    assert ctx.in_residue_window(z, 1, 4)
-    assert ctx.in_residue_window(z, 2, 4)
-    assert not ctx.in_residue_window(z, 3, 4)
+    assert ctx.window_quotient(z, 1, 4) == ctx.f * Poly(F5, [1, 1])
+    assert ctx.window_quotient(z, 2, 4) == Poly(F5, [1, 1])
+    assert ctx.window_quotient(z, 3, 4) is None
     cut = ctx.window_reduce(z, 2, 3)
-    assert ctx.in_residue_window(cut, 2, 3)
+    assert ctx.window_quotient(cut, 2, 3) is not None
     digits = ctx.f_adic(cut)
     assert digits[2] == ctx.f_adic(z)[2]
     with pytest.raises(RangeError):
@@ -181,7 +181,10 @@ def test_windows_agree_with_digits(p, m, coeffs, e):
             below = any(not digits[k].is_zero() for k in range(a))
             for b in range(a, e + 1):
                 inside = not below and all(digits[k].is_zero() for k in range(b, e))
-                assert ctx.in_residue_window(z, a, b) == inside, (z, a, b)
+                c = ctx.window_quotient(ctx.reduce(z), a, b)
+                assert (c is not None) == inside, (z, a, b)
+                if inside:  # z = f^a c: c holds digits a .. b - 1 at 0 .. b - a - 1
+                    assert c == from_digits(ctx, digits[a:b]), (z, a, b)
                 if below:
                     with pytest.raises(RangeError):
                         ctx.window_reduce(z, a, b)

@@ -21,7 +21,7 @@ from ccring.cli import code_json, main, parse_code
 from ccring.decomp import MAX_LENGTH, AmbientParams, build_factor_data, factor_data
 from ccring.dual import dual_code, dual_code_nu, dual_component
 from ccring.errors import CcringError, TooLarge
-from ccring.ideals import CASES, enumerate_codes, validate_spec
+from ccring.ideals import CASES, checked_spec, enumerate_codes
 
 
 def run(capsys, *argv):
@@ -316,7 +316,7 @@ def library_dual(doc: str) -> str:
     [
         ("--p", "7", "--s", "1", "--n", "48", "--lambda", "6"),  # 12 factors
         ("--p", "3", "--m", "2", "--s", "1", "--n", "8", "--lambda", "[1,0]"),
-        ("--p", "2", "--s", "4", "--n", "7", "--lambda", "1"),  # factors on both transport routes
+        ("--p", "2", "--s", "4", "--n", "7", "--lambda", "1"),  # e = 16, factors of degree 1 and 3
     ],
 )
 def test_dual_writes_the_library_route_line_for_line(capsys, monkeypatch, ring):
@@ -332,17 +332,17 @@ def test_dual_writes_the_library_route_line_for_line(capsys, monkeypatch, ring):
     before = [[None] * len(comps[0])] + comps
     changed = [sum(c != b for c, b in zip(now, last)) for now, last in zip(comps, before)]
     assert changed[0] == len(comps[0]) and min(changed) == 1
-    calls = _count_calls(monkeypatch, dual_component, validate_spec)
+    calls = _count_calls(monkeypatch, dual_component, checked_spec)
     ccring.decomp.clear_memo()
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     assert run(capsys, "dual") == (0, "".join(want), "")
-    assert calls == {"dual_component": sum(changed), "validate_spec": sum(changed)}
+    assert calls == {"dual_component": sum(changed), "checked_spec": sum(changed)}
     ccring.decomp.clear_memo()
     for doc, line, n in zip(docs, want, changed):
         calls.clear()
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert run(capsys, "dual") == (0, line, "")
-        assert calls == {"dual_component": n, "validate_spec": n}
+        assert calls == {"dual_component": n, "checked_spec": n}
 
 
 def _documents_of_7(capsys):
@@ -389,6 +389,28 @@ def test_dual_refuses_what_the_parent_refused(capsys, monkeypatch, case):
     text = json.dumps(good) + "\n" + json.dumps(bad) + "\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert run(capsys, "dual") == (2, library_dual(json.dumps(good)), err)
+
+
+def test_a_refused_window_leaves_the_memo_answering_as_a_fresh_process(capsys, monkeypatch):
+    """One process dualizes a document, refuses the next, whose first
+    component changed validly and whose second has a digit below its
+    window, and then answers the corrected document as a fresh process
+    does.  At (3,1,1,2,1), e = 3 and case I's window is [1, 2)."""
+    _, out, _ = run(capsys, "enumerate", "--p", "3", "--s", "1", "--n", "2", "--lambda", "1", "--limit", "3")
+    docs = [json.loads(line) for line in out.splitlines()]
+    good = docs[1]
+    bad = with_component(with_component(good, 0, {"case": "III", "k": 1}), 1, {"case": "I", "b": [1]})
+    fixed = with_component(bad, 1, docs[2]["components"][1])
+    answers = []
+    for doc in (good, bad, fixed):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc) + "\n"))
+        answers.append(run(capsys, "dual"))
+    assert answers[0] == (0, library_dual(json.dumps(good)), "")
+    assert answers[1] == (2, "", "error: b = 1 outside digit window [1, 2)\n")
+    with _cli_process("dual", stdin=subprocess.PIPE) as proc:
+        fresh, err = proc.communicate((json.dumps(fixed) + "\n").encode(), timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert answers[2] == (0, fresh.decode(), "")
 
 
 def test_dual_input_interleaving_more_rings_than_the_memo_holds(capsys, monkeypatch):

@@ -15,8 +15,6 @@ from ccring import dual as dual_module
 from ccring.cli import main as cli_main
 from ccring.decomp import AmbientParams, build_factor_data, factor_data
 from ccring.dual import (
-    _reflect,
-    _transport_b,
     count_self_dual,
     dual_code,
     dual_code_nu,
@@ -26,15 +24,18 @@ from ccring.dual import (
     is_self_dual,
     self_dual_component_options,
 )
-from ccring.errors import NotSelfPairedLambda
+from ccring.errors import NotSelfPairedLambda, RangeError
 from ccring.gf import field_new
 from ccring.ideals import (
     CodeSpec,
     IdealSpec,
     b_window,
+    checked_spec,
     code_size,
     enumerate_codes,
     enumerate_ideals,
+    from_kt,
+    to_kt,
 )
 from ccring.oracle import brute_dual, code_space
 from ccring.poly import Poly, reciprocal
@@ -233,6 +234,23 @@ def test_dual_stream_twice_through_one_process(capsys, monkeypatch):
     assert run_dual(capsys, monkeypatch, dual) == stream
 
 
+def reflect(a, shift, params):
+    """x^shift * a(x^(-1)) with degree < N, in the ring where x^N = lambda^(-1):
+    for deg a <= shift < N a's coefficients reversed, starting at
+    x^(shift - deg a); otherwise x^(qN + r) = lambda^(-q) x^r places each
+    term.  The reflection route the transport once took, kept as a reference."""
+    field, N = params.field, params.N
+    cs = a.coeffs
+    if len(cs) - 1 <= shift < N:
+        return Poly(field, (0,) * (shift + 1 - len(cs)) + cs[::-1])
+    out = [0] * N
+    for i, c in enumerate(cs):
+        if c:
+            q, r = divmod(shift - i, N)
+            out[r] = field.add(out[r], field.mul(c, field.pow(params.lam, -q)))
+    return Poly(field, out)
+
+
 def test_inv_x_image_roundtrip():
     fd = fd_of(5, 1, 1, 2, 2)  # x^2 - 2 irreducible, lambda not self-paired
     dfd = dual_factor_data(fd)
@@ -240,8 +258,8 @@ def test_inv_x_image_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         a = ctx.reduce(Poly(fd.params.field, [rng.randrange(5) for _ in range(10)]))
-        img = dctx.reduce(_reflect(a, 0, fd.params))
-        back = ctx.reduce(_reflect(img, 0, dfd.params))
+        img = dctx.reduce(reflect(a, 0, fd.params))
+        back = ctx.reduce(reflect(img, 0, dfd.params))
         assert back == a
 
 
@@ -257,7 +275,7 @@ def test_f_power_image():
         fl = Poly.one(F)
         for _ in range(l):
             fl = fl * f
-        img = dctx.reduce(_reflect(ctx.reduce(fl), 0, params))
+        img = dctx.reduce(reflect(ctx.reduce(fl), 0, params))
         # f^l lands on lambda x^(N - l d) (f(0) fhat)^l
         expect = dctx.reduce(Poly.monomial(F, params.N - l * d, params.lam))
         expect = dctx.mul(expect, Poly.const(F, pow_scalar(F, f(0), l)))
@@ -476,7 +494,7 @@ def test_inv_x_image_matches_horner(ring):
         target = dfd.chain(j)
         for length in (0, 1, 2, target.d * target.e, params.N, params.N + 1, 2 * params.N + 3):
             a = Poly(params.field, [rng.randrange(params.field.q) for _ in range(length)])
-            assert target.reduce(_reflect(a, 0, params)) == horner_inv_x_image(a, target, params)
+            assert target.reduce(reflect(a, 0, params)) == horner_inv_x_image(a, target, params)
 
 
 @pytest.mark.parametrize("ring", TRANSPORT_RINGS)
@@ -553,7 +571,7 @@ def reference_transport_b(b, j, fd, target):
 
 
 # p in {2, 3, 5, 7}, m in {1, 2}, lambda of order 1, 2 and more, n = 1
-# included, and factors with n >= 3 d (the unit route) and n < 3 d
+# included, and factors with n = d (U_j = unit times x) and n >= 3 d
 UNIT_RINGS = [
     (2, 1, 1, 7, 1),
     (2, 1, 2, 1, 1),
@@ -581,36 +599,64 @@ def lam_order(params):
     return k
 
 
-def test_unit_rings_cover_the_dispatch():
+def test_unit_rings_cover_the_shapes():
     rings = [encoded_fd(*ring) for ring in UNIT_RINGS]
     assert {(fd.params.p, fd.params.m) for fd in rings} == {(p, m) for p in (2, 3, 5, 7) for m in (1, 2)}
     assert {min(lam_order(fd.params), 3) for fd in rings} == {1, 2, 3}
     assert any(fd.params.n == 1 for fd in rings)
-    cut = dual_module._UNIT_CUTOFF
     degrees = [(fd.params.n, f.degree) for fd in rings for f in fd.factors]
-    assert any(n >= cut * d for n, d in degrees) and any(n < cut * d for n, d in degrees)
+    assert any(n == d for n, d in degrees) and any(n >= 3 * d for n, d in degrees)
 
 
 @st.composite
 def transport_case(draw):
-    """A ring, a factor j of it and a b: of degree < d_j e, or a parsed
-    b of any degree up to 2N + 2."""
-    fd = encoded_fd(*draw(st.sampled_from(UNIT_RINGS)))
+    """A ring, a factor j of it, a shape (k, t) with t >= 1 and a b in its
+    window [lo, hi): f_j^lo c with deg c < d_j (hi - lo), or that b plus
+    f_j^hi times a polynomial of degree N to 2N + 2."""
+    fd = encoded_fd(*draw(st.sampled_from(UNIT_RINGS + TRANSPORT_RINGS)))
     j = draw(st.integers(0, fd.r - 1))
-    params = fd.params
-    size = fd.factors[j].degree * params.e
-    length = draw(st.one_of(st.integers(0, size), st.integers(size + 1, 2 * params.N + 3)))
-    coeffs = draw(st.lists(st.integers(0, params.field.q - 1), min_size=length, max_size=length))
-    return fd, j, Poly(params.field, coeffs)
+    params, ctx = fd.params, fd.chain(j)
+    field, e = params.field, params.e
+    t = draw(st.integers(1, e))
+    shape = from_kt(draw(st.integers(0, e - t)), t, e)
+    lo, hi = b_window(shape, e)
+    coeffs = st.integers(0, field.q - 1)
+    c = Poly(field, draw(st.lists(coeffs, max_size=ctx.d * (hi - lo))))
+    b = c * ctx.f_pows[lo]
+    if draw(st.booleans()):
+        pad = draw(st.lists(coeffs, min_size=params.N + 1, max_size=2 * params.N + 3))
+        b = b + Poly(field, pad) * ctx.f_pows[hi]
+    return fd, j, shape._replace(b=b)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=transport_case())
 def test_transport_is_the_reflection_route(case):
-    fd, j, b = case
-    target = dual_factor_data(fd).chain(j)
-    assert _transport_b(b, j, fd, target) == reference_transport_b(b, j, fd, target)
-    # a tau-fixed or paired factor's self-dual target is the same ring
+    """dual_component's b is the reflection route's transport cut to the
+    window, into the dual ring and, for lambda^2 = 1, into chain ring
+    tau(j); given the quotient ideals.checked_spec made for a b in its
+    window, it answers the same."""
+    fd, j, spec = case
+    e, ctx = fd.params.e, fd.chain(j)
+    lo, hi = b_window(spec, e)
+    k, t = to_kt(spec, e)
+    c = checked_spec(spec, ctx)[1] if spec.b.degree < ctx.d * hi else None
+    targets = [dual_factor_data(fd).chain(j)]
     if fd.tau is not None:
-        same = fd.chain(fd.tau[j])
-        assert _transport_b(b, j, fd, same) == reference_transport_b(b, j, fd, same)
+        targets.append(fd.chain(fd.tau[j]))
+    for target in targets:
+        want = target.window_reduce(reference_transport_b(spec.b, j, fd, target), lo, hi)
+        got = dual_component(spec, j, fd, target)
+        assert got == from_kt(e - k - t, t, e, want)
+        if c is not None:
+            assert dual_component(spec, j, fd, target, c) == got
+
+
+def test_a_b_with_digits_below_its_window_is_refused():
+    """As the window check after the transport did: RangeError, with no
+    checked quotient to skip the division."""
+    fd = fd_of(3, 1, 1, 1, 1)  # e = 3, case I's window is [1, 2)
+    one = Poly.one(fd.params.field)
+    for target in (fd.chain(0), dual_factor_data(fd).chain(0)):
+        with pytest.raises(RangeError, match="^element has digits below the residue window$"):
+            dual_component(IdealSpec("I", b=one), 0, fd, target)
