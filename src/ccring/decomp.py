@@ -48,12 +48,17 @@ memoized(), an lru_cache of MEMO_SIZE entries that clear_memo empties.
 ring_field hands out the fields the process keeps, keyed on (p, m,
 modulus), no modulus and the default one keying one field, with the
 exp/log tables their first products build, so a command of a field
-seen before searches or tests no modulus.  factor_data hands out the
-rings the process keeps, one entry per ring keyed on its params and
-factors, so a ring that comes back (a stream of documents, the dual of
-a dual, self-dual codes and then their duals) is set up once, together
-with whatever it has built lazily since (self-dual kernels, transport
-units).  A failed build is not kept.  The factor data of the dual
+seen before searches or tests no modulus.  Each field also keeps, up
+to MEMO_SIZE, the parts of x^n - lambda0 that factor_squarefree had to
+split (FieldCtx.keep_split): a Phi_M for lambda0 = +-1, whatever n and
+sign it came from, and the whole binomial for other lambda0.  So the
+rings of one field share their factoring: over F_5, x^(2 3^t) + 1 is
+split once for every s, and t + 1 splits only Phi_(4 3^(t+1)) anew.
+factor_data hands out the rings the process keeps, one entry per ring
+keyed on its params and factors, so a ring that comes back (a stream
+of documents, the dual of a dual, self-dual codes and then their
+duals) is set up once, together with whatever it has built lazily
+since (self-dual kernels, transport units).  A failed build is not kept.  The factor data of the dual
 ring is fixed by the source's, so dual.dual_factor_data sets it up
 through the memo too, and the dual of that dual is the source again;
 only the memo keeps rings, so a ring and its dual hold no link to each
@@ -75,7 +80,7 @@ from typing import NamedTuple
 
 from .chain import ChainCtx
 from .errors import GcdViolation, RangeError, SZero, TooLarge, ZeroLambda
-from .gf import FieldCtx, field_new, ps_root
+from .gf import MEMO_SIZE, FieldCtx, field_new, ps_root
 from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefree, frobenius, reciprocal
 
 # the longest ambient length N = n*p^s accepted; set-up work grows with N
@@ -85,20 +90,6 @@ from .poly import Poly, binomial_degrees, binomial_tau_degrees, factor_squarefre
 # N = 16382, which factors x^8191 - 1 over F_2 into 630 factors of degree
 # 13 with gcds of degree up to 8190, takes about 20 s)
 MAX_LENGTH = 1 << 18
-
-# entries each ring set-up memo holds, sized from the traffic:
-# factor_data takes one per ring (and, for a ring set up from its params
-# alone, one for its derived factors), so two for `enumerate` and then `dual`
-# twice on its documents (the ring and its dual), two for a `dual` call,
-# and one for `selfdual --limit`; `selfdual --count-only`, like `count`,
-# takes none.  cli's dual memo takes one per ring text, so two for a ring
-# and its dual.  ring_field takes one per field, and one more per
-# modulus given other than the default.  Replaying the seed-9001 benchmark ops in one
-# process, code_stream's 12 rings build 24 FactorData with any size from
-# 2 up, and selfdual's 151, 130, 106 and 55 with 2, 8, 16 and 32 entries
-# (a ring's stream op builds it, its count op nothing), where past 2
-# only the op list's returning to rings it used many ops before gains.
-MEMO_SIZE = 16
 
 _MEMOS = []  # the lru_cache of every memoized() function, for clear_memo
 
@@ -111,10 +102,12 @@ def memoized(fn):
 
 
 def clear_memo() -> None:
-    """Forget every kept field and FactorData, also those cli keeps by
-    document text with their dual texts, and oracle's per-ring lifts,
-    moduli x^N - lambda, layouts, steps and pairing tables; ring_field
-    and factor_data build each again."""
+    """Forget every kept field, with the exp/log tables and split parts
+    it keeps, and every FactorData, also those cli keeps by document
+    text with their dual texts, and oracle's per-ring lifts, moduli
+    x^N - lambda, layouts, steps and pairing tables; ring_field and
+    factor_data build each again, and a new field splits every part
+    again.  A field held elsewhere keeps its own parts."""
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -27,6 +27,25 @@ _TABLE_LIMIT = 1 << 16
 # and q = 2^64 0.03 s, but 5^64 takes 8 s and 2^256 more than 20 s)
 MAX_FIELD_BITS = 64
 
+# entries each set-up memo holds (decomp.memoized), and split parts each
+# field keeps (FieldCtx.keep_split), sized from the traffic:
+# decomp.factor_data takes one per ring (and, for a ring set up from its
+# params alone, one for its derived factors), so two for `enumerate` and
+# then `dual` twice on its documents (the ring and its dual), two for a
+# `dual` call, and one for `selfdual --limit`; `selfdual --count-only`,
+# like `count`, takes none.  cli's dual memo takes one per ring text, so
+# two for a ring and its dual.  decomp.ring_field takes one per field,
+# and one more per modulus given other than the default.  Replaying the
+# seed-9001 benchmark ops in one process, code_stream's 12 rings build
+# 24 FactorData with any size from 2 up, and selfdual's 151, 130, 106
+# and 55 with 2, 8, 16 and 32 entries (a ring's stream op builds it, its
+# count op nothing), where past 2 only the op list's returning to rings
+# it used many ops before gains.  A field keeps each part of more than
+# one factor: the same replay reads back every repeated split, 73 of the
+# 92 that selfdual's stream ops need (19 parts over 3 fields) and 55 of
+# the 145 of count_info's info ops (90 parts over 14 fields).
+MEMO_SIZE = 16
+
 
 def _is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
@@ -72,9 +91,19 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """Arithmetic context for F_{p^m} with encoded-int elements."""
+    """Arithmetic context for F_{p^m} with encoded-int elements.
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_pp", "_modulus_bits")
+    Besides p, m and its modulus, a field keeps what is built once and
+    read again: the exp/log tables (q <= 2^16), built on the first
+    product, and the factors of each binomial part that
+    poly.factor_squarefree had to split, under a key of its choosing
+    (kept_split, keep_split).  Those factors are coefficient tuples, so
+    a field refers to no Poly and forms no reference cycle, and at most
+    MEMO_SIZE parts are kept, the least recently read dropped first.
+    Neither takes part in equality: equal fields compute the same.
+    """
+
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_pp", "_modulus_bits", "_splits")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -86,6 +115,8 @@ class FieldCtx:
         self._pp = tuple(p ** i for i in range(m + 1))
         # for p = 2, the modulus as a bitset, as elements are encoded
         self._modulus_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        # split parts by key, least recently read first (keep_split)
+        self._splits: dict = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,6 +131,24 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
+
+    # -- kept work -----------------------------------------------------------
+
+    def kept_split(self, key):
+        """The factors keep_split kept under key, as coefficient tuples,
+        or None; a read makes the entry the most recent."""
+        factors = self._splits.pop(key, None)
+        if factors is not None:
+            self._splits[key] = factors
+        return factors
+
+    def keep_split(self, key, factors: tuple) -> None:
+        """Keep factors under key, first dropping the least recently read
+        entry when MEMO_SIZE are kept."""
+        splits = self._splits
+        if len(splits) >= MEMO_SIZE:
+            del splits[next(iter(splits))]
+        splits[key] = factors
 
     # -- encoding ------------------------------------------------------------
 

@@ -509,13 +509,17 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     skipped inside the iterator.  For p = 2 they are the packed ints
     themselves.  An odd p within ORACLE_BUDGET has p <= 5 and 8-bit
     slots (p^(2p) <= |R|^N), so there a vector is keyed on its
-    big-endian bytes, one slot each, read straight off product.  Its
-    cosets w + t u v come from one int holding every t u v unreduced,
-    one block each (see _span_blob): w is added to every block at once,
-    and one translate reduces the whole coset.  Everything stays on
-    packed rows: the t u v are the span of u v, <v> is that span grown
-    by v, and the c v are the nonzero elements of the span of v's
-    g-orbit.
+    big-endian bytes, one slot each.  A multiple by F_p^* generates the
+    same ideal, so only vectors whose first nonzero slot is 1 are
+    walked (_leading_one_words), and only those are kept as covered:
+    c times the cosets of w are the cosets of c w, so the cosets of the
+    w whose first nonzero slot is 1, each element scaled to lead with
+    1, are the covered vectors that lead with 1.  The cosets w + t u v come
+    from one int holding every t u v unreduced, one block each (see
+    _span_blob): w is added to every block at once, and one translate
+    reduces the whole coset.  Everything stays on packed rows: the
+    t u v are the span of u v, <v> is that span grown by v, and the c v
+    are the nonzero elements of the span of v's g-orbit.
     """
     params = fd.params
     p, dim = params.field.p, ambient_dim(params)
@@ -528,7 +532,8 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
         if slot_bits(p, dim) != 8:
             raise TooLarge(f"ambient dimension {dim} needs slots past 8 bits for p = {p}")
         residues = _byte_table(p, 1)
-        words = filterfalse(covered.__contains__, map(bytes, product(range(p), repeat=dim)))
+        unscale = [b""] + [_byte_table(p, pow(c, -1, p)) for c in range(1, p)]
+        words = filterfalse(covered.__contains__, _leading_one_words(p, dim))
         todo = map(functools.partial(int.from_bytes, byteorder="big"), words)
     for vec in todo:
         by_u = _closure(binomial, [layout.u(vec)])
@@ -548,13 +553,24 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
 
             def coset(w: int) -> list[bytes]:
                 raw = (w * ones + blob).to_bytes(size, "big").translate(residues)
-                return [raw[at : at + dim] for at in range(0, size, dim)]
+                blocks = [raw[at : at + dim] for at in range(0, size, dim)]
+                return [z.translate(unscale[z.lstrip(b"\0")[0]]) for z in blocks]
 
         scaled = list(filter(None, FpSpace.from_rows(p, dim, layout.orbit(vec)).elements()))
         for _ in range(params.N):
             for w in scaled:
-                covered.update(coset(w))
+                if p == 2 or w >> (w.bit_length() - 1 & ~7) == 1:
+                    covered.update(coset(w))
             scaled = list(map(x_step, scaled))
+
+
+def _leading_one_words(p: int, dim: int):
+    """The vectors of F_p^dim whose first nonzero slot is 1, as bytes of
+    one slot each, in the order of product(range(p), repeat=dim): the
+    more leading zeros, the earlier."""
+    for zeros in range(dim - 1, -1, -1):
+        head = bytes(zeros) + b"\1"
+        yield from map(head.__add__, map(bytes, product(range(p), repeat=dim - zeros - 1)))
 
 
 def _repeat(vec: int, width: int, count: int) -> int:

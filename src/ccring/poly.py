@@ -20,7 +20,10 @@ factors all have degree ord_M(q), with no gcd; for other c, the parts
 of equal factor degree by gcds.  It splits a part with random elements
 of its Berlekamp algebra {h : h^q = h}, combinations of a basis read
 off the q-orbits of exponents: each h is traced to F_p and cuts by every
-value of F_p for small p, else by the quadratic character of F_p.
+value of F_p for small p, else by the quadratic character of F_p.  The
+field keeps the factors of each part it had to split, a Phi_M by M and
+any other binomial whole, so a ring of a field seen before reads them
+back with no product, no random draw and no gcd.
 """
 
 from __future__ import annotations
@@ -605,19 +608,15 @@ def _cyclotomic(ctx: FieldCtx, M: int) -> Poly:
     return Poly(ctx, out)
 
 
-def _binomial_parts(f: Poly, c: int) -> list[tuple[int, int, Poly]]:
-    """(d, L, part) for parts of f = x^n - c whose factors all have
-    degree d, each part dividing x^L - c.
+def _cyclotomic_parts(ctx: FieldCtx, n: int, c: int) -> list[tuple[int, int, int]]:
+    """(M, d, L) for each part Phi_M mod p of x^n - c, c = +-1, whose
+    factors all have degree d, each part dividing x^L - c.
 
-    For c = 1 the parts are the Phi_M mod p for M | n, for c = -1 those
-    for M | 2n with M not dividing n (x^n + 1 = (x^2n - 1) / (x^n - 1));
+    For c = 1 the parts are the Phi_M for M | n, for c = -1 those for
+    M | 2n with M not dividing n (x^n + 1 = (x^2n - 1) / (x^n - 1));
     Phi_M divides x^(M/t) - c, t the order of c, and its factors have
-    degree ord_M(q) (Lidl and Niederreiter, Finite Fields, 2.47).  Any
-    other c takes _ddf_binomial's parts, with L = n.
+    degree ord_M(q) (Lidl and Niederreiter, Finite Fields, 2.47).
     """
-    ctx, n = f.ctx, f.degree
-    if c not in (1, ctx.neg(1)):
-        return [(d, n, part) for d, part in _ddf_binomial(f, c)]
     t = 1 if c == 1 else 2
     parts = []
     for M in range(1, t * n + 1):
@@ -625,7 +624,7 @@ def _binomial_parts(f: Poly, c: int) -> list[tuple[int, int, Poly]]:
             d, r = 1, ctx.q % M
             while r != 1 % M:
                 d, r = d + 1, r * ctx.q % M
-            parts.append((d, M // t, _cyclotomic(ctx, M)))
+            parts.append((M, d, M // t))
     return parts
 
 
@@ -660,23 +659,34 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     the package factors; f may be scaled.  RangeError for any other f,
     NotSquarefree when p divides n.
 
-    _binomial_parts cuts f into parts whose factors share one degree d:
-    for c = +-1 the cyclotomic Phi_M with no gcd, for other c by
-    distinct degrees.  A part is split by random elements h of its
-    Berlekamp algebra (Berlekamp 1970), F_q-combinations of the orbit
-    basis of x^L - c (_orbit_basis): h is a value of F_q mod each
-    factor, uniform and independent over the factors.  So its absolute
-    trace tr, the sum of the h^(p^k) for k < m, which on x^L - c only
-    moves coefficients (_power_map), is a value of F_p mod each factor,
-    uniform too, for every field; for m = 1 it is h.  With tr reduced
-    mod the piece, a p <= _VALUE_CUT_MAX cuts by every value a, with
-    gcd(tr - a, rest), and a larger p by the quadratic character,
-    gcd(tr^((p - 1)/2) - 1, piece).  Over F_p every division and gcd
-    runs on the list kernel _divmod_fp.
+    f is cut into parts whose factors share one degree d: for c = +-1
+    the cyclotomic Phi_M mod p (_cyclotomic_parts), with no gcd, for
+    other c by distinct degrees (_ddf_binomial).  A part is split by
+    random elements h of its Berlekamp algebra (Berlekamp 1970),
+    F_q-combinations of the orbit basis of x^L - c (_orbit_basis): h is
+    a value of F_q mod each factor, uniform and independent over the
+    factors.  So its absolute trace tr, the sum of the h^(p^k) for
+    k < m, which on x^L - c only moves coefficients (_power_map), is a
+    value of F_p mod each factor, uniform too, for every field; for
+    m = 1 it is h.  With tr reduced mod the piece, a p <= _VALUE_CUT_MAX
+    cuts by every value a, with gcd(tr - a, rest), and a larger p by the
+    quadratic character, gcd(tr^((p - 1)/2) - 1, piece).  Over F_p every
+    division and gcd runs on the list kernel _divmod_fp.
+
+    The field keeps what had to be split (FieldCtx.keep_split), so the
+    rings of one field share that work: for c = +-1 each Phi_M of more
+    than one factor, under M, as Phi_M is the same polynomial for both
+    signs and every n it divides; for other c the whole binomial, under
+    (n, c), when it has more than one factor, so a hit also skips the
+    distinct-degree gcds.  A kept part is read back with no product, no
+    random draw and no gcd.  One PRNG serves the call, seeded on its
+    first draw, so a call that reads nothing kept draws as a fresh
+    field would.
 
     The pieces wait on a worklist, so a factorization leaves no
     reference cycle behind.  The list is sorted by degree, then by
-    coefficient tuple, so it does not depend on the random choices.
+    coefficient tuple, so it does not depend on the random choices or
+    on what the field kept.
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant")
@@ -684,48 +694,61 @@ def factor_squarefree(f: Poly) -> list[Poly]:
     c = _binomial_constant(f)
     if c is None:
         raise RangeError("factor_squarefree takes x^n - c with c != 0")
-    ctx, p, q = f.ctx, f.ctx.p, f.ctx.q
-    if f.degree % p == 0:
+    ctx, p, q, n = f.ctx, f.ctx.p, f.ctx.q, f.degree
+    if n % p == 0:
         raise NotSquarefree("x^n - c with p | n is a p-th power")
+    cyclic = c in (1, ctx.neg(1))
+    keys = _cyclotomic_parts(ctx, n, c) if cyclic else [((n, c), None, n)]
     rng = None  # seeded before the first draw: many binomials split no part
     out: list[Poly] = []
-    for d, L, part in _binomial_parts(f, c):
-        todo, basis, power = [part], None, _power_map(ctx, L, c)
-        while todo:
-            piece = todo.pop()
-            if piece.degree == d:
-                out.append(piece)
-                continue
-            basis = basis or _orbit_basis(ctx, L, c)
-            rng = rng or random.Random(FACTOR_SEED)
-            h = [0] * L
-            for orbit in basis:
-                a = rng.randrange(q)
-                if a:
-                    for i, w in orbit:
-                        h[i] = ctx.mul(a, w)
-            h = Poly(ctx, h)
-            # h^(p^k) as the p-th power of h^(p^(k-1)): power(h, k) would
-            # take k squarings per coefficient in a field past the tables
-            tr = term = h
-            for _ in range(1, ctx.m):
-                term = power(term, 1)
-                tr = tr + term
-            tr = tr % piece
-            if p <= _VALUE_CUT_MAX:
-                # a factor where tr is none of the values before the last has
-                # tr = p - 1, so the last value takes no gcd
-                cuts = (tr - Poly.const(ctx, a) for a in range(p - 1))
-            else:
-                cuts = [poly_modpow(tr, (p - 1) // 2, piece) - Poly.one(ctx)]
-            rest, pieces = piece, []
-            for t in cuts:
-                if rest.degree == d:
-                    break
-                g = poly_gcd(t, rest)
-                if 0 < g.degree < rest.degree:
-                    pieces.append(g)
-                    rest = rest // g
-            todo += [rest, *pieces]
+    for key, d, L in keys:
+        kept = ctx.kept_split(key)
+        if kept is not None:
+            out += [Poly(ctx, g) for g in kept]
+            continue
+        parts = [(d, _cyclotomic(ctx, key))] if cyclic else _ddf_binomial(f, c)
+        found: list[Poly] = []
+        basis, power = None, _power_map(ctx, L, c)
+        for d, part in parts:
+            todo = [part]
+            while todo:
+                piece = todo.pop()
+                if piece.degree == d:
+                    found.append(piece)
+                    continue
+                basis = basis or _orbit_basis(ctx, L, c)
+                rng = rng or random.Random(FACTOR_SEED)
+                h = [0] * L
+                for orbit in basis:
+                    a = rng.randrange(q)
+                    if a:
+                        for i, w in orbit:
+                            h[i] = ctx.mul(a, w)
+                h = Poly(ctx, h)
+                # h^(p^k) as the p-th power of h^(p^(k-1)): power(h, k) would
+                # take k squarings per coefficient in a field past the tables
+                tr = term = h
+                for _ in range(1, ctx.m):
+                    term = power(term, 1)
+                    tr = tr + term
+                tr = tr % piece
+                if p <= _VALUE_CUT_MAX:
+                    # a factor where tr is none of the values before the last has
+                    # tr = p - 1, so the last value takes no gcd
+                    cuts = (tr - Poly.const(ctx, a) for a in range(p - 1))
+                else:
+                    cuts = [poly_modpow(tr, (p - 1) // 2, piece) - Poly.one(ctx)]
+                rest, pieces = piece, []
+                for t in cuts:
+                    if rest.degree == d:
+                        break
+                    g = poly_gcd(t, rest)
+                    if 0 < g.degree < rest.degree:
+                        pieces.append(g)
+                        rest = rest // g
+                todo += [rest, *pieces]
+        if len(found) > 1:
+            ctx.keep_split(key, tuple(g.coeffs for g in found))
+        out += found
     out.sort(key=Poly.sort_key)
     return out

@@ -46,16 +46,21 @@ def test_first_codes_over_a_field_of_2_to_the_61(capsys, argv):
 
 
 def test_info_leaves_no_reference_cycle(capsys):
-    """A factorization frees its field, its PRNG and its power map when it
-    returns, so after info the cyclic collector finds nothing to free."""
+    """A factorization frees its PRNG and its power map when it returns,
+    and its field keeps split parts as tuples, not Poly, so after info
+    the cyclic collector finds nothing to free, also after a second ring
+    of the same field (x^40 + 1 over F_11) reads Phi_16 and Phi_80 back
+    from the first's split."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for p, m, s, n, lam in ((11, 1, 1, 80, 1), (2, 1, 1, 63, 1)):
+        for p, m, s, n, lam in ((11, 1, 1, 80, 1), (11, 1, 1, 40, -1), (2, 1, 1, 63, 1)):
             code, out, _ = run(capsys, "info", "--p", str(p), "--m", str(m), "--s", str(s), "--n", str(n), "--lambda", str(lam))
             assert code == 0 and out
             gc.collect()
             assert gc.garbage == [], (p, n)
+        field = ccring.decomp.ring_field(11, 1, 1, 40)
+        assert field.kept_split(16) is not None and field.kept_split(80) is not None
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -9,12 +9,13 @@ import hashlib
 import random
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccring import poly
 from ccring.errors import NotSquarefree
-from ccring.gf import field_new
+from ccring.gf import MEMO_SIZE, FieldCtx, field_new
 from ccring.poly import (
     Poly,
     binomial_degrees,
@@ -218,6 +219,12 @@ def binomial(F, n: int, lam: int) -> Poly:
     return Poly(F, (F.neg(lam),) + (0,) * (n - 1) + (1,))
 
 
+def fresh(F):
+    """A field equal to F that has kept no split, built with no modulus
+    search (which would take gcds of its own)."""
+    return FieldCtx(F.p, F.m, F.modulus)
+
+
 @st.composite
 def grid_rings(draw):
     p = draw(st.sampled_from(GRID_PRIMES))
@@ -321,12 +328,11 @@ def test_wide_factor_lists_are_pinned():
     assert digest.hexdigest() == WIDE_FACTORS_SHA256
 
 
-def test_prime_fields_and_p_2_split_with_the_same_work(monkeypatch):
-    """Over F_p and for p = 2 the trace to F_p cuts as the F_q-valued
-    cuts it replaced did: with the same draws, the same gcd and modpow
-    calls over x^n - lambda0, n < 50, lambda0 in lambdas(F)."""
-    calls = {"poly_gcd": 0, "poly_modpow": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls factor_squarefree makes to the poly functions
+    named, and the PRNGs it seeds as "Random"."""
+    calls = dict.fromkeys(names + ("Random",), 0)
+    for name in names:
         real = getattr(poly, name)
 
         def counted(*args, name=name, real=real):
@@ -334,14 +340,30 @@ def test_prime_fields_and_p_2_split_with_the_same_work(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(poly, name, counted)
+
+    def seeded(seed, real=random.Random):
+        calls["Random"] += 1
+        return real(seed)
+
+    monkeypatch.setattr(poly.random, "Random", seeded)
+    return calls
+
+
+def test_prime_fields_and_p_2_split_with_the_same_work(monkeypatch):
+    """Over F_p and for p = 2 the trace to F_p cuts as the F_q-valued
+    cuts it replaced did: with the same draws, the same gcd and modpow
+    calls over x^n - lambda0, n < 50, lambda0 in lambdas(F).  Each
+    binomial is factored on a fresh field, which has kept no split."""
+    names = ("poly_gcd", "poly_modpow")
+    calls = count_calls(monkeypatch, *names)
     got = {}
     for p, m in [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (17, 1), (19, 1), (2, 2), (2, 3)]:
         F = field_new(p, m)
         before = dict(calls)
         for lam in lambdas(F):
             for n in (k for k in range(1, 50) if k % p):
-                factor_squarefree(binomial(F, n, lam))
-        got[p, m] = tuple(calls[name] - before[name] for name in calls)
+                factor_squarefree(binomial(fresh(F), n, lam))
+        got[p, m] = tuple(calls[name] - before[name] for name in names)
     assert got == {
         (2, 1): (35, 0),
         (3, 1): (183, 0),
@@ -370,11 +392,96 @@ def test_cyclotomic_parts_multiply_out_with_the_coset_degrees():
                     assert len(poly._orbit_basis(F, n, lam)) == len(degrees), (p, m, n, lam)
                     if lam not in (1, F.neg(1)):
                         continue
-                    parts = poly._binomial_parts(f, lam)
                     prod, got = Poly.one(F), []
-                    for d, L, part in parts:
+                    for M, d, L in poly._cyclotomic_parts(F, n, lam):
+                        part = poly._cyclotomic(F, M)
                         assert part.degree % d == 0 and (binomial(F, L, lam) % part).is_zero()
                         prod = prod * part
                         got += [d] * (part.degree // d)
                     assert prod == f, (p, m, n, lam)
                     assert sorted(got) == degrees, (p, m, n, lam)
+
+
+# -- splits kept by the field
+
+
+@pytest.mark.parametrize(
+    "p, m, n, lam",
+    [
+        (3, 1, 40, 1),
+        (11, 1, 60, 10),
+        (2, 1, 63, 1),
+        (7, 1, 24, 3),
+        (3, 2, 20, "generator"),
+        (5, 2, 24, 4),
+        (2, 3, 21, "generator"),
+    ],
+)
+def test_a_repeated_binomial_takes_no_gcd(monkeypatch, p, m, n, lam):
+    """The second factorization of a binomial on one field reads every
+    split part back: no gcd, no PRNG, no Phi_M of more than one factor
+    built, and the same list as a fresh field's."""
+    F = field_new(p, m)
+    lam = generator(F) if lam == "generator" else lam
+    cyclic = lam in (1, F.neg(1))
+    parts = poly._cyclotomic_parts(F, n, lam) if cyclic else []
+    single = [M for M, d, _ in parts if poly._cyclotomic(F, M).degree == d]
+    want = factor_squarefree(binomial(fresh(F), n, lam))
+    first = factor_squarefree(binomial(F, n, lam))
+    calls = count_calls(monkeypatch, "poly_gcd", "_cyclotomic", "_ddf_binomial")
+    again = factor_squarefree(binomial(F, n, lam))
+    assert first == again == want and len(want) > 1
+    assert calls["poly_gcd"] == calls["Random"] == calls["_ddf_binomial"] == 0
+    assert calls["_cyclotomic"] == len(single) and (len(single) < len(parts) or not cyclic)
+
+
+def test_phi_8_is_split_once_over_f_3(monkeypatch):
+    """x^8 - 1 and then x^4 + 1 = Phi_8 over F_3: Phi_8 splits into two
+    quadratics once, for x^8 - 1, and x^4 + 1 reads them back, though
+    the two binomials differ in n and in sign."""
+    F = field_new(3, 1)
+    calls = count_calls(monkeypatch, "poly_gcd")
+    factor_squarefree(binomial(F, 8, 1))
+    assert calls["poly_gcd"] > 0 and calls["Random"] == 1
+    assert F.kept_split(8) is not None
+    before = dict(calls)
+    factors = factor_squarefree(binomial(F, 4, 2))
+    assert calls == before
+    assert factors == [Poly(F, [2, 1, 1]), Poly(F, [2, 2, 1])]
+    assert factors == factor_squarefree(binomial(fresh(F), 4, 2))
+    assert calls["poly_gcd"] > before["poly_gcd"]  # a fresh field splits Phi_8 again
+
+
+def test_grid_forward_then_reversed_gives_the_pinned_lists():
+    """The pinned grid factored in its order and then in reverse on one
+    field per (p, m), so that a part is read back kept by another ring,
+    or dropped and split again, gives every binomial the pinned list,
+    found with no split kept."""
+    forward, backward = hashlib.sha256(), []
+    for p in GRID_PRIMES:
+        for m in (1, 2):
+            F = field_new(p, m)
+            rings = [(lam, n) for lam in lambdas(F) for n in range(1, 65) if n % p]
+            lists = [[g.coeffs for g in factor_squarefree(binomial(F, n, lam))] for lam, n in rings]
+            again = [[g.coeffs for g in factor_squarefree(binomial(F, n, lam))] for lam, n in rings[::-1]]
+            for (lam, n), factors in zip(rings, lists):
+                forward.update(repr((p, m, lam, n, factors)).encode())
+            backward += [repr((p, m, lam, n, factors)) for (lam, n), factors in zip(rings, again[::-1])]
+    assert forward.hexdigest() == GRID_FACTORS_SHA256
+    assert hashlib.sha256("".join(backward).encode()).hexdigest() == GRID_FACTORS_SHA256
+
+
+def test_a_field_keeps_at_most_memo_size_parts():
+    """A field keeps at most MEMO_SIZE split parts, the least recently
+    read dropped first, and only parts of more than one factor."""
+    F = field_new(3, 1)
+    for n in (k for k in range(1, 200) if k % 3):
+        factor_squarefree(binomial(F, n, 1))
+        assert len(F._splits) <= MEMO_SIZE
+    assert len(F._splits) == MEMO_SIZE
+    assert all(len(factors) > 1 for factors in F._splits.values())
+    oldest, second = list(F._splits)[:2]
+    assert F.kept_split(oldest) is not None  # read: now the most recent
+    F.keep_split("new", ((1,), (2,)))
+    assert F.kept_split(second) is None and F.kept_split(oldest) is not None
+    assert len(F._splits) == MEMO_SIZE

@@ -262,6 +262,41 @@ def test_covered_check_finds_a_missing_principal_ideal(ring, other):
             oracle._check_singly_generated_covered(fd, {k: s for k, s in ideals.items() if k != span.key()})
 
 
+@pytest.mark.parametrize("p, dim", [(3, 1), (3, 4), (5, 3)])
+def test_leading_one_words_are_the_product_words_leading_with_1(p, dim):
+    words = list(oracle._leading_one_words(p, dim))
+    want = [bytes(v) for v in product(range(p), repeat=dim) if any(v) and v[[bool(c) for c in v].index(True)] == 1]
+    assert words == want and len(words) == (p**dim - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("ring", [(3, 1, 1, 1, 1), (3, 1, 1, 2, 2)])
+def test_covered_check_spans_only_vectors_leading_with_1(ring, monkeypatch):
+    """For odd p the cover check spans a vector only when its first
+    nonzero slot is 1, an F_p^* multiple generating the same ideal, and
+    keeps no covered vector leading with another value."""
+    fd = build_factor_data(AmbientParams.of_ints(*ring))
+    ideals = {s.key(): s for s in brute_ambient_ideals(fd)}
+    dim, spanned, kept = oracle.ambient_dim(fd.params), [], []
+    closure, real_set = oracle._closure, set
+
+    def recorded(modulus, vecs, space=None):
+        if space is not None:
+            spanned.append(vecs[0])
+        return closure(modulus, vecs, space)
+
+    class KeptSet(real_set):
+        def update(self, items):
+            items = list(items)
+            kept.extend(items)
+            super().update(items)
+
+    monkeypatch.setattr(oracle, "_closure", recorded)
+    monkeypatch.setattr(oracle, "set", KeptSet, raising=False)
+    oracle._check_singly_generated_covered(fd, ideals)
+    assert spanned and all(v.to_bytes(dim, "big").lstrip(b"\0")[0] == 1 for v in spanned)
+    assert kept and all(w.lstrip(b"\0")[0] == 1 for w in kept)
+
+
 @pytest.mark.parametrize("ring", [(3, 1, 1, 1, 1), (2, 2, 1, 1, 1)])
 def test_covered_check_stays_on_packed_rows(ring, monkeypatch):
     """No vector of the cover check goes back to polynomials: no unpack,
