@@ -222,11 +222,19 @@ class FactorData:
     """Factors and pairing data for one ambient ring, all derived from
     params and the factors of x^n - lambda0 in the order given
     (factor_data_for checks a list from outside the package).
+    build_factor_data gives the pair layout, the order documents use:
+    the tau-fixed factors, then one member of each reciprocal pair, then
+    their reciprocals (_pair_order).  No code relies on that layout:
+    every reader of the pairing takes tau, so self-dual streams,
+    dual_code_nu and the idempotents accept any factor order.
 
     It keeps only what is read again, each with its readers:
     - chain_ctxs[j], factor j's chain ring and its powers of f_j: every
       spec and transport on factor j;
-    - tau, rho and pair_count (lambda^2 = 1): each self-dual code, dual_code_nu;
+    - tau (lambda^2 = 1; 0-based, recip(f_j) = f_tau(j), see _tau):
+      each self-dual code, dual_code_nu and the idempotents' mirrors;
+      rho and pair_count, the number of tau-fixed factors and of pairs,
+      for documents;
     - _twisted, the eps_j (idempotents), built on first read:
       oracle._lift, once per factor;
     - _fixed[j], tau-fixed factor j's self-dual kernels, built when a
@@ -250,12 +258,9 @@ class FactorData:
         self._fixed = [None] * len(factors)
         self._units = [None] * len(factors)
         self.chain_ctxs = [ChainCtx(f, params.e) for f in factors]
-        # tau (0-based, recip(f_j) = f_tau(j)) and rho, the number of
-        # tau-fixed factors, exist only when lambda^2 = 1
         self.tau = self.rho = self.pair_count = None
         if params.lam_self_paired():
-            index = {f: j for j, f in enumerate(factors)}
-            self.tau = [index[reciprocal(f).monic()] for f in factors]
+            self.tau = _tau(factors)
             self.rho = sum(1 for j, t in enumerate(self.tau) if j == t)
             self.pair_count = (len(factors) - self.rho) // 2
 
@@ -264,7 +269,7 @@ class FactorData:
         """w_j = v_j F_j for each f_j, of degree < n, the exact quotient
         v_j (x^n - lambda0) / f_j, built on every read; eps_j =
         frobenius(w_j, s)."""
-        return _idempotents(self.params, self.factors)
+        return _idempotents(self.params, self.factors, self.tau)
 
     @property
     def idempotents(self) -> list[Poly]:
@@ -282,23 +287,25 @@ class FactorData:
         return self.chain_ctxs[j]
 
 
+def _tau(factors: list[Poly]) -> list[int]:
+    """tau (0-based) of factors closed under monic reciprocals, as they
+    are for lambda^2 = 1: recip(f_j) = f_tau(j), an involution.  The one
+    place the package pairs a ring's factors; every reader takes tau
+    from here."""
+    index = {f: j for j, f in enumerate(factors)}
+    return [index[reciprocal(f).monic()] for f in factors]
+
+
 def _pair_order(factors: list[Poly]) -> list[Poly]:
-    """Reorder factors, sorted as factor_squarefree returns them: the
-    tau-fixed ones, then each pair's member that sorts before its monic
-    reciprocal, then those reciprocals, so that (0-based) tau(j) = j for
-    j < rho and tau(rho + i) = rho + pair_count + i."""
-    members = set(factors)
-    fixed, firsts, seconds = [], [], []
-    for f in factors:
-        g = reciprocal(f).monic()
-        if g not in members:
-            raise RangeError("reciprocal pairing left the factor set")
-        if g == f:
-            fixed.append(f)
-        elif f.sort_key() < g.sort_key():
-            firsts.append(f)
-            seconds.append(g)
-    return fixed + firsts + seconds
+    """The pair layout of factors sorted as factor_squarefree returns
+    them, the order documents use: the tau-fixed ones, then each pair's
+    member that sorts before its monic reciprocal (j < tau(j) on the
+    sorted list), then those reciprocals, so that (0-based) tau(j) = j
+    for j < rho and tau(rho + i) = rho + pair_count + i."""
+    tau = _tau(factors)
+    firsts = [j for j, t in enumerate(tau) if j < t]
+    order = [j for j, t in enumerate(tau) if j == t] + firsts + [tau[j] for j in firsts]
+    return [factors[j] for j in order]
 
 
 def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
@@ -310,9 +317,6 @@ def factor_data_for(params: AmbientParams, factors: list[Poly]) -> FactorData:
     with its product and its factor degrees are its irreducible factors),
     then RangeError unless they multiply out to it.  A DerivedFactors
     list is the package's own and is not checked.
-
-    Callers wanting the fixed-factors-first layout should order via
-    _pair_order (build_factor_data does).
     """
     if not isinstance(factors, DerivedFactors):
         degrees = sorted(f.degree for f in factors)
@@ -341,7 +345,7 @@ class DerivedFactors(tuple):
         return self._hash
 
 
-def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
+def _idempotents(params: AmbientParams, factors: list[Poly], tau: list[int] | None) -> list[Poly]:
     """w_j = v_j F_j mod (x^n - lambda0), with no gcd and no product:
     the untwisted idempotents, eps_j = frobenius(w_j, s).
 
@@ -357,7 +361,7 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
     of F_q[x]/(x^n - lambda0) that takes the roots of f to those of its
     monic reciprocal g, so w for g is w for f at x^(-1): coefficient
     n - i is lambda0 w_i for 0 < i < n.  Of a reciprocal pair only the
-    first factor is divided.
+    first factor is divided: row j mirrors row tau(j) when tau(j) < j.
 
     The twist is additive and one-to-one, so the eps_j sum to 1 exactly
     when the w_j do, which is checked here, at length n: over F_p by one
@@ -367,11 +371,10 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
     p, mul = field.p, field.mul
     scale = field.inv(mul(n % p, lam0))
     neg_lam0 = field.neg(lam0)
-    divided = {} if params.lam_self_paired() else None
     rows = []  # each w_j's coefficients, padded to length n
-    for f in factors:
-        mirror = None if divided is None else divided.get(reciprocal(f).monic())
-        if mirror is not None:
+    for j, f in enumerate(factors):
+        if tau is not None and tau[j] < j:
+            mirror = rows[tau[j]]
             tail = mirror[:0:-1]
             row = mirror[:1] + (tail if lam0 == 1 else tuple(map(field.neg, tail)))
         else:
@@ -386,8 +389,6 @@ def _idempotents(params: AmbientParams, factors: list[Poly]) -> list[Poly]:
             w, rem = divmod(Poly(field, head + [0] * (n - d) + v), f)
             assert not rem, "idempotent division is not exact"
             row = w.coeffs + (0,) * (n - len(w.coeffs))
-            if divided is not None:
-                divided[f] = row
         rows.append(row)
     idempotents = [Poly(field, row) for row in rows]
     if field.m == 1:

@@ -55,7 +55,14 @@ ring tau(j) of the source (_dual_at_tau) and builds no second ring.
 
 A self-dual code picks any spec on one factor of each reciprocal pair
 (its partner is forced) and a spec that is its own dual component on
-each tau-fixed factor.  Only the (k, t) with 2k + t = e can be: I,
+each tau-fixed factor.  enumerate_self_dual reads both off tau: the
+factors with tau(j) = j, and of each pair the one with j < tau(j), in
+index order.  So a ring in any factor order streams its self-dual
+codes; on the pair layout build_factor_data gives, the order documents
+use, these are factors 0 to rho - 1 and rho to rho + pair_count - 1,
+and the stream is the one that layout always gave.
+
+Only the (k, t) with 2k + t = e can be their own dual component: I,
 III(e/2) and V(k, e - 2k).  On their digit windows the transport is
 F_q-linear, so the fixed b are the kernel of T - I, and the codes
 stream from the kernel bases; no spec is scanned.  A factor's stream
@@ -327,11 +334,15 @@ def _fixed_specs(windows, field):
 def self_dual_component_options(j: int, fd: FactorData) -> list[IdealSpec]:
     """Specs over tau-fixed factor j that are their own dual component,
     in enumerate_ideals order: all of enumerate_self_dual's stream there.
+    RangeError unless f_j is its own monic reciprocal (lambda^2 = 1 and
+    tau(j) = j).
 
     Built from the kernel of T - I on each fixed shape's window, with
     no scan of the other specs; oracle.brute_self_dual_options is the
     filter over all specs that checks it.
     """
+    if fd.tau is None or fd.tau[j] != j:
+        raise RangeError(f"factor {j} is not its own reciprocal")
     return list(_fixed_stream(j, fd))
 
 
@@ -390,8 +401,9 @@ def _fixed_stream(j: int, fd: FactorData):
 
 def enumerate_self_dual(fd: FactorData, nu: int):
     """All self-dual codes: free choices on one factor of each
-    reciprocal pair (the partner is forced), kernel-spanned fixed
-    points on the tau-fixed factors.
+    reciprocal pair, the one with j < tau(j) (the partner is forced),
+    kernel-spanned fixed points on the tau-fixed factors, in any factor
+    order.
 
     Every factor streams, so the first code costs one spec per factor,
     and a tau-fixed factor's kernels are solved only once its stream
@@ -400,15 +412,18 @@ def enumerate_self_dual(fd: FactorData, nu: int):
     object until then.
     """
     _check_nu(fd.params, nu)
-    rho = fd.rho
-    pairs = range(rho, rho + fd.pair_count)
-    streams = [partial(_fixed_stream, j, fd) for j in range(rho)]
+    tau = fd.tau
+    fixed = [j for j, t in enumerate(tau) if j == t]
+    pairs = [j for j, t in enumerate(tau) if j < t]
+    streams = [partial(_fixed_stream, j, fd) for j in fixed]
     streams += [partial(enumerate_ideals, fd.chain(a)) for a in pairs]
     kept: list = [None] * fd.r  # per pair factor: its last spec and that spec's partner
     for choice in spec_product(streams):
-        comps: list[IdealSpec | None] = list(choice) + [None] * (fd.r - len(choice))
-        for a in pairs:
-            if kept[a] is None or kept[a][0] is not choice[a]:
-                kept[a] = (choice[a], _dual_at_tau(choice[a], a, fd))
-            comps[fd.tau[a]] = kept[a][1]
+        comps: list[IdealSpec | None] = [None] * fd.r
+        for j, spec in zip(fixed, choice):
+            comps[j] = spec
+        for a, spec in zip(pairs, choice[len(fixed) :]):
+            if kept[a] is None or kept[a][0] is not spec:
+                kept[a] = (spec, _dual_at_tau(spec, a, fd))
+            comps[a], comps[tau[a]] = spec, kept[a][1]
         yield CodeSpec.trusted(fd, tuple(comps))

@@ -726,7 +726,8 @@ def _fixed_point_check(rings):
     for p, m, s, n, nu in rings:
         field = field_new(p, m)
         fd = build_factor_data(AmbientParams(field, s, n, nu_value(field, nu)))
-        for j in range(fd.rho):
+        fixed = [j for j, t in enumerate(fd.tau) if j == t]
+        for j in fixed:
             if self_dual_component_options(j, fd) != brute_self_dual_options(j, fd):
                 return False, f"kernel route differs from the filter at {(p, m, s, n, nu)}, factor {j}"
             factors += 1
@@ -779,10 +780,13 @@ FULL_SUITE = QUICK_SUITE + [
     ("chain 2,1,1,2", lambda: _chain_check(2, 1, 1, 2)),
     ("chain 3,1,2,1", lambda: _chain_check(3, 1, 2, 1)),
     ("chain 5,1,1,1", lambda: _chain_check(5, 1, 1, 1)),
+    ("chain 3,2,1,1", lambda: _chain_check(3, 2, 1, 1)),
     ("dual 3,1,1,2 nu=+1", lambda: _dual_check(3, 1, 1, 2, 1)),
     ("dual 3,1,1,2 nu=-1", lambda: _dual_check(3, 1, 1, 2, 2)),
+    ("dual 2,2,1,3 nu=+1", lambda: _dual_check(2, 2, 1, 3, 1)),
     ("ambient 3,1,1,1", lambda: _ambient_check(3, 1, 1, 1, 1)),
     ("ambient 3,1,1,2 lam=-1", lambda: _ambient_check(3, 1, 1, 2, 2)),
+    ("ambient 2,3,1,1", lambda: _ambient_check(2, 3, 1, 1, 1)),
     ("selfdual 2,2,1,3 nu=+1", lambda: _selfdual_check(2, 2, 1, 3, 1)),
     ("selfdual 3,2,1,2 nu=+1", lambda: _selfdual_check(3, 2, 1, 2, 1)),
     ("selfdual 2,3,1,3 nu=+1", lambda: _selfdual_check(2, 3, 1, 3, 1)),

@@ -391,9 +391,9 @@ def idempotent_builds(monkeypatch):
     builds = []
     real = decomp._idempotents
 
-    def counted(params, factors):
+    def counted(params, *args):
         builds.append(params)
-        return real(params, factors)
+        return real(params, *args)
 
     monkeypatch.setattr(decomp, "_idempotents", counted)
     return builds

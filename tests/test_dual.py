@@ -370,6 +370,56 @@ def test_self_dual_pairs_force_partner():
         assert dual_code_nu(code).components == code.components
 
 
+PERMUTED_RINGS = [
+    ((2, 1, 1, 7, 1), 1),  # (rho, pair_count) = (1, 1)
+    ((3, 1, 1, 8, 1), 1),  # (3, 1)
+    ((2, 1, 1, 15, 1), 1),  # (3, 1)
+    ((2, 2, 1, 3, 1), 1),  # (1, 1)
+    ((3, 1, 1, 10, 2), -1),  # (1, 1)
+    ((3, 1, 1, 4, 2), -1),  # (0, 1)
+    ((3, 1, 1, 8, 2), -1),  # (0, 1)
+    ((5, 1, 1, 2, 4), -1),  # (0, 1)
+]
+
+
+@pytest.mark.parametrize("order", ["reversed", "rotated"])
+@pytest.mark.parametrize("ring,nu", PERMUTED_RINGS)
+def test_self_dual_stream_takes_any_factor_order(ring, nu, order):
+    """A ring whose factors come in an order other than the pair layout
+    streams exactly its self-dual codes: as many as the count, each its
+    own dual, and, put back in the layout's order, the derived ring's."""
+    fd = fd_of(*ring)
+    perm = list(range(fd.r))[::-1] if order == "reversed" else list(range(1, fd.r)) + [0]
+    moved = decomp.factor_data_for(fd.params, [fd.factors[i] for i in perm])
+    assert moved.tau != fd.tau or fd.r == 2
+    got = list(enumerate_self_dual(moved, nu))
+    assert len(got) == count_self_dual(moved, nu)
+    assert all(is_self_dual(code) for code in got)
+    back = set()
+    for code in got:
+        comps = [None] * fd.r
+        for k, spec in zip(perm, code.components):
+            comps[k] = spec
+        back.add(tuple(comps))
+    assert back == {code.components for code in enumerate_self_dual(fd, nu)}
+
+
+@pytest.mark.parametrize("ring,nu,paired", [((2, 1, 1, 7, 1), 1, (1, 2)), ((3, 1, 2, 8, 1), 1, (3, 4))])
+def test_self_dual_options_refuse_a_paired_factor(ring, nu, paired):
+    fd = fd_of(*ring)
+    for j in paired:
+        assert fd.tau[j] != j
+        with pytest.raises(RangeError):
+            self_dual_component_options(j, fd)
+    assert self_dual_component_options(0, fd)[0].case == "I"
+
+
+def test_self_dual_options_refuse_a_ring_without_tau():
+    fd = fd_of(5, 1, 1, 6, 2)  # 2^2 = 4 != 1
+    with pytest.raises(RangeError):
+        self_dual_component_options(0, fd)
+
+
 @pytest.mark.parametrize(
     "ring,nu",
     [((5, 1, 1, 6, 4), -1), ((7, 1, 1, 48, 6), -1), ((3, 1, 1, 8, 1), 1), ((2, 2, 1, 3, 1), 1)],

@@ -543,6 +543,21 @@ def test_quick_suite_passes():
         assert ok, f"{name}: {detail}"
 
 
+@pytest.mark.parametrize(
+    "name,detail",
+    [
+        ("chain 3,2,1,1", "1024 submodules, 34 ideals"),
+        ("dual 2,2,1,3 nu=+1", "729 codes"),
+        ("ambient 2,3,1,1", "13 ideals assembled and closed"),
+    ],
+)
+def test_full_suite_checks_chain_dual_and_ambient_at_m_above_one(name, detail):
+    """verify --level full runs the chain, dual and ambient checks over
+    F_9, F_4 and F_8 too, not at m = 1 alone."""
+    check = dict(oracle.FULL_SUITE)[name]
+    assert check() == (True, detail)
+
+
 def test_selfdual_check_catches_a_wrong_count(monkeypatch):
     """_selfdual_check compares count_self_dual with the brute-force
     fixed points, on p = 2, s = 2 among others."""
