@@ -7,26 +7,34 @@ adding rows is one XOR (the layout of M4RI: Albrecht, Bard and Hart,
 ACM TOMS 37(1), 2010).  For odd p a slot is 1, 2, 4, ... bytes, room
 for p - 1 plus dim products of two residues: a row operation adds c
 times the negated row, (p - c) * row, as one int multiply and add, and
-slots grow past p - 1 without carrying into the next.  A slot is
-reduced mod p only when its value is read, and a whole vector when it
-becomes a stored row or back-substitution changes it.
+slots grow past p - 1 without carrying into the next.  A whole vector
+is reduced mod p (_reducer: one bytes.translate for 8-bit slots, a
+Python loop over wider ones) when it becomes a stored row, when
+back-substitution changes it, and, for 8-bit slots, when a walk meets
+a slot that is 0 mod p but not 0.
 
 Vectors handed in and stored rows have every slot in [0, p).  Rows are
 kept in echelon form, in a dict keyed by pivot.  Insertion, membership
-and kernels share one elimination: _reduce walks a vector from its
-pivot end and looks each slot up in that dict, so a vector costs only
-the pivots it meets, and one that lies in the span costs no _mod.  They
-share one back-substitution too: _rref brings the rows to reduced
-echelon form when they are read.  An FpSpace's pivot is a row's first
-nonzero coordinate, scaled to 1, and then every pivot column is clear
-in the other rows, so two spaces are equal iff their bases are.
+and kernels walk a vector from its pivot end and look each slot up in
+that dict, so a vector costs only the pivots it meets.  Most slots that
+are 0 mod p are what is left of a dependent row.  With 8-bit slots one
+translate drops them all, so a walk makes at most one reduction per
+pivot it met, and none for a zero vector or one equal to a kept row;
+with wider slots, where a reduction costs a Python step per slot, the
+walk steps over each such slot.  _reduce is that walk for insertion
+and membership; kernel has the same walk inline, from the other end,
+with the slot width and the reduction bound once per call.  They share
+one back-substitution: _rref brings the rows to reduced echelon form
+when they are read.  An FpSpace's pivot is a row's first nonzero
+coordinate, scaled to 1, and then every pivot column is clear in the
+other rows, so two spaces are equal iff their bases are.
 FpSpace.basis hands out the echelon rows as kept, for callers that
 need a basis but not the canonical one, and builds nothing.
 
 For p = 2 each routine has its own loop, with no slot arithmetic: a
-step is a bit_length, a dict lookup and an XOR.  kernel walks its rows
-inline, with no call per row, and builds the kernel's basis one bit at
-a time.
+step is a bit_length, a dict lookup and an XOR.  Up to 128 columns,
+kernel reads the kernel's basis off the reduced rows with word
+operations, one product per row (see _spread_masks).
 """
 
 from __future__ import annotations
@@ -62,11 +70,32 @@ def _byte_table(p: int, scale: int) -> bytes:
     return bytes(v * scale % p for v in range(256))
 
 
+@functools.cache
+def _reducer(p: int, bits: int):
+    """reduce(vec, scale=1): vec with every bits-wide slot v replaced by
+    v * scale mod p (p odd), for a vector of any number of slots.  For
+    8-bit slots, which only p < 17 has, it is one translate of the
+    vector's bytes, with a table per scale; wider slots are reduced one
+    by one."""
+    if bits == 8:
+        tables = [_byte_table(p, scale) for scale in range(p)]
+
+        def reduce(vec: int, scale: int = 1) -> int:
+            return int.from_bytes(vec.to_bytes(vec.bit_length() + 7 >> 3, "little").translate(tables[scale]), "little")
+
+    else:
+        mask = (1 << bits) - 1
+
+        def reduce(vec: int, scale: int = 1) -> int:
+            ats = range(0, vec.bit_length(), bits)
+            return sum(map(lshift, [(vec >> at & mask) * scale % p for at in ats], ats))
+
+    return reduce
+
+
 def _mod(vec: int, p: int, dim: int, scale: int = 1) -> int:
     """vec with every slot v replaced by v * scale mod p (p odd)."""
-    if slot_bits(p, dim) == 8:
-        return int.from_bytes(vec.to_bytes(dim, "little").translate(_byte_table(p, scale)), "little")
-    return pack(p, dim, [v * scale for v in unpack(p, dim, vec)])
+    return _reducer(p, slot_bits(p, dim))(vec, scale)
 
 
 class FpSpace:
@@ -150,22 +179,23 @@ class FpSpace:
         return out if p == 2 else [_mod(v, p, dim) for v in out]
 
 
-def _reduce(at: dict, vec: int, p: int, dim: int, last: bool = False, keep: bool = True) -> bool:
+def _reduce(at: dict, vec: int, p: int, dim: int, keep: bool = True) -> bool:
     """Whether vec lies outside the span of the echelon rows at[pivot].
     If it does and keep is set, its reduction joins them: reduced mod p
     once, and scaled to 1 at its new pivot.
 
-    Each row has its pivot slot 1 and no nonzero slot on one side of
-    it: below it, or above it when last is set (odd p only: for p = 2
-    only kernel walks from the last slot, inline).  The walk starts at
-    vec's nonzero slot on that side, its first or its last.  A slot
-    that is 0 mod p is dropped; a slot at some row's pivot gets that
-    row's multiple and is dropped too.  Neither changes a slot the walk
-    has passed, so it meets each pivot at most once, and only where vec
-    is nonzero: the multiples it adds fit in the slots (see
-    slot_bits).  The first slot nonzero mod p at no pivot is the new
-    pivot, and the walk stops there.  Slots are left unreduced on the
-    way, so a vector in the span costs no _mod.
+    Each row has its pivot slot 1 and no nonzero slot below it.  The
+    walk starts at vec's first nonzero slot.  A slot at some row's pivot
+    gets that row's multiple and is dropped, which changes no slot the
+    walk has passed, so it meets each pivot at most once, and only where
+    vec is nonzero: the multiples it adds fit in the slots (see
+    slot_bits).  A slot that is 0 mod p, most often what is left of a
+    dependent row, makes one reduction of the whole vector for 8-bit
+    slots, which drops every such slot at once; a wider slot is
+    dropped alone.  The first slot nonzero mod p at no pivot is the new
+    pivot, and the walk stops there.  So a vector in the span costs at
+    most one reduction per pivot it meets, and none if it is a kept row
+    or its slots are wider than 8 bits.
     """
     get = at.get
     if p == 2:
@@ -180,19 +210,21 @@ def _reduce(at: dict, vec: int, p: int, dim: int, last: bool = False, keep: bool
     bits = slot_bits(p, dim)
     mask = (1 << bits) - 1
     while vec:
-        t = ((vec.bit_length() if last else (vec & -vec).bit_length()) - 1) // bits
+        t = ((vec & -vec).bit_length() - 1) // bits
         shift = t * bits
         v = vec >> shift & mask
         c = v % p
-        if c:
-            row = get(t)
-            if row is None:
-                if keep:
-                    at[t] = _mod(vec, p, dim, pow(c, -1, p))
-                return True
-            vec += (p - c) * row
-            v += p - c
-        vec -= v << shift
+        if not c:
+            vec = _reducer(p, bits)(vec) if bits == 8 else vec - (v << shift)
+            continue
+        row = get(t)
+        if row is None:
+            if keep:
+                at[t] = _reducer(p, bits)(vec, pow(c, -1, p))
+            return True
+        if vec == row:
+            return False
+        vec += (p - c) * row - (v + p - c << shift)
     return False
 
 
@@ -223,7 +255,7 @@ def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
             done |= 1 << t
         return pivots
     bits = slot_bits(p, dim)
-    mask = (1 << bits) - 1
+    mask, reduce = (1 << bits) - 1, _reducer(p, bits)
     for t in order:
         row = at[t]
         hit = row & done
@@ -233,30 +265,45 @@ def _rref(at: dict, p: int, dim: int, last: bool = False) -> list[int]:
                 c = hit >> col * bits
                 hit ^= c << col * bits
                 row += (p - c) * at[col]
-            at[t] = _mod(row, p, dim)
+            at[t] = reduce(row)
         done |= mask << t * bits
     return pivots
+
+
+@functools.cache
+def _spread_masks(dim: int) -> tuple[int, int, int]:
+    """(stride, spread, diag): row * spread & diag moves bit f of a
+    dim-bit row to bit f * stride, for every f at once.  The product
+    holds dim copies of the row, copy i shifted by i * (dim + 1), so the
+    copies do not overlap, and bit f of copy f is the only bit at
+    f * (dim + 2)."""
+    stride = dim + 2
+    return stride, sum(1 << i * (dim + 1) for i in range(dim)), sum(1 << f * stride for f in range(dim))
 
 
 def kernel(mat, dim: int, p: int) -> FpSpace:
     """Kernel of the linear map with the given packed rows, as an FpSpace.
 
     The rows are reduced with each pivot at its row's last nonzero
-    coordinate (for odd p through _reduce; for p = 2 in one XOR walk
-    inline): a row that depends on the rows before it costs only the
-    pivots it meets and, for odd p, no _mod.  One _rref at the end
-    reduces the rows kept.
+    coordinate, in one walk inline, as _reduce walks from the other
+    end: for p = 2 a step is one XOR; for odd p the slot width and the
+    reduction are bound once per call, and a slot that is 0 mod p makes
+    one reduction of the whole row if slots are 8 bits wide, and is
+    dropped alone otherwise.  One _rref at the end reduces the rows
+    kept.
 
     Then for each free column f, e_f minus the sum of row_k[f]
     e_(pivot k) has its first nonzero coordinate, a 1, at f and a 0 at
     every other free column: the kernel's basis comes out in reduced
-    echelon form, with no second elimination.  For p = 2 it is built
-    one bit at a time: pivot t's bit goes to each free column its row
-    holds.
+    echelon form, with no second elimination.  For p = 2 that sum is
+    column f of the reduced rows.  Up to 128 columns each row is spread
+    into one block per column and shifted to its pivot, and each basis
+    vector is one block; past that, pivot t's bit goes to each free
+    column its row holds, one bit at a time.
     """
     at: dict[int, int] = {}
+    get = at.get
     if p == 2:
-        get = at.get
         for vec in mat:
             while vec:
                 row = get(t := vec.bit_length() - 1)
@@ -264,17 +311,41 @@ def kernel(mat, dim: int, p: int) -> FpSpace:
                     at[t] = vec
                     break
                 vec ^= row
+        pivots = _rref(at, p, dim, last=True)
+        # a product costs dim^2 bits per row: past 128 columns the bit loop is faster
+        if dim <= 128:
+            stride, spread, diag = _spread_masks(dim)
+            cols = 0  # block f of stride bits holds column f of the reduced rows
+            for t in pivots:
+                cols |= (at[t] * spread & diag) << t
+            free, low = [f for f in range(dim) if f not in at], (1 << dim) - 1
+            return FpSpace(p, dim, [cols >> f * stride & low | 1 << f for f in free], free)
         basis = {f: 1 << f for f in range(dim) if f not in at}
-        for t in _rref(at, p, dim, last=True):
+        for t in pivots:
             rest, pivot = at[t] ^ 1 << t, 1 << t
             while rest:
                 f = rest.bit_length() - 1
                 rest ^= 1 << f
                 basis[f] |= pivot
         return FpSpace(p, dim, basis.values(), basis.keys())
-    for vec in mat:
-        _reduce(at, vec, p, dim, last=True)
     bits = slot_bits(p, dim)
+    reduce = _reducer(p, bits)
+    for vec in mat:
+        while vec:
+            t = (vec.bit_length() - 1) // bits
+            shift = t * bits
+            v = vec >> shift  # the last nonzero slot
+            c = v % p
+            if not c:
+                vec = reduce(vec) if bits == 8 else vec - (v << shift)
+                continue
+            row = get(t)
+            if row is None:
+                at[t] = reduce(vec, pow(c, -1, p))
+                break
+            if vec == row:
+                break
+            vec += (p - c) * row - (v + p - c << shift)
     basis = {f: 1 << f * bits for f in range(dim) if f not in at}
     # reduced, row t holds its pivot's 1 and otherwise only free columns
     for t in _rref(at, p, dim, last=True):

@@ -26,9 +26,10 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
   before costs rank insertions and nothing more;
 * duals are computed as literal kernels of the inner-product pairing,
   whose rows come off each vector of any basis of the code, the
-  echelon rows as kept: for odd p from the vector's g-steps, for p = 2
-  by XOR from a table of the unit vectors' rows, one per byte (a full
-  scan of the ambient space at toy sizes agrees by a test);
+  echelon rows as kept, from tables of the unit vectors' rows, one per
+  group of slots: for p = 2 a byte and an XOR, for odd p as many slots
+  as have at most 256 values and a sum reduced once (a full scan of the
+  ambient space at toy sizes agrees by a test);
 * the self-dual components of a tau-fixed factor are found by running
   every spec through the dual transport, with no elimination, which
   checks the kernel route of the dual module.
@@ -45,9 +46,9 @@ g = field.gen() are each one shift of the whole int and one fold of
 what overflows (see _packed_steps), and a row's g-orbit is its m
 g-steps.  _closure closes rows under x and F_q (a Krylov closure), and
 the same steps build the lift maps, from x^i g^c eps_j, and the
-pairing rows, from g^c b; the x steps of the ambient ring take its
-modulus x^N - lambda from the memo _binomial.  The p = 2 pairing
-tables are a memo per field and length too.  The size limit
+pairing rows of the tables, from g^c e_i; the x steps of the ambient
+ring take its modulus x^N - lambda from the memo _binomial.  The
+pairing tables are a memo per field and length too.  The size limit
 ORACLE_BUDGET is a module constant.
 """
 
@@ -61,6 +62,7 @@ from .chain import ChainCtx
 from .decomp import AmbientParams, FactorData, build_factor_data, memoized
 from .dual import (
     count_self_dual,
+    dual_code,
     dual_code_nu,
     dual_component,
     enumerate_self_dual,
@@ -82,7 +84,7 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
-from .linalg import FpSpace, _byte_table, _mod, kernel, slot_bits, unpack
+from .linalg import FpSpace, _byte_table, _mod, _reducer, kernel, slot_bits, unpack
 from .poly import Poly, is_irreducible
 
 # past this size a brute-force route raises TooLarge (see each check)
@@ -130,7 +132,8 @@ class _Layout:
 
     def pairing_rows(self, vecs) -> list[int]:
         """The 2m rows that pair a vector against b, for each b of vecs
-        in turn (see brute_dual).
+        in turn: _pairing_tables takes them for the unit vectors, and
+        brute_dual adds table entries.
 
         The condition on coordinate l reads slot r of a_i's block
         against coordinate l of g^r b_i.  Those rows come off the packed
@@ -174,7 +177,8 @@ def _packed_steps(modulus: Poly):
     shifts every coordinate up by one inside its block and folds each
     block's top coordinate in through the field modulus, for all blocks
     in one product.  No slot passes the width slot_bits leaves for an
-    elimination, so for odd p one _mod reduces the result.
+    elimination, so for odd p one reduction, bound when the step is
+    built, reduces the result.
     """
     field, slots = modulus.ctx, modulus.degree
     layout = _layout(field, slots)
@@ -202,12 +206,13 @@ def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
             return out
 
     else:
+        reduce = _reducer(p, slot_bits(p, dim))
 
         def shift_fold(vec: int) -> int:
             out = (vec & keep) << shift
             for at, pick, fold in terms:
                 out += (vec >> at & pick) * fold
-            return _mod(out, p, dim)
+            return reduce(out)
 
     return shift_fold
 
@@ -600,44 +605,80 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     (a0, a1) coordinate blocks gives, per basis codeword b, the 2m
     F_p-linear conditions coords([a,b]_0) = coords([a,b]_1) = 0 (see
     _Layout.pairing_rows).  Any basis of the space serves, so the rows
-    come off its echelon basis as kept, with no back-substitution.  For
-    p = 2 they are F_2-linear in b, so the 2m rows of b, side by side
-    in one int, are the XOR of one entry per byte of b from a table
-    kept per field and length (_pairing_tables).  This holds for any
-    space, not only ideals, so every row of every basis vector goes in;
-    kernel drops the dependent ones at the cost of the pivots they
-    meet.  The answer is exactly the set a full scan would return (a
-    test runs that scan at toy sizes).
+    come off its echelon basis as kept, with no back-substitution.  The
+    rows are F_p-linear in b, so the 2m rows of b, side by side in one
+    int, are the sum of one entry per group of b's slots from tables
+    kept per field and length (_pairing_tables): an XOR for p = 2, and
+    for odd p a sum reduced once.  This holds for any space, not only
+    ideals, so every row of every basis vector goes in; kernel drops
+    the dependent ones at the cost of the pivots they meet.  The answer
+    is exactly the set a full scan would return (a test runs that scan
+    at toy sizes).
     """
-    field = params.field
-    layout = _layout(field, params.N)
-    dim = layout.dim
-    if field.p != 2:
-        return kernel(layout.pairing_rows(space.basis), dim, field.p)
-    tables = _pairing_tables(field, params.N)
-    mask, ats = (1 << dim) - 1, range(0, 2 * field.m * dim, dim)
+    p = params.field.p
+    tables, width, ats, row_mask, dim = _pairing_tables(params.field, params.N)
+    group = (1 << width) - 1
     mat = []
-    for b in space.basis:
-        rows = 0
-        for table in tables:
-            rows ^= table[b & 255]
-            b >>= 8
-        for at in ats:
-            mat.append(rows >> at & mask)
-    return kernel(mat, dim, 2)
+    append = mat.append
+    if p == 2:
+        for b in space.basis:
+            rows = 0
+            for table in tables:
+                rows ^= table[b & group]
+                b >>= width
+            for at in ats:
+                append(rows >> at & row_mask)
+    else:
+        reduce = _reducer(p, slot_bits(p, dim))
+        for b in space.basis:
+            rows = 0
+            for entry in tables:
+                rows += entry(b & group)
+                b >>= width
+            rows = reduce(rows)
+            for at in ats:
+                append(rows >> at & row_mask)
+    return kernel(mat, dim, p)
 
 
 @memoized
-def _pairing_tables(field: FieldCtx, slots: int) -> list[list[int]]:
-    """For p = 2, one table per byte of a packed row b: entry v is the
-    XOR of the pairing rows of the unit vectors at v's set bits, the 2m
-    rows side by side in one int of 2 m dim bits.  The last table has
-    one entry per value of the bits that are left."""
+def _pairing_tables(field: FieldCtx, slots: int) -> tuple:
+    """(tables, width, ats, row_mask, dim) for brute_dual: one table per
+    group of g slots of a packed row b, g the largest with p^g <= 256
+    (one slot past p = 16), width the bits of a group, and where each
+    of the 2m rows sits in an entry.  Table k's entry at the raw packed
+    value of b's group k holds the 2m pairing rows of that combination
+    of unit vectors, side by side in one int of 2 m dim slots.  For
+    p = 2 a group is one byte and its table a list, each entry the XOR
+    of its set bits' rows; the last table has one entry per value of
+    the bits that are left.  For odd p the tables are lookups, key ->
+    entry: a dict's __getitem__ over p^g entries (fewer for the last
+    group), each a sum of scaled rows; past p = 16 a group is one slot,
+    and its entry is the slot's value times its rows, as a table would
+    hold p entries for every slot.  Odd-p entries are left unreduced:
+    the entries brute_dual adds for one b sum at most dim products of
+    two residues in each slot, which slot_bits leaves room for, and it
+    reduces that sum once."""
     layout = _layout(field, slots)
-    dim, per = layout.dim, 2 * field.m
-    rows = layout.pairing_rows(1 << i for i in range(dim))
-    images = [sum(map(lshift, rows[at : at + per], range(0, per * dim, dim))) for at in range(0, len(rows), per)]
-    return [_span_table(images[at : at + 8], 2, int.__xor__) for at in range(0, dim, 8)]
+    p, dim, bits, per = field.p, layout.dim, layout.bits, 2 * field.m
+    rows = layout.pairing_rows(1 << bits * i for i in range(dim))
+    step = dim * bits
+    ats = range(0, per * step, step)
+    images = [sum(map(lshift, rows[at : at + per], ats)) for at in range(0, len(rows), per)]
+    g = 1
+    while p ** (g + 1) <= 256:  # 8 for p = 2
+        g += 1
+    tables = []
+    for at in range(0, dim, g):
+        group = images[at : at + g]
+        if p == 2:
+            tables.append(_span_table(group, 2, int.__xor__))
+        elif g == 1:
+            tables.append(group[0].__mul__)
+        else:
+            keys = _span_table([1 << bits * i for i in range(len(group))], p, int.__add__)
+            tables.append(dict(zip(keys, _span_table(group, p, int.__add__))).__getitem__)
+    return tables, g * bits, ats, (1 << step) - 1, dim
 
 
 def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:
@@ -685,15 +726,19 @@ def _chain_check(p, m, d, s):
 def _dual_check(p, m, s, n, lam):
     params = AmbientParams.of_ints(p, m, s, n, lam)
     fd = build_factor_data(params)
+    # for lambda^2 != 1 the dual lives on the lambda^(-1) ring, with the
+    # same ambient coordinates
+    dual = dual_code_nu if fd.tau is not None else dual_code
     count = 0
     for code in enumerate_codes(fd):
-        D = dual_code_nu(code)
+        D = dual(code)
         sp = code_space(code)
         if brute_dual(sp, params) != code_space(D):
             return False, f"kernel dual differs at {[c.label() for c in code.components]}"
         if code_size(code) * code_size(D) != params.ring_size():
             return False, "size product violated"
-        if dual_code_nu(D).components != code.components:
+        back = dual(D)
+        if back.components != code.components or back.fd.params != params:
             return False, "double dual moved a code"
         count += 1
     return True, f"{count} codes"
@@ -784,6 +829,7 @@ FULL_SUITE = QUICK_SUITE + [
     ("dual 3,1,1,2 nu=+1", lambda: _dual_check(3, 1, 1, 2, 1)),
     ("dual 3,1,1,2 nu=-1", lambda: _dual_check(3, 1, 1, 2, 2)),
     ("dual 2,2,1,3 nu=+1", lambda: _dual_check(2, 2, 1, 3, 1)),
+    ("dual 3,2,1,2 lam=2+g", lambda: _dual_check(3, 2, 1, 2, 5)),
     ("ambient 3,1,1,1", lambda: _ambient_check(3, 1, 1, 1, 1)),
     ("ambient 3,1,1,2 lam=-1", lambda: _ambient_check(3, 1, 1, 2, 2)),
     ("ambient 2,3,1,1", lambda: _ambient_check(2, 3, 1, 1, 1)),

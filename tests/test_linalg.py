@@ -215,28 +215,62 @@ def test_unreduced_slots_at_the_width_edges(p, dim):
     assert_kernel_is_the_reference(p, dim, rows_per_basis_vector(rng, p, dim, dim // 2, 4))
 
 
+def count_reductions(monkeypatch) -> list:
+    """Record every whole-vector reduction linalg makes from now on."""
+    calls = []
+    real = linalg._reducer
+
+    def counted(*args):
+        reduce = real(*args)
+        return lambda vec, scale=1: calls.append(args) or reduce(vec, scale)
+
+    monkeypatch.setattr(linalg, "_reducer", counted)
+    return calls
+
+
 @pytest.mark.parametrize("p", [3, 5, 65521])
-def test_a_dependent_row_costs_no_mod(p, monkeypatch):
+def test_a_dependent_row_costs_at_most_rank_plus_one_reductions(p, monkeypatch):
+    """With 8-bit slots a walk reduces the whole vector when it meets a
+    slot that is 0 mod p, and only then: at most once per pivot it met,
+    so a dependent row costs at most rank + 1 reductions, and a kept row
+    or zero none.  With wider slots (p = 65521) it steps over such a
+    slot, and a dependent row costs none."""
     rng = random.Random(p)
     dim, rank, per = 12, 6, 4
+    per_row = rank + 1 if slot_bits(p, dim) == 8 else 0
     mat = [pack(p, dim, row) for row in rows_per_basis_vector(rng, p, dim, rank, per)]
     basis, deps = mat[::per], [vec for k, vec in enumerate(mat) if k % per]
-    calls = []
-    real = linalg._mod
-    monkeypatch.setattr(linalg, "_mod", lambda *args: calls.append(args) or real(*args))
+    calls = count_reductions(monkeypatch)
 
     alone = kernel(basis, dim, p)
     made = len(calls)
     assert kernel(basis + deps, dim, p) == alone
-    assert len(calls) == 2 * made
+    for vec in deps:
+        calls.clear()
+        assert kernel(basis + [vec], dim, p) == alone
+        assert len(calls) <= made + per_row
 
     space = FpSpace.from_rows(p, dim, basis)
     assert space.rank == rank
-    calls.clear()
     for vec in deps:
+        calls.clear()
+        assert space.contains(vec)
+        assert not space.insert(vec)
+        assert len(calls) <= 2 * per_row
+    calls.clear()
+    for vec in space.basis + [0]:
         assert space.contains(vec)
         assert not space.insert(vec)
     assert not calls
+
+    # rows with their last nonzero slot 1, at distinct slots, are kept as
+    # they are, so copies of them and zero rows make no reduction
+    echelon = [pack(p, dim, [rng.randrange(p) for _ in range(t)] + [1] + [0] * (dim - 1 - t)) for t in range(0, dim, 2)]
+    calls.clear()
+    alone = kernel(echelon, dim, p)
+    made = len(calls)
+    assert kernel(echelon + echelon[::-1] + [0, 0], dim, p) == alone
+    assert len(calls) == 2 * made
 
 
 def test_spaces_of_different_fields_or_dimensions_differ():
@@ -248,8 +282,9 @@ def test_spaces_of_different_fields_or_dimensions_differ():
 
 # -- p = 2: the XOR loops against the reference ------------------------------------
 
-# word and byte edges; 7, 8 and 9 leave a short last byte table
-EDGE_DIMS = [7, 8, 9, 63, 64, 65]
+# word and byte edges, 7, 8 and 9 leave a short last byte table, and
+# kernel reads its basis off with products up to 128 columns
+EDGE_DIMS = [7, 8, 9, 63, 64, 65, 127, 128, 129]
 
 
 @st.composite
@@ -315,3 +350,65 @@ def test_basis_spans_the_space_and_builds_no_reduced_rows(p):
     assert space._rows is None
     assert len(basis) == space.rank and FpSpace.from_rows(p, dim, basis) == space
     assert sorted(elements) == sorted(FpSpace(p, dim, space.rows, space.pivots).elements())
+
+
+# -- odd p: the inline walks against the reference, at the slot-width edges --------
+
+# per p, dimensions on both sides of the edge from 8-bit to wider slots
+ODD_EDGES = {3: [63, 64], 5: [15, 16], 7: [6, 7], 13: [1, 2], 65521: [1, 2]}
+
+
+@st.composite
+def odd_matrices(draw):
+    """(p, dim, rows): rows of F_p^dim as coordinate lists, often
+    dependent, so that walks meet slots that are 0 mod p."""
+    p = draw(st.sampled_from(sorted(ODD_EDGES)))
+    dim = draw(st.sampled_from(ODD_EDGES[p]) | st.integers(1, 20))
+    word = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    base = draw(st.lists(word, min_size=1, max_size=6))
+    # combinations of a few base rows, so that many rows lie in the span
+    picks = st.lists(st.tuples(st.sampled_from(base), st.integers(0, p - 1)), max_size=4)
+    combos = picks.map(lambda terms: [sum(c * vec[i] for vec, c in terms) % p for i in range(dim)])
+    rows = draw(st.lists(word | combos, max_size=16))
+    return p, dim, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_matrices(), st.lists(st.integers(0), max_size=4))
+def test_odd_walks_match_the_reference(case, seeds):
+    p, dim, mat = case
+    space = FpSpace(p, dim)
+    for before, row in enumerate(mat):
+        inside = list(row)
+        ref_reduce(*ref_rref(p, dim, mat[:before]), inside, p)
+        assert space.contains(pack(p, dim, row)) == (not any(inside))
+        assert space.insert(pack(p, dim, row)) == any(inside)
+    rows, pivots = ref_rref(p, dim, mat)
+    assert [unpack(p, dim, row) for row in space.rows] == rows and space.pivots == pivots
+    rngs = map(random.Random, seeds)
+    probes = [[rng.randrange(p) for _ in range(dim)] for rng in rngs]
+    for vec in probes + mat[:2]:
+        inside = list(vec)
+        ref_reduce(rows, pivots, inside, p)
+        assert space.contains(pack(p, dim, vec)) == (not any(inside))
+
+    ker = kernel([pack(p, dim, row) for row in mat], dim, p)
+    krows, kpivots = ref_kernel(p, dim, mat)
+    assert [unpack(p, dim, row) for row in ker.rows] == krows and ker.pivots == kpivots
+
+
+@pytest.mark.parametrize("p", [3, 7, 13, 127, 131, 251, 65521])
+def test_reducer_matches_slot_by_slot_reduction(p):
+    """_reducer's routes (the 8-bit translate, the slot loop) against
+    reducing each slot on its own, for every slot width an elimination
+    over F_p uses and a full-width value in every slot."""
+    rng = random.Random(p)
+    for bits in (8, 16, 32, 64):
+        if bits < (p - 1).bit_length() * 2:
+            continue
+        for scale in (1, 2, p - 1):
+            for count in (1, 2, 7, 40):
+                slots = [rng.randrange(1 << bits) for _ in range(count - 1)] + [(1 << bits) - 1]
+                vec = sum(v << bits * i for i, v in enumerate(slots))
+                want = sum(v * scale % p << bits * i for i, v in enumerate(slots))
+                assert linalg._reducer(p, bits)(vec, scale) == want

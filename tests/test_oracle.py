@@ -1,7 +1,7 @@
 import hashlib
 import random
 from bisect import bisect
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -416,11 +416,20 @@ def brute_dual_by_inserts(space: FpSpace, params: AmbientParams) -> FpSpace:
     return kernel_by_inserts(mat, layout.dim, params.field.p)
 
 
-@pytest.mark.parametrize("ring", [(2, 2, 1, 3, 1), (3, 2, 1, 2, 5)])
+# (7,1,1,4,6) has 16-bit ambient slots and 1.4e11 codes
+WIDE_RING, WIDE_STRIDE, WIDE_CODES = (7, 1, 1, 4, 6), 400, 20000
+
+
+@pytest.mark.parametrize("ring", [(2, 2, 1, 3, 1), (3, 2, 1, 2, 5), (3, 1, 1, 1, 1), (5, 1, 1, 1, 1), (3, 1, 1, 2, 2), WIDE_RING])
 def test_brute_dual_equals_the_route_by_inserts(ring):
-    """On the two rings that dominate the benchmark, every code."""
+    """On the two rings that dominate the benchmark and three small odd-p
+    rings, every code; on WIDE_RING, every 400th of its first codes."""
     params = AmbientParams.of_ints(*ring)
-    for code in enumerate_codes(build_factor_data(params)):
+    codes = enumerate_codes(build_factor_data(params))
+    if ring == WIDE_RING:
+        assert slot_bits(params.p, ambient_dim(params)) == 16
+        codes = islice(codes, 0, WIDE_CODES, WIDE_STRIDE)
+    for code in codes:
         space = code_space(code)
         dual, ref = brute_dual(space, params), brute_dual_by_inserts(space, params)
         assert dual == ref and dual.pivots == ref.pivots
@@ -549,11 +558,13 @@ def test_quick_suite_passes():
         ("chain 3,2,1,1", "1024 submodules, 34 ideals"),
         ("dual 2,2,1,3 nu=+1", "729 codes"),
         ("ambient 2,3,1,1", "13 ideals assembled and closed"),
+        ("dual 3,2,1,2 lam=2+g", "250 codes"),
     ],
 )
 def test_full_suite_checks_chain_dual_and_ambient_at_m_above_one(name, detail):
     """verify --level full runs the chain, dual and ambient checks over
-    F_9, F_4 and F_8 too, not at m = 1 alone."""
+    F_9, F_4 and F_8 too, not at m = 1 alone, and a dual check with
+    lambda = 2 + g outside F_3, through dual_code."""
     check = dict(oracle.FULL_SUITE)[name]
     assert check() == (True, detail)
 
@@ -611,20 +622,36 @@ def test_oracle_results_are_frozen(ring, ncodes, codes_hash, duals_hash, subs, n
         assert len(ideals) == nambient and _digest(ideals) == codes_hash
 
 
-@pytest.mark.parametrize("ring", [ring for ring, *_ in ORACLE_RESULTS if ring[0] == 2])
-def test_table_built_dual_of_any_subspace_equals_the_route_by_inserts(ring):
-    """The p = 2 pairing rows from the byte tables, on random subspaces,
-    most of them no ideal, of every p = 2 ring of the oracle set."""
+def assert_table_dual_of_random_subspaces(ring):
+    """brute_dual, its rows from the pairing tables, against the route by
+    inserts on random subspaces of the ring's ambient space, most of
+    them no ideal."""
     params = AmbientParams.of_ints(*ring)
     fd = build_factor_data(params)
-    dim = ambient_dim(params)
+    p, dim = params.p, ambient_dim(params)
     rng = random.Random(str(ring))
     not_ideals = 0
     for _ in range(12):
-        space = FpSpace.from_rows(2, dim, [rng.getrandbits(dim) for _ in range(rng.randrange(1, dim))])
+        rows = [pack(p, dim, [rng.randrange(p) for _ in range(dim)]) for _ in range(rng.randrange(1, dim))]
+        space = FpSpace.from_rows(p, dim, rows)
         basis = space.basis
-        dual, ref = brute_dual(space, params), brute_dual_by_inserts(FpSpace.from_rows(2, dim, basis), params)
+        dual, ref = brute_dual(space, params), brute_dual_by_inserts(FpSpace.from_rows(p, dim, basis), params)
         assert dual.rows == ref.rows and dual.pivots == ref.pivots
         ideal = oracle.ideal_span(fd, [coords_ambient(params, row) for row in basis])
         not_ideals += ideal.rank > space.rank
     assert not_ideals >= 6
+
+
+@pytest.mark.parametrize("ring", [ring for ring, *_ in ORACLE_RESULTS if ring[0] == 2])
+def test_table_built_dual_of_any_subspace_equals_the_route_by_inserts(ring):
+    """Every p = 2 ring of the oracle set: one byte per table entry."""
+    assert_table_dual_of_random_subspaces(ring)
+
+
+@pytest.mark.parametrize("ring", [(3, 2, 1, 2, 5), (3, 1, 1, 1, 1), (5, 1, 1, 1, 1), WIDE_RING, (17, 1, 1, 1, 1), (67, 1, 1, 1, 1)])
+def test_odd_table_built_dual_of_any_subspace_equals_the_route_by_inserts(ring):
+    """Odd p: entries keyed by a group of 8-bit slots (p = 3, 5), or of
+    16-bit ones (WIDE_RING); past p = 16 no table, each slot's rows
+    times its value, summed unreduced over all dim slots of b, in 16-bit
+    (p = 17) and 32-bit (p = 67) slots."""
+    assert_table_dual_of_random_subspaces(ring)
