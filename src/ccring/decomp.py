@@ -63,13 +63,12 @@ ring is fixed by the source's, so dual.dual_factor_data sets it up
 through the memo too, and the dual of that dual is the source again;
 only the memo keeps rings, so a ring and its dual hold no link to each
 other.  cli's dual command keeps, by the text of a document's params
-and factors, its ring, the dual ring and the dual texts, and oracle a
-ring's lift maps and lifted component rows, its x^N - lambda,
-packed pair layouts and x steps.  The one memo of work on codes is the
-dual command's: per factor, the last component document read and its
-dual's text (cli._dual_text).  A FactorData remembers no code, so
-CodeSpec and dual_code check and transport every component on every
-call.
+and factors, its ring, the dual ring and the dual texts, and the
+oracle keeps what its brute-force routes build, per ring and per
+modulus.  The one memo of work on codes is the dual command's: per
+factor, the last component document read and its dual's text
+(cli._dual_text).  A FactorData remembers no code, so CodeSpec and
+dual_code check and transport every component on every call.
 """
 
 from __future__ import annotations
@@ -104,9 +103,8 @@ def memoized(fn):
 def clear_memo() -> None:
     """Forget every kept field, with the exp/log tables and split parts
     it keeps, and every FactorData, also those cli keeps by document
-    text with their dual texts, and oracle's per-ring lifts, moduli
-    x^N - lambda, layouts, steps and pairing tables; ring_field and
-    factor_data build each again, and a new field splits every part
+    text with their dual texts, and every memo of the oracle; ring_field
+    and factor_data build each again, and a new field splits every part
     again.  A field held elsewhere keeps its own parts."""
     for memo in _MEMOS:
         memo.cache_clear()
@@ -236,7 +234,7 @@ class FactorData:
       rho and pair_count, the number of tau-fixed factors and of pairs,
       for documents;
     - _twisted, the eps_j (idempotents), built on first read:
-      oracle._lift, once per factor;
+      the oracle's lift maps, once per factor;
     - _fixed[j], tau-fixed factor j's self-dual kernels, built when a
       stream first moves past b = 0: each restart of that stream (the
       seed-9001 selfdual benchmark ops at --seconds 10, in one process,

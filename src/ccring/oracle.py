@@ -36,19 +36,22 @@ algebra over F_p, so a bug in the classification formulas cannot hide:
 
 Spaces are canonicalized as reduced row echelon bases over F_p, so two
 spaces are equal iff their keys are equal, with no element sets needed.
-K^2 and the ambient ring share one packed pair layout (see linalg), a
-_Layout per (field, slots), memoized so that decomp.clear_memo empties
-it: the pair (A, B) is one int, block i (m slots) holding the F_p
-coordinates of coefficient i of A, and B's blocks one half over.
-Polynomials are packed once, where they enter the oracle; every route
-then works on packed rows.  u is a shift by one half; x and
-g = field.gen() are each one shift of the whole int and one fold of
-what overflows (see _packed_steps), and a row's g-orbit is its m
-g-steps.  _closure closes rows under x and F_q (a Krylov closure), and
-the same steps build the lift maps, from x^i g^c eps_j, and the
-pairing rows of the tables, from g^c e_i; the x steps of the ambient
-ring take its modulus x^N - lambda from the memo _binomial.  The
-pairing tables are a memo per field and length too.  The size limit
+A ring mod a monic modulus, K = F_q[x]/(f^e) or the ambient ring mod
+x^N - lambda, packs its pairs in one layout (see linalg), a _Layout per
+modulus, memoized so that decomp.clear_memo empties it: the pair
+(A, B) is one int, block i (m slots) holding the F_p coordinates of
+coefficient i of A, and B's blocks one half over.  The layout is all
+an oracle route asks of the ring: pack and unpack, u (a shift by one
+half), the x and g = field.gen() steps (each one shift of the whole
+int and one fold of what overflows), a row's g-orbit (its m g-steps),
+the dimension, and for odd p the reduction of its slot width, bound
+once.  Polynomials are packed once, where they enter the oracle; every
+route then works on packed rows.  _closure closes rows under x and F_q
+in a layout (a Krylov closure), and the same steps build the lift maps,
+from x^i g^c eps_j, and the pairing rows of the tables, from g^c e_i.
+_ambient(params) is the layout mod x^N - lambda; with one factor,
+f^e = x^N - lambda, so the chain ring's layout is the same object.  The
+pairing tables are a memo per ambient layout.  The size limit
 ORACLE_BUDGET is a module constant.
 """
 
@@ -59,7 +62,7 @@ from itertools import chain, filterfalse, product
 from operator import lshift, mul
 
 from .chain import ChainCtx
-from .decomp import AmbientParams, FactorData, build_factor_data, memoized
+from .decomp import AmbientParams, FactorData, build_factor_data, factor_data_for, memoized
 from .dual import (
     count_self_dual,
     dual_code,
@@ -71,7 +74,7 @@ from .dual import (
     self_dual_component_options,
 )
 from .errors import TooLarge
-from .gf import FieldCtx, _span_table, field_new
+from .gf import _span_table, field_new
 from .ideals import (
     CodeSpec,
     IdealSpec,
@@ -84,7 +87,7 @@ from .ideals import (
     generator_rows,
     ideal_size,
 )
-from .linalg import FpSpace, _byte_table, _mod, _reducer, kernel, slot_bits, unpack
+from .linalg import FpSpace, _byte_table, _reducer, kernel, slot_bits, unpack
 from .poly import Poly, is_irreducible
 
 # past this size a brute-force route raises TooLarge (see each check)
@@ -95,23 +98,46 @@ ORACLE_BUDGET = 1 << 24
 
 
 class _Layout:
-    """Packed F_p rows of the pairs (A, B) in (F_q[x]/(modulus))^2, slots
-    coefficients per polynomial (see the module docstring)."""
+    """Packed F_p rows of the pairs (A, B) in (F_q[x]/(modulus))^2, one
+    block per coefficient below the monic modulus's degree (see the
+    module docstring), with the ring's steps on them.
 
-    def __init__(self, field: FieldCtx, slots: int):
+    x shifts every coefficient block up by one and folds the top block
+    of each half back in: its coordinate l times the packed -g^l * (the
+    modulus's low coefficients), for both halves in one product.  g
+    shifts every coordinate up by one inside its block and folds each
+    block's top coordinate in through the field modulus, for all blocks
+    in one product.  No slot passes the width slot_bits leaves for an
+    elimination, so for odd p the layout's reduce, bound once, reduces
+    each step's result.
+    """
+
+    def __init__(self, modulus: Poly):
+        field, slots = modulus.ctx, modulus.degree
         p, m = field.p, field.m
         self.field, self.slots, self.dim = field, slots, 2 * m * slots
         self.bits = bits = slot_bits(p, self.dim)
-        self.step = bits * m
-        self.half = self.step * slots
-        self.low = (1 << self.half) - 1
+        self.step = step = bits * m
+        self.half = half = step * slots
+        self.low = (1 << half) - 1
+        # reduce(vec, scale=1): every slot times scale mod p; None for p = 2
+        self.reduce = None if p == 2 else _reducer(p, bits)
         # coordinate 0 of every block, each slot all ones
-        self.firsts = sum((1 << bits) - 1 << self.step * i for i in range(2 * slots))
-        self.spread = [sum(map(lshift, field.decode(b), range(0, self.step, bits))) for b in field.elements()]
+        self.firsts = sum((1 << bits) - 1 << step * i for i in range(2 * slots))
+        self.spread = [sum(map(lshift, field.decode(b), range(0, step, bits))) for b in field.elements()]
+        whole = (1 << 2 * half) - 1
         g_fold = sum((-c % p) << bits * k for k, c in enumerate(field.modulus[:-1]))
-        keep = (1 << 2 * self.half) - 1 ^ self.firsts << bits * (m - 1)
-        # multiplication by g = field.gen() (see _packed_steps), or None when m = 1 (g = 1)
-        self.g_step = _shift_fold(p, self.dim, keep, bits, [(bits * (m - 1), self.firsts, g_fold)]) if m > 1 else None
+        g_keep = whole ^ self.firsts << bits * (m - 1)
+        # multiplication by g, or None when m = 1 (g = 1)
+        self.g_step = _shift_fold(self.reduce, g_keep, bits, [(bits * (m - 1), self.firsts, g_fold)]) if m > 1 else None
+        slot, top_block = (1 << bits) - 1, ((1 << step) - 1) << step * (slots - 1)
+        x_terms = []
+        for l in range(m):
+            gl = field.pow(field.gen(), l)
+            fold = sum(self.spread[field.mul(gl, field.neg(r))] << step * i for i, r in enumerate(modulus.coeffs[:-1]))
+            # coordinate l of the top block, one slot from each half
+            x_terms.append((step * (slots - 1) + bits * l, slot | slot << half, fold))
+        self.x_step = _shift_fold(self.reduce, whole ^ (top_block | top_block << half), step, x_terms)
 
     def pack(self, A: Poly, B: Poly) -> int:
         spread, at = self.spread, range(0, 2 * self.half, self.step)
@@ -165,39 +191,11 @@ class _Layout:
 _layout = memoized(_Layout)
 
 
-@memoized
-def _packed_steps(modulus: Poly):
-    """(x_step, g_step): multiplication by x and by g = field.gen() on
-    packed pairs mod the monic modulus, each one shift and fold of the
-    whole int.
-
-    x shifts every coefficient block up by one and folds the top block
-    of each half back in: its coordinate l times the packed -g^l * (the
-    modulus's low coefficients), for both halves in one product.  g
-    shifts every coordinate up by one inside its block and folds each
-    block's top coordinate in through the field modulus, for all blocks
-    in one product.  No slot passes the width slot_bits leaves for an
-    elimination, so for odd p one reduction, bound when the step is
-    built, reduces the result.
-    """
-    field, slots = modulus.ctx, modulus.degree
-    layout = _layout(field, slots)
-    bits, step, half = layout.bits, layout.step, layout.half
-    slot, top_block = (1 << bits) - 1, ((1 << step) - 1) << step * (slots - 1)
-    x_terms = []
-    for l in range(field.m):
-        gl = field.pow(field.gen(), l)
-        fold = sum(layout.spread[field.mul(gl, field.neg(r))] << step * i for i, r in enumerate(modulus.coeffs[:-1]))
-        # coordinate l of the top block, one slot from each half
-        x_terms.append((step * (slots - 1) + bits * l, slot | slot << half, fold))
-    keep = (1 << 2 * half) - 1 ^ (top_block | top_block << half)
-    return _shift_fold(field.p, layout.dim, keep, step, x_terms), layout.g_step
-
-
-def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
+def _shift_fold(reduce, keep: int, shift: int, terms):
     """vec -> (vec & keep) << shift plus (vec >> at & pick) * fold for
-    each term, reduced mod p."""
-    if p == 2:
+    each term: an XOR when reduce is None (p = 2), else a sum that
+    reduce brings back into [0, p)."""
+    if reduce is None:
 
         def shift_fold(vec: int) -> int:
             out = (vec & keep) << shift
@@ -206,7 +204,6 @@ def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
             return out
 
     else:
-        reduce = _reducer(p, slot_bits(p, dim))
 
         def shift_fold(vec: int) -> int:
             out = (vec & keep) << shift
@@ -217,33 +214,27 @@ def _shift_fold(p: int, dim: int, keep: int, shift: int, terms):
     return shift_fold
 
 
-def _closure(modulus: Poly, vecs, space: FpSpace | None = None) -> FpSpace:
+def _closure(layout: _Layout, vecs, space: FpSpace | None = None) -> FpSpace:
     """The F_p-span of x^i g^l v for every packed row v, i >= 0, l < m,
-    in the ring mod the monic modulus: the closure of the rows under F_q
-    (g generates it; g = 1 when m = 1) and under x.  Given a space
-    already closed under both, it grows that space in place.
+    in the layout's ring: the closure of the rows under F_q (g generates
+    it; g = 1 when m = 1) and under x.  Given a space already closed
+    under both, it grows that space in place.
 
-    x and g act on the packed row (see _packed_steps).  The rows go
-    into the span one at a time, and a row's chain stops at the first i
-    with x^i v in the span.  The span is then closed under x and F_q:
-    earlier rows' chains are, and x maps the span of the x^j g^l v,
-    j < i, into that span plus F_q x^i v.  So the rest of the chain adds
-    nothing.
+    The rows go into the span one at a time, and a row's chain stops at
+    the first i with x^i v in the span.  The span is then closed under
+    x and F_q: earlier rows' chains are, and x maps the span of the
+    x^j g^l v, j < i, into that span plus F_q x^i v.  So the rest of the
+    chain adds nothing.
     """
-    layout = _layout(modulus.ctx, modulus.degree)
     if space is None:
-        space = FpSpace(modulus.ctx.p, layout.dim)
-    x_step = _packed_steps(modulus)[0]
+        space = FpSpace(layout.field.p, layout.dim)
+    x_step, orbit = layout.x_step, layout.orbit
     for vec in vecs:
         while space.insert(vec):
-            for scaled in layout.orbit(vec)[1:]:
+            for scaled in orbit(vec)[1:]:
                 space.insert(scaled)
             vec = x_step(vec)
     return space
-
-
-def pair_dim(ctx: ChainCtx) -> int:
-    return 2 * ctx.field.m * ctx.d * ctx.e
 
 
 def k_span(ctx: ChainCtx, pairs) -> FpSpace:
@@ -252,8 +243,8 @@ def k_span(ctx: ChainCtx, pairs) -> FpSpace:
     K is spanned over F_p by x^i g^l, so closing under those two actions
     is exactly closing under multiplication by K.
     """
-    pack = _layout(ctx.field, ctx.d * ctx.e).pack
-    return _closure(ctx.modulus, [pack(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs])
+    layout = _layout(ctx.modulus)
+    return _closure(layout, [layout.pack(ctx.reduce(A), ctx.reduce(B)) for A, B in pairs])
 
 
 def spec_span(spec: IdealSpec, ctx: ChainCtx) -> FpSpace:
@@ -289,27 +280,26 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
     """
     if ctx.size ** 2 > ORACLE_BUDGET:
         raise TooLarge(f"|K|^2 = {ctx.size ** 2} over budget {ORACLE_BUDGET}")
-    e, p, dim = ctx.e, ctx.field.p, pair_dim(ctx)
-    layout = _layout(ctx.field, ctx.d * e)
+    e, p, layout = ctx.e, ctx.field.p, _layout(ctx.modulus)
     zero = Poly.zero(ctx.field)
     # (f^l, 0) and (0, f^l) for l < e, where f^l is reduced mod f^e
     walls = [(w, layout.u(w)) for w in (layout.pack(ctx.f_pows[l], zero) for l in range(e))]
-    nothing = FpSpace(p, dim)
+    nothing = FpSpace(p, layout.dim)
     found: dict = {nothing.key(): nothing}
 
     def record(A: Poly, B: Poly, side: int) -> None:
         """Record the spans of (A, B) with w = f^l in side 0 or 1 of the
         pair, for l = 0, ..., e (w = 0 at l = e)."""
-        span = _closure(ctx.modulus, [layout.pack(A, B)])
+        span = _closure(layout, [layout.pack(A, B)])
         # a later insert replaces span.rows rather than changing it
         steps = [(span.rows, span.pivots)]
         for l in range(e - 1, -1, -1):
-            _closure(ctx.modulus, [walls[l][side]], span)
+            _closure(layout, [walls[l][side]], span)
             steps.append((span.rows, span.pivots))
         for rows, pivots in reversed(steps):  # l = 0, ..., e
             key = tuple(rows)
             if key not in found:
-                found[key] = FpSpace(p, dim, rows, pivots)
+                found[key] = FpSpace(p, layout.dim, rows, pivots)
 
     for k in range(e):
         fk = ctx.f_pows[k]
@@ -322,7 +312,7 @@ def brute_submodules(ctx: ChainCtx) -> list[FpSpace]:
 
 def u_shift_closed(space: FpSpace, ctx: ChainCtx) -> bool:
     """Closure under (A, B) -> (0, A), i.e. under multiplication by u."""
-    u = _layout(ctx.field, ctx.d * ctx.e).u
+    u = _layout(ctx.modulus).u
     return all(space.contains(u(row)) for row in space.rows)
 
 
@@ -380,22 +370,10 @@ def generator_matrix_spans(ctx: ChainCtx) -> list[FpSpace]:
 
 
 @memoized
-def _binomial(params: AmbientParams) -> Poly:
-    """x^N - lambda, the modulus of the ambient ring."""
+def _ambient(params: AmbientParams) -> _Layout:
+    """The layout of the ambient ring, mod x^N - lambda."""
     field = params.field
-    return Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,))
-
-
-def ambient_dim(params: AmbientParams) -> int:
-    return 2 * params.m * params.N
-
-
-def ambient_coords(params: AmbientParams, a0: Poly, a1: Poly) -> int:
-    return _layout(params.field, params.N).pack(a0, a1)
-
-
-def coords_ambient(params: AmbientParams, vec: int) -> tuple[Poly, Poly]:
-    return _layout(params.field, params.N).unpack(vec)
+    return _layout(Poly(field, (field.neg(params.lam),) + (0,) * (params.N - 1) + (1,)))
 
 
 def ideal_span(fd: FactorData, gens) -> FpSpace:
@@ -403,9 +381,9 @@ def ideal_span(fd: FactorData, gens) -> FpSpace:
 
     Closes under multiplication by x, by the field generator and by u.
     """
-    layout = _layout(fd.params.field, fd.params.N)
+    layout = _ambient(fd.params)
     vecs = [layout.pack(a0, a1) for a0, a1 in gens]
-    return _closure(_binomial(fd.params), [w for v in vecs for w in (v, layout.u(v))])
+    return _closure(layout, [w for v in vecs for w in (v, layout.u(v))])
 
 
 @memoized
@@ -415,20 +393,18 @@ def _lift(fd: FactorData, j: int):
 
     It is a table of the images of the 2 m d e basis vectors x^i g^c of
     either half: eps_j packed once, then stepped by the ambient x and g
-    (see _packed_steps), the B half their u-shift.  For p = 2 a row's
+    (see _Layout), the B half their u-shift.  For p = 2 a row's
     image is the XOR of the images of its set bits; for odd p it is the
     sum of slot times image, reduced once, as the ambient slots hold
     2 m d e products of two residues.
     """
-    params, ctx = fd.params, fd.chain(j)
-    p, dim = params.field.p, ambient_dim(params)
-    layout = _layout(params.field, params.N)
-    x_step = _packed_steps(_binomial(params))[0]
-    vec = layout.pack(fd.idempotents[j], Poly.zero(params.field))
+    ctx, layout = fd.chain(j), _ambient(fd.params)
+    p = layout.field.p
+    vec = layout.pack(fd.idempotents[j], Poly.zero(layout.field))
     images = []
     for _ in range(ctx.d * ctx.e):
         images += layout.orbit(vec)
-        vec = x_step(vec)
+        vec = layout.x_step(vec)
     images += [layout.u(image) for image in images]
     if p == 2:
 
@@ -441,10 +417,10 @@ def _lift(fd: FactorData, j: int):
             return out
 
     else:
-        kdim = pair_dim(ctx)
+        kdim, reduce = _layout(ctx.modulus).dim, layout.reduce
 
         def lift(row: int) -> int:
-            return _mod(sum(map(mul, unpack(p, kdim, row), images)), p, dim)
+            return reduce(sum(map(mul, unpack(p, kdim, row), images)))
 
     return lift
 
@@ -462,8 +438,9 @@ def code_space(code: CodeSpec) -> FpSpace:
     The eps_j cut the ring into independent pieces, so the code's
     space is spanned by its components' lifted spans, rank rows in
     all; the ring keeps each component's rows (see _component_rows).
-    With one factor, eps_0 = 1 and K_0 is the ambient ring itself, with
-    the same coordinates, so the component's span is the code's.
+    With one factor, eps_0 = 1 and K_0 is the ambient ring itself: f^e is
+    x^N - lambda, so _layout(f^e) and _ambient(params) are one object,
+    and the component's span is the code's.
     """
     fd = code.fd
     if fd.r == 1:
@@ -475,7 +452,7 @@ def code_space(code: CodeSpec) -> FpSpace:
         if lifted is None:
             lifted = memo[j, spec] = list(map(_lift(fd, j), spec_span(spec, fd.chain(j)).basis))
         rows += lifted
-    return FpSpace.from_rows(fd.params.field.p, ambient_dim(fd.params), rows)
+    return FpSpace.from_rows(fd.params.field.p, _ambient(fd.params).dim, rows)
 
 
 def brute_ambient_ideals(fd: FactorData):
@@ -495,7 +472,7 @@ def brute_ambient_ideals(fd: FactorData):
 
     ideals: dict = {}
     for choice in product(*per_factor):
-        space = FpSpace.from_rows(params.field.p, ambient_dim(params), chain.from_iterable(choice))
+        space = FpSpace.from_rows(params.field.p, _ambient(params).dim, chain.from_iterable(choice))
         ideals.setdefault(space.key(), space)
 
     _check_singly_generated_covered(fd, ideals)
@@ -526,23 +503,21 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
     t u v are the span of u v, <v> is that span grown by v, and the c v
     are the nonzero elements of the span of v's g-orbit.
     """
-    params = fd.params
-    p, dim = params.field.p, ambient_dim(params)
-    layout, binomial = _layout(params.field, params.N), _binomial(params)
-    x_step = _packed_steps(binomial)[0]
+    layout = _ambient(fd.params)
+    p, dim = layout.field.p, layout.dim
     covered: set = set()
     if p == 2:
         todo = filterfalse(covered.__contains__, range(1 << dim))
     else:
-        if slot_bits(p, dim) != 8:
+        if layout.bits != 8:
             raise TooLarge(f"ambient dimension {dim} needs slots past 8 bits for p = {p}")
         residues = _byte_table(p, 1)
         unscale = [b""] + [_byte_table(p, pow(c, -1, p)) for c in range(1, p)]
         words = filterfalse(covered.__contains__, _leading_one_words(p, dim))
         todo = map(functools.partial(int.from_bytes, byteorder="big"), words)
     for vec in todo:
-        by_u = _closure(binomial, [layout.u(vec)])
-        span = _closure(binomial, [vec], FpSpace(p, dim, by_u.rows, by_u.pivots))
+        by_u = _closure(layout, [layout.u(vec)])
+        span = _closure(layout, [vec], FpSpace(p, dim, by_u.rows, by_u.pivots))
         if span.key() not in ideals:
             gen = unpack(p, dim, vec)
             raise AssertionError(f"singly generated ideal missed by the assembly: gen={gen}")
@@ -562,11 +537,11 @@ def _check_singly_generated_covered(fd: FactorData, ideals: dict) -> None:
                 return [z.translate(unscale[z.lstrip(b"\0")[0]]) for z in blocks]
 
         scaled = list(filter(None, FpSpace.from_rows(p, dim, layout.orbit(vec)).elements()))
-        for _ in range(params.N):
+        for _ in range(layout.slots):
             for w in scaled:
                 if p == 2 or w >> (w.bit_length() - 1 & ~7) == 1:
                     covered.update(coset(w))
-            scaled = list(map(x_step, scaled))
+            scaled = list(map(layout.x_step, scaled))
 
 
 def _leading_one_words(p: int, dim: int):
@@ -608,15 +583,16 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
     come off its echelon basis as kept, with no back-substitution.  The
     rows are F_p-linear in b, so the 2m rows of b, side by side in one
     int, are the sum of one entry per group of b's slots from tables
-    kept per field and length (_pairing_tables): an XOR for p = 2, and
+    kept per ambient layout (_pairing_tables): an XOR for p = 2, and
     for odd p a sum reduced once.  This holds for any space, not only
     ideals, so every row of every basis vector goes in; kernel drops
     the dependent ones at the cost of the pivots they meet.  The answer
     is exactly the set a full scan would return (a test runs that scan
     at toy sizes).
     """
-    p = params.field.p
-    tables, width, ats, row_mask, dim = _pairing_tables(params.field, params.N)
+    layout = _ambient(params)
+    p = layout.field.p
+    tables, width, ats, row_mask = _pairing_tables(layout)
     group = (1 << width) - 1
     mat = []
     append = mat.append
@@ -629,7 +605,7 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
             for at in ats:
                 append(rows >> at & row_mask)
     else:
-        reduce = _reducer(p, slot_bits(p, dim))
+        reduce = layout.reduce
         for b in space.basis:
             rows = 0
             for entry in tables:
@@ -638,12 +614,12 @@ def brute_dual(space: FpSpace, params: AmbientParams) -> FpSpace:
             rows = reduce(rows)
             for at in ats:
                 append(rows >> at & row_mask)
-    return kernel(mat, dim, p)
+    return kernel(mat, layout.dim, p)
 
 
 @memoized
-def _pairing_tables(field: FieldCtx, slots: int) -> tuple:
-    """(tables, width, ats, row_mask, dim) for brute_dual: one table per
+def _pairing_tables(layout: _Layout) -> tuple:
+    """(tables, width, ats, row_mask) for brute_dual: one table per
     group of g slots of a packed row b, g the largest with p^g <= 256
     (one slot past p = 16), width the bits of a group, and where each
     of the 2m rows sits in an entry.  Table k's entry at the raw packed
@@ -659,8 +635,7 @@ def _pairing_tables(field: FieldCtx, slots: int) -> tuple:
     the entries brute_dual adds for one b sum at most dim products of
     two residues in each slot, which slot_bits leaves room for, and it
     reduces that sum once."""
-    layout = _layout(field, slots)
-    p, dim, bits, per = field.p, layout.dim, layout.bits, 2 * field.m
+    p, dim, bits, per = layout.field.p, layout.dim, layout.bits, 2 * layout.field.m
     rows = layout.pairing_rows(1 << bits * i for i in range(dim))
     step = dim * bits
     ats = range(0, per * step, step)
@@ -678,7 +653,7 @@ def _pairing_tables(field: FieldCtx, slots: int) -> tuple:
         else:
             keys = _span_table([1 << bits * i for i in range(len(group))], p, int.__add__)
             tables.append(dict(zip(keys, _span_table(group, p, int.__add__))).__getitem__)
-    return tables, g * bits, ats, (1 << step) - 1, dim
+    return tables, g * bits, ats, (1 << step) - 1
 
 
 def brute_self_dual_options(j: int, fd: FactorData) -> list[IdealSpec]:
@@ -789,6 +764,15 @@ def _ambient_check(p, m, s, n, lam):
     return True, f"{len(ideals)} ideals assembled and closed"
 
 
+def _factors_check(p, m, s, n, lam):
+    """The ring's factor list, handed to factor_data_for as a list from
+    outside: monic, with the coset degrees and the product x^n - lambda0,
+    which certifies it as the factorization (RangeError, a FAIL, if not)."""
+    params = AmbientParams.of_ints(p, m, s, n, lam)
+    fd = factor_data_for(params, list(build_factor_data(params).factors))
+    return True, f"{fd.r} factors certified by their degrees and product"
+
+
 def _count_check():
     anchors = [
         ((5, 1, 1, 1), 121),
@@ -830,6 +814,9 @@ FULL_SUITE = QUICK_SUITE + [
     ("dual 3,1,1,2 nu=-1", lambda: _dual_check(3, 1, 1, 2, 2)),
     ("dual 2,2,1,3 nu=+1", lambda: _dual_check(2, 2, 1, 3, 1)),
     ("dual 3,2,1,2 lam=2+g", lambda: _dual_check(3, 2, 1, 2, 5)),
+    ("factors 2,1,1,3255 lam=1", lambda: _factors_check(2, 1, 1, 3255, 1)),
+    ("factors 5,1,1,4374 lam=-1", lambda: _factors_check(5, 1, 1, 4374, 4)),
+    ("factors 7,2,1,400 lam=1", lambda: _factors_check(7, 2, 1, 400, 1)),
     ("ambient 3,1,1,1", lambda: _ambient_check(3, 1, 1, 1, 1)),
     ("ambient 3,1,1,2 lam=-1", lambda: _ambient_check(3, 1, 1, 2, 2)),
     ("ambient 2,3,1,1", lambda: _ambient_check(2, 3, 1, 1, 1)),

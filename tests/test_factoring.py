@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccring import poly
-from ccring.errors import NotSquarefree
+from ccring.decomp import AmbientParams, factor_data_for, root_binomial
+from ccring.errors import NotSquarefree, RangeError
 from ccring.gf import MEMO_SIZE, FieldCtx, field_new
 from ccring.poly import (
     Poly,
@@ -246,6 +247,54 @@ def test_factors_multiply_out_irreducible_with_the_coset_degrees(ring):
         prod = prod * g
     assert prod == f
     assert [g.degree for g in factors] == binomial_degrees(F, n, lam)
+
+
+# past the grid: n up to these, for m = 1 and m = 2, where factoring, not
+# the check, is the cost (an F_(p^2) step pays a Python loop per coordinate)
+CERTIFIED_N = {1: 2000, 2: 500}
+
+
+@st.composite
+def certified_rings(draw):
+    """(p, m, 1, n, lambda) with p <= 13, m <= 2, n <= CERTIFIED_N[m] and
+    lambda, so lambda0 too, of any order in F_q^*."""
+    p = draw(st.sampled_from(GRID_PRIMES))
+    m = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, CERTIFIED_N[m]).filter(lambda k: k % p))
+    F = field_new(p, m)
+    return AmbientParams(F, 1, n, draw(st.integers(1, F.q - 1)))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(params=certified_rings())
+@example(params=AmbientParams.of_ints(2, 1, 1, 255, 1))  # lambda0 = 1: cyclotomic parts
+@example(params=AmbientParams.of_ints(5, 1, 1, 312, 2))  # lambda0 of order 4: distinct degrees
+@example(params=AmbientParams.of_ints(3, 2, 1, 80, 5))  # lambda0 = 2 + g, outside F_3
+def test_factor_lists_pass_the_degree_and_product_certificate(params):
+    """factor_squarefree's list, handed to factor_data_for as a list from
+    outside, passes its check: monic factors with the coset degrees
+    whose product is x^n - lambda0.  x^n - lambda0 is squarefree with
+    that many irreducible factors, so each factor holds exactly one of
+    them: the check certifies the list with no irreducibility test and
+    no division."""
+    factors = factor_squarefree(root_binomial(params))
+    assert list(factor_data_for(params, list(factors)).factors) == list(factors)
+
+
+@pytest.mark.parametrize("ring", [(2, 1, 1, 255, 1), (5, 1, 1, 312, 2), (3, 2, 1, 80, 5)])
+def test_the_certificate_refuses_a_corrupted_factor_list(ring):
+    """Two factors replaced by their product, a factor dropped, and one
+    coefficient changed each fail the check."""
+    params = AmbientParams.of_ints(*ring)
+    F = params.field
+    factors = list(factor_squarefree(root_binomial(params)))
+    first, second, *rest = factors
+    *head, last = factors
+    changed = Poly(F, (F.add(last.coeffs[0], 1),) + last.coeffs[1:])
+    assert changed.is_monic() and changed.degree == last.degree
+    for wrong, why in [([first * second, *rest], "monic irreducible"), (factors[1:], "monic irreducible"), (head + [changed], "multiply out")]:
+        with pytest.raises(RangeError, match=why):
+            factor_data_for(params, wrong)
 
 
 # sha256 of the factor lists of x^n - lambda0 over every ring of the grid

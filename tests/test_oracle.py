@@ -2,6 +2,7 @@ import hashlib
 import random
 from bisect import bisect
 from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,14 +16,11 @@ from ccring.ideals import IdealSpec, enumerate_codes, enumerate_ideals, generato
 from ccring.linalg import _mod, kernel, pack, slot_bits, unpack
 from ccring.oracle import (
     FpSpace,
-    ambient_coords,
-    ambient_dim,
     brute_ambient_ideals,
     brute_dual,
     brute_submodules,
     brute_u_closed_submodules,
     code_space,
-    coords_ambient,
     generator_matrix_spans,
     k_span,
     spec_span,
@@ -41,7 +39,7 @@ SCAN_BUDGET = 1 << 14
 
 def pair_coords(ctx: ChainCtx, A: Poly, B: Poly) -> int:
     """The packed F_p row of (A, B) in K^2, as the oracle's spaces hold it."""
-    return oracle._layout(ctx.field, ctx.d * ctx.e).pack(ctx.reduce(A), ctx.reduce(B))
+    return oracle._layout(ctx.modulus).pack(ctx.reduce(A), ctx.reduce(B))
 
 
 def brute_submodules_allpairs(ctx: ChainCtx) -> set:
@@ -78,13 +76,14 @@ def brute_dual_scan(space: FpSpace, params: AmbientParams) -> set:
     field = params.field
     if params.ring_size() > SCAN_BUDGET:
         raise TooLarge("scan over budget")
-    dim = ambient_dim(params)
+    layout = oracle._ambient(params)
+    dim = layout.dim
     words = space.elements()
     out = set()
     for digits in product(range(field.p), repeat=dim):
         vec = pack(field.p, dim, digits)
-        a0, a1 = coords_ambient(params, vec)
-        if all(_pair_orthogonal(params, a0, a1, *coords_ambient(params, w)) for w in words):
+        a0, a1 = layout.unpack(vec)
+        if all(_pair_orthogonal(params, a0, a1, *layout.unpack(w)) for w in words):
             out.add(vec)
     return out
 
@@ -180,8 +179,8 @@ def test_packed_steps_match_the_poly_route(p, m):
     assert all(dense.coeffs) and (lam != 1 or F.q == 2)
     for modulus in (dense, binomial):
         slots = modulus.degree
-        x_step, g_step = oracle._packed_steps(modulus)
-        pack = oracle._layout(F, slots).pack
+        layout = oracle._layout(modulus)
+        x_step, g_step, pack = layout.x_step, layout.g_step, layout.pack
         assert (g_step is None) == (m == 1)
         for _ in range(20):
             A, B = (Poly(F, [rng.randrange(F.q) for _ in range(slots)]) for _ in range(2))
@@ -276,13 +275,13 @@ def test_covered_check_spans_only_vectors_leading_with_1(ring, monkeypatch):
     keeps no covered vector leading with another value."""
     fd = build_factor_data(AmbientParams.of_ints(*ring))
     ideals = {s.key(): s for s in brute_ambient_ideals(fd)}
-    dim, spanned, kept = oracle.ambient_dim(fd.params), [], []
+    dim, spanned, kept = oracle._ambient(fd.params).dim, [], []
     closure, real_set = oracle._closure, set
 
-    def recorded(modulus, vecs, space=None):
+    def recorded(layout, vecs, space=None):
         if space is not None:
             spanned.append(vecs[0])
-        return closure(modulus, vecs, space)
+        return closure(layout, vecs, space)
 
     class KeptSet(real_set):
         def update(self, items):
@@ -313,7 +312,7 @@ def test_covered_check_stays_on_packed_rows(ring, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(oracle, "coords_ambient", counted("coords_ambient", oracle.coords_ambient))
+    monkeypatch.setattr(oracle._Layout, "unpack", counted("unpack", oracle._Layout.unpack))
     monkeypatch.setattr(Poly, "scale", counted("scale", Poly.scale))
     monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
     oracle._check_singly_generated_covered(fd, ideals)
@@ -335,9 +334,10 @@ def test_code_space_roundtrips_coords():
 
     code = CodeSpec(fd, (IdealSpec("III", k=1), IdealSpec("I", b=Poly.zero(params.field))))
     sp = code_space(code)
+    layout = oracle._ambient(params)
     for vec in sp.elements()[:10]:
-        a0, a1 = coords_ambient(params, vec)
-        assert ambient_coords(params, a0, a1) == vec
+        a0, a1 = layout.unpack(vec)
+        assert layout.pack(a0, a1) == vec
 
 
 def test_dual_routes_agree_tiny():
@@ -405,7 +405,7 @@ def kernel_by_inserts(mat, dim, p) -> FpSpace:
 def brute_dual_by_inserts(space: FpSpace, params: AmbientParams) -> FpSpace:
     """brute_dual's pairing rows, v_l summed over the g-steps g^r b one
     coordinate block at a time, through kernel_by_inserts."""
-    layout = oracle._layout(params.field, params.N)
+    layout = oracle._ambient(params)
     bits, half, firsts = layout.bits, layout.half, layout.firsts
     mat = []
     for b in space.rows:
@@ -427,7 +427,7 @@ def test_brute_dual_equals_the_route_by_inserts(ring):
     params = AmbientParams.of_ints(*ring)
     codes = enumerate_codes(build_factor_data(params))
     if ring == WIDE_RING:
-        assert slot_bits(params.p, ambient_dim(params)) == 16
+        assert slot_bits(params.p, oracle._ambient(params).dim) == 16
         codes = islice(codes, 0, WIDE_CODES, WIDE_STRIDE)
     for code in codes:
         space = code_space(code)
@@ -444,7 +444,8 @@ def code_space_by_products(code) -> FpSpace:
         for j, (spec, eps) in enumerate(zip(code.components, fd.idempotents))
         for A, B, _ in generator_rows(spec, fd.chain(j))
     ]
-    return oracle._closure(oracle._binomial(fd.params), [ambient_coords(fd.params, A, B) for A, B in pairs])
+    layout = oracle._ambient(fd.params)
+    return oracle._closure(layout, [layout.pack(A, B) for A, B in pairs])
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 3, 1, 1, 1)])
@@ -452,13 +453,14 @@ def test_brute_dual_of_any_subspace_equals_the_scan(ring):
     """The pairing rows hold for any F_p-subspace, not only for ideals."""
     params = AmbientParams.of_ints(*ring)
     fd = build_factor_data(params)
-    p, dim = params.p, ambient_dim(params)
+    layout = oracle._ambient(params)
+    p, dim = params.p, layout.dim
     rng = random.Random(sum(ring))
     not_ideals = 0
     for _ in range(6):
         rows = [pack(p, dim, [rng.randrange(p) for _ in range(dim)]) for _ in range(rng.randrange(1, 4))]
         space = FpSpace.from_rows(p, dim, rows)
-        ideal = oracle.ideal_span(fd, [coords_ambient(params, row) for row in space.rows])
+        ideal = oracle.ideal_span(fd, [layout.unpack(row) for row in space.rows])
         not_ideals += ideal.rank > space.rank
         assert set(brute_dual(space, params).elements()) == brute_dual_scan(space, params)
     assert not_ideals
@@ -480,7 +482,7 @@ def test_lift_is_multiplication_by_the_idempotent(ring):
         lift = oracle._lift(fd, j)
         for _ in range(10):
             A, B = (Poly(F, [rng.randrange(F.q) for _ in range(ctx.d * ctx.e)]) for _ in range(2))
-            want = ambient_coords(params, mulmod(fd, eps, A), mulmod(fd, eps, B))
+            want = oracle._ambient(params).pack(mulmod(fd, eps, A), mulmod(fd, eps, B))
             assert lift(pair_coords(ctx, A, B)) == want
 
 
@@ -521,11 +523,11 @@ def test_clear_memo_empties_the_layout_and_step_memos():
     fd = build_factor_data(AmbientParams.of_ints(2, 2, 1, 3, 1))
     for code in enumerate_codes(fd):
         brute_dual(code_space(code), fd.params)
-    assert oracle._layout.cache_info().currsize and oracle._packed_steps.cache_info().currsize
-    assert oracle._binomial.cache_info().currsize and oracle._pairing_tables.cache_info().currsize
+    assert oracle._layout.cache_info().currsize and oracle._ambient.cache_info().currsize
+    assert oracle._pairing_tables.cache_info().currsize
     decomp.clear_memo()
-    assert oracle._layout.cache_info().currsize == oracle._packed_steps.cache_info().currsize == 0
-    assert oracle._binomial.cache_info().currsize == oracle._pairing_tables.cache_info().currsize == 0
+    assert oracle._layout.cache_info().currsize == oracle._ambient.cache_info().currsize == 0
+    assert oracle._pairing_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ring", [(2, 1, 1, 5, 1), (3, 2, 1, 2, 5)])
@@ -567,6 +569,23 @@ def test_full_suite_checks_chain_dual_and_ambient_at_m_above_one(name, detail):
     lambda = 2 + g outside F_3, through dual_code."""
     check = dict(oracle.FULL_SUITE)[name]
     assert check() == (True, detail)
+
+
+def test_full_suite_certifies_factor_lists(monkeypatch):
+    """The factors lines hand the ring's factor list to factor_data_for
+    as a list from outside; a list its check refuses is a FAIL."""
+    name = "factors 5,1,1,4374 lam=-1"
+    assert dict(oracle.FULL_SUITE)[name]() == (True, "16 factors certified by their degrees and product")
+    assert [n for n, _ in oracle.FULL_SUITE if n.startswith("factors ")] == [
+        "factors 2,1,1,3255 lam=1",
+        name,
+        "factors 7,2,1,400 lam=1",
+    ]
+    real = oracle.build_factor_data
+    monkeypatch.setattr(oracle, "build_factor_data", lambda params: SimpleNamespace(factors=real(params).factors[1:]))
+    monkeypatch.setattr(oracle, "FULL_SUITE", [(n, fn) for n, fn in oracle.FULL_SUITE if n == name])
+    [(got, ok, detail)] = verify_suite("full")
+    assert got == name and not ok and detail.startswith("RangeError: ")
 
 
 def test_selfdual_check_catches_a_wrong_count(monkeypatch):
@@ -628,7 +647,8 @@ def assert_table_dual_of_random_subspaces(ring):
     them no ideal."""
     params = AmbientParams.of_ints(*ring)
     fd = build_factor_data(params)
-    p, dim = params.p, ambient_dim(params)
+    layout = oracle._ambient(params)
+    p, dim = params.p, layout.dim
     rng = random.Random(str(ring))
     not_ideals = 0
     for _ in range(12):
@@ -637,7 +657,7 @@ def assert_table_dual_of_random_subspaces(ring):
         basis = space.basis
         dual, ref = brute_dual(space, params), brute_dual_by_inserts(FpSpace.from_rows(p, dim, basis), params)
         assert dual.rows == ref.rows and dual.pivots == ref.pivots
-        ideal = oracle.ideal_span(fd, [coords_ambient(params, row) for row in basis])
+        ideal = oracle.ideal_span(fd, [layout.unpack(row) for row in basis])
         not_ideals += ideal.rank > space.rank
     assert not_ideals >= 6
 
